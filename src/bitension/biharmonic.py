@@ -22,8 +22,6 @@ nonzero, ``inconclusive`` in the gap between the two thresholds.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,21 +322,6 @@ class ResidualReport:
         }
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Thread budget: explicit argument, else BITENSION_THREADS (0 = auto)."""
-    if threads is None:
-        raw = os.environ.get("BITENSION_THREADS", "")
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            return 1
-    if threads == 0:
-        return os.cpu_count() or 1
-    return max(1, threads)
-
-
 def _verdict(tau_max: float, h_max: float, h_min: float,
              pass_tol: float, fail_tol: float) -> str:
     if h_max < pass_tol:
@@ -356,43 +339,23 @@ def evaluate_chart(
     seed: int = 42,
     pass_tol: float = PASS_TOL,
     fail_tol: float = FAIL_TOL,
-    threads: int | None = None,
     with_audit: bool = True,
 ) -> ResidualReport:
-    """Evaluate every characterization over deterministic samples."""
+    """Evaluate every characterization over deterministic samples.
+
+    A sample point whose geometry fails (off the sphere, rank-deficient,
+    ill-conditioned, outside the domain, non-finite) is skipped and its
+    message kept in ``failures``.
+    """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
-    points = chart_mod.sample_points(spec, samples, seed)
-
-    def one(point):
-        return extrinsic.compute_geometry(spec, point)
-
-    nthreads = resolve_threads(threads)
-    geoms: list[PointGeometry | None] = []
+    good: list[PointGeometry] = []
     failures: list[str] = []
-    if nthreads > 1:
-        def safe(point):
-            try:
-                return one(point)
-            except (GeometryError, chart_mod.ChartError) as e:
-                return e
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(safe, points))
-        for res in results:
-            if isinstance(res, Exception):
-                failures.append(str(res))
-                geoms.append(None)
-            else:
-                geoms.append(res)
-    else:
-        for point in points:
-            try:
-                geoms.append(one(point))
-            except (GeometryError, chart_mod.ChartError) as e:
-                failures.append(str(e))
-                geoms.append(None)
-
-    good = [g for g in geoms if g is not None]
+    for point in chart_mod.sample_points(spec, samples, seed):
+        try:
+            good.append(extrinsic.compute_geometry(spec, point))
+        except (GeometryError, chart_mod.ChartError) as e:
+            failures.append(str(e))
     if not good:
         raise AllSamplesFailed(
             f"all {samples} samples failed; first failure: {failures[0]}"

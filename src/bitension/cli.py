@@ -42,10 +42,15 @@ either the same JSON envelope around {family, grid, roots, boundary} or the
 CSV table ``param,max_residual,mean_residual,H_norm,verdict`` with refined
 roots appended as ``root:<classification>`` rows.
 
+A sample point whose geometry cannot be evaluated (off the sphere,
+rank-deficient, ill-conditioned, outside the domain, or with non-finite
+jets or results, e.g. from floating-point overflow) is skipped and listed
+under "failures"; if every sample fails the exit status is 3.  JSON output
+is strict: it never contains NaN or Infinity tokens.
+
 Reports contain no timestamps and all randomness is seed-controlled, so a
 fixed command line always produces byte-identical output; files are written
-atomically (temp file + rename).  BITENSION_THREADS caps sample-evaluation
-parallelism (0 = auto, unset = serial).
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _emit(text: str, path: str | None):
 
 def _report_json(report: biharmonic.ResidualReport, config_echo: dict) -> str:
     doc = report.to_report_dict(config_echo=config_echo, tool_version=__version__)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _human_verify(report: biharmonic.ResidualReport) -> str:
@@ -340,7 +345,7 @@ def _run_scan(args) -> int:
     if args.format == "json":
         doc = result.to_dict()
         doc["tool_version"] = __version__
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = result.to_csv()
     else:

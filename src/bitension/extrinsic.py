@@ -24,7 +24,7 @@ derivatives needed for Delta H, Delta-perp H and Delta f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,13 +45,7 @@ class GeometryError(ValueError):
 
 def _jet_matmul(sp: jets.JetSpace, A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
     """(m, m, L) jet-ring matrix product."""
-    m = A.shape[0]
-    Bt = B.transpose(1, 0, 2)
-    out = sp.zeros(m, m)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = sp.dot(A[i], Bt[j], order)
-    return out
+    return sp.dot(A[:, None], B.transpose(1, 0, 2)[None], order)
 
 
 def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: int) -> np.ndarray:
@@ -97,9 +91,13 @@ def _mgs(rows: np.ndarray, pivot: bool, tol: float = 1e-13):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointGeometry:
-    """All extrinsic data of one chart at one sample point.  Immutable value."""
+    """All extrinsic data of one chart at one sample point.
+
+    Immutable value: every field is computed once by ``compute_geometry``
+    and is finite (construction raises ``GeometryError`` otherwise).
+    """
 
     point: np.ndarray
     m: int
@@ -108,11 +106,13 @@ class PointGeometry:
     jac: np.ndarray                 # (m, n+1) rows dphi_i
     metric: np.ndarray              # (m, m)
     metric_inv: np.ndarray
+    christoffel: np.ndarray         # (m, m, m): [k, i, j] = Gamma^k_ij
+    christoffel_grad: np.ndarray    # (m, m, m, m): [a, k, i, j] = d_a Gamma^k_ij
     tangent_frame: np.ndarray       # (m, n+1) orthonormal rows
     frame_coeff: np.ndarray         # (m, m): e_a = sum_i frame_coeff[a, i] dphi_i
     normal_frame: np.ndarray        # (n - m, n+1) orthonormal rows
     B_coord: np.ndarray             # (m, m, n+1) ambient-valued B(d_i, d_j)
-    B_frame: np.ndarray             # (n - m, m, m) <B(e_a, e_b), xi_x>
+    B_frame: np.ndarray             # (n - m, m, m) <B(e_a, e_b), xi_x>, read-only
     A_H: np.ndarray                 # (m, m) <B(e_a, e_b), H>
     H: np.ndarray                   # (n+1,)
     H_norm: float
@@ -128,15 +128,23 @@ class PointGeometry:
     trace_A_nablaH: np.ndarray      # (n+1,)
     # hypersurface-only fields (None when codimension > 1)
     f: float | None = None
-    eta: np.ndarray | None = None
-    A: np.ndarray | None = None     # (m, m) shape operator in the tangent frame
+    eta: np.ndarray | None = None   # normal_frame[0]
+    A: np.ndarray | None = None     # (m, m) shape operator, B_frame[0]
     A2: float | None = None
     grad_f: np.ndarray | None = None          # (n+1,)
     grad_f_coord: np.ndarray | None = None    # (m,)
     delta_f: float | None = None
     nabla_A: np.ndarray | None = None         # (m, m, m): <(grad A)(e_a,e_b), e_c>
     trace_nabla_A: np.ndarray | None = None   # (n+1,) ambient vector
-    _ctx: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        arrays = [v.ravel() for v in values.values() if isinstance(v, np.ndarray)]
+        scalars = [v for v in values.values() if isinstance(v, float)]
+        if np.isfinite(np.concatenate(arrays)).all() and all(map(math.isfinite, scalars)):
+            return
+        bad = next(k for k, v in values.items() if v is not None and not np.all(np.isfinite(v)))
+        raise GeometryError(f"non-finite {bad} at the sample point")
 
     @property
     def codim(self) -> int:
@@ -167,14 +175,33 @@ class IntrinsicCurvature:
 # ---------------------------------------------------------------------------
 
 
+def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
+                         ginvJ: np.ndarray, V: np.ndarray, order: int) -> np.ndarray:
+    """Jets of the normal-bundle projection of the ambient field(s) V."""
+    m = dPhi.shape[0]
+    out = V - sp.mul(sp.dot(V, Phi, order), Phi, order)
+    for k in range(m):
+        c = sp.dot(V, dPhi[k], order)
+        for l in range(m):
+            out = out - sp.mul(sp.mul(ginvJ[k, l], c, order), dPhi[l], order)
+    return out
+
+
+@np.errstate(all="ignore")
 def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False) -> PointGeometry:
     """Full extrinsic package at one point.
 
     ``flip_normal`` negates the hypersurface unit normal; the paper fixes no
     orientation and every implemented check must be covariant under the flip
-    (the test suite asserts this).
+    (the test suite asserts this).  Floating-point overflow does not warn: a
+    sample whose jets or outputs are not finite raises ``GeometryError``.
     """
-    Phi, sp = chart_mod.eval_jet_stack(spec, point)
+    try:
+        Phi, sp = chart_mod.eval_jet_stack(spec, point)
+    except OverflowError as e:
+        raise GeometryError("non-finite chart jets (float overflow)") from e
+    if not np.all(np.isfinite(Phi)):
+        raise GeometryError("non-finite chart jets")
     m, n = spec.m, spec.n
     point = np.asarray(point, dtype=np.float64)
 
@@ -218,6 +245,7 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
                 GamJ[k, i, j] = 0.5 * sp.dot(ginvJ[k], C, 2)
                 GamJ[k, j, i] = GamJ[k, i, j]
     Gam0 = GamJ[:, :, :, 0]
+    dGam0 = np.moveaxis(GamJ[..., sp.var_pos], -1, 0)               # d_a Gamma^k_ij
 
     # second fundamental form, ambient-valued, jets to order 2
     BJ = sp.zeros(m, m, n + 1)
@@ -279,14 +307,6 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
     )
 
     # normal connection: U_j = P_N(d_j H), then the normal rough Laplacian
-    def _project_jets(V: np.ndarray, order: int) -> np.ndarray:
-        out = V - sp.mul(sp.dot(V, Phi, order), Phi, order)
-        for k in range(m):
-            c = sp.dot(V, dPhi[k], order)
-            for l in range(m):
-                out = out - sp.mul(sp.mul(ginvJ[k, l], c, order), dPhi[l], order)
-        return out
-
     def _project_value(v: np.ndarray) -> np.ndarray:
         out = v - np.dot(v, phi0) * phi0
         coeffs = ginv0 @ (jac @ v)
@@ -294,7 +314,7 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
 
     UJ = sp.zeros(m, n + 1)                                        # order 1
     for j in range(m):
-        UJ[j] = _project_jets(sp.deriv(HJ, j), 1)
+        UJ[j] = _project_normal_jets(sp, Phi, dPhi, ginvJ, sp.deriv(HJ, j), 1)
     U0 = UJ[:, :, 0]
     nabla_perp_H_norm = math.sqrt(
         max(float(np.einsum("ij,ic,jc->", ginv0, U0, U0)), 0.0)
@@ -317,51 +337,53 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
         "ij,kl,jlc,ic,kd->d", ginv0, ginv0, B0, U0, jac
     )
 
+    # |B|^2 comes from the value-level normal frame (the jet normal below
+    # agrees only to rounding); for a hypersurface that frame otherwise only
+    # picks the constant direction whose normal projection gives the jet normal
     B_frame = np.einsum("ai,bj,ijc,xc->xab", E, E, B0, normal_frame)
-    A_H = np.einsum("ai,bj,ijc,c->ab", E, E, B0, H0)
     B2 = float(np.sum(B_frame * B_frame))
-    AH2 = float(np.sum(A_H * A_H))
+    if codim == 1:
+        c_star = int(np.argmax(np.abs(normal_frame[0])))
+        etaJ, fJ = _unit_normal_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, flip_normal)
+        normal_frame = etaJ[None, :, 0].copy()
+        B_frame = np.einsum("ai,bj,ijc,xc->xab", E, E, B0, normal_frame)
+    B_frame.setflags(write=False)
+    A_H = np.einsum("ai,bj,ijc,c->ab", E, E, B0, H0)
+    hyper: dict = {}
+    if codim == 1:
+        A = B_frame[0]
+        hyper = dict(eta=normal_frame[0], A=A, A2=float(np.sum(A * A)),
+                     **_hypersurface_fields(sp, etaJ, fJ, ginvJ, Gam0, BJ,
+                                            jac, g0, ginv0, E))
 
-    geom = PointGeometry(
+    return PointGeometry(
         point=point, m=m, n=n, phi=phi0, jac=jac, metric=g0, metric_inv=ginv0,
+        christoffel=Gam0, christoffel_grad=dGam0,
         tangent_frame=tangent_frame, frame_coeff=E, normal_frame=normal_frame,
         B_coord=B0, B_frame=B_frame, A_H=A_H, H=H0, H_norm=H_norm, H2=H2,
-        B2=B2, AH2=AH2, delta_H=delta_H, delta_perp_H=delta_perp_H,
-        nabla_perp_H=U0, nabla_perp_H_norm=nabla_perp_H_norm,
-        grad_H2=grad_H2, trace_B_AH=trace_B_AH, trace_A_nablaH=trace_A_nablaH,
-        _ctx={"space": sp, "GamJ": GamJ, "gJ": gJ, "ginvJ": ginvJ},
+        B2=B2, AH2=float(np.sum(A_H * A_H)), delta_H=delta_H,
+        delta_perp_H=delta_perp_H, nabla_perp_H=U0,
+        nabla_perp_H_norm=nabla_perp_H_norm, grad_H2=grad_H2,
+        trace_B_AH=trace_B_AH, trace_A_nablaH=trace_A_nablaH, **hyper,
     )
 
-    if codim == 1:
-        _hypersurface_fields(geom, spec, Phi, dPhi, gJ, ginvJ, GamJ, BJ, HJ,
-                             flip_normal)
-    geom.B_frame.setflags(write=False)
-    return geom
 
+def _unit_normal_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, flip_normal):
+    """Jets of the hypersurface unit normal eta (order 3) and f = <H, eta>.
 
-def _hypersurface_fields(geom, spec, Phi, dPhi, gJ, ginvJ, GamJ, BJ, HJ, flip_normal):
-    """Unit normal as a jet, then f, grad f, Delta f and the cubic form grad A."""
-    sp: jets.JetSpace = geom._ctx["space"]
-    m, n = geom.m, geom.n
-    eta0 = geom.normal_frame[0]
-
-    # project the best-aligned constant ambient direction into the normal line
-    c_star = int(np.argmax(np.abs(eta0)))
-    NJ = sp.zeros(n + 1)
-    NJ[c_star, 0] = 1.0
-    NJ = NJ - sp.mul(Phi[c_star], Phi, 3)
-    for k in range(m):
-        for l in range(m):
-            NJ = NJ - sp.mul(sp.mul(ginvJ[k, l], dPhi[k][c_star], 3), dPhi[l], 3)
+    eta is the normalized normal projection of the constant direction
+    e_{c_star}.  It points along H where H does not vanish, so f is
+    nonnegative and comparable across samples; the paper fixes no
+    convention and every implemented check is covariant under the flip.
+    """
+    E_c = sp.zeros(Phi.shape[0])
+    E_c[c_star, 0] = 1.0
+    NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 3)
     nn = sp.mul(NJ, NJ, 3).sum(axis=0)
     if nn[0] < 1e-16:
         raise GeometryError("normal frame construction failed (degenerate complement)")
     scale = jets.elementary("recip", jets.elementary("sqrt", jets.Jet(sp, nn, 3)))
     etaJ = sp.mul(NJ, scale.coeffs, 3)
-
-    # orientation: point eta along H where H does not vanish, so f = <H, eta>
-    # is nonnegative and comparable across samples; the paper fixes no
-    # convention and every implemented check is covariant under the flip
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=0)                           # order 2
     want_flip = fJ[0] < -1e-12
     if flip_normal:
@@ -369,30 +391,23 @@ def _hypersurface_fields(geom, spec, Phi, dPhi, gJ, ginvJ, GamJ, BJ, HJ, flip_no
     if want_flip:
         etaJ = -etaJ
         fJ = -fJ
-    geom.normal_frame = etaJ[:, 0][None, :].copy()
-    geom.eta = etaJ[:, 0].copy()
-    # rebuild the frame-expressed tensors with the jet-consistent normal
-    geom.B_frame = np.einsum(
-        "ai,bj,ijc,xc->xab", geom.frame_coeff, geom.frame_coeff,
-        geom.B_coord, geom.normal_frame,
-    )
-    geom.A = geom.B_frame[0]
-    geom.A2 = float(np.sum(geom.A * geom.A))
+    return etaJ, fJ
 
-    geom.f = float(fJ[0])
+
+def _hypersurface_fields(sp, etaJ, fJ, ginvJ, Gam0, BJ, jac, g0, ginv0, E) -> dict:
+    """f, grad f, Delta f and the cubic form grad A from the unit-normal jets."""
+    m = jac.shape[0]
     df = fJ[sp.var_pos]
-    geom.grad_f_coord = geom.metric_inv @ df
-    geom.grad_f = geom.grad_f_coord @ geom.jac
+    grad_f_coord = ginv0 @ df
 
     hess = np.empty((m, m))
     for i in range(m):
         dfi = sp.deriv(fJ, i)
         for j in range(m):
             hess[i, j] = sp.deriv(dfi, j)[0]
-    Gam0 = GamJ[:, :, :, 0]
-    geom.delta_f = float(
-        -np.einsum("ij,ij->", geom.metric_inv, hess)
-        + np.einsum("ij,kij,k->", geom.metric_inv, Gam0, df)
+    delta_f = float(
+        -np.einsum("ij,ij->", ginv0, hess)
+        + np.einsum("ij,kij,k->", ginv0, Gam0, df)
     )
 
     # shape operator as a (1,1)-tensor field: A^k_j = g^kl <B_lj, eta>
@@ -410,11 +425,14 @@ def _hypersurface_fields(geom, spec, Phi, dPhi, gJ, ginvJ, GamJ, BJ, HJ, flip_no
             nablaA[k, :, j] = dA
     nablaA += np.einsum("kil,lj->kij", Gam0, A0)
     nablaA -= np.einsum("lij,kl->kij", Gam0, A0)
-    E = geom.frame_coeff
-    geom.nabla_A = np.einsum("ai,bj,kij,kw,cw->abc", E, E, nablaA, geom.metric, E)
-    geom.trace_nabla_A = np.einsum(
-        "ij,kij,kc->c", geom.metric_inv, nablaA, geom.jac
-    )
+    return {
+        "f": float(fJ[0]),
+        "grad_f_coord": grad_f_coord,
+        "grad_f": grad_f_coord @ jac,
+        "delta_f": delta_f,
+        "nabla_A": np.einsum("ai,bj,kij,kw,cw->abc", E, E, nablaA, g0, E),
+        "trace_nabla_A": np.einsum("ij,kij,kc->c", ginv0, nablaA, jac),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +446,13 @@ def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
     if m == 1:
         z = np.zeros((1, 1))
         return IntrinsicCurvature(np.zeros((1, 1, 1, 1)), z.copy(), 0.0, z.copy())
-    sp: jets.JetSpace = geom._ctx["space"]
-    GamJ = geom._ctx["GamJ"]
-    Gam0 = GamJ[:, :, :, 0]
-    dGam = np.empty((m, m, m, m))                                  # [i, l, j, k]
-    for i in range(m):
-        dGam[i] = sp.deriv(GamJ, i)[:, :, :, 0]                    # d_i Gamma^l_jk
-
-    # R(d_i, d_j) d_k = opR[i,j,k,l] d_l
-    opR = np.empty((m, m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                opR[i, j, k] = (
-                    dGam[i, :, j, k]
-                    - dGam[j, :, i, k]
-                    + np.einsum("s,ls->l", Gam0[:, j, k], Gam0[:, i, :])
-                    - np.einsum("s,ls->l", Gam0[:, i, k], Gam0[:, j, :])
-                )
+    Gam0 = geom.christoffel
+    # R(d_i, d_j) d_k = opR[i,j,k,l] d_l, with
+    # opR[i,j,k,l] = d_i Gamma^l_jk - d_j Gamma^l_ik
+    #                + Gamma^s_jk Gamma^l_is - Gamma^s_ik Gamma^l_js
+    dGam = geom.christoffel_grad.transpose(0, 2, 3, 1)            # [i, j, k, l]
+    GG = np.einsum("sjk,lis->ijkl", Gam0, Gam0)
+    opR = dGam - dGam.transpose(1, 0, 2, 3) + GG - GG.transpose(1, 0, 2, 3)
     Rm = np.einsum("ijkl,lw->ijkw", opR, geom.metric)              # <R(i,j)k, w>
     E = geom.frame_coeff
     R4f = np.einsum("ai,bj,ck,dw,ijkw->abcd", E, E, E, E, Rm)

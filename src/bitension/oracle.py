@@ -50,30 +50,20 @@ def _norm(u, lib):
     return lib.sqrt(_dot(u, u))
 
 
-def _mat_inv(g, lib):
-    """Adjugate inverse for 1x1 .. 3x3 symmetric matrices."""
+def _mat_inv(g):
+    """Inverse by Gauss-Jordan elimination with partial pivoting, any size."""
     m = len(g)
-    if m == 1:
-        return [[1 / g[0][0]]]
-    if m == 2:
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        return [[g[1][1] / det, -g[0][1] / det],
-                [-g[1][0] / det, g[0][0] / det]]
-    if m == 3:
-        a, b, c = g[0]
-        d, e, f = g[1]
-        gg, h, i = g[2]
-        A = e * i - f * h
-        B = -(d * i - f * gg)
-        C = d * h - e * gg
-        det = a * A + b * B + c * C
-        adj = [
-            [A, -(b * i - c * h), b * f - c * e],
-            [B, a * i - c * gg, -(a * f - c * d)],
-            [C, -(a * h - b * gg), a * e - b * d],
-        ]
-        return [[x / det for x in row] for row in adj]
-    raise ValueError("oracle metric inversion supports m <= 3")
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(g)]
+    for c in range(m):
+        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0:
+            raise ValueError("oracle metric is singular")
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = _scale(rows[c], 1 / rows[c][c])
+        for r in range(m):
+            if r != c:
+                rows[r] = _sub(rows[r], _scale(rows[c], rows[r][c]))
+    return [r[m:] for r in rows]
 
 
 def _orthonormalize(rows, lib, tol=1e-12):
@@ -173,7 +163,7 @@ class FDGeometry:
         self.phi = chart_mod.eval_real(spec, point, lib)
         self.jac = fd_first_derivatives(spec, point, h, lib)
         self.g = [[_dot(a, b) for b in self.jac] for a in self.jac]
-        self.ginv = _mat_inv(self.g, lib)
+        self.ginv = _mat_inv(self.g)
         self.tangent = _orthonormalize(self.jac, lib)
         hess = fd_second_derivatives(spec, point, h, lib)
         self.B = [[self._project_normal(hess[i][j]) for j in range(self.m)]

@@ -157,7 +157,7 @@ class ScanResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["param,max_residual,mean_residual,H_norm,verdict"]

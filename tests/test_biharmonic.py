@@ -291,13 +291,3 @@ def test_quantity_audit_requires_proper_verdict(catalog_reports):
     rep = catalog_reports[chart_key("small-hypersphere", {"m": 2, "r": 0.6})]
     with pytest.raises(ValueError):
         quantity_audit(rep)
-
-
-def test_threads_env(monkeypatch):
-    spec = catalog_chart("small-hypersphere", {"m": 2, "r": ROOT2INV})
-    serial = evaluate_chart(spec, samples=8, seed=9)
-    monkeypatch.setenv("BITENSION_THREADS", "2")
-    threaded = evaluate_chart(spec, samples=8, seed=9)
-    assert serial.to_report_dict() == threaded.to_report_dict()
-    monkeypatch.setenv("BITENSION_THREADS", "0")
-    assert biharmonic.resolve_threads() >= 1

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -118,6 +119,30 @@ def test_all_samples_failed_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--chart", str(f), "--points", "4")
     assert code == 3
     assert "all 4 samples failed" in err
+
+
+def test_non_finite_chart_exit_three_strict_output(capsys, tmp_path):
+    # components overflow to inf, so every jet is non-finite after
+    # normalization; each sample must fail rather than yield NaN residuals
+    doc = {
+        "name": "overflow", "m": 2, "n": 3,
+        "expressions": ["sin(u1)*1e200*1e200*cos(u2)", "sin(u1)*sin(u2)",
+                        "cos(u1)", "0.5"],
+        "domain": [[0, 3.14159], [0, 6.28318]],
+        "params": {}, "normalize": True,
+    }
+    f = tmp_path / "overflow.json"
+    f.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--chart", str(f), "--points",
+                             "4", "--format", "json", "--output", str(report))
+    assert code == 3
+    assert "all 4 samples failed" in err and "non-finite" in err
+    assert not report.exists()
+    for text in (out, err):
+        assert "NaN" not in text and "Infinity" not in text
 
 
 def test_chart_file_verify(capsys, tmp_path):

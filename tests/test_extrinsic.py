@@ -11,7 +11,10 @@ Closed-form references, derived by hand once and frozen here:
   so m|H| = |m2 a/b - m1 b/a| and |A|^2 = m1 b^2/a^2 + m2 a^2/b^2.
 """
 
+import copy
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +151,37 @@ def test_point_geometry_invariants(tag, params):
         if g.hypersurface:
             assert abs(g.AH2 - g.H2 * g.A2) < 1e-9 * (1 + g.A2)
             assert abs(g.f ** 2 - g.H2) < 1e-10
+            # the frame's one normal is the unit normal eta, and A its B_frame
+            assert np.array_equal(g.normal_frame[0], g.eta)
+            assert np.array_equal(g.B_frame[0], g.A)
+
+
+def test_point_geometry_is_frozen():
+    _, (g,) = geoms_of("small-hypersphere", {"m": 2, "r": 0.75}, count=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.H_norm = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.B_frame = np.zeros_like(g.B_frame)
+    with pytest.raises(ValueError):
+        g.B_frame[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        g.A[0, 0] = 0.0
+
+
+def test_intrinsic_curvature_reads_only_declared_fields():
+    # every input of intrinsic_curvature is a public field, so copies and
+    # field-by-field rebuilds give bit-identical curvature
+    _, geoms = geoms_of("generalized-clifford",
+                        {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV},
+                        count=2)
+    for g in geoms:
+        assert not [f.name for f in dataclasses.fields(g) if f.name.startswith("_")]
+        ref = intrinsic_curvature(g)
+        for other in (copy.deepcopy(g), dataclasses.replace(g)):
+            curv = intrinsic_curvature(other)
+            assert curv.scalar == ref.scalar
+            for name in ("riemann", "ricci", "sectional"):
+                assert np.array_equal(getattr(curv, name), getattr(ref, name))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +333,20 @@ def test_fd_oracle_agreement():
                 oracle.fd_second_fundamental_form(spec, p) - g.B_coord)) < 1e-5
 
 
+@pytest.mark.parametrize("tag,params", [
+    ("generalized-clifford", {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV}),
+    ("product-spheres", {"m1": 1, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV}),
+])
+def test_fd_oracle_agreement_high_dimension(tag, params):
+    # m = 6 and m = 5: the oracle's generic metric inverse covers every m
+    spec = catalog_chart(tag, params)
+    for p in sample_points(spec, 3, 3):
+        g = compute_geometry(spec, p)
+        assert np.max(np.abs(oracle.fd_mean_curvature(spec, p) - g.H)) < 1e-6
+        assert np.max(np.abs(
+            oracle.fd_second_fundamental_form(spec, p) - g.B_coord)) < 1e-6
+
+
 def test_fd_delta_f_agreement():
     spec = perturbed_chart(62)
     p = sample_points(spec, 1, 3)[0]
@@ -378,3 +426,21 @@ def test_off_sphere_chart_rejected():
     spec = chart.parse_chart(doc)
     with pytest.raises(GeometryError, match="unit sphere"):
         compute_geometry(spec, [1.0])
+
+
+@pytest.mark.parametrize("component", [
+    "sin(u1) * 1e200 * 1e200 * cos(u2)",     # jets overflow to inf / NaN
+    "sin(u1) * 1e130 * cos(u2)",             # normalization overflows a float
+])
+def test_non_finite_chart_rejected(component):
+    doc = {
+        "name": "overflow", "m": 2, "n": 3,
+        "expressions": [component, "sin(u1) * sin(u2)", "cos(u1)", "0.5"],
+        "domain": [[0.0, 3.14159], [0.0, 6.28318]],
+        "normalize": True,
+    }
+    spec = chart.parse_chart(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="non-finite"):
+            compute_geometry(spec, [1.0, 2.0])
