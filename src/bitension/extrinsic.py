@@ -19,6 +19,11 @@ The second fundamental form in coordinates is
 an ambient vector automatically orthogonal to phi and to the tangent space;
 H = (1/m) g^ij B_ij.  Jets of B to order 2 support the two extra covariant
 derivatives needed for Delta H, Delta-perp H and Delta f.
+
+Each tensor expression is one stacked ``JetSpace`` call over all its
+indices; the terms of an index sum are then added one at a time in a fixed
+index order, not with ``.sum()``, so the rounding (and every report byte)
+does not depend on numpy's reduction order.
 """
 
 from __future__ import annotations
@@ -177,13 +182,16 @@ class IntrinsicCurvature:
 
 def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
                          ginvJ: np.ndarray, V: np.ndarray, order: int) -> np.ndarray:
-    """Jets of the normal-bundle projection of the ambient field(s) V."""
+    """Jets of the normal-bundle projection of the ambient field(s) V, shape
+    (..., n+1, L): V - <V, phi> phi - g^kl <V, dphi_k> dphi_l."""
     m = dPhi.shape[0]
-    out = V - sp.mul(sp.dot(V, Phi, order), Phi, order)
+    out = V - sp.mul(sp.dot(V, Phi, order)[..., None, :], Phi, order)
+    c = sp.dot(V[..., None, :, :], dPhi, order)                    # [..., k]
+    gc = sp.mul(ginvJ, c[..., :, None, :], order)                  # [..., k, l]
+    T = sp.mul(gc[..., None, :], dPhi, order)                      # [..., k, l, c]
     for k in range(m):
-        c = sp.dot(V, dPhi[k], order)
         for l in range(m):
-            out = out - sp.mul(sp.mul(ginvJ[k, l], c, order), dPhi[l], order)
+            out = out - T[..., k, l, :, :]
     return out
 
 
@@ -196,10 +204,7 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
     (the test suite asserts this).  Floating-point overflow does not warn: a
     sample whose jets or outputs are not finite raises ``GeometryError``.
     """
-    try:
-        Phi, sp = chart_mod.eval_jet_stack(spec, point)
-    except OverflowError as e:
-        raise GeometryError("non-finite chart jets (float overflow)") from e
+    Phi, sp = chart_mod.eval_jet_stack(spec, point)
     if not np.all(np.isfinite(Phi)):
         raise GeometryError("non-finite chart jets")
     m, n = spec.m, spec.n
@@ -214,11 +219,9 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
     dPhi = np.array([sp.deriv(Phi, i) for i in range(m)])          # order 3
     jac = dPhi[:, :, 0]
 
+    iu, ju = np.triu_indices(m)                                    # pairs i <= j
     gJ = sp.zeros(m, m)                                            # order 3
-    for i in range(m):
-        for j in range(i, m):
-            gJ[i, j] = sp.dot(dPhi[i], dPhi[j], 3)
-            gJ[j, i] = gJ[i, j]
+    gJ[iu, ju] = gJ[ju, iu] = sp.dot(dPhi[iu], dPhi[ju], 3)
     g0 = gJ[:, :, 0]
 
     eig = np.linalg.eigvalsh(g0)
@@ -237,32 +240,27 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
 
     # Christoffel symbols Gamma^k_ij, jets to order 2
     dgJ = np.array([sp.deriv(gJ, a) for a in range(m)])            # dg[a, b, c]
+    C = dgJ[iu, :, ju] + dgJ[ju, :, iu] - dgJ[:, iu, ju].transpose(1, 0, 2)  # [pair, l]
     GamJ = sp.zeros(m, m, m)
-    for i in range(m):
-        for j in range(i, m):
-            C = dgJ[i, :, j] + dgJ[j, :, i] - dgJ[:, i, j]         # (m, L) index l
-            for k in range(m):
-                GamJ[k, i, j] = 0.5 * sp.dot(ginvJ[k], C, 2)
-                GamJ[k, j, i] = GamJ[k, i, j]
+    GamJ[:, iu, ju] = GamJ[:, ju, iu] = 0.5 * sp.dot(ginvJ[:, None], C, 2)
     Gam0 = GamJ[:, :, :, 0]
     dGam0 = np.moveaxis(GamJ[..., sp.var_pos], -1, 0)               # d_a Gamma^k_ij
 
     # second fundamental form, ambient-valued, jets to order 2
+    d2 = np.array([sp.deriv(dPhi, j) for j in range(m)])           # [j, i]
+    val = d2[ju, iu] + sp.mul(gJ[iu, ju][:, None], Phi, 2)
+    T = sp.mul(GamJ[:, iu, ju, None], dPhi[:, None], 2)            # [k, pair]
+    for k in range(m):
+        val = val - T[k]
     BJ = sp.zeros(m, m, n + 1)
-    for i in range(m):
-        d2 = np.array([sp.deriv(dPhi[i], j) for j in range(i, m)])
-        for idx, j in enumerate(range(i, m)):
-            val = d2[idx] + sp.mul(gJ[i, j], Phi, 2)
-            for k in range(m):
-                val = val - sp.mul(GamJ[k, i, j], dPhi[k], 2)
-            BJ[i, j] = val
-            BJ[j, i] = val
+    BJ[iu, ju] = BJ[ju, iu] = val
     B0 = BJ[:, :, :, 0]
 
+    T = sp.mul(ginvJ[:, :, None], BJ, 2)
     HJ = sp.zeros(n + 1)                                           # order 2
     for i in range(m):
         for j in range(m):
-            HJ += sp.mul(ginvJ[i, j], BJ[i, j], 2)
+            HJ += T[i, j]
     HJ /= m
     H0 = HJ[:, 0]
     H2J = sp.mul(HJ, HJ, 2).sum(axis=0)
@@ -292,16 +290,15 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
     normal_frame = np.array(normal_rows)
 
     # covariant derivatives of H in the pull-back bundle: W_j = nabla_j H
-    WJ = sp.zeros(m, n + 1)                                        # order 1
-    for j in range(m):
-        hdp = sp.dot(HJ, dPhi[j], 2)                               # <H, dphi_j>
-        WJ[j] = sp.deriv(HJ, j) + sp.mul(hdp, Phi, 1)
+    dHJ = np.array([sp.deriv(HJ, j) for j in range(m)])            # order 1
+    hdp = sp.dot(HJ, dPhi, 2)                                      # <H, dphi_j>
+    WJ = dHJ + sp.mul(hdp[:, None], Phi, 1)
     W0 = WJ[:, :, 0]
 
     ddH = np.empty((m, m, n + 1))
     for i in range(m):
         for j in range(m):
-            ddH[i, j] = sp.deriv(WJ[j], i)[:, 0] + np.dot(W0[j], jac[i]) * phi0
+            ddH[i, j] = WJ[j, :, sp.var_pos[i]] + np.dot(W0[j], jac[i]) * phi0
     delta_H = -np.einsum("ij,ijc->c", ginv0, ddH) + np.einsum(
         "ij,kij,kc->c", ginv0, Gam0, W0
     )
@@ -312,9 +309,7 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
         coeffs = ginv0 @ (jac @ v)
         return out - coeffs @ jac
 
-    UJ = sp.zeros(m, n + 1)                                        # order 1
-    for j in range(m):
-        UJ[j] = _project_normal_jets(sp, Phi, dPhi, ginvJ, sp.deriv(HJ, j), 1)
+    UJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, dHJ, 1)        # order 1
     U0 = UJ[:, :, 0]
     nabla_perp_H_norm = math.sqrt(
         max(float(np.einsum("ij,ic,jc->", ginv0, U0, U0)), 0.0)
@@ -323,7 +318,7 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
     ddU = np.empty((m, m, n + 1))
     for i in range(m):
         for j in range(m):
-            ddU[i, j] = _project_value(sp.deriv(UJ[j], i)[:, 0])
+            ddU[i, j] = _project_value(UJ[j, :, sp.var_pos[i]])
     delta_perp_H = -np.einsum("ij,ijc->c", ginv0, ddU) + np.einsum(
         "ij,kij,kc->c", ginv0, Gam0, U0
     )
@@ -400,29 +395,21 @@ def _hypersurface_fields(sp, etaJ, fJ, ginvJ, Gam0, BJ, jac, g0, ginv0, E) -> di
     df = fJ[sp.var_pos]
     grad_f_coord = ginv0 @ df
 
-    hess = np.empty((m, m))
-    for i in range(m):
-        dfi = sp.deriv(fJ, i)
-        for j in range(m):
-            hess[i, j] = sp.deriv(dfi, j)[0]
+    hess = np.array([sp.deriv(fJ, i)[sp.var_pos] for i in range(m)])
     delta_f = float(
         -np.einsum("ij,ij->", ginv0, hess)
         + np.einsum("ij,kij,k->", ginv0, Gam0, df)
     )
 
     # shape operator as a (1,1)-tensor field: A^k_j = g^kl <B_lj, eta>
+    p = sp.mul(BJ, etaJ, 2).sum(axis=-2)                           # [l, j]
+    T = sp.mul(ginvJ[:, :, None], p, 2)                            # [k, l, j]
     AJ = sp.zeros(m, m)                                            # order 2
     for l in range(m):
-        for j in range(m):
-            p = sp.mul(BJ[l, j], etaJ, 2).sum(axis=0)
-            for k in range(m):
-                AJ[k, j] += sp.mul(ginvJ[k, l], p, 2)
+        AJ += T[:, l]
     A0 = AJ[:, :, 0]
-    nablaA = np.empty((m, m, m))                                   # [k, i, j]
-    for k in range(m):
-        for j in range(m):
-            dA = np.array([sp.deriv(AJ[k, j], i)[0] for i in range(m)])
-            nablaA[k, :, j] = dA
+    # a C-contiguous copy: the einsums below sum in a layout-dependent order
+    nablaA = AJ[:, :, sp.var_pos].transpose(0, 2, 1).copy()        # [k, i, j]
     nablaA += np.einsum("kil,lj->kij", Gam0, A0)
     nablaA -= np.einsum("lij,kl->kij", Gam0, A0)
     return {

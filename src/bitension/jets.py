@@ -57,8 +57,14 @@ class JetSpace:
 
     Holds the monomial enumeration, the sparse multiplication tables (one per
     truncation order, built lazily) and the differentiation index maps.  The
-    ndarray kernels accept stacked operands with arbitrary leading axes so the
-    geometry layer can batch over ambient components.
+    ndarray kernels accept stacked operands with arbitrary leading axes that
+    broadcast against each other, so the geometry layer makes one call per
+    tensor expression (over ambient components and tensor indices alike)
+    instead of one per slice.  Every leading row is convolved independently
+    and each output coefficient sums its pair products in table order, so a
+    stacked call is bit-identical to the per-slice calls it replaces.  The
+    flattened scatter index of a ``rows``-row product is cached per
+    ``(order, rows)``.
     """
 
     def __init__(self, num_vars: int):
@@ -84,6 +90,7 @@ class JetSpace:
         )
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._scatter_index: dict[tuple[int, int], np.ndarray] = {}
 
     # -- tables ----------------------------------------------------------
 
@@ -139,38 +146,33 @@ class JetSpace:
         c[0] = value
         return c
 
+    def _scatter(self, w: np.ndarray, K: np.ndarray, order: int) -> np.ndarray:
+        """Sum pair products ``w`` (..., pairs) into jet coefficients (..., L)
+        at the table's result positions ``K``."""
+        L = self.size
+        if w.ndim == 1:
+            return np.bincount(K, weights=w, minlength=L)
+        lead = w.shape[:-1]
+        rows = math.prod(lead)
+        kk = self._scatter_index.get((order, rows))
+        if kk is None:
+            kk = (K[None, :] + (np.arange(rows) * L)[:, None]).ravel()
+            self._scatter_index[(order, rows)] = kk
+        out = np.bincount(kk, weights=w.ravel(), minlength=rows * L)
+        return out.reshape(lead + (L,))
+
     def mul(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         I, J, K = self.mul_table(order)
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        L = self.size
-        if a.ndim == 1 and b.ndim == 1:
-            return np.bincount(K, weights=a[I] * b[J], minlength=L)
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a2 = np.broadcast_to(a, shape).reshape(-1, L)
-        b2 = np.broadcast_to(b, shape).reshape(-1, L)
-        rows = a2.shape[0]
-        w = a2[:, I] * b2[:, J]
-        kk = (K[None, :] + (np.arange(rows) * L)[:, None]).ravel()
-        out = np.bincount(kk, weights=w.ravel(), minlength=rows * L)
-        return out.reshape(shape)
+        return self._scatter(a[..., I] * b[..., J], K, order)
 
     def dot(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
-        """Sum_c a[c]*b[c] over the leading axis, in one convolution pass."""
+        """Sum_c a[c]*b[c] over axis -2, in one convolution pass."""
         I, J, K = self.mul_table(order)
-        w = (a[..., I] * b[..., J]).sum(axis=-2)
-        if w.ndim == 1:
-            return np.bincount(K, weights=w, minlength=self.size)
-        L = self.size
-        w2 = w.reshape(-1, len(I))
-        rows = w2.shape[0]
-        kk = (K[None, :] + (np.arange(rows) * L)[:, None]).ravel()
-        out = np.bincount(kk, weights=w2.ravel(), minlength=rows * L)
-        return out.reshape(w.shape[:-1] + (L,))
+        return self._scatter((a[..., I] * b[..., J]).sum(axis=-2), K, order)
 
     def deriv(self, a: np.ndarray, var: int) -> np.ndarray:
         src, dst, fac = self.deriv_table(var)
-        out = np.zeros_like(np.asarray(a, dtype=np.float64))
+        out = np.zeros(a.shape)
         out[..., dst] = a[..., src] * fac
         return out
 
@@ -185,7 +187,19 @@ class JetSpace:
 
 
 def _series(fn: str, c0: float):
-    """Normalized derivative coefficients f^(k)(c0)/k! for k = 0..4."""
+    """Normalized derivative coefficients f^(k)(c0)/k! for k = 0..4.
+
+    Coefficients that overflow a float (``exp`` of a large value, a power of
+    a huge or tiny one) come back as NaN instead of raising
+    ``OverflowError``, just as jet arithmetic gives inf/NaN on overflow.
+    """
+    try:
+        return _series_coefficients(fn, c0)
+    except OverflowError:
+        return (math.nan,) * (ORDER + 1)
+
+
+def _series_coefficients(fn: str, c0: float):
     if fn == "sin":
         s, c = math.sin(c0), math.cos(c0)
         return (s, c, -s / 2, -c / 6, s / 24)

@@ -206,6 +206,20 @@ def test_normalize_rejects_near_zero():
         eval_jet(spec, [1.0])
 
 
+def test_eval_jet_overflow_returns_non_finite():
+    # normalizing |phi| ~ 1e130 overflows the sqrt series; the jets come back
+    # non-finite for the geometry layer to reject, with no exception
+    doc = {
+        "name": "overflow", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * 1e130 * cos(u2)", "sin(u1) * sin(u2)",
+                        "cos(u1)", "0.5"],
+        "domain": [[0.0, 3.14159], [0.0, 6.28318]],
+        "normalize": True,
+    }
+    comps = eval_jet(parse_chart(doc), [1.0, 2.0])
+    assert not all(np.isfinite(j.coeffs).all() for j in comps)
+
+
 def test_family_params_bindings():
     p = chart.family_params("product-spheres", "r", 0.6, {"m1": 2, "m2": 1})
     assert p["r1"] == 0.6 and abs(p["r2"] - 0.8) < 1e-15

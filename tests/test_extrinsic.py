@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bitension import chart, extrinsic, oracle
+from bitension import chart, extrinsic, jets, oracle
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
     GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
@@ -444,3 +444,36 @@ def test_non_finite_chart_rejected(component):
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="non-finite"):
             compute_geometry(spec, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the stacked normal projection keeps the per-index summation order
+# ---------------------------------------------------------------------------
+
+
+def _project_normal_per_index(sp, Phi, dPhi, ginvJ, V, order):
+    """The projection of one ambient field, one (k, l) term per kernel call."""
+    out = V - sp.mul(sp.dot(V, Phi, order), Phi, order)
+    for k in range(dPhi.shape[0]):
+        c = sp.dot(V, dPhi[k], order)
+        for l in range(dPhi.shape[0]):
+            out = out - sp.mul(sp.mul(ginvJ[k, l], c, order), dPhi[l], order)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, jets.MAX_VARS + 1))
+def test_project_normal_jets_stacked_equals_per_slice(m):
+    sp = jets.space(m)
+    rng = np.random.default_rng(500 + m)
+    n1 = m + 2
+    Phi = rng.standard_normal((n1, sp.size))
+    dPhi = rng.standard_normal((m, n1, sp.size))
+    ginvJ = rng.standard_normal((m, m, sp.size))
+    V = rng.standard_normal((m, n1, sp.size))
+    for order in range(1, jets.ORDER + 1):
+        stacked = extrinsic._project_normal_jets(sp, Phi, dPhi, ginvJ, V, order)
+        per_slice = [extrinsic._project_normal_jets(sp, Phi, dPhi, ginvJ, v, order)
+                     for v in V]
+        per_index = [_project_normal_per_index(sp, Phi, dPhi, ginvJ, v, order) for v in V]
+        assert np.array_equal(stacked, np.array(per_slice))
+        assert np.array_equal(stacked, np.array(per_index))

@@ -189,6 +189,50 @@ def test_division():
     np.testing.assert_allclose(q.coeffs, ref.coeffs, atol=1e-13)
 
 
+def test_overflow_gives_non_finite_coefficients():
+    # the series of a finite value can overflow a float; like 1e200 * 1e200
+    # in jet arithmetic it yields non-finite coefficients, not an exception
+    big = elementary("exp", seed_variable(0, 1000.0, 2))
+    assert not np.isfinite(big.coeffs).any()
+    tiny = elementary("recip", seed_variable(1, 1e-80, 2))
+    assert not np.isfinite(tiny.coeffs).all()
+    assert np.isfinite(elementary("exp", seed_variable(0, 700.0, 2)).coeffs).all()
+
+
+# ---------------------------------------------------------------------------
+# stacked kernel calls: bit-identical to the per-slice calls they replace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_stacked_mul_dot_equal_per_slice_calls(d):
+    sp = jets.space(d)
+    rng = np.random.default_rng(300 + d)
+    for order in range(1, jets.ORDER + 1):
+        a = rng.standard_normal(sp.size)
+        B = rng.standard_normal((3, sp.size))
+        assert np.array_equal(sp.mul(a, B, order), np.array([sp.mul(a, b, order) for b in B]))
+        assert np.array_equal(sp.mul(B, a, order), np.array([sp.mul(b, a, order) for b in B]))
+        assert np.array_equal(sp.dot(a, B, order), sp.dot(np.tile(a, (3, 1)), B, order))
+
+        X = rng.standard_normal((2, 1, 3, sp.size))
+        Y = rng.standard_normal((1, 4, 3, sp.size))
+        mul_ref = np.array([[[sp.mul(X[k, 0, r], Y[0, l, r], order) for r in range(3)]
+                             for l in range(4)] for k in range(2)])
+        assert np.array_equal(sp.mul(X, Y, order), mul_ref)
+        dot_ref = np.array([[sp.dot(X[k, 0], Y[0, l], order) for l in range(4)]
+                            for k in range(2)])
+        assert np.array_equal(sp.dot(X, Y, order), dot_ref)
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_first_partial_value_is_degree_one_coefficient(d):
+    sp = jets.space(d)
+    X = np.random.default_rng(400 + d).standard_normal((2, 3, sp.size))
+    for i in range(d):
+        assert np.array_equal(sp.deriv(X, i)[..., 0], X[..., sp.var_pos[i]])
+
+
 # ---------------------------------------------------------------------------
 # ring axioms (property-based)
 # ---------------------------------------------------------------------------
