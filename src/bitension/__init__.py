@@ -31,6 +31,7 @@ from .extrinsic import (
     gauss_ricci_check,
     intrinsic_curvature,
     nabla_A_symmetry_check,
+    scalar_curvature,
 )
 from .biharmonic import (
     AllSamplesFailed,
@@ -52,7 +53,8 @@ __all__ = [
     "ChartSpec", "ChartError", "parse_chart", "parse_chart_file", "catalog_chart",
     "catalog_entries", "eval_jet", "eval_real", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
-    "intrinsic_curvature", "gauss_ricci_check", "nabla_A_symmetry_check",
+    "intrinsic_curvature", "scalar_curvature", "gauss_ricci_check",
+    "nabla_A_symmetry_check",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
     "tau2_direct", "split_residuals", "hypersurface_residuals", "pmc_check",
     "quantity_audit",

@@ -376,9 +376,7 @@ def evaluate_chart(
             H_norm=g.H_norm,
             B2=g.B2,
             nabla_perp_H_norm=g.nabla_perp_H_norm,
-            scalar_curvature=(
-                extrinsic.intrinsic_curvature(g).scalar if g.m >= 2 else None
-            ),
+            scalar_curvature=extrinsic.scalar_curvature(g) if g.m >= 2 else None,
         )
         if g.hypersurface:
             rec.hyper_i, rec.hyper_ii = hypersurface_residuals(g)

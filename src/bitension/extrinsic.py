@@ -23,7 +23,10 @@ derivatives needed for Delta H, Delta-perp H and Delta f.
 Each tensor expression is one stacked ``JetSpace`` call over all its
 indices; the terms of an index sum are then added one at a time in a fixed
 index order, not with ``.sum()``, so the rounding (and every report byte)
-does not depend on numpy's reduction order.
+does not depend on numpy's reduction order.  Likewise each frame curvature
+entry <R(e_a, e_b) e_c, e_d> is a sequential sum over (i, j, k, w) in C
+order (``_frame_riemann``), so the reported scalar curvature can be formed
+from the m^2 entries it needs without the full tensor.
 """
 
 from __future__ import annotations
@@ -427,12 +430,8 @@ def _hypersurface_fields(sp, etaJ, fJ, ginvJ, Gam0, BJ, jac, g0, ginv0, E) -> di
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
-    """Riemann, Ricci, scalar and sectional curvature in the tangent frame."""
-    m = geom.m
-    if m == 1:
-        z = np.zeros((1, 1))
-        return IntrinsicCurvature(np.zeros((1, 1, 1, 1)), z.copy(), 0.0, z.copy())
+def _coord_riemann(geom: PointGeometry) -> np.ndarray:
+    """Rm[i,j,k,w] = <R(d_i, d_j) d_k, d_w> from the Christoffel symbols."""
     Gam0 = geom.christoffel
     # R(d_i, d_j) d_k = opR[i,j,k,l] d_l, with
     # opR[i,j,k,l] = d_i Gamma^l_jk - d_j Gamma^l_ik
@@ -440,9 +439,43 @@ def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
     dGam = geom.christoffel_grad.transpose(0, 2, 3, 1)            # [i, j, k, l]
     GG = np.einsum("sjk,lis->ijkl", Gam0, Gam0)
     opR = dGam - dGam.transpose(1, 0, 2, 3) + GG - GG.transpose(1, 0, 2, 3)
-    Rm = np.einsum("ijkl,lw->ijkw", opR, geom.metric)              # <R(i,j)k, w>
+    return np.einsum("ijkl,lw->ijkw", opR, geom.metric)
+
+
+def _frame_riemann(geom: PointGeometry, a, b, c, d) -> np.ndarray:
+    """Frame curvature entries R4f[a,b,c,d] = <R(e_a, e_b) e_c, e_d>.
+
+    ``a, b, c, d`` are index arrays (broadcast together); the result has
+    their broadcast shape.  Each entry is the sum over (i, j, k, w) in C
+    order of ((((E[a,i] E[b,j]) E[c,k]) E[d,w]) Rm[i,j,k,w]), added one term
+    at a time, with a final ``+ 0.0`` so that it is never -0.0.  This order
+    is part of the report-byte contract: another one moves the last bits of
+    the reported scalar curvature.
+    """
     E = geom.frame_coeff
-    R4f = np.einsum("ai,bj,ck,dw,ijkw->abcd", E, E, E, E, Rm)
+    Rm = _coord_riemann(geom)
+    t = (E[a][..., :, None, None, None] * E[b][..., None, :, None, None]
+         * E[c][..., None, None, :, None] * E[d][..., None, None, None, :] * Rm)
+    t = t.reshape(t.shape[:-4] + (-1,))
+    return np.add.accumulate(t, axis=-1)[..., -1] + 0.0
+
+
+def scalar_curvature(geom: PointGeometry) -> float:
+    """Scalar curvature, from the m^2 frame entries R4f[c,a,a,c] only.
+
+    Bit-identical to ``intrinsic_curvature(geom).scalar``: the Ricci
+    diagonal is summed over c from zero, then its trace is taken.
+    """
+    i = np.arange(geom.m)
+    ricci_diag = np.zeros(geom.m)
+    for row in _frame_riemann(geom, i[:, None], i, i, i[:, None]):  # [c, a]
+        ricci_diag += row
+    return float(np.sum(ricci_diag))
+
+
+def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
+    """Riemann, Ricci, scalar and sectional curvature in the tangent frame."""
+    R4f = _frame_riemann(geom, *np.indices((geom.m,) * 4))
     riemann = R4f.transpose(0, 1, 3, 2)                            # R[a,b,a,b] = K_ab
     ricci = np.einsum("cabc->ab", R4f)
     scalar = float(np.trace(ricci))

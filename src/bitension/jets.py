@@ -200,6 +200,8 @@ def _series(fn: str, c0: float):
 
 
 def _series_coefficients(fn: str, c0: float):
+    if fn in ("sin", "cos") and not math.isfinite(c0):
+        return (math.nan,) * (ORDER + 1)    # math.sin(inf) raises ValueError
     if fn == "sin":
         s, c = math.sin(c0), math.cos(c0)
         return (s, c, -s / 2, -c / 6, s / 24)
@@ -213,13 +215,11 @@ def _series_coefficients(fn: str, c0: float):
         if c0 <= 0.0:
             raise JetDomainError("sqrt", c0)
         r = math.sqrt(c0)
-        return (
-            r,
-            0.5 / r,
-            -1.0 / (8.0 * c0 * r),
-            1.0 / (16.0 * c0 * c0 * r),
-            -5.0 / (128.0 * c0 ** 3 * r),
-        )
+        try:
+            c4 = -5.0 / (128.0 * c0 ** 3 * r)
+        except OverflowError:               # c0 > ~5.6e102: |c4| < 1e-350
+            c4 = -0.0
+        return (r, 0.5 / r, -1.0 / (8.0 * c0 * r), 1.0 / (16.0 * c0 * c0 * r), c4)
     if fn == "recip":
         if c0 == 0.0:
             raise JetDomainError("recip", c0)

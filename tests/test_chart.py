@@ -207,11 +207,11 @@ def test_normalize_rejects_near_zero():
 
 
 def test_eval_jet_overflow_returns_non_finite():
-    # normalizing |phi| ~ 1e130 overflows the sqrt series; the jets come back
-    # non-finite for the geometry layer to reject, with no exception
+    # dividing by 1e-100 overflows the recip series (u ** 4); the jets come
+    # back non-finite for the geometry layer to reject, with no exception
     doc = {
         "name": "overflow", "m": 2, "n": 3,
-        "expressions": ["sin(u1) * 1e130 * cos(u2)", "sin(u1) * sin(u2)",
+        "expressions": ["sin(u1) * cos(u2) / 1e-100", "sin(u1) * sin(u2)",
                         "cos(u1)", "0.5"],
         "domain": [[0.0, 3.14159], [0.0, 6.28318]],
         "normalize": True,

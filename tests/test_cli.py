@@ -145,6 +145,44 @@ def test_non_finite_chart_exit_three_strict_output(capsys, tmp_path):
         assert "NaN" not in text and "Infinity" not in text
 
 
+def test_infinite_sin_argument_exit_three(capsys, tmp_path):
+    # sin of an infinite value fails the sample (non-finite jets, exit 3)
+    # instead of escaping as a math domain error (exit 2)
+    doc = {
+        "name": "infinite-argument", "m": 2, "n": 3,
+        "expressions": ["sin(1e200 * 1e200 * u1) * cos(u2)", "sin(u1) * sin(u2)",
+                        "cos(u1)", "0.5"],
+        "domain": [[0, 3.14159], [0, 6.28318]],
+        "params": {}, "normalize": True,
+    }
+    f = tmp_path / "infinite.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--chart", str(f), "--points", "4",
+                         "--format", "json")
+    assert code == 3
+    assert "all 4 samples failed" in err and "non-finite chart jets" in err
+    for text in (out, err):
+        assert "NaN" not in text and "Infinity" not in text
+
+
+def test_huge_normalized_chart_verifies(capsys, tmp_path):
+    # components of size 1e60 put ~1e120 under the normalizing sqrt, whose
+    # series must stay finite there
+    doc = {
+        "name": "huge-sphere", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * 1e60 * cos(u2)", "1e60 * sin(u1) * sin(u2)",
+                        "1e60 * cos(u1)", "0.5"],
+        "domain": [[0, 3.14159], [0, 6.28318]],
+        "params": {}, "normalize": True,
+    }
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--chart", str(f), "--points", "4",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "minimal"
+
+
 def test_chart_file_verify(capsys, tmp_path):
     doc = {
         "name": "clifford-product", "m": 2, "n": 3,

@@ -13,17 +13,18 @@ Closed-form references, derived by hand once and frozen here:
 
 import copy
 import dataclasses
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from bitension import chart, extrinsic, jets, oracle
+from bitension import chart, expr, extrinsic, jets, oracle
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
     GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
-    nabla_A_symmetry_check,
+    nabla_A_symmetry_check, scalar_curvature,
 )
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -180,6 +181,7 @@ def test_intrinsic_curvature_reads_only_declared_fields():
         for other in (copy.deepcopy(g), dataclasses.replace(g)):
             curv = intrinsic_curvature(other)
             assert curv.scalar == ref.scalar
+            assert scalar_curvature(other) == ref.scalar
             for name in ("riemann", "ricci", "sectional"):
                 assert np.array_equal(getattr(curv, name), getattr(ref, name))
 
@@ -261,6 +263,58 @@ def test_scalar_is_trace_of_ricci():
     curv = intrinsic_curvature(g)
     assert abs(curv.scalar - np.trace(curv.ricci)) < 1e-12
     assert abs(curv.sectional[0, 1] - curv.riemann[0, 1, 0, 1]) < 1e-14
+
+
+def bumped_hypersphere(m):
+    """A generic hypersurface for any m: S^m(0.8) in S^{m+1}, each component
+    plus a low-frequency sine, radially renormalized."""
+    base = catalog_chart("small-hypersphere", {"m": m, "r": 0.8})
+    comps = [expr.to_string(c) for c in base.components]
+    comps = [f"{c} + {0.03 * (1 + 0.3 * k)!r} * sin(u{k % m + 1} + 2.0 * u{(k + 1) % m + 1}"
+             f" + {0.7 * k!r})" for k, c in enumerate(comps)]
+    return chart.ChartSpec(name=f"bumped-hypersphere-{m}", m=m, n=m + 1,
+                           components=comps, domain=base.domain, normalize=True)
+
+
+CURVATURE_CHARTS = (
+    [catalog_chart("small-hypersphere", {"m": m, "r": 0.75}) for m in range(2, 7)]
+    + [catalog_chart("product-spheres",
+                     {"m1": 1, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV}),
+       catalog_chart("generalized-clifford", {"m1": 2, "m2": 4, "r1": 0.6, "r2": 0.8}),
+       catalog_chart("veronese", {"r": 0.9}),
+       perturbed_chart(61), perturbed_chart(62, base="torus")]
+    + [bumped_hypersphere(m) for m in range(3, 7)]
+)
+
+
+def frame_riemann_loop(E, Rm, a, b, c, d):
+    """R4f[a,b,c,d] summed term by term in (i, j, k, w) order from zero."""
+    m = len(E)
+    total = 0.0
+    for i, j, k, w in itertools.product(range(m), repeat=4):
+        total += E[a][i] * E[b][j] * E[c][k] * E[d][w] * Rm[i][j][k][w]
+    return total
+
+
+@pytest.mark.parametrize("spec", CURVATURE_CHARTS, ids=lambda s: s.name)
+def test_scalar_curvature_exact(spec):
+    # the reports read scalar_curvature; it must equal the full-tensor scalar
+    # bit for bit, and the frame entries must follow the documented order
+    for p in sample_points(spec, 3, 7):
+        g = compute_geometry(spec, p)
+        assert scalar_curvature(g) == intrinsic_curvature(g).scalar
+        m, E, Rm = g.m, g.frame_coeff, extrinsic._coord_riemann(g)
+        idx = np.indices((m,) * 4)
+        R4f = extrinsic._frame_riemann(g, *idx)
+        if m <= 3:
+            ref = [frame_riemann_loop(E.tolist(), Rm.tolist(), *abcd)
+                   for abcd in zip(*(i.ravel() for i in idx))]
+            assert np.array_equal(R4f.ravel(), ref)
+        # numpy's own summation order is not part of the contract: a
+        # rounding-level tolerance (entries that cancel to ~0 need atol)
+        full = np.einsum("ai,bj,ck,dw,ijkw->abcd", E, E, E, E, Rm)
+        np.testing.assert_allclose(R4f, full, rtol=1e-13,
+                                   atol=1e-13 * np.abs(full).max())
 
 
 def test_lemma_4_1_inequality_and_equality_cases():
@@ -430,7 +484,7 @@ def test_off_sphere_chart_rejected():
 
 @pytest.mark.parametrize("component", [
     "sin(u1) * 1e200 * 1e200 * cos(u2)",     # jets overflow to inf / NaN
-    "sin(u1) * 1e130 * cos(u2)",             # normalization overflows a float
+    "sin(u1) * cos(u2) / 1e-100",            # the recip series overflows a float
 ])
 def test_non_finite_chart_rejected(component):
     doc = {

@@ -199,6 +199,14 @@ def test_overflow_gives_non_finite_coefficients():
     assert np.isfinite(elementary("exp", seed_variable(0, 700.0, 2)).coeffs).all()
 
 
+def test_sqrt_of_huge_value_is_finite():
+    # the degree-4 sqrt coefficient of 1e120 underflows; computing it must
+    # not overflow c0 ** 3 and poison the whole series
+    root = elementary("sqrt", seed_variable(0, 1e120, 2))
+    assert np.isfinite(root.coeffs).all()
+    assert root.value == 1e60
+
+
 # ---------------------------------------------------------------------------
 # stacked kernel calls: bit-identical to the per-slice calls they replace
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ COMMANDS = [
      "--param", f"r1={R}", "--param", f"r2={R}"],
     ["verify", "--catalog", "generalized-clifford", "--param", "m1=2", "--param", "m2=4",
      "--param", f"r1={R}", "--param", f"r2={R}"],
+    ["verify", "--catalog", "product-spheres", "--param", "m1=1", "--param", "m2=4",
+     "--param", f"r1={R}", "--param", f"r2={R}"],
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=6", "--param", f"r={R}"],
     ["verify", "--chart", CHART_DOC],
 ]
 COMMANDS = [c + ["--points", "16", "--seed", SEED, "--format", "json"] for c in COMMANDS]
