@@ -29,8 +29,10 @@ from .extrinsic import (
     PointGeometry,
     compute_geometry,
     gauss_ricci_check,
+    geometry_block,
     intrinsic_curvature,
     nabla_A_symmetry_check,
+    sample_geometries,
     scalar_curvature,
 )
 from .biharmonic import (
@@ -53,8 +55,8 @@ __all__ = [
     "ChartSpec", "ChartError", "parse_chart", "parse_chart_file", "catalog_chart",
     "catalog_entries", "eval_jet", "eval_real", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
-    "intrinsic_curvature", "scalar_curvature", "gauss_ricci_check",
-    "nabla_A_symmetry_check",
+    "geometry_block", "sample_geometries", "intrinsic_curvature", "scalar_curvature",
+    "gauss_ricci_check", "nabla_A_symmetry_check",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
     "tau2_direct", "split_residuals", "hypersurface_residuals", "pmc_check",
     "quantity_audit",

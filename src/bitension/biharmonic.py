@@ -345,17 +345,20 @@ def evaluate_chart(
 
     A sample point whose geometry fails (off the sphere, rank-deficient,
     ill-conditioned, outside the domain, non-finite) is skipped and its
-    message kept in ``failures``.
+    message kept in ``failures``.  The samples are evaluated in blocks
+    (``extrinsic.sample_geometries``); results and messages are those of
+    one-point evaluation.
     """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
     good: list[PointGeometry] = []
     failures: list[str] = []
-    for point in chart_mod.sample_points(spec, samples, seed):
-        try:
-            good.append(extrinsic.compute_geometry(spec, point))
-        except (GeometryError, chart_mod.ChartError) as e:
-            failures.append(str(e))
+    points = chart_mod.sample_points(spec, samples, seed)
+    for g in extrinsic.sample_geometries(spec, points):
+        if isinstance(g, PointGeometry):
+            good.append(g)
+        else:
+            failures.append(str(g))
     if not good:
         raise AllSamplesFailed(
             f"all {samples} samples failed; first failure: {failures[0]}"

@@ -398,45 +398,60 @@ def family_params(tag: str, param_name: str, value: float, fixed: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_margin(spec: ChartSpec, point):
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (spec.m,):
+def _check_margin(spec: ChartSpec, points) -> np.ndarray:
+    """The points as a float array, checked to lie in the safe region."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim not in (1, 2) or points.shape[-1] != spec.m:
         raise ChartError(f"expected a point with {spec.m} coordinates")
     slack = 1e-12
-    for x, (lo, hi) in zip(point, spec.domain):
-        if x < lo + spec.singular_margin - slack or x > hi - spec.singular_margin + slack:
-            raise ChartEvalError(
-                f"point outside the safe region (margin {spec.singular_margin})",
-                point,
-            )
-    return point
+    for point in points.reshape(-1, spec.m):
+        for x, (lo, hi) in zip(point, spec.domain):
+            if x < lo + spec.singular_margin - slack or x > hi - spec.singular_margin + slack:
+                raise ChartEvalError(
+                    f"point outside the safe region (margin {spec.singular_margin})",
+                    point,
+                )
+    return points
 
 
-def eval_jet_stack(spec: ChartSpec, point) -> tuple[np.ndarray, jets.JetSpace]:
-    """Order-4 jets of all ambient components, stacked as an (n+1, L) array."""
-    point = _check_margin(spec, point)
+def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
+    """Order-4 jets of all ambient components, stacked as an (n+1, L) array.
+
+    ``points`` is one point (m,) or a block of points (P, m); a block gives
+    (P, n+1, L) jets from one expression pass, each point's jets bit-identical
+    to its own single-point call.  An error in a block names the first
+    offending point where it is known, else the block's first point.
+    """
+    points = _check_margin(spec, points)
+    block = points.reshape(-1, spec.m)
     sp = jets.space(spec.m)
-    var_jets = [jets.seed_variable(i, point[i], spec.m) for i in range(spec.m)]
+    # a lone point runs on single (L,) jets, skipping per-row kernel bookkeeping
+    seeds = block.T if len(block) > 1 else block[0]
+    var_jets = [jets.seed_variable(i, seeds[i], spec.m) for i in range(spec.m)]
     memo: dict = {}
     rows = []
     try:
         for comp in spec.components:
             rows.append(expr.eval_jet(comp, var_jets, spec.params, memo).coeffs)
     except (jets.JetDomainError, expr.ExprEvalError) as e:
-        raise ChartEvalError(f"chart evaluation failed: {e}", point) from e
-    stack = np.array(rows)
+        raise ChartEvalError(f"chart evaluation failed: {e}", block[0]) from e
+    stack = np.empty((len(block), len(rows), sp.size))
+    for c, row in enumerate(rows):
+        stack[:, c] = row                       # a constant row broadcasts
     if spec.normalize:
         norm2 = sp.dot(stack, stack)
-        if norm2[0] < 1e-12:
+        small = norm2[:, 0] < 1e-12
+        if small.any():
+            p = int(np.argmax(small))
             raise ChartEvalError(
-                f"cannot normalize near-zero vector (|phi| = {math.sqrt(max(norm2[0],0)):.3e})",
-                point,
+                f"cannot normalize near-zero vector (|phi| = {math.sqrt(max(norm2[p, 0], 0)):.3e})",
+                block[p],
             )
         scale = jets.elementary(
             "recip", jets.elementary("sqrt", jets.Jet(sp, norm2))
         )
-        stack = sp.mul(stack, scale.coeffs)
-    return stack, sp
+        stack = sp.mul(stack, scale.coeffs[:, None])
+    return stack.reshape(points.shape[:-1] + stack.shape[1:]), sp
 
 
 def eval_jet(spec: ChartSpec, point) -> list[jets.Jet]:

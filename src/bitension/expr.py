@@ -322,7 +322,12 @@ def max_var_index(e: Expr) -> int:
 
 
 def eval_jet(e: Expr, var_jets, params: dict, memo: dict | None = None) -> jets.Jet:
-    """Evaluate over jets.  ``memo`` shares equal subtrees within one point."""
+    """Evaluate over jets.  ``memo`` shares equal subtrees within one call.
+
+    The variable jets may carry a leading point axis (one block of sample
+    points per call); constant subtrees then stay single jets that
+    broadcast against the block.
+    """
     if memo is None:
         memo = {}
     hit = memo.get(e)
@@ -352,7 +357,7 @@ def eval_jet(e: Expr, var_jets, params: dict, memo: dict | None = None) -> jets.
         elif e.op == "*":
             out = a * b
         else:
-            if b.value == 0.0:
+            if (b.coeffs[..., 0] == 0.0).any():
                 raise jets.JetDomainError("recip", 0.0)
             out = a / b
     elif isinstance(e, Power):

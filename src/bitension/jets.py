@@ -18,6 +18,12 @@ Each jet also carries a validity ``order``: differentiating drops it by one
 (the top-degree coefficients of a derivative would need order-5 data of the
 source, which was truncated away), and arithmetic propagates the minimum.
 Reading ``value`` or any coefficient of degree <= order is always exact.
+
+A ``Jet`` may carry leading point axes, coefficients of shape (P, L): one
+jet per sample point of a block, evaluated by the same calls.  Arithmetic
+broadcasts a single jet (a constant) against a block, and ``elementary``
+takes the series of each point separately, so every point of a block gets
+the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -177,7 +183,8 @@ class JetSpace:
         return out
 
     def compose(self, series, h: np.ndarray, order: int = ORDER) -> np.ndarray:
-        """Evaluate sum_k series[k] * h^k by Horner; h must have zero value part."""
+        """Evaluate sum_k series[k] * h^k by Horner; h must have zero value part.
+        Each ``series[k]`` is a number or has h's leading axes (one per row)."""
         out = self.zeros(*h.shape[:-1])
         out[..., 0] = series[ORDER]
         for k in range(ORDER - 1, -1, -1):
@@ -216,10 +223,15 @@ def _series_coefficients(fn: str, c0: float):
             raise JetDomainError("sqrt", c0)
         r = math.sqrt(c0)
         try:
-            c4 = -5.0 / (128.0 * c0 ** 3 * r)
+            d4 = 128.0 * c0 ** 3 * r
         except OverflowError:               # c0 > ~5.6e102: |c4| < 1e-350
-            c4 = -0.0
-        return (r, 0.5 / r, -1.0 / (8.0 * c0 * r), 1.0 / (16.0 * c0 * c0 * r), c4)
+            d4 = math.inf
+        # a denominator that underflows to 0 (c0 below ~1e-92 for c4, ~1e-130
+        # for c3, ~1e-216 for c2) means the coefficient is beyond float range
+        return (r, 0.5 / r) + tuple(
+            s / d if d else s * math.inf
+            for s, d in ((-1.0, 8.0 * c0 * r), (1.0, 16.0 * c0 * c0 * r), (-5.0, d4))
+        )
     if fn == "recip":
         if c0 == 0.0:
             raise JetDomainError("recip", c0)
@@ -236,7 +248,7 @@ class Jet:
     def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int = ORDER):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs.shape != (space.size,):
+        if self.coeffs.shape[-1:] != (space.size,):
             raise JetError(
                 f"expected {space.size} coefficients, got {self.coeffs.shape}"
             )
@@ -348,13 +360,15 @@ class Jet:
         return Jet(self.space, self.space.deriv(self.coeffs, var), self.order - 1)
 
 
-def seed_variable(index: int, value: float, num_vars: int) -> Jet:
-    """Jet of the coordinate function u_index at a point with u_index = value."""
+def seed_variable(index: int, value, num_vars: int) -> Jet:
+    """Jet of the coordinate function u_index at a point with u_index = value;
+    an array of values (one per point of a block) gives a (P, L) jet."""
     sp = space(num_vars)
     if not 0 <= index < num_vars:
         raise JetError(f"variable index {index} out of range for {num_vars} vars")
-    c = sp.constant(float(value))
-    c[sp.var_pos[index]] = 1.0
+    c = sp.zeros(*np.shape(value))
+    c[..., 0] = value
+    c[..., sp.var_pos[index]] = 1.0
     return Jet(sp, c)
 
 
@@ -385,7 +399,9 @@ def elementary(fn: str, x: Jet, exponent: int | None = None) -> Jet:
             if p:
                 base = base * base
         return result
-    series = _series(fn, x.value)
+    values = x.coeffs[..., 0]
+    series = np.array([_series(fn, c0) for c0 in values.ravel().tolist()])
+    series = series.T.reshape((ORDER + 1,) + values.shape)       # [k, ...]
     h = x.coeffs.copy()
-    h[0] = 0.0
+    h[..., 0] = 0.0
     return Jet(x.space, x.space.compose(series, h, x.order), x.order)

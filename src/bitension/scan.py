@@ -191,8 +191,9 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
         spec = family.chart_at(key)
         taus = []
         hs = []
-        for p in points:
-            g = extrinsic.compute_geometry(spec, p)
+        for g in extrinsic.sample_geometries(spec, points):
+            if not isinstance(g, extrinsic.PointGeometry):
+                raise g                     # the first failing point's error
             taus.append(float(np.linalg.norm(biharmonic.tau2_direct(g))))
             hs.append(g.H_norm)
         out = (max(taus), float(np.mean(taus)), max(hs), min(hs))

@@ -183,6 +183,30 @@ def test_huge_normalized_chart_verifies(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "minimal"
 
 
+def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
+    # sqrt of ~1e-120: the higher series coefficients are beyond float range
+    # (their denominators underflow); the CLI must end in a verdict or exit
+    # 3, not in a ZeroDivisionError traceback
+    doc = {
+        "name": "tiny-sqrt", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * cos(u2)", "sin(u1) * sin(u2)", "cos(u1)",
+                        "sqrt(1e-120 * (2 + sin(u2)))"],
+        "domain": [[0, 3.14159], [0, 6.28318]],
+        "params": {}, "normalize": True,
+    }
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--chart", str(f), "--points", "4",
+                         "--format", "json")
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert "all 4 samples failed" in err
+    else:
+        assert json.loads(out)["verdict"]
+    for text in (out, err):
+        assert "NaN" not in text and "Infinity" not in text
+
+
 def test_chart_file_verify(capsys, tmp_path):
     doc = {
         "name": "clifford-product", "m": 2, "n": 3,

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bitension import chart, expr, extrinsic, jets, oracle
+from bitension import biharmonic, chart, expr, extrinsic, jets, oracle, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
     GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
@@ -531,3 +531,118 @@ def test_project_normal_jets_stacked_equals_per_slice(m):
         per_index = [_project_normal_per_index(sp, Phi, dPhi, ginvJ, v, order) for v in V]
         assert np.array_equal(stacked, np.array(per_slice))
         assert np.array_equal(stacked, np.array(per_index))
+
+
+# ---------------------------------------------------------------------------
+# the point-block core: bit-identical to one-point evaluation
+# ---------------------------------------------------------------------------
+
+BLOCK_CHARTS = (
+    [bumped_hypersphere(m) for m in range(1, 7)]
+    + [catalog_chart("small-hypersphere", {"m": 3, "r": 0.7}),
+       catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.45}),
+       catalog_chart("veronese", {"r": 0.8}),
+       catalog_chart("product-spheres", {"m1": 2, "m2": 1, "r1": 0.8, "r2": 0.6}),
+       catalog_chart("generalized-clifford", {"m1": 2, "m2": 4, "r1": 0.6, "r2": 0.8}),
+       perturbed_chart(71), perturbed_chart(72, base="torus")]
+)
+
+
+def assert_same_geometry(g, ref):
+    """Every field equal to the bit, arrays also in the same memory layout
+    (per-point einsums over a field sum in a layout-dependent order)."""
+    for f in dataclasses.fields(ref):
+        a, b = getattr(g, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            long_axes = [(s, n) for s, n in zip(b.strides, b.shape) if n > 1]
+            assert [(s, n) for s, n in zip(a.strides, a.shape) if n > 1] == long_axes, f.name
+        elif b is None:
+            assert a is None, f.name
+        else:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    if ref.m >= 2:
+        assert np.asarray(scalar_curvature(g)).tobytes() == \
+            np.asarray(scalar_curvature(ref)).tobytes()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_geometry_block_equals_point_by_point(spec, flip):
+    # 13 points: one full block of 8 and a partial one at m <= 3
+    pts = sample_points(spec, 13 if spec.m <= 3 else 3, 5)
+    ref = [compute_geometry(spec, p, flip) for p in pts]
+    for got in (extrinsic.geometry_block(spec, pts, flip),
+                list(extrinsic.sample_geometries(spec, pts, flip))):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_same_geometry(g, r)
+
+
+def test_block_size_rule():
+    assert [extrinsic.block_size(m) for m in range(1, 7)] == [8, 8, 8, 1, 1, 1]
+
+
+# a sphere chart whose polar angle u2 crosses the pole: at u2 = 0 the metric
+# is rank-deficient (a geometry-stage failure), and u1 < c fails the sqrt
+# during chart evaluation (a chart-stage failure, raised earlier in a block)
+POLE_DOC = {
+    "name": "pole-crossing", "m": 2, "n": 3,
+    "expressions": ["cos(u1) * sin(u2)", "sin(u1) * sin(u2)", "cos(u2)",
+                    "sin(u2) * sqrt(u1 - c)"],
+    "domain": [[0.0, 6.28], [-1.5, 1.5]],
+    "params": {"c": 1.0},
+    "normalize": True,
+}
+RANK_POINT, SQRT_POINT = (3.0, 0.0), (0.5, 0.7)
+
+
+def pole_points(count=13):
+    """Good points with a rank-deficient one at index 2 and a chart-stage
+    failure at index 5."""
+    pts = np.column_stack([np.linspace(1.5, 6.0, count), np.linspace(-1.2, 1.3, count)])
+    pts[2], pts[5] = RANK_POINT, SQRT_POINT
+    return pts
+
+
+def test_failing_point_in_block_rerun_point_by_point(monkeypatch):
+    spec = chart.parse_chart(POLE_DOC)
+    pts = pole_points()
+    with pytest.raises(chart.ChartEvalError):       # the block fails as a whole
+        extrinsic.geometry_block(spec, pts[:8])
+    expected = []
+    for p in (RANK_POINT, SQRT_POINT):
+        with pytest.raises((GeometryError, chart.ChartError)) as err:
+            compute_geometry(spec, p)
+        expected.append(str(err.value))
+    assert "rank-deficient" in expected[0] and "sqrt" in expected[1]
+
+    got = list(extrinsic.sample_geometries(spec, pts))
+    assert [str(g) for g in got if isinstance(g, Exception)] == expected
+    for g, p in zip(got, pts):
+        if not isinstance(g, Exception):
+            assert_same_geometry(g, compute_geometry(spec, p))
+
+    # a report from blocks equals the point-by-point report, failures included
+    monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
+    blocked = biharmonic.evaluate_chart(spec, samples=13, seed=0)
+    assert blocked.failures == expected
+    monkeypatch.setattr(extrinsic, "block_size", lambda m: 1)
+    single = biharmonic.evaluate_chart(spec, samples=13, seed=0)
+    assert blocked.to_report_dict() == single.to_report_dict()
+
+
+def test_scan_row_reports_first_failing_point(monkeypatch):
+    monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
+    fam = scan.FamilySpec(doc=POLE_DOC, param_name="c", lo=0.9, hi=1.1, steps=8,
+                          samples_per_point=8)
+    calls = []
+    monkeypatch.setattr(extrinsic, "compute_geometry",
+                        lambda *args: calls.append(args[1]) or compute_geometry(*args))
+    grid = scan.sweep(fam).grid
+    # after the failed block, the one-point re-run stops at the failing point
+    assert len(calls) == 3 * len(grid) and tuple(calls[2]) == RANK_POINT
+    for row in grid:
+        with pytest.raises(GeometryError) as err:
+            compute_geometry(fam.chart_at(row.param), RANK_POINT)
+        assert row.verdict == "error" and row.error == str(err.value)

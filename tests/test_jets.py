@@ -3,7 +3,9 @@ chain-rule exactness against symbolic and finite-difference oracles."""
 
 import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -205,6 +207,23 @@ def test_sqrt_of_huge_value_is_finite():
     root = elementary("sqrt", seed_variable(0, 1e120, 2))
     assert np.isfinite(root.coeffs).all()
     assert root.value == 1e60
+
+
+@pytest.mark.parametrize("c0", [1e-100, 1e-200, 5e-324])
+def test_sqrt_series_of_tiny_value(c0):
+    # the denominators of the higher sqrt coefficients underflow to zero; a
+    # coefficient beyond float range comes back as a signed infinity instead
+    # of raising ZeroDivisionError, and the representable ones stay accurate
+    series = jets._series_coefficients("sqrt", c0)
+    for k, c in enumerate(series):
+        ref = mpmath.binomial(0.5, k) * mpmath.mpf(c0) ** (mpmath.mpf(0.5) - k)
+        if abs(ref) > sys.float_info.max:
+            assert c == math.copysign(math.inf, ref)
+        else:
+            assert c == pytest.approx(float(ref), rel=1e-14)
+    with np.errstate(all="ignore"):     # inf * 0 in the Horner composition
+        root = elementary("sqrt", seed_variable(0, c0, 2))
+    assert not np.isfinite(root.coeffs).all()
 
 
 # ---------------------------------------------------------------------------

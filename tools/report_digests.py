@@ -37,9 +37,20 @@ COMMANDS = [
     ["verify", "--chart", CHART_DOC],
 ]
 COMMANDS = [c + ["--points", "16", "--seed", SEED, "--format", "json"] for c in COMMANDS]
-COMMANDS.append(["scan", "--family", "small-hypersphere", "--param", "r",
-                 "--range", "0.3:0.99", "--steps", "40", "--seed", SEED,
-                 "--format", "json"])
+# sample counts that leave a partial point block (blocks of 8 at m <= 3)
+COMMANDS += [
+    ["verify", "--catalog", "veronese", "--param", f"r={R}",
+     "--points", "13", "--seed", SEED, "--format", "json"],
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=3", "--param", f"r={R}",
+     "--points", "21", "--seed", SEED, "--format", "json"],
+]
+SCANS = [
+    ["--family", "small-hypersphere", "--param", "r", "--range", "0.3:0.99"],
+    ["--family", "clifford-torus-b3", "--param", "t", "--range", "0.2:0.69"],
+    ["--family", "product-spheres", "--param", "r", "--param", "m1=2", "--param", "m2=1",
+     "--range", "0.3:0.95"],
+]
+COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
 
 
 def chart_doc(chart, expr) -> dict:
