@@ -22,7 +22,7 @@ nonzero, ``inconclusive`` in the gap between the two thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,17 +97,6 @@ class PMCBlock:
     equivalence_ok: bool | None   # eq4 and eq5 verdicts agree (when applicable)
     samples_with_H: int
 
-    def to_dict(self) -> dict:
-        return {
-            "parallel_norm": self.parallel_norm,
-            "eq4_norm": self.eq4_norm,
-            "eq5a": self.eq5a,
-            "eq5b": self.eq5b,
-            "applicable": self.applicable,
-            "equivalence_ok": self.equivalence_ok,
-            "samples_with_H": self.samples_with_H,
-        }
-
 
 def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBlock:
     """Evaluate the parallel-mean-curvature characterization over samples.
@@ -132,8 +121,7 @@ def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBloc
         # complete H/|H| to an orthonormal normal frame and test the spanning set
         u0 = g.H / g.H_norm
         rest = g.normal_frame - np.outer(g.normal_frame @ u0, u0)
-        frame, _ = extrinsic._mgs(rest, pivot=True)
-        for xi in frame:
+        for xi in extrinsic._mgs(rest):
             coeffs = g.normal_frame @ xi
             a_xi = np.einsum("x,xab->ab", coeffs, g.B_frame)
             eq5a = max(eq5a, abs(float(np.sum(g.A_H * a_xi))))
@@ -168,23 +156,6 @@ class SampleRecord:
     A2: float | None = None
     f: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "tau2_norm": self.tau2_norm,
-            "split_normal_norm": self.split_normal_norm,
-            "split_tangent_norm": self.split_tangent_norm,
-            "split_gap": self.split_gap,
-            "H_norm": self.H_norm,
-            "B2": self.B2,
-            "nabla_perp_H_norm": self.nabla_perp_H_norm,
-            "scalar_curvature": self.scalar_curvature,
-            "hyper_i": self.hyper_i,
-            "hyper_ii": self.hyper_ii,
-            "A2": self.A2,
-            "f": self.f,
-        }
-
 
 @dataclass
 class AuditEntry:
@@ -194,16 +165,6 @@ class AuditEntry:
     deviation: float
     ok: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "deviation": self.deviation,
-            "ok": self.ok,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -222,87 +183,67 @@ class ResidualReport:
 
     # aggregate helpers ----------------------------------------------------
 
+    def _values(self, attr: str) -> list:
+        return [getattr(s, attr) for s in self.per_sample if getattr(s, attr) is not None]
+
     def max_of(self, attr: str) -> float:
-        vals = [getattr(s, attr) for s in self.per_sample if getattr(s, attr) is not None]
-        return max(vals) if vals else 0.0
+        return max(self._values(attr), default=0.0)
 
     def min_of(self, attr: str) -> float:
-        vals = [getattr(s, attr) for s in self.per_sample if getattr(s, attr) is not None]
-        return min(vals) if vals else 0.0
+        return min(self._values(attr), default=0.0)
 
     def mean_of(self, attr: str) -> float:
-        vals = [getattr(s, attr) for s in self.per_sample if getattr(s, attr) is not None]
+        vals = self._values(attr)
         return float(sum(vals) / len(vals)) if vals else 0.0
+
+    def _stats(self, attr: str) -> dict:
+        return {"min": self.min_of(attr), "max": self.max_of(attr),
+                "mean": self.mean_of(attr)}
 
     @property
     def hypersurface(self) -> bool:
         return self.chart["n"] == self.chart["m"] + 1
 
     def quantities(self) -> dict:
-        m = self.chart["m"]
-        h_max = self.max_of("H_norm")
-        h_min = self.min_of("H_norm")
-        cmc = (h_max - h_min) <= 1e-6 * (1.0 + h_max)
+        h = self._stats("H_norm")
         out = {
-            "H_norm": {"min": h_min, "max": h_max, "mean": self.mean_of("H_norm")},
-            "B2": {"min": self.min_of("B2"), "max": self.max_of("B2"),
-                   "mean": self.mean_of("B2")},
-            "cmc": cmc,
-            "minimal": h_max < self.pass_tol,
+            "H_norm": h,
+            "B2": self._stats("B2"),
+            "cmc": (h["max"] - h["min"]) <= 1e-6 * (1.0 + h["max"]),
+            "minimal": h["max"] < self.pass_tol,
         }
-        if m >= 2:
-            out["scalar_curvature"] = {
-                "min": self.min_of("scalar_curvature"),
-                "max": self.max_of("scalar_curvature"),
-                "mean": self.mean_of("scalar_curvature"),
-            }
+        names = ["scalar_curvature"] if self.chart["m"] >= 2 else []
         if self.hypersurface:
-            out["A2"] = {"min": self.min_of("A2"), "max": self.max_of("A2"),
-                         "mean": self.mean_of("A2")}
-            out["f"] = {"min": self.min_of("f"), "max": self.max_of("f"),
-                        "mean": self.mean_of("f")}
+            names += ["A2", "f"]
+        for name in names:
+            out[name] = self._stats(name)
         return out
 
     def residual_summary(self) -> dict:
         m = self.chart["m"]
 
-        def norm_scale(rec: SampleRecord) -> float:
-            return m * (1.0 + rec.H_norm ** 2)
+        def norm_block(attr: str) -> dict:
+            return {
+                "max": self.max_of(attr),
+                "mean": self.mean_of(attr),
+                "max_normalized": max(
+                    (getattr(s, attr) / (m * (1.0 + s.H_norm ** 2))
+                     for s in self.per_sample),
+                    default=0.0,
+                ),
+            }
 
-        tau_max = self.max_of("tau2_norm")
         out = {
-            "tau2_direct_norm": {
-                "max": tau_max,
-                "mean": self.mean_of("tau2_norm"),
-                "max_normalized": max(
-                    (s.tau2_norm / norm_scale(s) for s in self.per_sample),
-                    default=0.0,
-                ),
-            },
-            "split_normal_norm": {
-                "max": self.max_of("split_normal_norm"),
-                "mean": self.mean_of("split_normal_norm"),
-                "max_normalized": max(
-                    (s.split_normal_norm / norm_scale(s) for s in self.per_sample),
-                    default=0.0,
-                ),
-            },
-            "split_tangent_norm": {
-                "max": self.max_of("split_tangent_norm"),
-                "mean": self.mean_of("split_tangent_norm"),
-                "max_normalized": max(
-                    (s.split_tangent_norm / norm_scale(s) for s in self.per_sample),
-                    default=0.0,
-                ),
-            },
+            "tau2_direct_norm": norm_block("tau2_norm"),
+            "split_normal_norm": norm_block("split_normal_norm"),
+            "split_tangent_norm": norm_block("split_tangent_norm"),
             "split_direct_gap": {"max": self.max_of("split_gap")},
-            "pmc": self.pmc.to_dict(),
+            "pmc": asdict(self.pmc),
         }
         if self.hypersurface:
-            out["hyper_i_residual"] = {"max": self.max_of("hyper_i"),
-                                       "mean": self.mean_of("hyper_i")}
-            out["hyper_ii_residual"] = {"max": self.max_of("hyper_ii"),
-                                        "mean": self.mean_of("hyper_ii")}
+            for attr in ("hyper_i", "hyper_ii"):
+                out[f"{attr}_residual"] = {"max": self.max_of(attr),
+                                           "mean": self.mean_of(attr)}
         return out
 
     def to_report_dict(self, config_echo: dict | None = None, tool_version: str = "") -> dict:
@@ -315,9 +256,9 @@ class ResidualReport:
             "thresholds": {"pass_tol": self.pass_tol, "fail_tol": self.fail_tol},
             "residuals": self.residual_summary(),
             "quantities": self.quantities(),
-            "per_sample": [s.to_dict() for s in self.per_sample],
+            "per_sample": [asdict(s) for s in self.per_sample],
             "failures": list(self.failures),
-            "audit": [a.to_dict() for a in self.audit],
+            "audit": [asdict(a) for a in self.audit],
             "verdict": self.verdict,
         }
 

@@ -130,15 +130,32 @@ def _validate(spec: ChartSpec):
 # ---------------------------------------------------------------------------
 
 
-def parse_chart(doc: dict) -> ChartSpec:
-    """Build a ChartSpec from a chart document (already JSON-decoded)."""
+def _catalog_reference(doc) -> dict | None:
+    """The ``catalog`` object of a document, or None for an expression chart."""
     if not isinstance(doc, dict):
         raise ChartError("chart document must be a JSON object")
-    if "catalog" in doc:
-        cat = doc["catalog"]
-        if not isinstance(cat, dict) or "tag" not in cat:
-            raise ChartError('"catalog" must be an object with a "tag" field')
-        return catalog_chart(cat["tag"], cat.get("params", {}))
+    if "catalog" not in doc:
+        return None
+    cat = doc["catalog"]
+    if not isinstance(cat, dict) or not isinstance(cat.get("tag"), str):
+        raise ChartError('"catalog" must be an object with a "tag" field')
+    return cat
+
+
+def _params(holder: dict, overrides: dict | None) -> dict:
+    params = holder.get("params") or {}
+    if not isinstance(params, dict):
+        raise ChartError('"params" must be an object')
+    return {**params, **(overrides or {})}
+
+
+def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
+    """Build a ChartSpec from a chart document (already JSON-decoded);
+    ``overrides`` replace or add to its ``params`` (a catalog reference's
+    own, or an expression chart's top-level ones)."""
+    cat = _catalog_reference(doc)
+    if cat is not None:
+        return catalog_chart(cat["tag"], _params(cat, overrides))
     for field in ("name", "m", "n", "expressions", "domain"):
         if field not in doc:
             raise ChartError(f"chart document missing field {field!r}")
@@ -155,20 +172,34 @@ def parse_chart(doc: dict) -> ChartSpec:
         n=doc["n"],
         components=components,
         domain=doc["domain"],
-        params=doc.get("params", {}),
+        params=_params(doc, overrides),
         normalize=doc.get("normalize", False),
     )
 
 
-def parse_chart_file(path: str) -> ChartSpec:
+def chart_document(tag: str | None = None, path: str | None = None) -> dict:
+    """The document naming catalog ``tag``, or the JSON document in ``path``."""
+    if path is None:
+        return {"catalog": {"tag": tag}}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ChartError(f"cannot read chart file {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ChartError(f"chart file {path!r} is not valid JSON: {e}") from e
-    return parse_chart(doc)
+
+
+def parse_chart_file(path: str) -> ChartSpec:
+    return parse_chart(chart_document(path=path))
+
+
+def family_chart(doc: dict, param_name: str, value: float, fixed: dict) -> ChartSpec:
+    """The member at ``value`` of the 1-parameter family a document spans;
+    a catalog reference links parameters as ``family_params`` does."""
+    cat = _catalog_reference(doc)
+    tag = None if cat is None else cat["tag"]
+    return parse_chart(doc, family_params(tag, param_name, value, fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +402,13 @@ def catalog_chart(tag: str, params: dict) -> ChartSpec:
     return meta["build"](dict(params))
 
 
-def family_params(tag: str, param_name: str, value: float, fixed: dict) -> dict:
+def family_params(tag: str | None, param_name: str, value: float, fixed: dict) -> dict:
     """Parameter map for one member of a 1-parameter catalog family.
 
     Linked parameters keep the chart on the unit sphere: for the sphere
     products, sweeping ``r`` binds r1 = r and r2 = sqrt(1 - r^2); for the
-    torus, sweeping ``t`` binds a = b = t.
+    torus, sweeping ``t`` binds a = b = t.  Any other tag, or None for an
+    expression chart, sets ``param_name`` alone.
     """
     params = dict(fixed)
     if tag in ("product-spheres", "generalized-clifford") and param_name == "r":

@@ -8,6 +8,11 @@ Exit status contract (scripts gate on biharmonicity with it):
 * 2 - configuration, parsing or chart-validation error;
 * 3 - numerical failure at every sample point.
 
+``--param NAME=VALUE`` sets a catalog parameter or overrides one in the
+``--chart`` document: a catalog reference's params or an expression chart's.
+``scan --chart`` on a catalog reference links parameters the same way as
+``scan --family`` on its tag (r1 = r, r2 = sqrt(1 - r^2); a = b = t).
+
 Verification report schema (JSON, keys sorted, 2-space indent)::
 
     {
@@ -26,9 +31,13 @@ Verification report schema (JSON, keys sorted, 2-space indent)::
         "pmc": { "parallel_norm", "eq4_norm", "eq5a", "eq5b",
                  "applicable", "equivalence_ok", "samples_with_H" }
       },
-      "quantities": { "H_norm", "B2", ["A2", "f", "scalar_curvature"],
+      "quantities": { "H_norm", "B2", "scalar_curvature"?,   # m >= 2
+                      "A2"?, "f"?,                            # hypersurfaces
                       "cmc", "minimal" },
-      "per_sample": [ one record per sample point ],
+      "per_sample": [ { "point", "tau2_norm", "split_normal_norm",
+                        "split_tangent_norm", "split_gap", "H_norm", "B2",
+                        "nabla_perp_H_norm", "scalar_curvature", "hyper_i",
+                        "hyper_ii", "A2", "f" } ],    # null where undefined
       "failures":   [ skipped-sample diagnostics ],
       "audit":      [ { "name", "measured", "predicted", "deviation",
                         "ok", "note" } ],
@@ -37,10 +46,23 @@ Verification report schema (JSON, keys sorted, 2-space indent)::
     }
 
 "max_normalized" divides by m (1 + |H|^2) so charts of different dimension
-are comparable; verdicts always use the raw absolute norms.  Scan output is
-either the same JSON envelope around {family, grid, roots, boundary} or the
-CSV table ``param,max_residual,mean_residual,H_norm,verdict`` with refined
-roots appended as ``root:<classification>`` rows.
+are comparable; verdicts always use the raw absolute norms.
+
+Scan report schema (JSON, same conventions)::
+
+    {
+      "tool_version": "...",
+      "family":   { "param", "range", "steps", "samples_per_point", "seed",
+                    "thresholds", "catalog"?, "fixed_params"?, "chart"? },
+      "grid":     [ { "param", "max_residual", "mean_residual", "H_norm",
+                      "verdict", "error" } ],
+      "roots":    [ { "param", "residual", "classification",
+                      "bisection_iterations", "H_norm" } ],
+      "boundary": [ { "param", "side", "residual", "H_norm", "note" } ]
+    }
+
+or the CSV table ``param,max_residual,mean_residual,H_norm,verdict`` with
+refined roots appended as ``root:<classification>`` rows.
 
 A sample point whose geometry cannot be evaluated (off the sphere,
 rank-deficient, ill-conditioned, outside the domain, or with non-finite
@@ -60,6 +82,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from . import __version__, biharmonic, chart as chart_mod, scan as scan_mod
 
@@ -81,21 +104,6 @@ def _parse_params(raw: list[str] | None) -> tuple[dict, list[str]]:
     return fixed, bare
 
 
-def _load_chart(args, fixed: dict) -> chart_mod.ChartSpec:
-    if getattr(args, "catalog", None):
-        return chart_mod.catalog_chart(args.catalog, fixed)
-    spec = chart_mod.parse_chart_file(args.chart)
-    if fixed:
-        doc_params = dict(spec.params)
-        doc_params.update(fixed)
-        spec = chart_mod.ChartSpec(
-            name=spec.name, m=spec.m, n=spec.n, components=spec.components,
-            domain=spec.domain, params=doc_params, normalize=spec.normalize,
-            catalog=spec.catalog,
-        )
-    return spec
-
-
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -112,9 +120,20 @@ def _emit(text: str, path: str | None):
         raise
 
 
-def _report_json(report: biharmonic.ResidualReport, config_echo: dict) -> str:
-    doc = report.to_report_dict(config_echo=config_echo, tool_version=__version__)
+def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _audit_lines(audit: list[biharmonic.AuditEntry], indent: str) -> list[str]:
+    lines = []
+    for a in audit:
+        mark = "ok " if a.ok else "FAIL"
+        pred = "" if a.predicted is None else f" predicted {a.predicted:.9g}"
+        lines.append(f"{indent}[{mark}] {a.name}: measured {a.measured:.9g}{pred}"
+                     f" (deviation {a.deviation:.2e})")
+        if a.note:
+            lines.append(f"{indent}       {a.note}")
+    return lines
 
 
 def _human_verify(report: biharmonic.ResidualReport) -> str:
@@ -151,26 +170,13 @@ def _human_verify(report: biharmonic.ResidualReport) -> str:
     def row(label, stats):
         return f"  {label:8s} {stats['mean']: .9f}   [{stats['min']:.9f}, {stats['max']:.9f}]"
 
-    lines.append(row("|H|", q["H_norm"]))
-    if "A2" in q:
-        lines.append(row("|A|^2", q["A2"]))
-    lines.append(row("|B|^2", q["B2"]))
-    if "f" in q:
-        lines.append(row("f", q["f"]))
-    if "scalar_curvature" in q:
-        lines.append(row("s", q["scalar_curvature"]))
+    for label, key in (("|H|", "H_norm"), ("|A|^2", "A2"), ("|B|^2", "B2"),
+                       ("f", "f"), ("s", "scalar_curvature")):
+        if key in q:
+            lines.append(row(label, q[key]))
     lines.append(f"  CMC      {q['cmc']}    minimal  {q['minimal']}")
     if report.audit:
-        lines += ["", "audit"]
-        for a in report.audit:
-            mark = "ok " if a.ok else "FAIL"
-            pred = "" if a.predicted is None else f" predicted {a.predicted:.9g}"
-            lines.append(
-                f"  [{mark}] {a.name}: measured {a.measured:.9g}{pred}"
-                f" (deviation {a.deviation:.2e})"
-            )
-            if a.note:
-                lines.append(f"         {a.note}")
+        lines += ["", "audit", *_audit_lines(report.audit, "  ")]
     if report.failures:
         lines += ["", f"failed samples: {len(report.failures)} "
                       f"(first: {report.failures[0]})"]
@@ -185,13 +191,7 @@ def _human_audit(report: biharmonic.ResidualReport) -> str:
         lines.append("quantity audit applies to proper biharmonic charts only;")
         lines.append("no audit entries for this verdict.")
         return "\n".join(lines) + "\n"
-    for a in report.audit:
-        mark = "ok " if a.ok else "FAIL"
-        pred = "" if a.predicted is None else f" predicted {a.predicted:.9g}"
-        lines.append(f"[{mark}] {a.name}: measured {a.measured:.9g}{pred}"
-                     f" (deviation {a.deviation:.2e})")
-        if a.note:
-            lines.append(f"       {a.note}")
+    lines += _audit_lines(report.audit, "")
     return "\n".join(lines) + "\n"
 
 
@@ -246,15 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", metavar="PATH",
                         help="write the report to PATH (atomic)")
 
-    ver = sub.add_parser("verify", help="evaluate all biharmonicity residuals")
-    common(ver)
-    ver.add_argument("--points", type=int, default=64)
-    ver.add_argument("--format", choices=["human", "json"], default="human")
-
-    aud = sub.add_parser("audit", help="quantity audit of a chart")
-    common(aud)
-    aud.add_argument("--points", type=int, default=64)
-    aud.add_argument("--format", choices=["human", "json"], default="human")
+    for name, help_text in (("verify", "evaluate all biharmonicity residuals"),
+                            ("audit", "quantity audit of a chart")):
+        cmd = sub.add_parser(name, help=help_text)
+        common(cmd)
+        cmd.add_argument("--points", type=int, default=64)
+        cmd.add_argument("--format", choices=["human", "json"], default="human")
 
     sc = sub.add_parser("scan", help="sweep a 1-parameter chart family")
     common(sc, scan_mode=True)
@@ -282,17 +279,16 @@ def _run_verify(args, audit_only: bool) -> int:
         raise ValueError(
             f"--param {bare[0]!r} has no value; verify takes name=value pairs"
         )
-    if not 0 < args.pass_tol < args.fail_tol:
-        raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
-    spec = _load_chart(args, fixed)
+    spec = chart_mod.parse_chart(
+        chart_mod.chart_document(args.catalog, args.chart), fixed)
     report = biharmonic.evaluate_chart(
         spec, samples=args.points, seed=args.seed,
         pass_tol=args.pass_tol, fail_tol=args.fail_tol,
     )
     echo = {
         "subcommand": "audit" if audit_only else "verify",
-        "catalog": getattr(args, "catalog", None),
-        "chart_file": getattr(args, "chart", None),
+        "catalog": args.catalog,
+        "chart_file": args.chart,
         "params": fixed,
         "points": args.points,
         "seed": args.seed,
@@ -301,7 +297,8 @@ def _run_verify(args, audit_only: bool) -> int:
         "format": args.format,
     }
     if args.format == "json":
-        text = _report_json(report, echo)
+        text = _json(report.to_report_dict(config_echo=echo,
+                                           tool_version=__version__))
     elif audit_only:
         text = _human_audit(report)
     else:
@@ -322,30 +319,15 @@ def _run_scan(args) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ValueError(f"--range must be LO:HI, got {args.range!r}")
-    if not 0 < args.pass_tol < args.fail_tol:
-        raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
-    if args.catalog:
-        fam = scan_mod.FamilySpec(
-            tag=args.catalog, param_name=bare[0], lo=lo, hi=hi,
-            steps=args.steps, fixed=fixed, samples_per_point=args.samples,
-            seed=args.seed, pass_tol=args.pass_tol, fail_tol=args.fail_tol,
-        )
-    else:
-        try:
-            with open(args.chart, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise chart_mod.ChartError(f"cannot read chart file: {e}") from e
-        fam = scan_mod.FamilySpec(
-            doc=doc, param_name=bare[0], lo=lo, hi=hi, steps=args.steps,
-            fixed=fixed, samples_per_point=args.samples, seed=args.seed,
-            pass_tol=args.pass_tol, fail_tol=args.fail_tol,
-        )
+    doc = None if args.chart is None else chart_mod.chart_document(path=args.chart)
+    fam = scan_mod.FamilySpec(
+        tag=args.catalog, doc=doc, param_name=bare[0], lo=lo, hi=hi,
+        steps=args.steps, fixed=fixed, samples_per_point=args.samples,
+        seed=args.seed, pass_tol=args.pass_tol, fail_tol=args.fail_tol,
+    )
     result = scan_mod.sweep(fam)
     if args.format == "json":
-        doc = result.to_dict()
-        doc["tool_version"] = __version__
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json({**asdict(result), "tool_version": __version__})
     elif args.format == "csv":
         text = result.to_csv()
     else:

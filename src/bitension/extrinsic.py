@@ -94,25 +94,22 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
     return X
 
 
-def _mgs(rows: np.ndarray, pivot: bool, tol: float = 1e-13):
-    """Modified Gram-Schmidt on the rows; returns (frame, chosen row order)."""
+def _mgs(rows: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Modified Gram-Schmidt on the rows, largest remaining row first."""
     V = rows.astype(np.float64).copy()
-    k = V.shape[0]
     frame = []
-    order = []
-    remaining = list(range(k))
-    while remaining and len(frame) < k:
+    remaining = list(range(V.shape[0]))
+    while remaining:
         norms = [np.linalg.norm(V[i]) for i in remaining]
-        pick = int(np.argmax(norms)) if pivot else 0
+        pick = int(np.argmax(norms))
         if norms[pick] < tol:
             break
         i = remaining.pop(pick)
         e = V[i] / np.linalg.norm(V[i])
         frame.append(e)
-        order.append(i)
         for j in remaining:
             V[j] = V[j] - np.dot(V[j], e) * e
-    return np.array(frame), order
+    return np.array(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +445,7 @@ def _value_frames(phi0, jac, ginv0, codim):
     """Orthonormal tangent frame, its coefficients E (e_a = E[a,i] dphi_i)
     and a value-level orthonormal normal frame at one point."""
     n1 = phi0.shape[0]
-    tangent_frame, _ = _mgs(jac, pivot=True)
+    tangent_frame = _mgs(jac)
     if tangent_frame.shape[0] != jac.shape[0]:
         raise GeometryError("tangent frame construction failed")
     E = (tangent_frame @ jac.T) @ ginv0

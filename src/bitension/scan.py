@@ -21,7 +21,7 @@ small-hypersphere family ends in the minimal equator at r = 1 this way).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,8 @@ class FamilySpec:
             raise ScanError(f"empty parameter range [{self.lo}, {self.hi}]")
         if self.samples_per_point < 1:
             raise ScanError("samples_per_point must be positive")
+        if not 0 < self.pass_tol < self.fail_tol:
+            raise ScanError("tolerances must satisfy 0 < pass_tol < fail_tol")
         if self.steps * self.samples_per_point > BUDGET:
             raise ScanError(
                 f"steps * samples_per_point exceeds the budget {BUDGET}"
@@ -74,16 +76,8 @@ class FamilySpec:
                 ) from e
 
     def chart_at(self, t: float) -> chart_mod.ChartSpec:
-        if self.tag is not None:
-            params = chart_mod.family_params(self.tag, self.param_name, float(t),
-                                             self.fixed)
-            return chart_mod.catalog_chart(self.tag, params)
-        doc = dict(self.doc)
-        params = dict(doc.get("params", {}))
-        params.update(self.fixed)
-        params[self.param_name] = float(t)
-        doc["params"] = params
-        return chart_mod.parse_chart(doc)
+        doc = self.doc if self.tag is None else chart_mod.chart_document(self.tag)
+        return chart_mod.family_chart(doc, self.param_name, float(t), self.fixed)
 
     def describe(self) -> dict:
         d = {
@@ -112,16 +106,6 @@ class GridRow:
     verdict: str
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "H_norm": self.H_norm,
-            "verdict": self.verdict,
-            "error": self.error,
-        }
-
 
 @dataclass
 class Root:
@@ -131,15 +115,6 @@ class Root:
     bisection_iterations: int
     H_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "residual": self.residual,
-            "classification": self.classification,
-            "bisection_iterations": self.bisection_iterations,
-            "H_norm": self.H_norm,
-        }
-
 
 @dataclass
 class ScanResult:
@@ -148,16 +123,8 @@ class ScanResult:
     roots: list[Root]
     boundary: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "grid": [r.to_dict() for r in self.grid],
-            "roots": [r.to_dict() for r in self.roots],
-            "boundary": list(self.boundary),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["param,max_residual,mean_residual,H_norm,verdict"]
@@ -293,16 +260,9 @@ def sweep(family: FamilySpec) -> ScanResult:
     roots.sort(key=lambda r: r.param)
 
     boundary: list[dict] = []
-    ok_vals = [v for v in values if v is not None]
-    if len(ok_vals) >= 3:
-        if (values[0] is not None and values[1] is not None
-                and values[2] is not None
-                and values[0] < values[1] < values[2]):
-            boundary.append(_boundary_entry(grid, 0, "lo"))
-        if (values[-1] is not None and values[-2] is not None
-                and values[-3] is not None
-                and values[-1] < values[-2] < values[-3]):
-            boundary.append(_boundary_entry(grid, -1, "hi"))
+    for idx, side, edge in ((0, "lo", values[:3]), (-1, "hi", values[:-4:-1])):
+        if None not in edge and edge[0] < edge[1] < edge[2]:
+            boundary.append(_boundary_entry(grid, idx, side))
 
     return ScanResult(family=family.describe(), grid=grid, roots=roots,
                       boundary=boundary)

@@ -103,8 +103,11 @@ def test_parse_chart_syntax_error_position():
 
 
 def test_parse_chart_catalog_document():
-    spec = parse_chart({"catalog": {"tag": "veronese", "params": {"r": 0.8}}})
+    ref = {"catalog": {"tag": "veronese", "params": {"r": 0.8}}}
+    spec = parse_chart(ref)
     assert spec.catalog["tag"] == "veronese"
+    assert parse_chart(ref, {"r": ROOT2INV}).catalog["params"] == {"r": ROOT2INV}
+    assert ref["catalog"]["params"] == {"r": 0.8}      # the document is not edited
 
 
 def test_chart_validation_errors():
@@ -127,6 +130,10 @@ def test_chart_validation_errors():
     with pytest.raises(ChartError):
         catalog_chart("generalized-clifford",
                       {"m1": 3, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV})
+    for doc in ({"catalog": "x"}, {"catalog": {"tag": 3}}, [],
+                {"catalog": {"tag": "veronese", "params": [0.5]}}):
+        with pytest.raises(ChartError):
+            parse_chart(doc)
 
 
 def test_document_variable_out_of_range():
@@ -147,6 +154,7 @@ def test_document_unknown_parameter():
     }
     with pytest.raises(ChartError, match="unknown parameter 'alpha'"):
         parse_chart(doc)
+    assert parse_chart(doc, {"alpha": 0.5}).params == {"alpha": 0.5}
 
 
 def test_sample_points_contract():
@@ -227,6 +235,9 @@ def test_family_params_bindings():
     assert p["a"] == 0.4 and p["b"] == 0.4
     p = chart.family_params("small-hypersphere", "r", 0.5, {"m": 2})
     assert p == {"m": 2, "r": 0.5}
+    # a catalog reference links its parameters like the tag itself
+    ref = {"catalog": {"tag": "clifford-torus-b3", "params": {"a": 0.3, "b": 0.6}}}
+    assert chart.family_chart(ref, "t", 0.5, {}).catalog["params"] == {"a": 0.5, "b": 0.5}
 
 
 def test_perturbed_charts_are_valid_immersions():

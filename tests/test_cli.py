@@ -71,7 +71,63 @@ def test_verify_human_table(capsys):
         assert label in out
 
 
+# report keys as documented in the cli module docstring: a new report field
+# has to be added there and here
+VERIFY_KEYS = {"tool_version", "config_echo", "chart", "samples", "seed",
+               "thresholds", "residuals", "quantities", "per_sample",
+               "failures", "audit", "verdict"}
+RESIDUAL_KEYS = {"tau2_direct_norm", "split_normal_norm", "split_tangent_norm",
+                 "split_direct_gap", "pmc"}
+PMC_KEYS = {"parallel_norm", "eq4_norm", "eq5a", "eq5b", "applicable",
+            "equivalence_ok", "samples_with_H"}
+QUANTITY_KEYS = {"H_norm", "B2", "scalar_curvature", "cmc", "minimal"}
+SAMPLE_KEYS = {"point", "tau2_norm", "split_normal_norm", "split_tangent_norm",
+               "split_gap", "H_norm", "B2", "nabla_perp_H_norm",
+               "scalar_curvature", "hyper_i", "hyper_ii", "A2", "f"}
+AUDIT_KEYS = {"name", "measured", "predicted", "deviation", "ok", "note"}
+
+
+@pytest.mark.parametrize("catalog,hypersurface", [
+    (("small-hypersphere", "--param", "m=2", "--param", f"r={ROOT2INV!r}"), True),
+    (("clifford-torus-b3", "--param", "a=0.5", "--param", "b=0.5"), False),
+])
+def test_verify_json_schema(capsys, catalog, hypersurface):
+    code, out, _ = run(capsys, "verify", "--catalog", *catalog, "--points", "8",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    hyper_residuals = {"hyper_i_residual", "hyper_ii_residual"}
+    assert set(doc) == VERIFY_KEYS
+    assert set(doc["residuals"]) == RESIDUAL_KEYS | (
+        hyper_residuals if hypersurface else set())
+    assert set(doc["residuals"]["tau2_direct_norm"]) == {"max", "mean",
+                                                         "max_normalized"}
+    assert set(doc["residuals"]["pmc"]) == PMC_KEYS
+    assert set(doc["quantities"]) == QUANTITY_KEYS | (
+        {"A2", "f"} if hypersurface else set())
+    assert set(doc["quantities"]["B2"]) == {"min", "max", "mean"}
+    assert set(doc["per_sample"][0]) == SAMPLE_KEYS
+    assert set(doc["audit"][0]) == AUDIT_KEYS
+
+
+def test_scan_json_schema(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "small-hypersphere",
+                       "--param", "r", "--param", "m=2", "--range", "0.6:0.8",
+                       "--steps", "10", "--samples", "4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"tool_version", "family", "grid", "roots", "boundary"}
+    assert set(doc["family"]) == {"param", "range", "steps", "samples_per_point",
+                                  "seed", "thresholds", "catalog", "fixed_params"}
+    assert set(doc["grid"][0]) == {"param", "max_residual", "mean_residual",
+                                   "H_norm", "verdict", "error"}
+    assert set(doc["roots"][0]) == {"param", "residual", "classification",
+                                    "bisection_iterations", "H_norm"}
+
+
 def test_config_errors_exit_two(capsys, tmp_path):
+    bad_ref = tmp_path / "bad-ref.json"
+    bad_ref.write_text(json.dumps({"catalog": "x"}))
     cases = [
         ("verify", "--catalog", "no-such-tag"),
         ("verify", "--catalog", "small-hypersphere", "--param", "m=2",
@@ -86,6 +142,11 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--range", "0.3:0.9", "--steps", "10"),
         ("scan", "--family", "small-hypersphere", "--param", "r",
          "--param", "m=2", "--range", "0.3-0.9", "--steps", "10"),
+        ("scan", "--family", "small-hypersphere", "--param", "r",
+         "--range", "0.3:0.9", "--steps", "10",
+         "--pass-tol", "1e-2", "--fail-tol", "1e-4"),
+        ("scan", "--chart", str(bad_ref), "--param", "r",
+         "--range", "0.3:0.9", "--steps", "10"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -220,6 +281,35 @@ def test_chart_file_verify(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["verdict"] == "minimal"
+
+
+def test_verify_chart_param_overrides_catalog_reference(capsys, tmp_path):
+    ref = tmp_path / "sphere.json"
+    ref.write_text(json.dumps(
+        {"catalog": {"tag": "small-hypersphere", "params": {"m": 2, "r": 0.5}}}))
+    code, out, _ = run(capsys, "verify", "--chart", str(ref),
+                       "--param", f"r={ROOT2INV!r}", "--points", "8",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["verdict"] == "biharmonic-proper"
+    assert doc["chart"]["catalog"]["params"] == {"m": 2, "r": ROOT2INV}
+    assert "params" not in doc["chart"]
+
+
+def test_scan_chart_catalog_reference_links_params(capsys, tmp_path):
+    ref = tmp_path / "product.json"
+    ref.write_text(json.dumps({"catalog": {"tag": "product-spheres", "params": {
+        "m1": 2, "m2": 1, "r1": ROOT2INV, "r2": ROOT2INV}}}))
+    sweep = ("--param", "r", "--range", "0.3:0.95", "--steps", "20",
+             "--format", "csv")
+    code, from_doc, _ = run(capsys, "scan", "--chart", str(ref), *sweep)
+    assert code == 0
+    code, from_tag, _ = run(capsys, "scan", "--family", "product-spheres",
+                            "--param", "m1=2", "--param", "m2=1", *sweep)
+    assert code == 0
+    assert from_doc == from_tag
+    assert sum("root:" in line for line in from_doc.split("\n")) == 2
 
 
 def test_scan_csv_root_row(capsys):

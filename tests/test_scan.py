@@ -133,6 +133,9 @@ def test_family_validation():
     with pytest.raises(ScanError):
         FamilySpec(tag="small-hypersphere", param_name="r", lo=0.9, hi=0.3,
                    steps=20, fixed={"m": 2})
+    with pytest.raises(ScanError, match="pass_tol < fail_tol"):
+        FamilySpec(tag="small-hypersphere", param_name="r", lo=0.3, hi=0.9,
+                   steps=20, fixed={"m": 2}, pass_tol=1e-2, fail_tol=1e-4)
 
 
 def test_chart_document_family():
