@@ -142,11 +142,33 @@ def _catalog_reference(doc) -> dict | None:
     return cat
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _params(holder: dict, overrides: dict | None) -> dict:
     params = holder.get("params") or {}
-    if not isinstance(params, dict):
-        raise ChartError('"params" must be an object')
+    if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
+        raise ChartError('"params" must be an object of numbers')
     return {**params, **(overrides or {})}
+
+
+def _check_fields(doc: dict):
+    """Reject wrongly typed fields of an expression chart document."""
+    if not isinstance(doc["name"], str):
+        raise ChartError('"name" must be a string')
+    for field in ("m", "n"):
+        if not (_is_number(doc[field]) and float(doc[field]).is_integer()):
+            raise ChartError(f'"{field}" must be an integer')
+    exprs, domain = doc["expressions"], doc["domain"]
+    if not (isinstance(exprs, list) and all(isinstance(s, str) for s in exprs)):
+        raise ChartError('"expressions" must be an array of strings')
+    if not (isinstance(domain, list) and all(
+            isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv))
+            for iv in domain)):
+        raise ChartError('"domain" must be an array of [lo, hi] number pairs')
+    if not isinstance(doc.get("normalize", False), bool):
+        raise ChartError('"normalize" must be true or false')
 
 
 def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
@@ -159,9 +181,8 @@ def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
     for field in ("name", "m", "n", "expressions", "domain"):
         if field not in doc:
             raise ChartError(f"chart document missing field {field!r}")
+    _check_fields(doc)
     exprs = doc["expressions"]
-    if not isinstance(exprs, list):
-        raise ChartError('"expressions" must be an array of strings')
     try:
         components = [expr.parse(s) for s in exprs]
     except expr.ExprSyntaxError as e:

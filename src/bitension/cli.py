@@ -63,6 +63,8 @@ Scan report schema (JSON, same conventions)::
 
 or the CSV table ``param,max_residual,mean_residual,H_norm,verdict`` with
 refined roots appended as ``root:<classification>`` rows.
+``bisection_iterations`` counts the refinement steps a root took, one
+profile evaluation each; the key keeps its name for schema stability.
 
 A sample point whose geometry cannot be evaluated (off the sphere,
 rank-deficient, ill-conditioned, outside the domain, or with non-finite
@@ -212,7 +214,7 @@ def _human_scan(result: scan_mod.ScanResult) -> str:
             lines.append(
                 f"root at {r.param:.9f}: {r.classification} "
                 f"(residual {r.residual:.2e}, |H| {r.H_norm:.6f}, "
-                f"{r.bisection_iterations} bisection iterations)"
+                f"{r.bisection_iterations} refinement steps)"
             )
     else:
         lines.append("no roots located")

@@ -7,11 +7,13 @@ points are reused at every parameter value, which keeps the profile smooth
 in the parameter).
 
 Minima of the profile below the failure threshold are bracketed on the grid
-and refined by bisection on the sign of the finite-difference slope, with a
-symmetric shrink when the probe is flat; parameter tolerance 1e-8, one order
-below the 1e-6 reporting precision.  Every refined root is re-verified with
-a full ResidualReport and reported only if that verdict is proper biharmonic
-or minimal.
+and refined by secant steps on the signed, stacked tau2 vector of the sample
+points, safeguarded by golden-section steps inside the bracket (see
+``_refine``); parameter tolerance 1e-8, one order below the 1e-6 reporting
+precision.  A proper biharmonic root is a simple zero of that vector and
+takes a few steps; a minimal member is a double zero and takes about 25.
+Every refined root is re-verified with a full ResidualReport and reported
+only if that verdict is proper biharmonic or minimal.
 
 Grid endpoints are never reported as interior roots; an endpoint where the
 profile is still falling is labeled separately as boundary behavior (the
@@ -21,7 +23,9 @@ small-hypersphere family ends in the minimal equator at r = 1 this way).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from . import biharmonic, chart as chart_mod, extrinsic
 
 PARAM_TOL = 1e-8
 BUDGET = 200_000
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class ScanError(ValueError):
@@ -147,51 +152,83 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
-    """max/mean ||tau2|| and max |H| at one parameter value, memoized."""
+class Profile(NamedTuple):
+    """The residual profile at one parameter value."""
 
-    def at(t: float):
+    tau_max: float          # max ||tau2|| over the sample points
+    tau_mean: float
+    h_max: float
+    h_min: float
+    tau2: np.ndarray        # every point's tau2_direct vector, concatenated
+
+
+def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
+    """The Profile at one parameter value, memoized."""
+
+    def at(t: float) -> Profile:
         key = float(t)
         hit = cache.get(key)
         if hit is not None:
             return hit
         spec = family.chart_at(key)
-        taus = []
+        vecs = []
         hs = []
         for g in extrinsic.sample_geometries(spec, points):
             if not isinstance(g, extrinsic.PointGeometry):
                 raise g                     # the first failing point's error
-            taus.append(float(np.linalg.norm(biharmonic.tau2_direct(g))))
+            vecs.append(biharmonic.tau2_direct(g))
             hs.append(g.H_norm)
-        out = (max(taus), float(np.mean(taus)), max(hs), min(hs))
+        taus = [float(np.linalg.norm(v)) for v in vecs]
+        out = Profile(max(taus), float(np.mean(taus)), max(hs), min(hs),
+                      np.concatenate(vecs))
         cache[key] = out
         return out
 
     return at
 
 
-def _refine(profile_at, a: float, b: float, xtol: float = PARAM_TOL):
-    """Locate the minimum of the residual profile inside [a, b].
+def _refine(profile_at, a: float, x: float, b: float, xtol: float = PARAM_TOL):
+    """Locate the minimum of the residual profile in the bracket a < x < b,
+    where f = max ||tau2|| satisfies f(x) <= f(a), f(b).
 
-    Bisection on the sign of a symmetric slope probe around the midpoint;
-    when the probe cannot tell the sides apart (flat bottom) the bracket
-    shrinks symmetrically instead, which is the golden-section-style
-    fallback for kink-shaped minima.
+    Each step is one profile evaluation.  It is a secant step on the stacked
+    tau2 vector T of the last two iterates t0, t1: the zero of the linear
+    model through T(t0), T(t1) in the least-squares sense,
+    t1 - <T1, T1 - T0> (t1 - t0) / ||T1 - T0||^2.  T is smooth through a
+    simple root, where the secant converges superlinearly, and through the
+    double zero of a minimal member, where it converges linearly; f itself
+    has a kink at a simple root.  A step that leaves the bracket is replaced
+    by a golden-section step into the larger side, and the bracket shrinks
+    on f as in golden-section search.  Refinement stops when a secant step
+    is shorter than xtol / 2, returning that step's end point, or when the
+    bracket is no wider than xtol, returning its best point.
+
+    Returns (t, steps): the located parameter and the evaluations spent.
     """
-    iterations = 0
-    while b - a > xtol and iterations < 300:
-        mid = 0.5 * (a + b)
-        delta = max((b - a) / 8.0, xtol / 4.0)
-        f1 = profile_at(mid - delta)[0]
-        f2 = profile_at(mid + delta)[0]
-        iterations += 1
-        if f1 > f2:
-            a = mid - delta
-        elif f2 > f1:
-            b = mid + delta
+    fx = profile_at(x).tau_max
+    t0 = a if profile_at(a).tau_max <= profile_at(b).tau_max else b
+    t1 = x
+    steps = 0
+    while b - a > xtol and steps < 200:
+        T0, T1 = profile_at(t0).tau2, profile_at(t1).tau2
+        d = T1 - T0
+        dd = float(d @ d)
+        t = t1 - float(T1 @ d) * (t1 - t0) / dd if dd > 0.0 else math.nan
+        if not a < t < b:                   # NaN included
+            t = x + GOLDEN * (b - x) if x - a < b - x else x - GOLDEN * (x - a)
+        elif abs(t - t1) < 0.5 * xtol:
+            return t, steps
+        ft = profile_at(t).tau_max
+        steps += 1
+        if ft <= fx:
+            a, b = (a, x) if t < x else (x, b)
+            x, fx = t, ft
+        elif t < x:
+            a = t
         else:
-            a, b = mid - delta, mid + delta
-    return 0.5 * (a + b), iterations
+            b = t
+        t0, t1 = t1, t
+    return x, steps
 
 
 def sweep(family: FamilySpec) -> ScanResult:
@@ -207,7 +244,7 @@ def sweep(family: FamilySpec) -> ScanResult:
     values: list[float | None] = []
     for t in ts:
         try:
-            tau_max, tau_mean, h_max, h_min = profile_at(float(t))
+            tau_max, tau_mean, h_max, h_min, _ = profile_at(float(t))
         except (chart_mod.ChartError, extrinsic.GeometryError) as e:
             grid.append(GridRow(param=float(t), max_residual=None,
                                 mean_residual=None, H_norm=None,
@@ -234,7 +271,8 @@ def sweep(family: FamilySpec) -> ScanResult:
         if not (v < family.fail_tol or v <= 0.75 * slope_step):
             continue
         try:
-            t_root, iters = _refine(profile_at, float(ts[i - 1]), float(ts[i + 1]))
+            t_root, iters = _refine(profile_at, float(ts[i - 1]), float(ts[i]),
+                                    float(ts[i + 1]))
             report = biharmonic.evaluate_chart(
                 family.chart_at(t_root), samples=family.samples_per_point,
                 seed=family.seed, pass_tol=family.pass_tol,

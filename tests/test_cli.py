@@ -128,6 +128,15 @@ def test_scan_json_schema(capsys):
 def test_config_errors_exit_two(capsys, tmp_path):
     bad_ref = tmp_path / "bad-ref.json"
     bad_ref.write_text(json.dumps({"catalog": "x"}))
+    # expression documents with one wrongly typed field each
+    good = {"name": "circle", "m": 1, "n": 2, "expressions": ["cos(u1)", "sin(u1)", "0"],
+            "domain": [[0.0, 6.28]]}
+    mistyped = []
+    for i, field in enumerate([{"domain": 5}, {"expressions": [1, 2, 3]},
+                               {"m": [2]}, {"params": {"r": [1]}}]):
+        path = tmp_path / f"mistyped-{i}.json"
+        path.write_text(json.dumps({**good, **field}))
+        mistyped.append(("verify", "--chart", str(path)))
     cases = [
         ("verify", "--catalog", "no-such-tag"),
         ("verify", "--catalog", "small-hypersphere", "--param", "m=2",
@@ -147,6 +156,7 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--pass-tol", "1e-2", "--fail-tol", "1e-4"),
         ("scan", "--chart", str(bad_ref), "--param", "r",
          "--range", "0.3:0.9", "--steps", "10"),
+        *mistyped,
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bitension import scan
@@ -21,7 +22,7 @@ def sphere_scan():
 def test_sphere_family_root(sphere_scan):
     roots = sphere_scan.roots
     assert len(roots) == 1
-    assert abs(roots[0].param - ROOT2INV) < 1e-6
+    assert abs(roots[0].param - ROOT2INV) < 1e-11
     assert roots[0].classification == "proper-biharmonic"
     assert roots[0].residual < 1e-6
     assert abs(roots[0].H_norm - 1.0) < 1e-6
@@ -55,7 +56,7 @@ def test_torus_family_root():
                      steps=200, samples_per_point=6)
     res = sweep(fam)
     assert len(res.roots) == 1
-    assert abs(res.roots[0].param - 0.5) < 1e-6
+    assert abs(res.roots[0].param - 0.5) < 1e-11
     assert res.roots[0].classification == "proper-biharmonic"
     assert abs(res.roots[0].H_norm - 1.0) < 1e-6
 
@@ -69,7 +70,7 @@ def test_product_spheres_family_roots():
     res = sweep(fam)
     assert len(res.roots) == 2
     proper, minimal = res.roots
-    assert abs(proper.param - ROOT2INV) < 1e-6
+    assert abs(proper.param - ROOT2INV) < 1e-11
     assert proper.classification == "proper-biharmonic"
     assert abs(proper.H_norm - 1.0 / 3.0) < 1e-6
     assert abs(minimal.param - math.sqrt(2.0 / 3.0)) < 1e-6
@@ -79,7 +80,7 @@ def test_product_spheres_family_roots():
 def test_veronese_radius_scan():
     res = veronese_radius_scan(0.5, 0.99, 100, samples_per_point=4)
     assert len(res.roots) == 1
-    assert abs(res.roots[0].param - ROOT2INV) < 1e-6
+    assert abs(res.roots[0].param - ROOT2INV) < 1e-11
     assert res.roots[0].classification == "proper-biharmonic"
     assert abs(res.roots[0].H_norm - 1.0) < 1e-6
 
@@ -199,3 +200,104 @@ def test_all_roots_verified(sphere_scan):
         assert root.residual < 1e-6
         assert root.classification in ("proper-biharmonic", "minimal")
         assert root.bisection_iterations > 0
+
+
+# ---------------------------------------------------------------------------
+# _refine on synthetic profiles: T(t) stands for the stacked tau2 vector and
+# f = ||T|| for the max over sample points
+
+
+def synthetic(T, calls=None):
+    """A memoized profile closure, as ``_profile`` builds; ``calls`` records
+    the parameter values it evaluates, in order."""
+    cache = {}
+
+    def at(t):
+        if t not in cache:
+            if calls is not None:
+                calls.append(t)
+            v = np.asarray(T(t), dtype=float)
+            f = float(np.linalg.norm(v))
+            cache[t] = scan.Profile(f, f, 0.0, 0.0, v)
+        return cache[t]
+    return at
+
+
+def test_refine_linear_zero():
+    root = 0.61803
+    calls = []
+    at = synthetic(lambda t: [2.0 * (t - root) + (t - root) ** 2,
+                              -(t - root) + 3.0 * (t - root) ** 2], calls)
+    t, steps = scan._refine(at, 0.6, 0.615, 0.63)
+    assert abs(t - root) < 1e-12
+    assert 1 <= steps <= 5
+    assert len(calls) == steps + 3          # the bracket, then one per step
+
+
+def test_refine_double_zero():
+    root = math.sqrt(2.0 / 3.0)
+    at = synthetic(lambda t: [160.0 * (t - root) ** 2,
+                              40.0 * (t - root) ** 2 + (t - root) ** 3])
+    t, steps = scan._refine(at, 0.81, 0.816, 0.822)
+    assert abs(t - root) < 1e-6
+    assert steps < 60
+
+
+def test_refine_positive_minimum_stays_in_bracket():
+    # ||T|| >= 0.3 everywhere, smallest at t = 0.42: no root to find
+    calls = []
+    at = synthetic(lambda t: [t - 0.42, 0.3 + (t - 0.42) ** 2], calls)
+    a, b = 0.4, 0.45
+    t, steps = scan._refine(at, a, 0.41, b)
+    assert a <= t <= b
+    assert all(a <= c <= b for c in calls)
+    assert abs(t - 0.42) < 1e-6
+    assert at(t).tau_max >= 0.3
+
+
+def test_refine_golden_fallback():
+    # T is even around 0, so the secant through t0 = a and t1 = x is nearly
+    # flat and its step lands beyond b; the golden-section point replaces it
+    calls = []
+    at = synthetic(lambda t: [t * t, 1.0], calls)
+    a, x, b = -0.11, 0.1, 1.0
+    secant = x - (x * x) * (x * x - a * a) * (x - a) / (x * x - a * a) ** 2
+    assert secant > b
+    t, steps = scan._refine(at, a, x, b)
+    assert calls[3] == x + scan.GOLDEN * (b - x)
+    assert a <= t <= b and abs(t) < 1e-6
+
+
+def test_proper_root_refinement_cost(monkeypatch):
+    """Profile evaluations spent in refinement, counted as the benchmark
+    tracer counts them: calls of the profile closure that miss its cache
+    while ``_refine`` runs."""
+    count = {"refine_evals": 0}
+    refining = [False]
+    profile, refine = scan._profile, scan._refine
+
+    def counted_profile(family, points, cache):
+        at = profile(family, points, cache)
+
+        def wrapped(t):
+            if refining[0] and float(t) not in cache:
+                count["refine_evals"] += 1
+            return at(t)
+        return wrapped
+
+    def flagged_refine(*args, **kwargs):
+        refining[0] = True
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(scan, "_profile", counted_profile)
+    monkeypatch.setattr(scan, "_refine", flagged_refine)
+    res = sweep(FamilySpec(tag="small-hypersphere", param_name="r", lo=0.6,
+                           hi=0.8, steps=30, fixed={"m": 2},
+                           samples_per_point=4))
+    assert len(res.roots) == 1
+    assert abs(res.roots[0].param - ROOT2INV) < 1e-11
+    assert count["refine_evals"] <= 8
+    assert res.roots[0].bisection_iterations == count["refine_evals"]

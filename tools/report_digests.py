@@ -49,6 +49,9 @@ SCANS = [
     ["--family", "clifford-torus-b3", "--param", "t", "--range", "0.2:0.69"],
     ["--family", "product-spheres", "--param", "r", "--param", "m1=2", "--param", "m2=1",
      "--range", "0.3:0.95"],
+    # a range without a root, and one whose upper end is the minimal member
+    ["--family", "small-hypersphere", "--param", "r", "--range", "0.3:0.55"],
+    ["--family", "veronese", "--param", "r", "--range", "0.5:1.0"],
 ]
 COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
 
