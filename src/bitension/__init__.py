@@ -19,7 +19,6 @@ from .chart import (
     eval_jet,
     eval_real,
     parse_chart,
-    parse_chart_file,
     perturbed_chart,
     sample_points,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "__version__",
     "Jet", "JetError", "JetDomainError", "seed_variable", "elementary", "variables",
     "parse", "to_string", "ExprSyntaxError",
-    "ChartSpec", "ChartError", "parse_chart", "parse_chart_file", "catalog_chart",
+    "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
     "catalog_entries", "eval_jet", "eval_real", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
     "geometry_block", "sample_geometries", "intrinsic_curvature", "scalar_curvature",

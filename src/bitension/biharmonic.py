@@ -284,8 +284,8 @@ def evaluate_chart(
 ) -> ResidualReport:
     """Evaluate every characterization over deterministic samples.
 
-    A sample point whose geometry fails (off the sphere, rank-deficient,
-    ill-conditioned, outside the domain, non-finite) is skipped and its
+    A sample point whose geometry fails (off the sphere, rank-deficient
+    (metric condition >= 1e8), outside the domain, non-finite) is skipped and its
     message kept in ``failures``.  The samples are evaluated in blocks
     (``extrinsic.sample_geometries``); results and messages are those of
     one-point evaluation.

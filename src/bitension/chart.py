@@ -28,7 +28,6 @@ import numpy as np
 from . import expr, jets
 
 SINGULAR_MARGIN = 0.05
-RANK_TOL = 1e-8
 MAX_DOMAIN_DIM = 6
 MAX_AMBIENT_DIM = 8
 
@@ -60,8 +59,6 @@ class ChartSpec:
         params: dict | None = None,
         normalize: bool = False,
         catalog: dict | None = None,
-        singular_margin: float = SINGULAR_MARGIN,
-        rank_tol: float = RANK_TOL,
     ):
         self.name = str(name)
         self.m = int(m)
@@ -73,8 +70,6 @@ class ChartSpec:
         self.params = {str(k): float(v) for k, v in (params or {}).items()}
         self.normalize = bool(normalize)
         self.catalog = catalog
-        self.singular_margin = float(singular_margin)
-        self.rank_tol = float(rank_tol)
         _validate(self)
 
     def __repr__(self) -> str:
@@ -109,10 +104,10 @@ def _validate(spec: ChartSpec):
     for lo, hi in spec.domain:
         if not lo < hi:
             raise ChartError(f"empty domain interval [{lo}, {hi}]")
-        if hi - lo <= 2 * spec.singular_margin:
+        if hi - lo <= 2 * SINGULAR_MARGIN:
             raise ChartError(
                 f"domain interval [{lo}, {hi}] narrower than twice the "
-                f"singular margin {spec.singular_margin}"
+                f"singular margin {SINGULAR_MARGIN}"
             )
     for c in spec.components:
         k = expr.max_var_index(c)
@@ -209,10 +204,6 @@ def chart_document(tag: str | None = None, path: str | None = None) -> dict:
         raise ChartError(f"cannot read chart file {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise ChartError(f"chart file {path!r} is not valid JSON: {e}") from e
-
-
-def parse_chart_file(path: str) -> ChartSpec:
-    return parse_chart(chart_document(path=path))
 
 
 def family_chart(doc: dict, param_name: str, value: float, fixed: dict) -> ChartSpec:
@@ -402,10 +393,6 @@ _CATALOG = {
 }
 
 
-def catalog_tags() -> list[str]:
-    return list(_CATALOG)
-
-
 def catalog_entries() -> list[dict]:
     return [
         {"tag": tag, "params": meta["params"], "describe": meta["describe"],
@@ -459,9 +446,9 @@ def _check_margin(spec: ChartSpec, points) -> np.ndarray:
     slack = 1e-12
     for point in points.reshape(-1, spec.m):
         for x, (lo, hi) in zip(point, spec.domain):
-            if x < lo + spec.singular_margin - slack or x > hi - spec.singular_margin + slack:
+            if x < lo + SINGULAR_MARGIN - slack or x > hi - SINGULAR_MARGIN + slack:
                 raise ChartEvalError(
-                    f"point outside the safe region (margin {spec.singular_margin})",
+                    f"point outside the safe region (margin {SINGULAR_MARGIN})",
                     point,
                 )
     return points
@@ -553,8 +540,8 @@ def sample_points(spec: ChartSpec, count: int, seed: int) -> np.ndarray:
     frac = (offset[None, :] + k * _LATTICE_ALPHAS[None, : spec.m]) % 1.0
     pts = np.empty((count, spec.m))
     for i, (lo, hi) in enumerate(spec.domain):
-        a = lo + spec.singular_margin
-        b = hi - spec.singular_margin
+        a = lo + SINGULAR_MARGIN
+        b = hi - SINGULAR_MARGIN
         pts[:, i] = a + frac[:, i] * (b - a)
     return pts
 

@@ -67,14 +67,15 @@ refined roots appended as ``root:<classification>`` rows.
 profile evaluation each; the key keeps its name for schema stability.
 
 A sample point whose geometry cannot be evaluated (off the sphere,
-rank-deficient, ill-conditioned, outside the domain, or with non-finite
-jets or results, e.g. from floating-point overflow) is skipped and listed
-under "failures"; if every sample fails the exit status is 3.  JSON output
-is strict: it never contains NaN or Infinity tokens.
+rank-deficient (metric condition >= 1e8), outside the domain, or with
+non-finite jets or results, e.g. from floating-point overflow) is skipped
+and listed under "failures"; if every sample fails the exit status is 3.
+JSON output is strict: it never contains NaN or Infinity tokens.
 
 Reports contain no timestamps and all randomness is seed-controlled, so a
 fixed command line always produces byte-identical output; files are written
-atomically (temp file + rename).
+atomically (temp file + rename), and an ``--output`` path that cannot be
+written exits 2.
 """
 
 from __future__ import annotations
@@ -107,19 +108,23 @@ def _parse_params(raw: list[str] | None) -> tuple[dict, list[str]]:
 
 
 def _emit(text: str, path: str | None):
+    """Write to stdout, or atomically to ``path``; a path that cannot be
+    written raises ValueError (exit 2) and leaves no temp file behind."""
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bitension-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bitension-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise ValueError(f"cannot write report to {path!r}: {e.strerror or e}") from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json(doc: dict) -> str:

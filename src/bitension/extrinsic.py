@@ -29,16 +29,21 @@ order (``_frame_riemann``), so the reported scalar curvature can be formed
 from the m^2 entries it needs without the full tensor.
 
 Point blocks.  ``geometry_block`` evaluates a block of P sample points at
-once: every jet array carries a leading point axis, from the chart jets
-(P, n+1, L) to the Christoffel, B and H jets, so each kernel call serves all
-P points (Taylor arithmetic in vector mode).  The index sums keep their
-order, the point axis only adds independent rows, and the value-level
-frames and contractions (``_mgs``, the normal-frame pick, the einsums) run
-per point on slices laid out like a lone point's arrays, so each point's
-``PointGeometry`` is bit-identical to ``compute_geometry``, which is the
-P=1 call.  ``block_size`` fixes P from m alone: 8 for m <= 3, where a
-point's cost is mostly per-call dispatch, and 1 for m >= 4, where the
-kernels' own arithmetic takes over.  On a 2-core Xeon VM one block of 8
+once: every array carries a leading point axis, from the chart jets
+(P, n+1, L) through the Christoffel, B and H jets to each value-level field,
+so each kernel call and each contraction serves all P points (Taylor
+arithmetic in vector mode).  Each point's ``PointGeometry`` stays
+bit-identical to ``compute_geometry``, the P=1 call, because every value
+step is the numpy primitive a lone point would call, on the same strided
+views: an ``einsum`` gains a ``p`` index, ``np.dot`` of two jet rows becomes
+a stacked ``@`` (``_dot``; a contiguous copy would sum in another order) and
+``np.sum`` a per-row sum.  Two things stay per point: the pivoted
+Gram-Schmidt frames (``_value_frames`` picks other pivots at each point), and
+the two full reductions of Delta f, whose ``einsum`` with a point axis sums
+in another order (it moved the last bit of 12 of 640 probed values).
+``block_size`` fixes P from m alone: 8 for m <= 3, where a point's cost is
+mostly per-call dispatch, and 1 for m >= 4, where the kernels' own
+arithmetic takes over.  On a 2-core Xeon VM one block of 8
 cost 0.30-0.47 of eight one-point calls at m = 2, 3, but 0.63 at m = 4, 0.80
 at m = 5 and 0.98 at m = 6, where it also raised the peak memory of one
 call from 10 MB to 70 MB above the interpreter's (stacked temporaries grow
@@ -59,7 +64,7 @@ import numpy as np
 from . import chart as chart_mod
 from . import jets
 
-COND_LIMIT = 1e10
+RANK_TOL = 1e-8     # eig_min <= RANK_TOL * eig_max: a rank-deficient metric
 
 
 class GeometryError(ValueError):
@@ -158,7 +163,6 @@ class PointGeometry:
     A: np.ndarray | None = None     # (m, m) shape operator, B_frame[0]
     A2: float | None = None
     grad_f: np.ndarray | None = None          # (n+1,)
-    grad_f_coord: np.ndarray | None = None    # (m,)
     delta_f: float | None = None
     nabla_A: np.ndarray | None = None         # (m, m, m): <(grad A)(e_a,e_b), e_c>
     trace_nabla_A: np.ndarray | None = None   # (n+1,) ambient vector
@@ -179,13 +183,6 @@ class PointGeometry:
     @property
     def hypersurface(self) -> bool:
         return self.codim == 1
-
-    @property
-    def A_xi(self) -> np.ndarray:
-        """Shape operator matrices per normal direction; in the orthonormal
-        tangent frame these coincide with the B components along each normal,
-        <A_xi e_a, e_b> = <B(e_a, e_b), xi>."""
-        return self.B_frame
 
 
 @dataclass
@@ -278,8 +275,9 @@ def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False
 def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False) -> list[PointGeometry]:
     """Full extrinsic package at each point of a (P, m) block.
 
-    Every jet stage is one kernel call over the whole block; value-level
-    frames and contractions run per point.  Raises on the first failed
+    Every jet stage is one kernel call, and every value-level field one
+    array operation, over the whole block; only the pivoted frames and the
+    Delta f reductions run per point.  Raises on the first failed
     check of any point, so a caller that needs per-point outcomes re-runs a
     failed block point by point (``sample_geometries``).
     """
@@ -293,11 +291,13 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     P = len(points)
 
     phi0 = Phi[..., 0]
-    for norm in map(np.linalg.norm, phi0):
-        if abs(norm - 1.0) > 1e-8:
-            raise GeometryError(
-                f"chart does not land on the unit sphere (|phi| = {norm:.6g})"
-            )
+    rows = np.ascontiguousarray(phi0)       # np.linalg.norm's sum: np.dot of a contiguous row
+    norm = np.sqrt(_dot(rows, rows))
+    off_sphere = np.abs(norm - 1.0) > 1e-8
+    if off_sphere.any():
+        raise GeometryError(
+            f"chart does not land on the unit sphere (|phi| = {norm[np.argmax(off_sphere)]:.6g})"
+        )
 
     dPhi = np.stack([sp.deriv(Phi, i) for i in range(m)], axis=1)  # order 3
     jac = dPhi[..., 0]
@@ -307,15 +307,13 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     gJ[:, iu, ju] = gJ[:, ju, iu] = sp.dot(dPhi[:, iu], dPhi[:, ju], 3)
     g0 = gJ[..., 0]
 
-    for eig in np.linalg.eigvalsh(g0):
-        if eig[0] <= spec.rank_tol * eig[-1]:
-            raise GeometryError(
-                f"rank-deficient differential (metric eigenvalues {eig[0]:.3e}..{eig[-1]:.3e})"
-            )
-        if eig[-1] > COND_LIMIT * eig[0]:
-            raise GeometryError(
-                f"ill-conditioned metric (condition number {eig[-1] / eig[0]:.3e})"
-            )
+    eig = np.linalg.eigvalsh(g0)[:, [0, -1]]
+    rank_deficient = eig[:, 0] <= RANK_TOL * eig[:, 1]
+    if rank_deficient.any():
+        lo, hi = eig[np.argmax(rank_deficient)]
+        raise GeometryError(
+            f"rank-deficient differential (metric eigenvalues {lo:.3e}..{hi:.3e})"
+        )
     cho = np.linalg.cholesky(g0)
     g0inv = np.linalg.inv(cho.swapaxes(-1, -2)) @ np.linalg.inv(cho)
     ginvJ = _jet_mat_inv(sp, gJ, g0inv, 3)
@@ -359,86 +357,92 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     UJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, dHJ, 1)        # order 1
     U0 = UJ[..., 0]
 
+    # value stage: each field once over the point axis, with the numpy
+    # primitive a lone point uses, on the same strided views (module docstring)
     codim = n - m
-    frames = [_value_frames(phi0[p], jac[p], ginv0[p], codim) for p in range(P)]
+    tangent, E, normal = (np.stack(x) for x in zip(*[
+        _value_frames(phi0[p], jac[p], ginv0[p], codim) for p in range(P)]))
+    d1 = slice(sp.var_pos[0], sp.var_pos[-1] + 1)  # first partials, adjacent in graded order
+
+    def lap(dd, V):
+        """-g^ij dd_ij + g^ij Gamma^k_ij V_k"""
+        return (-np.einsum("pij,pijc->pc", ginv0, dd)
+                + np.einsum("pij,pkij,pkc->pc", ginv0, Gam0, V))
+
+    # second derivatives [p, i, j, c], in C order like a lone point's (the
+    # einsums in ``lap`` sum in a layout-dependent order): the rough
+    # Laplacian's nabla_i W_j = d_i W_j + <W_j, dphi_i> phi, and the normal
+    # one's P_N(d_i U_j)
+    phi, J = phi0[:, None, None], jac[:, None, None]
+    dW, dU = (np.moveaxis(X[..., d1], -1, 1) for X in (WJ, UJ))
+    ddH = np.ascontiguousarray(dW + _dot(W0[:, None], jac[:, :, None])[..., None] * phi)
+    coeffs = ginv0[:, None, None] @ (J @ dU[..., None])
+    ddU = np.ascontiguousarray(dU - _dot(dU, phi)[..., None] * phi
+                               - (coeffs.swapaxes(-1, -2) @ J)[..., 0, :])
+
+    BH = np.einsum("pilc,pc->pil", B0, H0)
+    # |B|^2 comes from the value-level normal frame (the jet normal agrees
+    # only to rounding); for a hypersurface that frame otherwise only picks
+    # the constant direction whose normal projection gives the jet normal
+    B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
+    B2 = _sumsq(B_frame)
     if codim == 1:
-        c_star = [int(np.argmax(np.abs(normal[0]))) for _, _, normal in frames]
+        c_star = np.argmax(np.abs(normal[:, 0]), axis=-1)
         etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star,
                                           flip_normal)
-        # C order: the per-point einsum over it sums in a layout-dependent order
+        normal = etaJ[:, None, :, 0].copy()
+        B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
+    B_frame.setflags(write=False)
+    hyper: dict = {}
+    if codim == 1:
+        # f, grad f, Delta f and the cubic form grad A, from the jets of f
+        # and A^k_j; C order: the einsums below sum in a layout-dependent order
         hess = np.stack([sp.deriv(fJ, i)[:, sp.var_pos] for i in range(m)], axis=1).copy()
-
-    out = []
-    for p, (tangent_frame, E, normal_frame) in enumerate(frames):
-        # per point from here: value-level contractions in the sample's order
-        phi, jac_p, g, ginv, Gam = phi0[p], jac[p], g0[p], ginv0[p], Gam0[p]
-        W, U, B, H = W0[p], U0[p], B0[p], H0[p]
-        H2 = float(H2J[p, 0])
-
-        ddH = np.empty((m, m, n + 1))
-        for i in range(m):
-            for j in range(m):
-                ddH[i, j] = WJ[p, j, :, sp.var_pos[i]] + np.dot(W[j], jac_p[i]) * phi
-        delta_H = -np.einsum("ij,ijc->c", ginv, ddH) + np.einsum(
-            "ij,kij,kc->c", ginv, Gam, W
+        df = fJ[:, sp.var_pos]
+        nablaA = AJ[..., sp.var_pos].transpose(0, 1, 3, 2).copy()  # [p, k, i, j]
+        nablaA += np.einsum("pkil,plj->pkij", Gam0, AJ[..., 0])
+        nablaA -= np.einsum("plij,pkl->pkij", Gam0, AJ[..., 0])
+        hyper = dict(
+            f=fJ[:, 0].tolist(), eta=normal[:, 0], A=B_frame[:, 0],
+            A2=_sumsq(B_frame[:, 0]).tolist(),
+            grad_f=((ginv0 @ df[..., None]).swapaxes(-1, -2) @ jac)[:, 0],
+            # full reductions: with a point axis they sum in another order
+            delta_f=[float(-np.einsum("ij,ij->", ginv0[p], hess[p])
+                           + np.einsum("ij,kij,k->", ginv0[p], Gam0[p], df[p]))
+                     for p in range(P)],
+            nabla_A=np.einsum("pai,pbj,pkij,pkw,pcw->pabc", E, E, nablaA, g0, E),
+            trace_nabla_A=np.einsum("pij,pkij,pkc->pc", ginv0, nablaA, jac),
         )
+    A_H = np.einsum("pai,pbj,pijc,pc->pab", E, E, B0, H0)
 
-        # the normal rough Laplacian of H
-        def _project_value(v: np.ndarray) -> np.ndarray:
-            out = v - np.dot(v, phi) * phi
-            coeffs = ginv @ (jac_p @ v)
-            return out - coeffs @ jac_p
+    H2 = H2J[:, 0].tolist()
+    perp2 = np.einsum("pij,pic,pjc->p", ginv0, U0, U0).tolist()
+    block = dict(
+        phi=phi0, jac=jac, metric=g0, metric_inv=ginv0, christoffel=Gam0,
+        christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
+        normal_frame=normal, B_coord=B0, B_frame=B_frame, A_H=A_H, H=H0,
+        H2=H2, B2=B2.tolist(), AH2=_sumsq(A_H).tolist(), delta_H=lap(ddH, W0),
+        delta_perp_H=lap(ddU, U0), nabla_perp_H=U0,
+        grad_H2=np.einsum("pij,pi,pjc->pc", ginv0, H2J[:, sp.var_pos], jac),
+        trace_B_AH=np.einsum("pij,pkl,pil,pjkc->pc", ginv0, ginv0, BH, B0),
+        trace_A_nablaH=np.einsum("pij,pkl,pjlc,pic,pkd->pd", ginv0, ginv0, B0, U0, jac),
+        **hyper,
+    )
+    return [PointGeometry(point=points[p], m=m, n=n, H_norm=math.sqrt(max(H2[p], 0.0)),
+                          nabla_perp_H_norm=math.sqrt(max(perp2[p], 0.0)),
+                          **{k: v[p] for k, v in block.items()})
+            for p in range(P)]
 
-        nabla_perp_H_norm = math.sqrt(
-            max(float(np.einsum("ij,ic,jc->", ginv, U, U)), 0.0)
-        )
-        ddU = np.empty((m, m, n + 1))
-        for i in range(m):
-            for j in range(m):
-                ddU[i, j] = _project_value(UJ[p, j, :, sp.var_pos[i]])
-        delta_perp_H = -np.einsum("ij,ijc->c", ginv, ddU) + np.einsum(
-            "ij,kij,kc->c", ginv, Gam, U
-        )
 
-        grad_H2_coord = H2J[p, sp.var_pos]
-        grad_H2 = np.einsum("ij,i,jc->c", ginv, grad_H2_coord, jac_p)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> over the last axis, broadcast over the others: a stacked
+    ``@`` sums in the same order as ``np.dot`` on each pair of rows."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-        BH = np.einsum("ilc,c->il", B, H)
-        trace_B_AH = np.einsum("ij,kl,il,jkc->c", ginv, ginv, BH, B)
-        trace_A_nablaH = np.einsum(
-            "ij,kl,jlc,ic,kd->d", ginv, ginv, B, U, jac_p
-        )
 
-        # |B|^2 comes from the value-level normal frame (the jet normal
-        # agrees only to rounding); for a hypersurface that frame otherwise
-        # only picks the constant direction whose normal projection gives
-        # the jet normal
-        B_frame = np.einsum("ai,bj,ijc,xc->xab", E, E, B, normal_frame)
-        B2 = float(np.sum(B_frame * B_frame))
-        if codim == 1:
-            normal_frame = etaJ[p][None, :, 0].copy()
-            B_frame = np.einsum("ai,bj,ijc,xc->xab", E, E, B, normal_frame)
-        B_frame.setflags(write=False)
-        hyper: dict = {}
-        if codim == 1:
-            A = B_frame[0]
-            hyper = dict(eta=normal_frame[0], A=A, A2=float(np.sum(A * A)),
-                         **_hypersurface_fields(sp, fJ[p], hess[p], AJ[p], Gam,
-                                                jac_p, g, ginv, E))
-        A_H = np.einsum("ai,bj,ijc,c->ab", E, E, B, H)
-
-        out.append(PointGeometry(
-            point=points[p], m=m, n=n, phi=phi, jac=jac_p, metric=g,
-            metric_inv=ginv, christoffel=Gam, christoffel_grad=dGam0[p],
-            tangent_frame=tangent_frame, frame_coeff=E, normal_frame=normal_frame,
-            B_coord=B, B_frame=B_frame, A_H=A_H, H=H,
-            H_norm=math.sqrt(max(H2, 0.0)), H2=H2, B2=B2,
-            AH2=float(np.sum(A_H * A_H)), delta_H=delta_H,
-            delta_perp_H=delta_perp_H, nabla_perp_H=U,
-            nabla_perp_H_norm=nabla_perp_H_norm, grad_H2=grad_H2,
-            trace_B_AH=trace_B_AH, trace_A_nablaH=trace_A_nablaH, **hyper,
-        ))
-    return out
+def _sumsq(X: np.ndarray) -> np.ndarray:
+    """``np.sum(X[p] * X[p])`` for each point p of a (P, ...) block."""
+    return (X * X).reshape(len(X), -1).sum(-1)
 
 
 def _value_frames(phi0, jac, ginv0, codim):
@@ -496,30 +500,6 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, flip_normal):
     for l in range(m):
         AJ += T[:, :, l]
     return etaJ, fJ, AJ
-
-
-def _hypersurface_fields(sp, fJ, hess, AJ, Gam0, jac, g0, ginv0, E) -> dict:
-    """f, grad f, Delta f and the cubic form grad A at one point, from the
-    jets of f and A^k_j and the Hessian of f."""
-    df = fJ[sp.var_pos]
-    grad_f_coord = ginv0 @ df
-    delta_f = float(
-        -np.einsum("ij,ij->", ginv0, hess)
-        + np.einsum("ij,kij,k->", ginv0, Gam0, df)
-    )
-    A0 = AJ[:, :, 0]
-    # a C-contiguous copy: the einsums below sum in a layout-dependent order
-    nablaA = AJ[:, :, sp.var_pos].transpose(0, 2, 1).copy()        # [k, i, j]
-    nablaA += np.einsum("kil,lj->kij", Gam0, A0)
-    nablaA -= np.einsum("lij,kl->kij", Gam0, A0)
-    return {
-        "f": float(fJ[0]),
-        "grad_f_coord": grad_f_coord,
-        "grad_f": grad_f_coord @ jac,
-        "delta_f": delta_f,
-        "nabla_A": np.einsum("ai,bj,kij,kw,cw->abc", E, E, nablaA, g0, E),
-        "trace_nabla_A": np.einsum("ij,kij,kc->c", ginv0, nablaA, jac),
-    }
 
 
 # ---------------------------------------------------------------------------

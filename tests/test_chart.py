@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bitension import chart, jets
+from bitension import chart, extrinsic, jets
 from bitension.chart import (
     ChartError, ChartEvalError, catalog_chart, eval_jet, eval_jet_stack,
     eval_real, parse_chart, perturbed_chart, sample_points,
@@ -45,7 +45,7 @@ def test_catalog_immersion_invariant(tag, params):
         jac = np.array([j.gradient() for j in jets_list]).T   # (m, n+1)
         g = jac @ jac.T
         eig = np.linalg.eigvalsh(g)
-        assert eig[0] > spec.rank_tol * eig[-1]
+        assert eig[0] > extrinsic.RANK_TOL * eig[-1]
 
 
 def test_clifford_torus_constant_component():
@@ -165,8 +165,8 @@ def test_sample_points_contract():
     c = sample_points(spec, 64, 8)
     assert not np.array_equal(a, c)
     for i, (lo, hi) in enumerate(spec.domain):
-        assert np.all(a[:, i] >= lo + spec.singular_margin - 1e-12)
-        assert np.all(a[:, i] <= hi - spec.singular_margin + 1e-12)
+        assert np.all(a[:, i] >= lo + chart.SINGULAR_MARGIN - 1e-12)
+        assert np.all(a[:, i] <= hi - chart.SINGULAR_MARGIN + 1e-12)
     with pytest.raises(ChartError):
         sample_points(spec, 0, 1)
 

@@ -385,6 +385,28 @@ def test_output_file_atomic_and_round_trip(capsys, tmp_path):
     assert leftovers == []
 
 
+UNWRITABLE_CASES = [
+    ("verify", "--catalog", "veronese", "--param", f"r={ROOT2INV!r}", "--points", "4",
+     "--format", "json"),
+    ("scan", "--family", "clifford-torus-b3", "--param", "t", "--range", "0.4:0.6",
+     "--steps", "8", "--samples", "2", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("args", UNWRITABLE_CASES, ids=lambda a: a[0])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exit_two(capsys, tmp_path, args, target):
+    # a missing parent directory fails on the temp file, a directory on the
+    # rename; either way exit 2 with one error line and no temp file left
+    out_path = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *args, "--output", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {str(out_path)!r}: ")
+    assert err.count("\n") == 1
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".bitension-")] == []
+
+
 def test_determinism_byte_identical(capsys, tmp_path):
     args = ("verify", "--catalog", "product-spheres",
             "--param", "m1=2", "--param", "m2=1",

@@ -452,8 +452,8 @@ def test_rank_deficient_chart_rejected():
 
 
 def test_ill_conditioned_metric_guard():
-    # nearly collapsed second coordinate: condition number beyond 1e10 while
-    # still past a loosened rank tolerance
+    # nearly collapsed second coordinate: metric condition about 2.7e11, past
+    # 1 / RANK_TOL, so the shipped tolerance rejects the point as rank-deficient
     eps = 2e-6
     doc = {
         "name": "squashed", "m": 2, "n": 3,
@@ -466,9 +466,12 @@ def test_ill_conditioned_metric_guard():
         "domain": [[0.0, 3.14], [0.0, 6.28]],
     }
     spec = chart.parse_chart(doc)
-    spec.rank_tol = 1e-14
-    with pytest.raises(GeometryError, match="condition"):
-        compute_geometry(spec, [1.3, 3.0])
+    point = [1.3, 3.0]
+    jac = np.array([j.gradient() for j in chart.eval_jet(spec, point)]).T
+    eig = np.linalg.eigvalsh(jac @ jac.T)
+    assert eig[-1] / eig[0] > 1.0 / extrinsic.RANK_TOL
+    with pytest.raises(GeometryError, match="^rank-deficient differential"):
+        compute_geometry(spec, point)
 
 
 def test_off_sphere_chart_rejected():
@@ -537,6 +540,15 @@ def test_project_normal_jets_stacked_equals_per_slice(m):
 # the point-block core: bit-identical to one-point evaluation
 # ---------------------------------------------------------------------------
 
+# S^2(1/2) x S^2(1/2) x {1/sqrt(2)} in S^6: proper biharmonic with |H| = 1
+S2_S2_DOC = {
+    "name": "S2(1/2) x S2(1/2) x {1/sqrt(2)}", "m": 4, "n": 6,
+    "expressions": ["0.5 * sin(u1) * cos(u2)", "0.5 * sin(u1) * sin(u2)", "0.5 * cos(u1)",
+                    "0.5 * sin(u3) * cos(u4)", "0.5 * sin(u3) * sin(u4)", "0.5 * cos(u3)",
+                    repr(ROOT2INV)],
+    "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]] * 2,
+}
+
 BLOCK_CHARTS = (
     [bumped_hypersphere(m) for m in range(1, 7)]
     + [catalog_chart("small-hypersphere", {"m": 3, "r": 0.7}),
@@ -544,7 +556,9 @@ BLOCK_CHARTS = (
        catalog_chart("veronese", {"r": 0.8}),
        catalog_chart("product-spheres", {"m1": 2, "m2": 1, "r1": 0.8, "r2": 0.6}),
        catalog_chart("generalized-clifford", {"m1": 2, "m2": 4, "r1": 0.6, "r2": 0.8}),
-       perturbed_chart(71), perturbed_chart(72, base="torus")]
+       perturbed_chart(71), perturbed_chart(72, base="torus"),
+       # m = 4 in codimension 2: the normal-frame pick, B_frame and PMC
+       chart.parse_chart(S2_S2_DOC)]
 )
 
 

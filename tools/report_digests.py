@@ -24,6 +24,15 @@ import tempfile
 R = repr(1.0 / math.sqrt(2.0))
 SEED = "3"
 CHART_DOC = "perturbed-sphere-5.json"
+# S^2(1/2) x S^2(1/2) x {1/sqrt(2)} in S^6: m = 4 in codimension 2, proper
+# biharmonic with |H| = 1, so the normal frame, B_frame and PMC all show
+S2_S2_DOC = "s2-s2-point.json"
+S2_S2 = {
+    "name": "S2(1/2) x S2(1/2) x {1/sqrt(2)}", "m": 4, "n": 6,
+    "expressions": ["0.5 * sin(u1) * cos(u2)", "0.5 * sin(u1) * sin(u2)", "0.5 * cos(u1)",
+                    "0.5 * sin(u3) * cos(u4)", "0.5 * sin(u3) * sin(u4)", "0.5 * cos(u3)", R],
+    "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]] * 2,
+}
 COMMANDS = [
     ["verify", "--catalog", "small-hypersphere", "--param", "m=2", "--param", f"r={R}"],
     ["verify", "--catalog", "clifford-torus-b3", "--param", "a=0.5", "--param", "b=0.5"],
@@ -35,6 +44,7 @@ COMMANDS = [
      "--param", f"r1={R}", "--param", f"r2={R}"],
     ["verify", "--catalog", "small-hypersphere", "--param", "m=6", "--param", f"r={R}"],
     ["verify", "--chart", CHART_DOC],
+    ["verify", "--chart", S2_S2_DOC],
 ]
 COMMANDS = [c + ["--points", "16", "--seed", SEED, "--format", "json"] for c in COMMANDS]
 # sample counts that leave a partial point block (blocks of 8 at m <= 3)
@@ -54,6 +64,11 @@ SCANS = [
     ["--family", "veronese", "--param", "r", "--range", "0.5:1.0"],
 ]
 COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
+# the text renderers: human verify and audit, CSV scan
+COMMANDS += [
+    [cmd, "--chart", S2_S2_DOC, "--points", "16", "--seed", SEED] for cmd in ("verify", "audit")
+]
+COMMANDS += [["scan", *SCANS[2], "--steps", "40", "--seed", SEED, "--format", "csv"]]
 
 
 def chart_doc(chart, expr) -> dict:
@@ -77,8 +92,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        with open(CHART_DOC, "w", encoding="utf-8") as fh:
-            json.dump(chart_doc(chart, expr), fh, indent=2)
+        for name, doc in ((CHART_DOC, chart_doc(chart, expr)), (S2_S2_DOC, S2_S2)):
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
         for argv in COMMANDS:
             code = cli.main(argv + ["--output", "out.txt"])
             text = b""
