@@ -37,20 +37,22 @@ bit-identical to ``compute_geometry``, the P=1 call, because every value
 step is the numpy primitive a lone point would call, on the same strided
 views: an ``einsum`` gains a ``p`` index, ``np.dot`` of two jet rows becomes
 a stacked ``@`` (``_dot``; a contiguous copy would sum in another order) and
-``np.sum`` a per-row sum.  Two things stay per point: the pivoted
-Gram-Schmidt frames (``_value_frames`` picks other pivots at each point), and
-the two full reductions of Delta f, whose ``einsum`` with a point axis sums
-in another order (it moved the last bit of 12 of 640 probed values).
-``block_size`` fixes P from m alone: 8 for m <= 3, where a point's cost is
+``np.sum`` a per-row sum.  The pivoted Gram-Schmidt frames run over the
+point axis too, each point with its own pivots (``_block_frames``), and the
+finiteness of every field is checked once per block.  Only the two full
+reductions of Delta f stay per point: their ``einsum`` with a point axis
+sums in another order (it moved the last bit of 12 of 640 probed values).
+``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
 mostly per-call dispatch, and 1 for m >= 4, where the kernels' own
 arithmetic takes over.  On a 2-core Xeon VM one block of 8
 cost 0.30-0.47 of eight one-point calls at m = 2, 3, but 0.63 at m = 4, 0.80
 at m = 5 and 0.98 at m = 6, where it also raised the peak memory of one
 call from 10 MB to 70 MB above the interpreter's (stacked temporaries grow
-with P).  A block raises on the first failed check of any point;
-``sample_geometries`` then evaluates that block again point by point, so
-every failure carries its own point's message and the good points are
-kept, exactly as with one call per point.
+with P).  At m <= 3, blocks of 32 instead of 8 (and the block frames) took
+64-sample verify calls from 920 to 1550 samples/s at a peak of 55 MB instead
+of 50 (16 points: 51 MB, 64: 63 MB).  A block raises on the first failed check of any
+point; ``sample_geometries`` then evaluates that block (up to 32 points)
+again point by point, so every failure carries its own point's message.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
 
 
 def _mgs(rows: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Modified Gram-Schmidt on the rows, largest remaining row first."""
+    """Modified Gram-Schmidt on the rows, largest remaining row first (one
+    point; ``_block_frames`` is the same over a point axis)."""
     V = rows.astype(np.float64).copy()
     frame = []
     remaining = list(range(V.shape[0]))
@@ -126,8 +129,10 @@ def _mgs(rows: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 class PointGeometry:
     """All extrinsic data of one chart at one sample point.
 
-    Immutable value: every field is computed once by ``geometry_block``
-    and is finite (construction raises ``GeometryError`` otherwise).
+    Immutable value: every field is computed once by ``geometry_block``,
+    its only constructor, and is finite: ``geometry_block`` checks each
+    field over its block and raises ``GeometryError`` naming the first
+    non-finite one in field order.
     """
 
     point: np.ndarray
@@ -166,15 +171,6 @@ class PointGeometry:
     delta_f: float | None = None
     nabla_A: np.ndarray | None = None         # (m, m, m): <(grad A)(e_a,e_b), e_c>
     trace_nabla_A: np.ndarray | None = None   # (n+1,) ambient vector
-
-    def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        arrays = [v.ravel() for v in values.values() if isinstance(v, np.ndarray)]
-        scalars = [v for v in values.values() if isinstance(v, float)]
-        if np.isfinite(np.concatenate(arrays)).all() and all(map(math.isfinite, scalars)):
-            return
-        bad = next(k for k, v in values.items() if v is not None and not np.all(np.isfinite(v)))
-        raise GeometryError(f"non-finite {bad} at the sample point")
 
     @property
     def codim(self) -> int:
@@ -227,7 +223,7 @@ def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
 def block_size(m: int) -> int:
     """Sample points per ``geometry_block`` call for an m-dimensional chart
     (the rule and its measurements are in the module docstring)."""
-    return 8 if m <= 3 else 1
+    return 32 if m <= 3 else 1
 
 
 def sample_geometries(spec: chart_mod.ChartSpec, points,
@@ -276,10 +272,10 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     """Full extrinsic package at each point of a (P, m) block.
 
     Every jet stage is one kernel call, and every value-level field one
-    array operation, over the whole block; only the pivoted frames and the
-    Delta f reductions run per point.  Raises on the first failed
-    check of any point, so a caller that needs per-point outcomes re-runs a
-    failed block point by point (``sample_geometries``).
+    array operation, over the whole block; only the Delta f reductions and
+    the ``PointGeometry`` construction run per point.  Raises on the first
+    failed check of any point, so a caller that needs per-point outcomes
+    re-runs a failed block point by point (``sample_geometries``).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -360,8 +356,7 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     # value stage: each field once over the point axis, with the numpy
     # primitive a lone point uses, on the same strided views (module docstring)
     codim = n - m
-    tangent, E, normal = (np.stack(x) for x in zip(*[
-        _value_frames(phi0[p], jac[p], ginv0[p], codim) for p in range(P)]))
+    tangent, E, normal = _block_frames(rows / norm[:, None], jac, ginv0, codim)
     d1 = slice(sp.var_pos[0], sp.var_pos[-1] + 1)  # first partials, adjacent in graded order
 
     def lap(dd, V):
@@ -418,19 +413,22 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     H2 = H2J[:, 0].tolist()
     perp2 = np.einsum("pij,pic,pjc->p", ginv0, U0, U0).tolist()
     block = dict(
-        phi=phi0, jac=jac, metric=g0, metric_inv=ginv0, christoffel=Gam0,
+        point=points, phi=phi0, jac=jac, metric=g0, metric_inv=ginv0, christoffel=Gam0,
         christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
         normal_frame=normal, B_coord=B0, B_frame=B_frame, A_H=A_H, H=H0,
-        H2=H2, B2=B2.tolist(), AH2=_sumsq(A_H).tolist(), delta_H=lap(ddH, W0),
-        delta_perp_H=lap(ddU, U0), nabla_perp_H=U0,
+        H_norm=[math.sqrt(max(x, 0.0)) for x in H2], H2=H2, B2=B2.tolist(),
+        AH2=_sumsq(A_H).tolist(), delta_H=lap(ddH, W0), delta_perp_H=lap(ddU, U0), nabla_perp_H=U0,
+        nabla_perp_H_norm=[math.sqrt(max(x, 0.0)) for x in perp2],
         grad_H2=np.einsum("pij,pi,pjc->pc", ginv0, H2J[:, sp.var_pos], jac),
         trace_B_AH=np.einsum("pij,pkl,pil,pjkc->pc", ginv0, ginv0, BH, B0),
         trace_A_nablaH=np.einsum("pij,pkl,pjlc,pic,pkd->pd", ginv0, ginv0, B0, U0, jac),
         **hyper,
     )
-    return [PointGeometry(point=points[p], m=m, n=n, H_norm=math.sqrt(max(H2[p], 0.0)),
-                          nabla_perp_H_norm=math.sqrt(max(perp2[p], 0.0)),
-                          **{k: v[p] for k, v in block.items()})
+    for f in fields(PointGeometry):     # the first non-finite field, in field order
+        v = block.get(f.name)
+        if v is not None and not np.isfinite(v).all():
+            raise GeometryError(f"non-finite {f.name} at the sample point")
+    return [PointGeometry(m=m, n=n, **{k: v[p] for k, v in block.items()})
             for p in range(P)]
 
 
@@ -445,29 +443,45 @@ def _sumsq(X: np.ndarray) -> np.ndarray:
     return (X * X).reshape(len(X), -1).sum(-1)
 
 
-def _value_frames(phi0, jac, ginv0, codim):
-    """Orthonormal tangent frame, its coefficients E (e_a = E[a,i] dphi_i)
-    and a value-level orthonormal normal frame at one point."""
-    n1 = phi0.shape[0]
-    tangent_frame = _mgs(jac)
-    if tangent_frame.shape[0] != jac.shape[0]:
-        raise GeometryError("tangent frame construction failed")
-    E = (tangent_frame @ jac.T) @ ginv0
+def _block_frames(phi_unit, jac, ginv0, codim):
+    """Orthonormal tangent frames, their coefficients E (e_a = E[a,i] dphi_i)
+    and value-level orthonormal normal frames of a (P, ...) block; raises if
+    any point's frame degenerates.
 
-    span = np.vstack([phi0 / np.linalg.norm(phi0), tangent_frame])
-    cand = np.eye(n1) - span.T @ (span @ np.eye(n1))
-    normal_rows = []
-    work = cand.copy()
-    for _ in range(codim):
-        pick = int(np.argmax(np.linalg.norm(work, axis=1)))
-        v = work[pick]
-        nv = np.linalg.norm(v)
-        if nv < 1e-10:
+    Each tangent frame is bit-identical to ``_mgs(jac[p])``: the rows are a
+    contiguous copy, a row norm is ``sqrt(<v, v>)`` (``np.linalg.norm`` of a
+    contiguous row), and each point's pivot is the ``argmax`` with its picked
+    rows at -inf, so ties and NaN go to the lowest remaining index.
+    """
+    V = np.array(jac)
+    P, m, n1 = V.shape
+    at = np.arange(P)
+    tangent = np.empty_like(V)
+    picked = np.zeros((P, m), dtype=bool)
+    for a in range(m):
+        norms = np.sqrt(_dot(V, V))
+        norms[picked] = -np.inf
+        pick = np.argmax(norms, axis=-1)
+        top = norms[at, pick]
+        if np.any(top < 1e-13):
+            raise GeometryError("tangent frame construction failed")
+        e = tangent[:, a] = V[at, pick] / top[:, None]
+        picked[at, pick] = True
+        V -= _dot(V, e[:, None])[..., None] * e[:, None]
+    E = (tangent @ jac.swapaxes(-1, -2)) @ ginv0
+
+    span = np.concatenate([phi_unit[:, None], tangent], axis=1)
+    eye = np.eye(n1)
+    work = eye - span.swapaxes(-1, -2) @ (span @ eye)
+    normal = np.empty((P, codim, n1))
+    for x in range(codim):
+        v = work[at, np.argmax(np.linalg.norm(work, axis=-1), axis=-1)]
+        nv = np.sqrt(_dot(v, v))
+        if np.any(nv < 1e-10):
             raise GeometryError("normal frame construction failed (degenerate complement)")
-        e = v / nv
-        normal_rows.append(e)
-        work = work - np.outer(work @ e, e)
-    return tangent_frame, E, np.array(normal_rows)
+        e = normal[:, x] = v / nv[:, None]
+        work = work - (work @ e[..., None]) * e[:, None]
+    return tangent, E, normal
 
 
 def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, flip_normal):

@@ -69,8 +69,9 @@ class JetSpace:
     instead of one per slice.  Every leading row is convolved independently
     and each output coefficient sums its pair products in table order, so a
     stacked call is bit-identical to the per-slice calls it replaces.  The
-    flattened scatter index of a ``rows``-row product is cached per
-    ``(order, rows)``.
+    flattened scatter index is cached once per ``order``, grown to the most
+    rows seen so far; a product with fewer rows reads its prefix, which holds
+    the values its own index would, so the cache stays one array per order.
     """
 
     def __init__(self, num_vars: int):
@@ -96,7 +97,7 @@ class JetSpace:
         )
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._scatter_index: dict[tuple[int, int], np.ndarray] = {}
+        self._scatter_index: dict[int, np.ndarray] = {}
 
     # -- tables ----------------------------------------------------------
 
@@ -160,11 +161,12 @@ class JetSpace:
             return np.bincount(K, weights=w, minlength=L)
         lead = w.shape[:-1]
         rows = math.prod(lead)
-        kk = self._scatter_index.get((order, rows))
-        if kk is None:
+        pairs = rows * len(K)
+        kk = self._scatter_index.get(order)
+        if kk is None or len(kk) < pairs:
             kk = (K[None, :] + (np.arange(rows) * L)[:, None]).ravel()
-            self._scatter_index[(order, rows)] = kk
-        out = np.bincount(kk, weights=w.ravel(), minlength=rows * L)
+            self._scatter_index[order] = kk
+        out = np.bincount(kk[:pairs], weights=w.ravel(), minlength=rows * L)
         return out.reshape(lead + (L,))
 
     def mul(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:

@@ -583,8 +583,8 @@ def assert_same_geometry(g, ref):
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_geometry_block_equals_point_by_point(spec, flip):
-    # 13 points: one full block of 8 and a partial one at m <= 3
-    pts = sample_points(spec, 13 if spec.m <= 3 else 3, 5)
+    # 37 points: one full block of 32 and a partial one at m <= 3
+    pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
     ref = [compute_geometry(spec, p, flip) for p in pts]
     for got in (extrinsic.geometry_block(spec, pts, flip),
                 list(extrinsic.sample_geometries(spec, pts, flip))):
@@ -594,7 +594,131 @@ def test_geometry_block_equals_point_by_point(spec, flip):
 
 
 def test_block_size_rule():
-    assert [extrinsic.block_size(m) for m in range(1, 7)] == [8, 8, 8, 1, 1, 1]
+    assert [extrinsic.block_size(m) for m in range(1, 7)] == [32, 32, 32, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the block frames: each point's pivots, bit-identical to one point's frames
+# ---------------------------------------------------------------------------
+
+
+def block_frame_inputs(spec, pts):
+    """``_block_frames`` inputs from real jets, jac and ginv0 strided as in
+    ``geometry_block``."""
+    Phi, sp = chart.eval_jet_stack(spec, pts)
+    dPhi = np.stack([sp.deriv(Phi, i) for i in range(spec.m)], axis=1)
+    phi0, jac = Phi[..., 0], dPhi[..., 0]
+    phi_unit = phi0 / np.linalg.norm(phi0, axis=-1, keepdims=True)
+    ginv = np.linalg.inv(jac @ jac.swapaxes(-1, -2))
+    return phi_unit, jac, np.stack([ginv, ginv], axis=-1)[..., 0]   # strided like ginvJ's
+
+
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_block_frames_equal_one_point_frames(spec):
+    # tangent frames against _mgs, and all three against P = 1 calls, the
+    # normal frames in codimension 1 to 3 (torus, S2 x S2: 2, veronese: 3)
+    phi_unit, jac, ginv0 = block_frame_inputs(spec, sample_points(spec, 9, 3))
+    assert not jac.flags.c_contiguous
+    tangent, E, normal = extrinsic._block_frames(phi_unit, jac, ginv0, spec.n - spec.m)
+    for p in range(len(jac)):
+        assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
+        assert E[p].tobytes() == ((tangent[p] @ jac[p].T) @ ginv0[p]).tobytes()
+        one = extrinsic._block_frames(phi_unit[p:p + 1], jac[p:p + 1], ginv0[p:p + 1],
+                                      spec.n - spec.m)
+        for got, ref in zip((tangent, E, normal), one):
+            assert got[p].tobytes() == ref[0].tobytes()
+
+
+def test_block_tangent_frames_pivot_per_point():
+    # row norms ordered differently at each point, and a tie (rows 1 and 2)
+    # at the last one; phi = e_4 is normal to every row
+    jac = np.array([
+        [[1.0, 0.2, 0.0, 0.1, 0.0], [0.3, 3.0, 0.0, 0.2, 0.0], [0.0, 0.4, 2.0, 0.0, 0.0]],
+        [[3.0, 0.1, 0.0, 0.3, 0.0], [0.2, 1.0, 0.4, 0.0, 0.0], [0.0, 0.0, 0.1, 2.0, 0.0]],
+        [[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0]],
+    ])
+    phi_unit = np.tile([0.0, 0.0, 0.0, 0.0, 1.0], (3, 1))
+    tangent, _, normal = extrinsic._block_frames(phi_unit, jac, np.tile(np.eye(3), (3, 1, 1)), 1)
+    for p in range(3):
+        assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
+    # first pivots: the largest row; the tie goes to the lower index
+    assert [int(np.argmax(np.abs(tangent[p, 0]))) for p in range(3)] == [1, 0, 1]
+    for p in range(3):
+        np.testing.assert_allclose(tangent[p] @ tangent[p].T, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(normal[p] @ np.vstack([phi_unit[p], tangent[p]]).T, 0.0,
+                                   atol=1e-15)
+    # the rounding left in a picked row (3.5e-10) outweighs the last row
+    # (3.7e-11, above the tolerance): a picked row is never picked again
+    third = 1e6 / 3.0
+    jac = np.array([[[third, 2 * third, 2 * third, 0.0, 0.0], [0.3, 0.2, 0.1, 0.0, 0.0],
+                     [2e-11, -1e-11, 3e-11, 0.0, 0.0]]])
+    tangent, _, _ = extrinsic._block_frames(phi_unit[:1], jac, np.eye(3)[None], 1)
+    assert tangent[0].tobytes() == extrinsic._mgs(jac[0]).tobytes()
+
+
+TORUS = catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.45})    # codimension 2
+
+
+def test_block_frames_degenerate_point_raises():
+    phi_unit, jac, ginv0 = block_frame_inputs(TORUS, sample_points(TORUS, 4, 3))
+    flat = jac.copy()
+    flat[2, 1] = flat[2, 0]                 # point 2 spans a line only
+    with pytest.raises(GeometryError, match="^tangent frame construction failed$"):
+        extrinsic._block_frames(phi_unit, flat, ginv0, 2)
+    with pytest.raises(GeometryError, match="degenerate complement"):
+        extrinsic._block_frames(phi_unit, jac, ginv0, 3)   # one normal too many
+
+
+def test_degenerate_frame_in_block_rerun_point_by_point(monkeypatch):
+    spec = TORUS
+    pts = sample_points(spec, 10, 4)
+    refs = [compute_geometry(spec, p) for p in pts]
+    bad_phi = refs[3].phi
+    block_frames = extrinsic._block_frames
+
+    def collapse_point_3(phi_unit, jac, ginv0, codim):
+        bad = np.linalg.norm(phi_unit - bad_phi, axis=-1) < 1e-6
+        return block_frames(phi_unit, np.where(bad[:, None, None], 0.0, jac), ginv0, codim)
+
+    monkeypatch.setattr(extrinsic, "_block_frames", collapse_point_3)
+    with pytest.raises(GeometryError, match="^tangent frame construction failed$"):
+        extrinsic.geometry_block(spec, pts)
+    got = list(extrinsic.sample_geometries(spec, pts))
+    assert str(got[3]) == "tangent frame construction failed"
+    for p in (0, 1, 2, 4, 5, 6, 7, 8, 9):
+        assert_same_geometry(got[p], refs[p])
+
+
+def test_non_finite_field_checked_once_per_block(monkeypatch):
+    # a NaN in one point's normal part of nabla H: the block raises, and the
+    # re-run names the first non-finite field in field order at that point
+    spec = TORUS
+    pts = sample_points(spec, 10, 6)
+    refs = [compute_geometry(spec, p) for p in pts]
+    bad_phi = refs[6].phi
+    project = extrinsic._project_normal_jets
+
+    def poison_point_6(sp, Phi, dPhi, ginvJ, V, order):
+        out = project(sp, Phi, dPhi, ginvJ, V, order)
+        if order == 1:                      # U_j = P_N(d_j H), the last call
+            out[np.linalg.norm(Phi[..., 0] - bad_phi, axis=-1) < 1e-6, 0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(extrinsic, "_project_normal_jets", poison_point_6)
+    with pytest.raises(GeometryError, match="^non-finite"):
+        extrinsic.geometry_block(spec, pts)
+    with pytest.raises(GeometryError) as err:
+        compute_geometry(spec, pts[6])
+    # delta_perp_H, nabla_perp_H, nabla_perp_H_norm and trace_A_nablaH all
+    # carry the NaN; delta_perp_H comes first among the fields
+    assert str(err.value) == "non-finite delta_perp_H at the sample point"
+    names = [f.name for f in dataclasses.fields(extrinsic.PointGeometry)]
+    assert names.index("delta_perp_H") < min(
+        names.index(k) for k in ("nabla_perp_H", "nabla_perp_H_norm", "trace_A_nablaH"))
+    got = list(extrinsic.sample_geometries(spec, pts))
+    assert str(got[6]) == str(err.value)
+    for p in (0, 1, 2, 3, 4, 5, 7, 8, 9):
+        assert_same_geometry(got[p], refs[p])
 
 
 # a sphere chart whose polar angle u2 crosses the pole: at u2 = 0 the metric

@@ -252,6 +252,24 @@ def test_stacked_mul_dot_equal_per_slice_calls(d):
         assert np.array_equal(sp.dot(X, Y, order), dot_ref)
 
 
+def test_scatter_index_prefix_after_larger_call():
+    # one cached index per order, grown to the most rows seen: a small
+    # product after a large one reads a prefix and equals a fresh space's
+    sp = jets.JetSpace(3)
+    rng = np.random.default_rng(350)
+    big = rng.standard_normal((2, 40, sp.size))
+    small = rng.standard_normal((2, 3, 2, sp.size))       # mul: 6 rows, dot: 3
+    for order in range(1, jets.ORDER + 1):
+        sp.mul(big[0], big[1], order)
+        fresh = jets.JetSpace(3)
+        assert np.array_equal(sp.mul(small[0], small[1], order),
+                              fresh.mul(small[0], small[1], order))
+        assert np.array_equal(sp.dot(small[0], small[1], order),
+                              fresh.dot(small[0], small[1], order))
+        assert len(fresh._scatter_index[order]) < len(sp._scatter_index[order])
+    assert sorted(sp._scatter_index) == list(range(1, jets.ORDER + 1))
+
+
 @pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
 def test_first_partial_value_is_degree_one_coefficient(d):
     sp = jets.space(d)

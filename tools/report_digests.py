@@ -5,21 +5,34 @@ lines means a change moved report bytes.
 
     python3 tools/report_digests.py                  # the package in ./src
     python3 tools/report_digests.py --src OTHER/src  # another checkout's src
+    python3 tools/report_digests.py --fields         # PointGeometry fields
 
 Each line reads ``<sha256>  exit=<code>  <command line>``.  The commands run
 in-process through ``cli.main`` inside a temporary directory, so the chart
 document path echoed in a report is the same relative name on every run.
+
+``--fields`` prints one line per chart instead: a sha256 over every
+``PointGeometry`` field (bytes, dtype, shape, the strides of its long axes,
+the writeable flag) and ``scalar_curvature`` of each sample, from a
+``geometry_block`` call, ``sample_geometries`` and one-point calls, in both
+normal orientations, with each failure's message.  It guards the fields a
+report does not print, and uses only API that every tree since the point
+blocks has.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 R = repr(1.0 / math.sqrt(2.0))
 SEED = "3"
@@ -47,12 +60,17 @@ COMMANDS = [
     ["verify", "--chart", S2_S2_DOC],
 ]
 COMMANDS = [c + ["--points", "16", "--seed", SEED, "--format", "json"] for c in COMMANDS]
-# sample counts that leave a partial point block (blocks of 8 at m <= 3)
+# sample counts that leave a partial point block at m <= 3 (13 and 21 with
+# blocks of 8; 37, one full block of 32 and a partial one, with blocks of 32)
 COMMANDS += [
     ["verify", "--catalog", "veronese", "--param", f"r={R}",
      "--points", "13", "--seed", SEED, "--format", "json"],
     ["verify", "--catalog", "small-hypersphere", "--param", "m=3", "--param", f"r={R}",
      "--points", "21", "--seed", SEED, "--format", "json"],
+    ["verify", "--catalog", "veronese", "--param", f"r={R}",
+     "--points", "37", "--seed", SEED, "--format", "json"],
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=3", "--param", f"r={R}",
+     "--points", "37", "--seed", SEED, "--format", "json"],
 ]
 SCANS = [
     ["--family", "small-hypersphere", "--param", "r", "--range", "0.3:0.99"],
@@ -81,14 +99,94 @@ def chart_doc(chart, expr) -> dict:
     }
 
 
+# the --fields charts: m = 1..6, codimension 1..3, catalog, perturbed and
+# document charts; a sphere chart crossing its pole adds a rank-deficient
+# point and a chart-stage failure to a block
+POLE_DOC = {
+    "name": "pole-crossing", "m": 2, "n": 3,
+    "expressions": ["cos(u1) * sin(u2)", "sin(u1) * sin(u2)", "cos(u2)",
+                    "sin(u2) * sqrt(u1 - c)"],
+    "domain": [[0.0, 6.28], [-1.5, 1.5]],
+    "params": {"c": 1.0},
+    "normalize": True,
+}
+def field_charts(chart, expr) -> list:
+    def bumped(m):
+        base = chart.catalog_chart("small-hypersphere", {"m": m, "r": 0.8})
+        comps = [f"{expr.to_string(c)} + {0.03 * (1 + 0.3 * k)!r} * sin(u{k % m + 1}"
+                 f" + 2.0 * u{(k + 1) % m + 1} + {0.7 * k!r})"
+                 for k, c in enumerate(base.components)]
+        return chart.ChartSpec(name=f"bumped-hypersphere-{m}", m=m, n=m + 1,
+                               components=comps, domain=base.domain, normalize=True)
+
+    return [bumped(m) for m in range(1, 7)] + [
+        chart.catalog_chart("small-hypersphere", {"m": 3, "r": 0.7}),
+        chart.catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.45}),
+        chart.catalog_chart("veronese", {"r": 0.8}),
+        chart.catalog_chart("product-spheres", {"m1": 2, "m2": 1, "r1": 0.8, "r2": 0.6}),
+        chart.catalog_chart("generalized-clifford",
+                            {"m1": 2, "m2": 4, "r1": 0.6, "r2": 0.8}),
+        chart.perturbed_chart(71), chart.perturbed_chart(72, base="torus"),
+        chart.parse_chart(S2_S2), chart.parse_chart(POLE_DOC),
+    ]
+
+
+def field_digests(chart, expr, extrinsic) -> None:
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as e:         # GeometryError, ChartError
+            return e
+
+    for spec in field_charts(chart, expr):
+        count = 37 if spec.m <= 3 else 3     # at m <= 3 a full and a partial block
+        if spec.name == POLE_DOC["name"]:
+            pts = np.column_stack([np.linspace(1.5, 6.0, count), np.linspace(-1.2, 1.3, count)])
+            pts[2], pts[5] = (3.0, 0.0), (0.5, 0.7)
+        else:
+            pts = chart.sample_points(spec, count, 5)
+        h = hashlib.sha256()
+        nfields = ngeoms = 0
+        for flip in (False, True):
+            block = outcome(extrinsic.geometry_block, spec, pts, flip)
+            for g in itertools.chain(
+                    [block] if isinstance(block, ValueError) else block,
+                    extrinsic.sample_geometries(spec, pts, flip),
+                    [outcome(extrinsic.compute_geometry, spec, p, flip) for p in pts]):
+                if isinstance(g, ValueError):
+                    h.update(f"{type(g).__name__}: {g}".encode())
+                    continue
+                values = [getattr(g, f.name) for f in dataclasses.fields(g)]
+                if g.m >= 2:
+                    values.append(extrinsic.scalar_curvature(g))
+                for v in values:
+                    if isinstance(v, np.ndarray):
+                        long_axes = [(s, k) for s, k in zip(v.strides, v.shape) if k > 1]
+                        h.update(repr((v.dtype.str, v.shape, long_axes,
+                                       v.flags.writeable)).encode())
+                        h.update(v.tobytes())
+                    else:
+                        h.update(repr(v).encode())
+                nfields += len(values)
+                ngeoms += 1
+        print(f"{h.hexdigest()}  fields={nfields} geometries={ngeoms}  {spec.name}",
+              flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     here = os.path.dirname(os.path.abspath(__file__))
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                     help="directory holding the bitension package (default: ./src)")
+    ap.add_argument("--fields", action="store_true",
+                    help="digest PointGeometry fields per chart instead of reports")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from bitension import chart, cli, expr
+    from bitension import chart, cli, expr, extrinsic
+
+    if args.fields:
+        field_digests(chart, expr, extrinsic)
+        return 0
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
