@@ -9,15 +9,14 @@ system, plus parameter-family scans that locate the biharmonic locus.
 
 __version__ = "0.1.0"
 
-from .jets import Jet, JetDomainError, JetError, elementary, seed_variable, variables
+from .jets import JetDomainError, JetError, elementary, seed_variable, space
 from .expr import ExprSyntaxError, parse, to_string
 from .chart import (
     ChartError,
     ChartSpec,
     catalog_chart,
     catalog_entries,
-    eval_jet,
-    eval_real,
+    eval_jet_stack,
     parse_chart,
     perturbed_chart,
     sample_points,
@@ -45,19 +44,19 @@ from .biharmonic import (
     split_residuals,
     tau2_direct,
 )
-from .scan import FamilySpec, ScanResult, ScanError, sweep, veronese_radius_scan
+from .scan import FamilySpec, ScanResult, ScanError, sweep
 
 __all__ = [
     "__version__",
-    "Jet", "JetError", "JetDomainError", "seed_variable", "elementary", "variables",
+    "space", "JetError", "JetDomainError", "seed_variable", "elementary",
     "parse", "to_string", "ExprSyntaxError",
     "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
-    "catalog_entries", "eval_jet", "eval_real", "sample_points", "perturbed_chart",
+    "catalog_entries", "eval_jet_stack", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
     "geometry_block", "sample_geometries", "intrinsic_curvature", "scalar_curvature",
     "gauss_ricci_check", "nabla_A_symmetry_check",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
     "tau2_direct", "split_residuals", "hypersurface_residuals", "pmc_check",
     "quantity_audit",
-    "FamilySpec", "ScanResult", "ScanError", "sweep", "veronese_radius_scan",
+    "FamilySpec", "ScanResult", "ScanError", "sweep",
 ]

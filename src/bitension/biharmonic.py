@@ -53,17 +53,6 @@ def tau2_direct(geom: PointGeometry) -> np.ndarray:
     return -geom.m * (geom.delta_H - geom.m * geom.H)
 
 
-def sphere_curvature_contraction(geom: PointGeometry) -> np.ndarray:
-    """trace R^S(dphi e_i, H) dphi e_i evaluated from the curvature formula
-    R^S(X,Y)Z = <Y,Z>X - <X,Z>Y; equals -m H for any immersion, which is the
-    identity tau2_direct hard-codes."""
-    out = np.zeros_like(geom.H)
-    for a in range(geom.m):
-        x = geom.tangent_frame[a]
-        out += np.dot(geom.H, x) * x - np.dot(x, x) * geom.H
-    return out
-
-
 def split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Normal and tangent residual vectors of the split characterization."""
     normal = geom.delta_perp_H + geom.trace_B_AH - geom.m * geom.H

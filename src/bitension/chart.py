@@ -472,7 +472,7 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
     rows = []
     try:
         for comp in spec.components:
-            rows.append(expr.eval_jet(comp, var_jets, spec.params, memo).coeffs)
+            rows.append(expr.eval_jet(comp, sp, var_jets, spec.params, memo))
     except (jets.JetDomainError, expr.ExprEvalError) as e:
         raise ChartEvalError(f"chart evaluation failed: {e}", block[0]) from e
     stack = np.empty((len(block), len(rows), sp.size))
@@ -487,38 +487,9 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
                 f"cannot normalize near-zero vector (|phi| = {math.sqrt(max(norm2[p, 0], 0)):.3e})",
                 block[p],
             )
-        scale = jets.elementary(
-            "recip", jets.elementary("sqrt", jets.Jet(sp, norm2))
-        )
-        stack = sp.mul(stack, scale.coeffs[:, None])
+        scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", norm2))
+        stack = sp.mul(stack, scale[:, None])
     return stack.reshape(points.shape[:-1] + stack.shape[1:]), sp
-
-
-def eval_jet(spec: ChartSpec, point) -> list[jets.Jet]:
-    stack, sp = eval_jet_stack(spec, point)
-    return [jets.Jet(sp, row) for row in stack]
-
-
-def eval_real(spec: ChartSpec, point, lib=math) -> list:
-    """Plain numeric evaluation of phi; no jet machinery involved.
-
-    Enforces only the domain box (finite-difference stencils may step closer
-    to a face than the sampling margin).
-    """
-    slack = 1e-12
-    for x, (lo, hi) in zip(point, spec.domain):
-        if not lo - slack <= x <= hi + slack:
-            raise ChartEvalError("point outside the domain box", point)
-    try:
-        vals = [expr.eval_real(c, point, spec.params, lib) for c in spec.components]
-    except (expr.ExprEvalError, ValueError, ZeroDivisionError) as e:
-        raise ChartEvalError(f"chart evaluation failed: {e}", point) from e
-    if spec.normalize:
-        norm = lib.sqrt(sum(v * v for v in vals))
-        if norm < 1e-6:
-            raise ChartEvalError("cannot normalize near-zero vector", point)
-        vals = [v / norm for v in vals]
-    return vals
 
 
 _LATTICE_ALPHAS = np.array(

@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 
 
@@ -321,11 +323,13 @@ def max_var_index(e: Expr) -> int:
     return -1
 
 
-def eval_jet(e: Expr, var_jets, params: dict, memo: dict | None = None) -> jets.Jet:
-    """Evaluate over jets.  ``memo`` shares equal subtrees within one call.
+def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict,
+             memo: dict | None = None) -> np.ndarray:
+    """Evaluate over order-4 jets of ``sp``, arrays (..., L).  ``memo``
+    shares equal subtrees within one call.
 
     The variable jets may carry a leading point axis (one block of sample
-    points per call); constant subtrees then stay single jets that
+    points per call); constant subtrees then stay single (L,) jets that
     broadcast against the block.
     """
     if memo is None:
@@ -334,78 +338,35 @@ def eval_jet(e: Expr, var_jets, params: dict, memo: dict | None = None) -> jets.
     if hit is not None:
         return hit
     if isinstance(e, Const):
-        out = jets.Jet.constant(e.value, var_jets[0].num_vars)
+        out = sp.constant(e.value)
     elif isinstance(e, Pi):
-        out = jets.Jet.constant(math.pi, var_jets[0].num_vars)
+        out = sp.constant(math.pi)
     elif isinstance(e, Var):
         out = var_jets[e.index]
     elif isinstance(e, Param):
         try:
-            out = jets.Jet.constant(float(params[e.name]), var_jets[0].num_vars)
+            out = sp.constant(params[e.name])
         except KeyError:
             raise ExprEvalError(f"unknown parameter {e.name!r}") from None
     elif isinstance(e, Unary):
-        arg = eval_jet(e.arg, var_jets, params, memo)
-        out = -arg if e.op == "neg" else jets.elementary(e.op, arg)
+        out = jets.elementary(sp, e.op, eval_jet(e.arg, sp, var_jets, params, memo))
     elif isinstance(e, Binary):
-        a = eval_jet(e.left, var_jets, params, memo)
-        b = eval_jet(e.right, var_jets, params, memo)
+        a = eval_jet(e.left, sp, var_jets, params, memo)
+        b = eval_jet(e.right, sp, var_jets, params, memo)
         if e.op == "+":
             out = a + b
         elif e.op == "-":
             out = a - b
         elif e.op == "*":
-            out = a * b
+            out = sp.mul(a, b)
         else:
-            if (b.coeffs[..., 0] == 0.0).any():
+            if (b[..., 0] == 0.0).any():
                 raise jets.JetDomainError("recip", 0.0)
-            out = a / b
+            out = sp.mul(a, jets.elementary(sp, "recip", b))
     elif isinstance(e, Power):
-        out = jets.elementary(
-            "pow_int", eval_jet(e.base, var_jets, params, memo), exponent=e.exponent
-        )
+        out = jets.elementary(sp, "pow_int", eval_jet(e.base, sp, var_jets, params, memo),
+                              exponent=e.exponent)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[e] = out
     return out
-
-
-def eval_real(e: Expr, point, params: dict, lib=math):
-    """Plain numeric evaluation; ``lib`` may be ``math`` or ``mpmath.mp``-like.
-
-    Kept free of any jet machinery so finite-difference oracles built on it
-    are an independent derivative path.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Pi):
-        return lib.pi
-    if isinstance(e, Var):
-        return point[e.index]
-    if isinstance(e, Param):
-        try:
-            return params[e.name]
-        except KeyError:
-            raise ExprEvalError(f"unknown parameter {e.name!r}") from None
-    if isinstance(e, Unary):
-        a = eval_real(e.arg, point, params, lib)
-        if e.op == "neg":
-            return -a
-        if e.op == "sqrt" and a < 0:
-            raise ExprEvalError(f"sqrt of negative value {a!r}")
-        return getattr(lib, e.op)(a)
-    if isinstance(e, Binary):
-        a = eval_real(e.left, point, params, lib)
-        b = eval_real(e.right, point, params, lib)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
-            raise ExprEvalError("division by zero")
-        return a / b
-    if isinstance(e, Power):
-        return eval_real(e.base, point, params, lib) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")

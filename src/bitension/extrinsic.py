@@ -501,8 +501,8 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, flip_normal):
     nn = sp.mul(NJ, NJ, 3).sum(axis=-2)
     if np.any(nn[:, 0] < 1e-16):
         raise GeometryError("normal frame construction failed (degenerate complement)")
-    scale = jets.elementary("recip", jets.elementary("sqrt", jets.Jet(sp, nn, 3)))
-    etaJ = sp.mul(NJ, scale.coeffs[:, None], 3)
+    scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 3), 3)
+    etaJ = sp.mul(NJ, scale[:, None], 3)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2
     flip = (fJ[:, 0] < -1e-12) != flip_normal
     etaJ = np.where(flip[:, None, None], -etaJ, etaJ)

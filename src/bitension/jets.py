@@ -8,22 +8,21 @@ quantity that is itself built from second derivatives of the chart map.
 Coefficients live in a dense float64 vector over the graded lexicographic
 monomial basis: ascending total degree, and within one degree descending
 lexicographic exponent order, so for two variables the order is
-(0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...  This enumeration is part of
-the debugging-dump format and must not change.
+(0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...  The kernels sum pair
+products in this order, so changing it would move result bits.
 
 Storing d^a f / a! instead of raw partials keeps the composition formulas
 free of factorial blow-up: multiplication is plain coefficient convolution.
 
-Each jet also carries a validity ``order``: differentiating drops it by one
-(the top-degree coefficients of a derivative would need order-5 data of the
-source, which was truncated away), and arithmetic propagates the minimum.
-Reading ``value`` or any coefficient of degree <= order is always exact.
-
-A ``Jet`` may carry leading point axes, coefficients of shape (P, L): one
-jet per sample point of a block, evaluated by the same calls.  Arithmetic
-broadcasts a single jet (a constant) against a block, and ``elementary``
-takes the series of each point separately, so every point of a block gets
-the bits it would get alone.
+A jet is a plain float64 array whose last axis holds those L coefficients;
+leading axes stack jets (ambient components, tensor indices, the sample
+points of a block).  The ``JetSpace`` kernels and ``elementary`` take the
+truncation order as an argument instead of tracking it per jet: a
+coefficient of degree <= order is exact, and differentiating a jet valid
+through degree k leaves one valid through degree k - 1 (the caller passes
+the lower order on).  Every leading row is computed independently, and
+``elementary`` takes the series of each row separately, so every point of a
+block gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -242,127 +241,7 @@ def _series_coefficients(fn: str, c0: float):
     raise JetError(f"unknown elementary function {fn!r}")
 
 
-class Jet:
-    """Immutable order-4 truncated Taylor expansion of a scalar."""
-
-    __slots__ = ("space", "coeffs", "order")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int = ORDER):
-        self.space = space
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs.shape[-1:] != (space.size,):
-            raise JetError(
-                f"expected {space.size} coefficients, got {self.coeffs.shape}"
-            )
-        self.order = order
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, num_vars: int) -> "Jet":
-        sp = space(num_vars)
-        return cls(sp, sp.constant(float(value)))
-
-    # -- access ------------------------------------------------------------
-
-    @property
-    def num_vars(self) -> int:
-        return self.space.num_vars
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def coeff(self, alpha) -> float:
-        alpha = tuple(int(x) for x in alpha)
-        if alpha not in self.space.index:
-            raise JetError(f"multi-index {alpha} out of range")
-        return float(self.coeffs[self.space.index[alpha]])
-
-    def gradient(self) -> np.ndarray:
-        """First partials (exact; degree-1 normalized coefficients)."""
-        return self.coeffs[self.space.var_pos].copy()
-
-    def to_dict(self) -> dict:
-        """Coefficients keyed by multi-index, in graded-lex enumeration order."""
-        return {a: float(c) for a, c in zip(self.space.monomials, self.coeffs)}
-
-    def __repr__(self) -> str:
-        return f"Jet(num_vars={self.num_vars}, value={self.value!r})"
-
-    # -- ring arithmetic -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise JetError("jets from different spaces")
-            return other
-        if isinstance(other, (int, float)):
-            return Jet(self.space, self.space.constant(float(other)))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs + o.coeffs, min(self.order, o.order))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs - o.coeffs, min(self.order, o.order))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.space, o.coeffs - self.coeffs, min(self.order, o.order))
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.space, self.coeffs * float(other), self.order)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        order = min(self.order, o.order)
-        return Jet(self.space, self.space.mul(self.coeffs, o.coeffs, order), order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.space, self.coeffs / float(other), self.order)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * elementary("recip", o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * elementary("recip", self)
-
-    def __pow__(self, p):
-        if not isinstance(p, int):
-            return NotImplemented
-        return elementary("pow_int", self, exponent=p)
-
-    def derivative(self, var: int) -> "Jet":
-        if not 0 <= var < self.num_vars:
-            raise JetError(f"variable index {var} out of range")
-        if self.order <= 0:
-            raise JetError("cannot differentiate an order-0 jet")
-        return Jet(self.space, self.space.deriv(self.coeffs, var), self.order - 1)
-
-
-def seed_variable(index: int, value, num_vars: int) -> Jet:
+def seed_variable(index: int, value, num_vars: int) -> np.ndarray:
     """Jet of the coordinate function u_index at a point with u_index = value;
     an array of values (one per point of a block) gives a (P, L) jet."""
     sp = space(num_vars)
@@ -371,19 +250,17 @@ def seed_variable(index: int, value, num_vars: int) -> Jet:
     c = sp.zeros(*np.shape(value))
     c[..., 0] = value
     c[..., sp.var_pos[index]] = 1.0
-    return Jet(sp, c)
+    return c
 
 
-def variables(point, num_vars: int | None = None) -> list[Jet]:
-    """Seed one jet per coordinate of ``point``."""
-    point = np.asarray(point, dtype=np.float64)
-    if num_vars is None:
-        num_vars = point.shape[0]
-    return [seed_variable(i, point[i], num_vars) for i in range(num_vars)]
+# sqrt(1 + x) = sum_k binom(1/2, k) x^k, for the rescaled series below
+_SQRT_AT_ONE = (1.0, 0.5, -0.125, 0.0625, -0.0390625)
 
 
-def elementary(fn: str, x: Jet, exponent: int | None = None) -> Jet:
-    """Apply an elementary function to a jet by truncated Taylor composition."""
+def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
+               exponent: int | None = None) -> np.ndarray:
+    """Apply an elementary function to the jets ``x`` (..., L) by truncated
+    Taylor composition, valid through degree ``order``."""
     if fn == "neg":
         return -x
     if fn == "pow_int":
@@ -391,19 +268,31 @@ def elementary(fn: str, x: Jet, exponent: int | None = None) -> Jet:
             raise JetError("pow_int requires an exponent")
         p = int(exponent)
         if p < 0:
-            return elementary("pow_int", elementary("recip", x), exponent=-p)
-        result = Jet(x.space, x.space.constant(1.0), x.order)
+            return elementary(sp, "pow_int", elementary(sp, "recip", x, order),
+                              order, -p)
+        result = sp.constant(1.0)
         base = x
         while p > 0:
             if p & 1:
-                result = result * base
+                result = sp.mul(result, base, order)
             p >>= 1
             if p:
-                base = base * base
+                base = sp.mul(base, base, order)
         return result
-    values = x.coeffs[..., 0]
+    values = x[..., 0]
     series = np.array([_series(fn, c0) for c0 in values.ravel().tolist()])
     series = series.T.reshape((ORDER + 1,) + values.shape)       # [k, ...]
-    h = x.coeffs.copy()
+    h = x.copy()
     h[..., 0] = 0.0
-    return Jet(x.space, x.space.compose(series, h, x.order), x.order)
+    out = sp.compose(series, h, order)
+    if fn == "sqrt":
+        # a finite value whose higher coefficients are beyond float range: an
+        # infinite coefficient times the zero value part of h would make the
+        # whole row NaN, so compose sqrt(c0) * sqrt(1 + h / c0) there instead;
+        # recip needs no such rows: _series makes an overflowing series NaN
+        # from its value on
+        rows = np.isfinite(series[0]) & ~np.isfinite(series).all(axis=0)
+        if rows.any():
+            c0 = values[rows][:, None]
+            out[rows] = np.sqrt(c0) * sp.compose(_SQRT_AT_ONE, h[rows] / c0, order)
+    return out

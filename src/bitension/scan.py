@@ -317,15 +317,3 @@ def _boundary_entry(grid: list[GridRow], idx: int, side: str) -> dict:
     return {"param": row.param, "side": side, "residual": row.max_residual,
             "H_norm": row.H_norm, "note": note}
 
-
-def veronese_radius_scan(lo: float, hi: float, steps: int,
-                         **kwargs) -> ScanResult:
-    """Profile of the constant-curvature parallel-surface family over its
-    radius; the expected locus is one proper biharmonic root at 1/sqrt(2)
-    and the minimal immersion at radius 1."""
-    if not 0.0 < lo < hi <= 1.0:
-        raise ScanError(f"radius range must satisfy 0 < lo < hi <= 1, got "
-                        f"[{lo}, {hi}]")
-    fam = FamilySpec(tag="veronese", param_name="r", lo=lo, hi=hi,
-                     steps=steps, **kwargs)
-    return sweep(fam)

@@ -1,6 +1,7 @@
 """Finite-difference oracles for cross-validating the jet pipeline.
 
-Everything here derives from plain numeric evaluations of the chart map:
+Everything here derives from plain numeric evaluations of the chart map
+(``eval_real`` on expression trees, ``eval_chart`` on charts):
 central differences with one Richardson extrapolation level, default step
 1e-4.  No jet arithmetic is imported, so agreement between the two paths
 validates both.
@@ -24,9 +25,80 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from . import chart as chart_mod
+from bitension.chart import ChartEvalError
+from bitension.expr import (
+    Binary, Const, Expr, ExprEvalError, Param, Pi, Power, Unary, Var,
+)
 
 DEFAULT_STEP = 1e-4
+
+
+# ---------------------------------------------------------------------------
+# plain numeric evaluation (no jet machinery)
+# ---------------------------------------------------------------------------
+
+
+def eval_real(e: Expr, point, params: dict, lib=math):
+    """Plain numeric evaluation; ``lib`` may be ``math`` or ``mpmath.mp``-like.
+
+    Kept free of any jet machinery so finite-difference oracles built on it
+    are an independent derivative path.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Pi):
+        return lib.pi
+    if isinstance(e, Var):
+        return point[e.index]
+    if isinstance(e, Param):
+        try:
+            return params[e.name]
+        except KeyError:
+            raise ExprEvalError(f"unknown parameter {e.name!r}") from None
+    if isinstance(e, Unary):
+        a = eval_real(e.arg, point, params, lib)
+        if e.op == "neg":
+            return -a
+        if e.op == "sqrt" and a < 0:
+            raise ExprEvalError(f"sqrt of negative value {a!r}")
+        return getattr(lib, e.op)(a)
+    if isinstance(e, Binary):
+        a = eval_real(e.left, point, params, lib)
+        b = eval_real(e.right, point, params, lib)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if b == 0:
+            raise ExprEvalError("division by zero")
+        return a / b
+    if isinstance(e, Power):
+        return eval_real(e.base, point, params, lib) ** e.exponent
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_chart(spec, point, lib=math) -> list:
+    """Plain numeric evaluation of phi; no jet machinery involved.
+
+    Enforces only the domain box (finite-difference stencils may step closer
+    to a face than the sampling margin).
+    """
+    slack = 1e-12
+    for x, (lo, hi) in zip(point, spec.domain):
+        if not lo - slack <= x <= hi + slack:
+            raise ChartEvalError("point outside the domain box", point)
+    try:
+        vals = [eval_real(c, point, spec.params, lib) for c in spec.components]
+    except (ExprEvalError, ValueError, ZeroDivisionError) as e:
+        raise ChartEvalError(f"chart evaluation failed: {e}", point) from e
+    if spec.normalize:
+        norm = lib.sqrt(sum(v * v for v in vals))
+        if norm < 1e-6:
+            raise ChartEvalError("cannot normalize near-zero vector", point)
+        vals = [v / norm for v in vals]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +176,7 @@ def _rich1(values_h, values_h2, h):
 
 def fd_first_derivatives(spec, point, h=DEFAULT_STEP, lib=math):
     """d_i phi for all i; list of m ambient vectors."""
-    ev = lambda u: chart_mod.eval_real(spec, u, lib)
+    ev = lambda u: eval_chart(spec, u, lib)
     out = []
     for i in range(spec.m):
         vh = (ev(_shift(point, i, h)), ev(_shift(point, i, -h)))
@@ -137,7 +209,7 @@ def _second_cross(ev, point, i, j, h):
 
 
 def fd_second_derivatives(spec, point, h=DEFAULT_STEP, lib=math):
-    ev = lambda u: chart_mod.eval_real(spec, u, lib)
+    ev = lambda u: eval_chart(spec, u, lib)
     m = spec.m
     hess = [[None] * m for _ in range(m)]
     for i in range(m):
@@ -160,7 +232,7 @@ class FDGeometry:
         self.m = spec.m
         self.n = spec.n
         self.lib = lib
-        self.phi = chart_mod.eval_real(spec, point, lib)
+        self.phi = eval_chart(spec, point, lib)
         self.jac = fd_first_derivatives(spec, point, h, lib)
         self.g = [[_dot(a, b) for b in self.jac] for a in self.jac]
         self.ginv = _mat_inv(self.g)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import BIHARMONIC_CATALOG, NEGATIVE_RADII, chart_key
-from bitension import biharmonic, chart, cli, extrinsic, oracle, scan
+import oracle
+from bitension import biharmonic, chart, cli, extrinsic, scan
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
 

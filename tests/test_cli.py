@@ -256,8 +256,8 @@ def test_huge_normalized_chart_verifies(capsys, tmp_path):
 
 def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
     # sqrt of ~1e-120: the higher series coefficients are beyond float range
-    # (their denominators underflow); the CLI must end in a verdict or exit
-    # 3, not in a ZeroDivisionError traceback
+    # (their denominators underflow), but the jet itself is small and finite;
+    # the unit S^2 in the first three components is totally geodesic
     doc = {
         "name": "tiny-sqrt", "m": 2, "n": 3,
         "expressions": ["sin(u1) * cos(u2)", "sin(u1) * sin(u2)", "cos(u1)",
@@ -269,11 +269,10 @@ def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
     f.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--chart", str(f), "--points", "4",
                          "--format", "json")
-    assert code in (0, 1, 3)
-    if code == 3:
-        assert "all 4 samples failed" in err
-    else:
-        assert json.loads(out)["verdict"]
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "minimal"
+    assert report["failures"] == [] and len(report["per_sample"]) == 4
     for text in (out, err):
         assert "NaN" not in text and "Infinity" not in text
 

@@ -20,7 +20,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bitension import biharmonic, chart, expr, extrinsic, jets, oracle, scan
+import oracle
+from bitension import biharmonic, chart, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
     GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
@@ -467,7 +468,8 @@ def test_ill_conditioned_metric_guard():
     }
     spec = chart.parse_chart(doc)
     point = [1.3, 3.0]
-    jac = np.array([j.gradient() for j in chart.eval_jet(spec, point)]).T
+    stack, sp = chart.eval_jet_stack(spec, point)
+    jac = stack[:, sp.var_pos].T
     eig = np.linalg.eigvalsh(jac @ jac.T)
     assert eig[-1] / eig[0] > 1.0 / extrinsic.RANK_TOL
     with pytest.raises(GeometryError, match="^rank-deficient differential"):
@@ -501,6 +503,35 @@ def test_non_finite_chart_rejected(component):
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="non-finite"):
             compute_geometry(spec, [1.0, 2.0])
+
+
+def test_tiny_sqrt_component_finite_in_block_and_alone():
+    # sqrt(c0 + h) with c0 ~ 1e-120: the series at c0 has infinite degree-3
+    # and degree-4 coefficients, so it is composed as sqrt(c0) sqrt(1 + h/c0);
+    # the block and every one-point call give finite jets of the unit S^2
+    doc = {
+        "name": "tiny-sqrt", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * cos(u2)", "sin(u1) * sin(u2)", "cos(u1)",
+                        "sqrt(1e-120 * (2 + sin(u2)))"],
+        "domain": [[0.0, 3.14159], [0.0, 6.28318]],
+        "normalize": True,
+    }
+    spec = chart.parse_chart(doc)
+    pts = sample_points(spec, 5, 11)
+    with np.errstate(invalid="ignore"):     # inf * 0 in the unscaled pass
+        stack, sp = chart.eval_jet_stack(spec, pts)
+    assert np.isfinite(stack).all()
+    value = np.sqrt(1e-120 * (2.0 + np.sin(pts[:, 1])))
+    np.testing.assert_allclose(stack[:, 3, 0], value, rtol=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = extrinsic.geometry_block(spec, pts)
+        for p, g in zip(pts, block):
+            alone = compute_geometry(spec, p)
+            assert np.array_equal(alone.H, g.H)
+            assert g.H_norm < 1e-12 and np.max(np.abs(g.B_coord)) < 1e-12
+    report = biharmonic.evaluate_chart(spec, samples=8, seed=3)
+    assert report.verdict == "minimal" and report.samples_used == 8
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitension import scan
-from bitension.scan import FamilySpec, ScanError, sweep, veronese_radius_scan
+from bitension.scan import FamilySpec, ScanError, sweep
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
 
@@ -77,8 +77,13 @@ def test_product_spheres_family_roots():
     assert minimal.classification == "minimal"
 
 
+def veronese_radius_family(lo, hi, steps, **kwargs):
+    return FamilySpec(tag="veronese", param_name="r", lo=lo, hi=hi,
+                      steps=steps, **kwargs)
+
+
 def test_veronese_radius_scan():
-    res = veronese_radius_scan(0.5, 0.99, 100, samples_per_point=4)
+    res = sweep(veronese_radius_family(0.5, 0.99, 100, samples_per_point=4))
     assert len(res.roots) == 1
     assert abs(res.roots[0].param - ROOT2INV) < 1e-11
     assert res.roots[0].classification == "proper-biharmonic"
@@ -86,12 +91,12 @@ def test_veronese_radius_scan():
 
 
 def test_veronese_minimal_endpoint():
-    res = veronese_radius_scan(0.9, 1.0, 12, samples_per_point=4)
+    res = sweep(veronese_radius_family(0.9, 1.0, 12, samples_per_point=4))
     last = res.grid[-1]
     assert last.param == 1.0
     assert last.verdict == "minimal"
-    with pytest.raises(ScanError):
-        veronese_radius_scan(0.0, 0.9, 12)
+    with pytest.raises(ScanError, match="outside the admissible domain"):
+        veronese_radius_family(0.0, 0.9, 12)
 
 
 def test_scan_determinism():
