@@ -439,43 +439,39 @@ def family_params(tag: str | None, param_name: str, value: float, fixed: dict) -
 
 
 def _check_margin(spec: ChartSpec, points) -> np.ndarray:
-    """The points as a float array, checked to lie in the safe region."""
+    """The (P, m) block as a float array, checked to lie in the safe region."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim not in (1, 2) or points.shape[-1] != spec.m:
+    if points.ndim != 2 or points.shape[1] != spec.m:
         raise ChartError(f"expected a point with {spec.m} coordinates")
     slack = 1e-12
-    for point in points.reshape(-1, spec.m):
-        for x, (lo, hi) in zip(point, spec.domain):
-            if x < lo + SINGULAR_MARGIN - slack or x > hi - SINGULAR_MARGIN + slack:
-                raise ChartEvalError(
-                    f"point outside the safe region (margin {SINGULAR_MARGIN})",
-                    point,
-                )
+    lo, hi = np.array(spec.domain).T
+    outside = ((points < lo + SINGULAR_MARGIN - slack)
+               | (points > hi - SINGULAR_MARGIN + slack)).any(axis=1)
+    if outside.any():
+        raise ChartEvalError(f"point outside the safe region (margin {SINGULAR_MARGIN})",
+                             points[np.argmax(outside)])
     return points
 
 
 def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
-    """Order-4 jets of all ambient components, stacked as an (n+1, L) array.
+    """Order-4 jets of all ambient components at each point of a (P, m)
+    block, stacked as a (P, n+1, L) array from one expression pass.
 
-    ``points`` is one point (m,) or a block of points (P, m); a block gives
-    (P, n+1, L) jets from one expression pass, each point's jets bit-identical
-    to its own single-point call.  An error in a block names the first
-    offending point where it is known, else the block's first point.
+    Every point's jets are bit-identical to those of its own one-point block.
+    An error names the first offending point where it is known, else the
+    block's first point.
     """
     points = _check_margin(spec, points)
-    block = points.reshape(-1, spec.m)
     sp = jets.space(spec.m)
-    # a lone point runs on single (L,) jets, skipping per-row kernel bookkeeping
-    seeds = block.T if len(block) > 1 else block[0]
-    var_jets = [jets.seed_variable(i, seeds[i], spec.m) for i in range(spec.m)]
+    var_jets = [jets.seed_variable(i, points[:, i], spec.m) for i in range(spec.m)]
     memo: dict = {}
     rows = []
     try:
         for comp in spec.components:
             rows.append(expr.eval_jet(comp, sp, var_jets, spec.params, memo))
     except (jets.JetDomainError, expr.ExprEvalError) as e:
-        raise ChartEvalError(f"chart evaluation failed: {e}", block[0]) from e
-    stack = np.empty((len(block), len(rows), sp.size))
+        raise ChartEvalError(f"chart evaluation failed: {e}", points[0]) from e
+    stack = np.empty((len(points), len(rows), sp.size))
     for c, row in enumerate(rows):
         stack[:, c] = row                       # a constant row broadcasts
     if spec.normalize:
@@ -485,11 +481,11 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
             p = int(np.argmax(small))
             raise ChartEvalError(
                 f"cannot normalize near-zero vector (|phi| = {math.sqrt(max(norm2[p, 0], 0)):.3e})",
-                block[p],
+                points[p],
             )
         scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", norm2))
         stack = sp.mul(stack, scale[:, None])
-    return stack.reshape(points.shape[:-1] + stack.shape[1:]), sp
+    return stack, sp
 
 
 _LATTICE_ALPHAS = np.array(

@@ -328,9 +328,9 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict,
     """Evaluate over order-4 jets of ``sp``, arrays (..., L).  ``memo``
     shares equal subtrees within one call.
 
-    The variable jets may carry a leading point axis (one block of sample
-    points per call); constant subtrees then stay single (L,) jets that
-    broadcast against the block.
+    ``chart.eval_jet_stack`` passes (P, L) variable jets, one row per point
+    of a block (a lone point is a block of one); constant subtrees stay (L,)
+    jets that broadcast against them.
     """
     if memo is None:
         memo = {}

@@ -28,12 +28,13 @@ entry <R(e_a, e_b) e_c, e_d> is a sequential sum over (i, j, k, w) in C
 order (``_frame_riemann``), so the reported scalar curvature can be formed
 from the m^2 entries it needs without the full tensor.
 
-Point blocks.  ``geometry_block`` evaluates a block of P sample points at
-once: every array carries a leading point axis, from the chart jets
+Point blocks.  ``geometry_block`` evaluates a (P, m) block of sample points
+at once, and a lone point is the block P = 1 (``compute_geometry``): every
+array carries exactly one leading point axis, from the chart jets
 (P, n+1, L) through the Christoffel, B and H jets to each value-level field,
 so each kernel call and each contraction serves all P points (Taylor
 arithmetic in vector mode).  Each point's ``PointGeometry`` stays
-bit-identical to ``compute_geometry``, the P=1 call, because every value
+bit-identical to that of its one-point block, because every value
 step is the numpy primitive a lone point would call, on the same strided
 views: an ``einsum`` gains a ``p`` index, ``np.dot`` of two jet rows becomes
 a stacked ``@`` (``_dot``; a contiguous copy would sum in another order) and
@@ -101,7 +102,7 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
     return X
 
 
-def _mgs(rows: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _mgs(rows: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt on the rows, largest remaining row first (one
     point; ``_block_frames`` is the same over a point axis)."""
     V = rows.astype(np.float64).copy()
@@ -110,7 +111,7 @@ def _mgs(rows: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     while remaining:
         norms = [np.linalg.norm(V[i]) for i in remaining]
         pick = int(np.argmax(norms))
-        if norms[pick] < tol:
+        if norms[pick] < 1e-13:
             break
         i = remaining.pop(pick)
         e = V[i] / np.linalg.norm(V[i])
@@ -194,21 +195,17 @@ class IntrinsicCurvature:
 # ---------------------------------------------------------------------------
 
 
-def _lift(x: np.ndarray, k: int, e: int) -> np.ndarray:
-    """Insert ``e`` unit axes after the first ``k`` (point) axes of x."""
-    return x.reshape(x.shape[:k] + (1,) * e + x.shape[k:])
-
-
 def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
                          ginvJ: np.ndarray, V: np.ndarray, order: int) -> np.ndarray:
     """Jets of the normal-bundle projection of the ambient field(s) V:
     V - <V, phi> phi - g^kl <V, dphi_k> dphi_l.
 
-    Phi (P.., n+1, L), dPhi (P.., m, n+1, L) and ginvJ (P.., m, m, L) share
-    the point axes P.. (possibly none); V is (P.., F.., n+1, L) with any
-    field axes F.. after them, and so is the result."""
-    npt, nf = Phi.ndim - 2, V.ndim - Phi.ndim
-    Phi, dPhi, ginvJ = (_lift(x, npt, nf) for x in (Phi, dPhi, ginvJ))
+    Phi (P, n+1, L), dPhi (P, m, n+1, L) and ginvJ (P, m, m, L) share the
+    point axis; V is (P, F.., n+1, L) with any field axes F.. after it, and
+    so is the result."""
+    lift = (1,) * (V.ndim - Phi.ndim)               # unit field axes after the point axis
+    Phi, dPhi, ginvJ = (x.reshape(x.shape[:1] + lift + x.shape[1:])
+                        for x in (Phi, dPhi, ginvJ))
     m = dPhi.shape[-3]
     out = V - sp.mul(sp.dot(V, Phi, order)[..., None, :], Phi, order)
     c = sp.dot(V[..., None, :, :], dPhi, order)                    # [..., k]
@@ -226,8 +223,7 @@ def block_size(m: int) -> int:
     return 32 if m <= 3 else 1
 
 
-def sample_geometries(spec: chart_mod.ChartSpec, points,
-                      flip_normal: bool = False) -> Iterator[PointGeometry | ValueError]:
+def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
     """Yield the geometry at each point, in order: a ``PointGeometry``, or
     the ``GeometryError``/``ChartError`` that point fails with.
 
@@ -242,7 +238,7 @@ def sample_geometries(spec: chart_mod.ChartSpec, points,
         block = points[start:start + size]
         if len(block) > 1:
             try:
-                geoms = geometry_block(spec, block, flip_normal)
+                geoms = geometry_block(spec, block)
             except (GeometryError, chart_mod.ChartError):
                 pass                        # re-run point by point below
             else:
@@ -250,25 +246,22 @@ def sample_geometries(spec: chart_mod.ChartSpec, points,
                 continue
         for point in block:
             try:
-                geom = compute_geometry(spec, point, flip_normal)
+                geom = compute_geometry(spec, point)
             except (GeometryError, chart_mod.ChartError) as e:
                 geom = e
             yield geom
 
 
-def compute_geometry(spec: chart_mod.ChartSpec, point, flip_normal: bool = False) -> PointGeometry:
-    """Full extrinsic package at one point: ``geometry_block`` at P=1.
-
-    ``flip_normal`` negates the hypersurface unit normal; the paper fixes no
-    orientation and every implemented check must be covariant under the flip
-    (the test suite asserts this).  Floating-point overflow does not warn: a
-    sample whose jets or outputs are not finite raises ``GeometryError``.
+def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
+    """Full extrinsic package at one point (m,): ``geometry_block`` of the
+    one-point block.  Floating-point overflow does not warn: a sample whose
+    jets or outputs are not finite raises ``GeometryError``.
     """
-    return geometry_block(spec, [point], flip_normal)[0]
+    return geometry_block(spec, [point])[0]
 
 
 @np.errstate(all="ignore")
-def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False) -> list[PointGeometry]:
+def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
     """Full extrinsic package at each point of a (P, m) block.
 
     Every jet stage is one kernel call, and every value-level field one
@@ -278,8 +271,6 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     re-runs a failed block point by point (``sample_geometries``).
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise chart_mod.ChartError(f"expected a point with {spec.m} coordinates")
     Phi, sp = chart_mod.eval_jet_stack(spec, points)               # (P, n+1, L)
     if not np.all(np.isfinite(Phi)):
         raise GeometryError("non-finite chart jets")
@@ -383,8 +374,7 @@ def geometry_block(spec: chart_mod.ChartSpec, points, flip_normal: bool = False)
     B2 = _sumsq(B_frame)
     if codim == 1:
         c_star = np.argmax(np.abs(normal[:, 0]), axis=-1)
-        etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star,
-                                          flip_normal)
+        etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star)
         normal = etaJ[:, None, :, 0].copy()
         B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
     B_frame.setflags(write=False)
@@ -484,14 +474,15 @@ def _block_frames(phi_unit, jac, ginv0, codim):
     return tangent, E, normal
 
 
-def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, flip_normal):
+def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
     """Jets of the hypersurface unit normal eta (order 3), f = <H, eta> and
     the shape operator as a (1,1)-tensor field A^k_j = g^kl <B_lj, eta>.
 
     At each point eta is the normalized normal projection of the constant
     direction e_{c_star[p]}.  It points along H where H does not vanish, so
     f is nonnegative and comparable across samples; the paper fixes no
-    convention and every implemented check is covariant under the flip.
+    orientation, and every implemented check is covariant under negating eta
+    (the test suite asserts this).
     """
     P, n1 = Phi.shape[:2]
     m = dPhi.shape[1]
@@ -504,7 +495,7 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, flip_normal):
     scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 3), 3)
     etaJ = sp.mul(NJ, scale[:, None], 3)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2
-    flip = (fJ[:, 0] < -1e-12) != flip_normal
+    flip = fJ[:, 0] < -1e-12
     etaJ = np.where(flip[:, None, None], -etaJ, etaJ)
     fJ = np.where(flip[:, None], -fJ, fJ)
 

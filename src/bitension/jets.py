@@ -16,13 +16,14 @@ free of factorial blow-up: multiplication is plain coefficient convolution.
 
 A jet is a plain float64 array whose last axis holds those L coefficients;
 leading axes stack jets (ambient components, tensor indices, the sample
-points of a block).  The ``JetSpace`` kernels and ``elementary`` take the
-truncation order as an argument instead of tracking it per jet: a
-coefficient of degree <= order is exact, and differentiating a jet valid
-through degree k leaves one valid through degree k - 1 (the caller passes
-the lower order on).  Every leading row is computed independently, and
-``elementary`` takes the series of each row separately, so every point of a
-block gets the bits it would get alone.
+points of a block; a lone point is a block of one), and a constant is an
+(L,) jet that broadcasts against them.  The ``JetSpace`` kernels and
+``elementary`` take the truncation order as an argument instead of tracking
+it per jet: a coefficient of degree <= order is exact, and differentiating a
+jet valid through degree k leaves one valid through degree k - 1 (the caller
+passes the lower order on).  Every leading row is computed independently,
+and ``elementary`` takes the series of each row separately, so every point
+of a block gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import numpy as np
 
 ORDER = 4
 MAX_VARS = 6
-
-ELEMENTARY_TAGS = ("sin", "cos", "sqrt", "exp", "pow_int", "neg", "recip")
 
 
 class JetError(ValueError):
@@ -77,7 +76,6 @@ class JetSpace:
         if not 1 <= num_vars <= MAX_VARS:
             raise JetError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
         self.num_vars = num_vars
-        self.order = ORDER
         monos = [
             a
             for a in itertools.product(range(ORDER + 1), repeat=num_vars)
@@ -156,8 +154,6 @@ class JetSpace:
         """Sum pair products ``w`` (..., pairs) into jet coefficients (..., L)
         at the table's result positions ``K``."""
         L = self.size
-        if w.ndim == 1:
-            return np.bincount(K, weights=w, minlength=L)
         lead = w.shape[:-1]
         rows = math.prod(lead)
         pairs = rows * len(K)
@@ -194,20 +190,9 @@ class JetSpace:
         return out
 
 
-def _series(fn: str, c0: float):
-    """Normalized derivative coefficients f^(k)(c0)/k! for k = 0..4.
-
-    Coefficients that overflow a float (``exp`` of a large value, a power of
-    a huge or tiny one) come back as NaN instead of raising
-    ``OverflowError``, just as jet arithmetic gives inf/NaN on overflow.
-    """
-    try:
-        return _series_coefficients(fn, c0)
-    except OverflowError:
-        return (math.nan,) * (ORDER + 1)
-
-
 def _series_coefficients(fn: str, c0: float):
+    """Normalized derivative coefficients f^(k)(c0)/k! for k = 0..4; one
+    beyond float range comes back as a signed infinity."""
     if fn in ("sin", "cos") and not math.isfinite(c0):
         return (math.nan,) * (ORDER + 1)    # math.sin(inf) raises ValueError
     if fn == "sin":
@@ -216,9 +201,6 @@ def _series_coefficients(fn: str, c0: float):
     if fn == "cos":
         s, c = math.sin(c0), math.cos(c0)
         return (c, -s, -c / 2, s / 6, c / 24)
-    if fn == "exp":
-        e = math.exp(c0)
-        return (e, e, e / 2, e / 6, e / 24)
     if fn == "sqrt":
         if c0 <= 0.0:
             raise JetDomainError("sqrt", c0)
@@ -237,8 +219,16 @@ def _series_coefficients(fn: str, c0: float):
         if c0 == 0.0:
             raise JetDomainError("recip", c0)
         u = 1.0 / c0
-        return (u, -u * u, u ** 3, -u ** 4, u ** 5)
+        return (u, -u * u, _power(u, 3), -_power(u, 4), _power(u, 5))
     raise JetError(f"unknown elementary function {fn!r}")
+
+
+def _power(u: float, k: int) -> float:
+    """u ** k, or the signed infinity it overflows to (a float ``**`` raises)."""
+    try:
+        return u ** k
+    except OverflowError:
+        return math.copysign(math.inf, u) if k % 2 else math.inf
 
 
 def seed_variable(index: int, value, num_vars: int) -> np.ndarray:
@@ -253,8 +243,10 @@ def seed_variable(index: int, value, num_vars: int) -> np.ndarray:
     return c
 
 
-# sqrt(1 + x) = sum_k binom(1/2, k) x^k, for the rescaled series below
-_SQRT_AT_ONE = (1.0, 0.5, -0.125, 0.0625, -0.0390625)
+# the series of sqrt and recip at one: sqrt(1 + x) = sum_k binom(1/2, k) x^k
+# and 1 / (1 + x) = sum_k (-x)^k, for the rescaled rows in ``elementary``
+_AT_ONE = {"sqrt": (1.0, 0.5, -0.125, 0.0625, -0.0390625),
+           "recip": (1.0, -1.0, 1.0, -1.0, 1.0)}
 
 
 def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
@@ -279,20 +271,23 @@ def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
             if p:
                 base = sp.mul(base, base, order)
         return result
-    values = x[..., 0]
-    series = np.array([_series(fn, c0) for c0 in values.ravel().tolist()])
-    series = series.T.reshape((ORDER + 1,) + values.shape)       # [k, ...]
+    lead = x.shape[:-1]
+    x = x.reshape(-1, sp.size)
+    c0 = x[:, 0]
+    series = np.array([_series_coefficients(fn, v) for v in c0.tolist()]).T  # [k, row]
     h = x.copy()
-    h[..., 0] = 0.0
-    out = sp.compose(series, h, order)
-    if fn == "sqrt":
-        # a finite value whose higher coefficients are beyond float range: an
-        # infinite coefficient times the zero value part of h would make the
-        # whole row NaN, so compose sqrt(c0) * sqrt(1 + h / c0) there instead;
-        # recip needs no such rows: _series makes an overflowing series NaN
-        # from its value on
-        rows = np.isfinite(series[0]) & ~np.isfinite(series).all(axis=0)
-        if rows.any():
-            c0 = values[rows][:, None]
-            out[rows] = np.sqrt(c0) * sp.compose(_SQRT_AT_ONE, h[rows] / c0, order)
-    return out
+    h[:, 0] = 0.0
+    # a finite value whose higher coefficients are beyond float range (sqrt
+    # or recip of a tiny value): an infinite coefficient times the zero value
+    # part of h would make the whole row NaN, so such a row composes
+    # f(c0) * f(1 + h / c0), with f's series at one, instead
+    rows = np.isfinite(series[0]) & ~np.isfinite(series).all(axis=0)
+    if rows.any():
+        scale = series[0, rows, None]
+        series[:, rows] = np.array(_AT_ONE[fn])[:, None]
+        h[rows] /= c0[rows, None]
+        out = sp.compose(series, h, order)
+        out[rows] *= scale
+    else:
+        out = sp.compose(series, h, order)
+    return out.reshape(lead + (sp.size,))

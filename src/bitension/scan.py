@@ -22,9 +22,8 @@ small-hypersphere family ends in the minimal equator at r = 1 this way).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -128,9 +127,6 @@ class ScanResult:
     roots: list[Root]
     boundary: list[dict]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
-
     def to_csv(self) -> str:
         lines = ["param,max_residual,mean_residual,H_norm,verdict"]
         for r in self.grid:
@@ -187,7 +183,7 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
     return at
 
 
-def _refine(profile_at, a: float, x: float, b: float, xtol: float = PARAM_TOL):
+def _refine(profile_at, a: float, x: float, b: float):
     """Locate the minimum of the residual profile in the bracket a < x < b,
     where f = max ||tau2|| satisfies f(x) <= f(a), f(b).
 
@@ -200,8 +196,8 @@ def _refine(profile_at, a: float, x: float, b: float, xtol: float = PARAM_TOL):
     has a kink at a simple root.  A step that leaves the bracket is replaced
     by a golden-section step into the larger side, and the bracket shrinks
     on f as in golden-section search.  Refinement stops when a secant step
-    is shorter than xtol / 2, returning that step's end point, or when the
-    bracket is no wider than xtol, returning its best point.
+    is shorter than PARAM_TOL / 2, returning that step's end point, or when
+    the bracket is no wider than PARAM_TOL, returning its best point.
 
     Returns (t, steps): the located parameter and the evaluations spent.
     """
@@ -209,14 +205,14 @@ def _refine(profile_at, a: float, x: float, b: float, xtol: float = PARAM_TOL):
     t0 = a if profile_at(a).tau_max <= profile_at(b).tau_max else b
     t1 = x
     steps = 0
-    while b - a > xtol and steps < 200:
+    while b - a > PARAM_TOL and steps < 200:
         T0, T1 = profile_at(t0).tau2, profile_at(t1).tau2
         d = T1 - T0
         dd = float(d @ d)
         t = t1 - float(T1 @ d) * (t1 - t0) / dd if dd > 0.0 else math.nan
         if not a < t < b:                   # NaN included
             t = x + GOLDEN * (b - x) if x - a < b - x else x - GOLDEN * (x - a)
-        elif abs(t - t1) < 0.5 * xtol:
+        elif abs(t - t1) < 0.5 * PARAM_TOL:
             return t, steps
         ft = profile_at(t).tau_max
         steps += 1

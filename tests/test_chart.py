@@ -34,7 +34,7 @@ ALL_CATALOG = [
 def test_catalog_unit_sphere_invariant(tag, params):
     spec = catalog_chart(tag, params)
     for p in sample_points(spec, 16, 3):
-        stack, _ = eval_jet_stack(spec, p)
+        stack = eval_jet_stack(spec, [p])[0][0]
         assert abs(np.linalg.norm(stack[:, 0]) - 1.0) < 1e-10
 
 
@@ -42,8 +42,8 @@ def test_catalog_unit_sphere_invariant(tag, params):
 def test_catalog_immersion_invariant(tag, params):
     spec = catalog_chart(tag, params)
     for p in sample_points(spec, 8, 5):
-        stack, sp = eval_jet_stack(spec, p)
-        jac = stack[:, sp.var_pos].T                         # (m, n+1)
+        stack, sp = eval_jet_stack(spec, [p])
+        jac = stack[0][:, sp.var_pos].T                         # (m, n+1)
         g = jac @ jac.T
         eig = np.linalg.eigvalsh(g)
         assert eig[0] > extrinsic.RANK_TOL * eig[-1]
@@ -53,7 +53,7 @@ def test_clifford_torus_constant_component():
     # last ambient coordinate is the constant sqrt(1 - a^2 - b^2) = 1/sqrt(2)
     spec = catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.5})
     for p in sample_points(spec, 4, 1):
-        j = eval_jet_stack(spec, p)[0][4]
+        j = eval_jet_stack(spec, [p])[0][0, 4]
         assert abs(j[0] - ROOT2INV) < 1e-15
         assert np.all(j[1:] == 0.0)
 
@@ -62,7 +62,7 @@ def test_equator_chart_evaluates():
     # r = 1: the constant component is exactly 0, which must not hit sqrt
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 1.0})
     p = sample_points(spec, 1, 0)[0]
-    stack, _ = eval_jet_stack(spec, p)
+    stack = eval_jet_stack(spec, [p])[0][0]
     assert abs(stack[3, 0]) == 0.0
 
 
@@ -174,8 +174,8 @@ def test_sample_points_contract():
 
 def test_eval_jet_margin_enforced():
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
-    with pytest.raises(ChartEvalError, match="safe region"):
-        eval_jet_stack(spec, [0.01, 1.0])
+    with pytest.raises(ChartEvalError, match=r"safe region.* at point \(0\.01, 1\.0\)$"):
+        eval_jet_stack(spec, [[0.5, 1.0], [0.01, 1.0], [0.5, 9.0]])
 
 
 def test_eval_real_allows_margin_but_not_outside_box():
@@ -199,7 +199,7 @@ def test_normalized_user_chart_unit_degree0():
     }
     spec = parse_chart(doc)
     for p in sample_points(spec, 8, 2):
-        stack, _ = eval_jet_stack(spec, p)
+        stack = eval_jet_stack(spec, [p])[0][0]
         assert abs(np.linalg.norm(stack[:, 0]) - 1.0) < 1e-15
 
 
@@ -212,21 +212,46 @@ def test_normalize_rejects_near_zero():
     }
     spec = parse_chart(doc)
     with pytest.raises(ChartEvalError, match="normalize"):
-        eval_jet_stack(spec, [1.0])
+        eval_jet_stack(spec, [[1.0]])
 
 
 def test_eval_jet_overflow_returns_non_finite():
-    # dividing by 1e-100 overflows the recip series (u ** 4); the jets come
-    # back non-finite for the geometry layer to reject, with no exception
+    # 1 / (1e-200 + h) with h = (u1 - 1)^2: the exact degree-2 coefficient,
+    # -1e400, is beyond float range; the jets come back non-finite for the
+    # geometry layer to reject, with no exception
     doc = {
         "name": "overflow", "m": 2, "n": 3,
-        "expressions": ["sin(u1) * cos(u2) / 1e-100", "sin(u1) * sin(u2)",
+        "expressions": ["1 / (1e-200 + (u1 - 1)^2)", "sin(u1) * sin(u2)",
                         "cos(u1)", "0.5"],
         "domain": [[0.0, 3.14159], [0.0, 6.28318]],
         "normalize": True,
     }
-    comps, _ = eval_jet_stack(parse_chart(doc), [1.0, 2.0])
-    assert not all(np.isfinite(j).all() for j in comps)
+    with np.errstate(all="ignore"):
+        comps, _ = eval_jet_stack(parse_chart(doc), [[1.0, 2.0]])
+    assert not all(np.isfinite(j).all() for j in comps[0])
+
+
+def test_division_by_tiny_constant_is_scaling():
+    # the recip series of 1e-100 overflows past degree 3, but every exact
+    # coefficient of x / 1e-100 is finite: it equals 1e100 * x
+    spec = parse_chart({
+        "name": "scaled", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * cos(u2) / 1e-100", "1e100 * (sin(u1) * cos(u2))",
+                        "cos(u1)", "0.5"],
+        "domain": [[0.0, 3.14159], [0.0, 6.28318]],
+    })
+    stack, _ = eval_jet_stack(spec, sample_points(spec, 5, 2))
+    assert np.isfinite(stack).all()
+    np.testing.assert_allclose(stack[:, 0], stack[:, 1], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("points", [[0.5, 1.0], [[0.5, 1.0, 2.0]], [[[0.5, 1.0]]]])
+def test_eval_jet_stack_takes_point_blocks_only(points):
+    # one point is a (1, m) block; a lone (m,) point is a shape error
+    spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
+    for fn in (eval_jet_stack, extrinsic.geometry_block):
+        with pytest.raises(ChartError, match="^expected a point with 2 coordinates$"):
+            fn(spec, points)
 
 
 def test_family_params_bindings():
@@ -246,7 +271,7 @@ def test_perturbed_charts_are_valid_immersions():
         spec = perturbed_chart(seed, base="sphere")
         assert spec.normalize and (spec.m, spec.n) == (2, 3)
         for p in sample_points(spec, 4, 1):
-            stack, _ = eval_jet_stack(spec, p)
+            stack = eval_jet_stack(spec, [p])[0][0]
             assert abs(np.linalg.norm(stack[:, 0]) - 1.0) < 1e-12
     spec = perturbed_chart(0, base="torus")
     assert (spec.m, spec.n) == (2, 4)

@@ -254,14 +254,12 @@ def test_huge_normalized_chart_verifies(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "minimal"
 
 
-def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
-    # sqrt of ~1e-120: the higher series coefficients are beyond float range
-    # (their denominators underflow), but the jet itself is small and finite;
-    # the unit S^2 in the first three components is totally geodesic
+def verify_tiny_fourth_component(capsys, tmp_path, component):
+    """The unit S^2 in the first three components is totally geodesic; a tiny
+    fourth component leaves it minimal with every sample used."""
     doc = {
-        "name": "tiny-sqrt", "m": 2, "n": 3,
-        "expressions": ["sin(u1) * cos(u2)", "sin(u1) * sin(u2)", "cos(u1)",
-                        "sqrt(1e-120 * (2 + sin(u2)))"],
+        "name": "tiny", "m": 2, "n": 3,
+        "expressions": ["sin(u1) * cos(u2)", "sin(u1) * sin(u2)", "cos(u1)", component],
         "domain": [[0, 3.14159], [0, 6.28318]],
         "params": {}, "normalize": True,
     }
@@ -275,6 +273,18 @@ def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
     assert report["failures"] == [] and len(report["per_sample"]) == 4
     for text in (out, err):
         assert "NaN" not in text and "Infinity" not in text
+
+
+def test_tiny_sqrt_argument_no_traceback(capsys, tmp_path):
+    # sqrt of ~1e-120: the higher series coefficients are beyond float range
+    # (their denominators underflow), but the jet itself is small and finite
+    verify_tiny_fourth_component(capsys, tmp_path, "sqrt(1e-120 * (2 + sin(u2)))")
+
+
+def test_tiny_recip_argument_verifies(capsys, tmp_path):
+    # the reciprocal of ~1e-70: its series overflows past degree 3, but the
+    # jet of 1e-140 / (1e-70 * (2 + sin(u2))) is small and finite
+    verify_tiny_fourth_component(capsys, tmp_path, "1e-140 / (1e-70 * (2 + sin(u2)))")
 
 
 def test_chart_file_verify(capsys, tmp_path):

@@ -4,6 +4,7 @@ chain-rule exactness against symbolic and finite-difference oracles."""
 import itertools
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -113,8 +114,7 @@ def test_recip_series_against_fd_oracle():
 def test_degree0_matches_plain_evaluation():
     x = 0.37
     j = seed_variable(0, x, 2)
-    for tag, ref in [("sin", math.sin(x)), ("cos", math.cos(x)),
-                     ("exp", math.exp(x)), ("sqrt", math.sqrt(x)),
+    for tag, ref in [("sin", math.sin(x)), ("cos", math.cos(x)), ("sqrt", math.sqrt(x)),
                      ("recip", 1 / x), ("neg", -x)]:
         assert abs(elementary(SP2, tag, j)[0] - ref) < 1e-15
     assert abs(elementary(SP2, "pow_int", j, exponent=3)[0] - x**3) < 1e-15
@@ -188,13 +188,30 @@ def test_division():
 
 
 def test_overflow_gives_non_finite_coefficients():
-    # the series of a finite value can overflow a float; like 1e200 * 1e200
-    # in jet arithmetic it yields non-finite coefficients, not an exception
-    big = elementary(SP2, "exp", seed_variable(0, 1000.0, 2))
+    # a jet whose exact coefficients overflow a float comes back with
+    # non-finite coefficients, not an exception: 1e200 squared, and the
+    # degree-4 coefficient 1e400 of 1 / (1e-80 + u2)
+    with np.errstate(all="ignore"):
+        big = elementary(SP2, "pow_int", seed_variable(0, 1e200, 2), exponent=2)
+        tiny = elementary(SP2, "recip", seed_variable(1, 1e-80, 2))
     assert not np.isfinite(big).any()
-    tiny = elementary(SP2, "recip", seed_variable(1, 1e-80, 2))
     assert not np.isfinite(tiny).all()
-    assert np.isfinite(elementary(SP2, "exp", seed_variable(0, 700.0, 2))).all()
+    assert np.isfinite(elementary(SP2, "pow_int", seed_variable(0, 1e150, 2), exponent=2)).all()
+
+
+@pytest.mark.parametrize("c0", [1e-70, -1e-70, 1e-100])
+def test_recip_of_tiny_value_is_finite(c0):
+    # the series at c0 overflows at degree 3 or 4, yet every exact coefficient
+    # of 1 / (c0 u1) at u1 = 1 is finite: (1/c0) (1, -1, 1, -1, 1) along u1;
+    # it is composed as (1/c0) recip(1 + h/c0), with no warning
+    x = seed_variable(0, 1.0, 2) * c0
+    assert not all(map(math.isfinite, jets._series_coefficients("recip", c0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = elementary(SP2, "recip", x)
+    ref = np.zeros(SP2.size)
+    ref[[SP2.index[(k, 0)] for k in range(5)]] = [1.0, -1.0, 1.0, -1.0, 1.0]
+    np.testing.assert_allclose(r, ref / c0, rtol=1e-15, atol=0.0)
 
 
 def test_sqrt_of_huge_value_is_finite():
@@ -217,7 +234,7 @@ def test_sqrt_series_of_tiny_value(c0):
             assert c == math.copysign(math.inf, ref)
         else:
             assert c == pytest.approx(float(ref), rel=1e-14)
-    with np.errstate(all="ignore"):     # inf * 0 in the Horner composition
+    with np.errstate(all="ignore"):     # overflow and inf * 0 in the composition
         root = elementary(SP2, "sqrt", seed_variable(0, c0, 2))
     assert not np.isfinite(root).all()
 

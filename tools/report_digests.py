@@ -14,10 +14,10 @@ document path echoed in a report is the same relative name on every run.
 ``--fields`` prints one line per chart instead: a sha256 over every
 ``PointGeometry`` field (bytes, dtype, shape, the strides of its long axes,
 the writeable flag) and ``scalar_curvature`` of each sample, from a
-``geometry_block`` call, ``sample_geometries`` and one-point calls, in both
-normal orientations, with each failure's message.  It guards the fields a
-report does not print, and uses only API that every tree since the point
-blocks has.
+``geometry_block`` call, ``sample_geometries`` and one-point calls, in the
+one normal orientation the program computes (eta along H), with each
+failure's message.  It guards the fields a report does not print, and uses
+only API that every tree since the point blocks has.
 """
 
 from __future__ import annotations
@@ -147,28 +147,27 @@ def field_digests(chart, expr, extrinsic) -> None:
             pts = chart.sample_points(spec, count, 5)
         h = hashlib.sha256()
         nfields = ngeoms = 0
-        for flip in (False, True):
-            block = outcome(extrinsic.geometry_block, spec, pts, flip)
-            for g in itertools.chain(
-                    [block] if isinstance(block, ValueError) else block,
-                    extrinsic.sample_geometries(spec, pts, flip),
-                    [outcome(extrinsic.compute_geometry, spec, p, flip) for p in pts]):
-                if isinstance(g, ValueError):
-                    h.update(f"{type(g).__name__}: {g}".encode())
-                    continue
-                values = [getattr(g, f.name) for f in dataclasses.fields(g)]
-                if g.m >= 2:
-                    values.append(extrinsic.scalar_curvature(g))
-                for v in values:
-                    if isinstance(v, np.ndarray):
-                        long_axes = [(s, k) for s, k in zip(v.strides, v.shape) if k > 1]
-                        h.update(repr((v.dtype.str, v.shape, long_axes,
-                                       v.flags.writeable)).encode())
-                        h.update(v.tobytes())
-                    else:
-                        h.update(repr(v).encode())
-                nfields += len(values)
-                ngeoms += 1
+        block = outcome(extrinsic.geometry_block, spec, pts)
+        for g in itertools.chain(
+                [block] if isinstance(block, ValueError) else block,
+                extrinsic.sample_geometries(spec, pts),
+                [outcome(extrinsic.compute_geometry, spec, p) for p in pts]):
+            if isinstance(g, ValueError):
+                h.update(f"{type(g).__name__}: {g}".encode())
+                continue
+            values = [getattr(g, f.name) for f in dataclasses.fields(g)]
+            if g.m >= 2:
+                values.append(extrinsic.scalar_curvature(g))
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    long_axes = [(s, k) for s, k in zip(v.strides, v.shape) if k > 1]
+                    h.update(repr((v.dtype.str, v.shape, long_axes,
+                                   v.flags.writeable)).encode())
+                    h.update(v.tobytes())
+                else:
+                    h.update(repr(v).encode())
+            nfields += len(values)
+            ngeoms += 1
         print(f"{h.hexdigest()}  fields={nfields} geometries={ngeoms}  {spec.name}",
               flush=True)
 
