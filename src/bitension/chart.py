@@ -445,8 +445,9 @@ def _check_margin(spec: ChartSpec, points) -> np.ndarray:
         raise ChartError(f"expected a point with {spec.m} coordinates")
     slack = 1e-12
     lo, hi = np.array(spec.domain).T
-    outside = ((points < lo + SINGULAR_MARGIN - slack)
-               | (points > hi - SINGULAR_MARGIN + slack)).any(axis=1)
+    # "not inside" rather than "below or above": a NaN coordinate is outside
+    outside = ~((points >= lo + SINGULAR_MARGIN - slack)
+                & (points <= hi - SINGULAR_MARGIN + slack)).all(axis=1)
     if outside.any():
         raise ChartEvalError(f"point outside the safe region (margin {SINGULAR_MARGIN})",
                              points[np.argmax(outside)])

@@ -17,8 +17,30 @@ The second fundamental form in coordinates is
     B_ij = d2phi_ij + g_ij phi - Gamma^k_ij dphi_k ,
 
 an ambient vector automatically orthogonal to phi and to the tangent space;
-H = (1/m) g^ij B_ij.  Jets of B to order 2 support the two extra covariant
-derivatives needed for Delta H, Delta-perp H and Delta f.
+H = (1/m) g^ij B_ij.
+
+Truncation orders.  The chart jets are order 4, and each jet stage runs only
+to the Taylor degree its readers use (the orders are literals at the call
+sites):
+
+    stage                          order  its readers
+    dPhi, gJ                       3      d g for Christoffel (2), d2 for B (2)
+    ginvJ (``_jet_mat_inv``)       2      Christoffel (2), H (2), eta (2), U (1)
+    GamJ                           2      B (2), christoffel_grad (degree 1)
+    BJ                             2      H (2), A (1)
+    HJ                             2      f (2), dH, H2J and hdp (1)
+    NJ, nn, eta                    2      f (2), A (1)
+    fJ                             2      grad f (1), Delta f (2)
+    AJ                             1      nabla_A (degree <= 1)
+    H2J                            1      grad_H2 (degree <= 1)
+    hdp, WJ, UJ                    1      Delta H, Delta-perp H (degree <= 1)
+
+Jets of B and H to order 2 support the two extra covariant derivatives
+needed for Delta H, Delta-perp H and Delta f.  Trimming a stage keeps every
+coefficient it returns of degree <= its order bit-identical to a deeper run
+(and leaves the higher ones zero): the order-k multiplication table is the
+order-4 table filtered in the same (i, j) order, and ``np.bincount`` adds
+each coefficient's pair products in table order.
 
 Each tensor expression is one stacked ``JetSpace`` call over all its
 indices; the terms of an index sum are then added one at a time in a fixed
@@ -45,15 +67,20 @@ reductions of Delta f stay per point: their ``einsum`` with a point axis
 sums in another order (it moved the last bit of 12 of 640 probed values).
 ``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
 mostly per-call dispatch, and 1 for m >= 4, where the kernels' own
-arithmetic takes over.  On a 2-core Xeon VM one block of 8
-cost 0.30-0.47 of eight one-point calls at m = 2, 3, but 0.63 at m = 4, 0.80
-at m = 5 and 0.98 at m = 6, where it also raised the peak memory of one
-call from 10 MB to 70 MB above the interpreter's (stacked temporaries grow
-with P).  At m <= 3, blocks of 32 instead of 8 (and the block frames) took
-64-sample verify calls from 920 to 1550 samples/s at a peak of 55 MB instead
-of 50 (16 points: 51 MB, 64: 63 MB).  A block raises on the first failed check of any
-point; ``sample_geometries`` then evaluates that block (up to 32 points)
-again point by point, so every failure carries its own point's message.
+arithmetic takes over.  On a 2-core Xeon VM, before the order trim above,
+one block of 8 cost 0.30-0.47 of eight one-point calls at m = 2, 3.  At
+m <= 3, blocks of 32 instead of 8 (and the block frames) took 64-sample
+verify calls from 920 to 1550 samples/s at a peak of 55 MB instead of 50
+(16 points: 51 MB, 64: 63 MB).  With the trim, on the same VM (small
+hypersphere, best of three, a noisy host), one block of 8 ran 2.5x the rate
+of eight one-point calls at m = 4, 1.0-2.2x at m = 5 and 0.8x at m = 6, and
+raised the peak memory above the interpreter's from 2 to 8 MB at m = 4, 4 to
+24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries grow with P).
+P stays 1 at m >= 4 until a benchmark workload at m = 4, and repeated runs
+at m = 5, show that gain end to end.  A block raises on the first failed
+check of any point; ``sample_geometries`` then evaluates that block (up to
+32 points) again point by point, so every failure carries its own point's
+message.
 """
 
 from __future__ import annotations
@@ -88,8 +115,10 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
     """Inverse of a jet-valued matrix (..., m, m, L) by Newton iteration from
     the value inverse (..., m, m).
 
-    The residual I - X g starts at degree >= 1, so three iterations are exact
-    past the truncation order while also polishing the float value part.
+    The residual I - X g starts at degree >= 1 and each iteration doubles
+    that degree, so two iterations are exact through degree 3, past the
+    order 2 that ``geometry_block`` asks for; the third polishes the float
+    value part (dropping it moves report bytes).
     """
     m = gJ.shape[-2]
     X = sp.zeros(*gJ.shape[:-1])
@@ -286,11 +315,11 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
             f"chart does not land on the unit sphere (|phi| = {norm[np.argmax(off_sphere)]:.6g})"
         )
 
-    dPhi = np.stack([sp.deriv(Phi, i) for i in range(m)], axis=1)  # order 3
+    dPhi = np.stack([sp.deriv(Phi, i) for i in range(m)], axis=1)  # order 3, as gJ
     jac = dPhi[..., 0]
 
     iu, ju = np.triu_indices(m)                                    # pairs i <= j
-    gJ = sp.zeros(P, m, m)                                         # order 3
+    gJ = sp.zeros(P, m, m)                                         # order 3: dgJ at 2
     gJ[:, iu, ju] = gJ[:, ju, iu] = sp.dot(dPhi[:, iu], dPhi[:, ju], 3)
     g0 = gJ[..., 0]
 
@@ -303,7 +332,7 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
         )
     cho = np.linalg.cholesky(g0)
     g0inv = np.linalg.inv(cho.swapaxes(-1, -2)) @ np.linalg.inv(cho)
-    ginvJ = _jet_mat_inv(sp, gJ, g0inv, 3)
+    ginvJ = _jet_mat_inv(sp, gJ, g0inv, 2)
     ginv0 = ginvJ[..., 0]
 
     # Christoffel symbols Gamma^k_ij, jets to order 2
@@ -333,12 +362,12 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
             HJ += T[:, i, j]
     HJ /= m
     H0 = HJ[..., 0]
-    H2J = sp.mul(HJ, HJ, 2).sum(axis=-2)
+    H2J = sp.mul(HJ, HJ, 1).sum(axis=-2)
 
     # covariant derivatives of H in the pull-back bundle: W_j = nabla_j H,
     # and its normal part U_j = P_N(d_j H)
     dHJ = np.stack([sp.deriv(HJ, j) for j in range(m)], axis=1)   # order 1
-    hdp = sp.dot(HJ[:, None], dPhi, 2)                             # <H, dphi_j>
+    hdp = sp.dot(HJ[:, None], dPhi, 1)                             # <H, dphi_j>
     WJ = dHJ + sp.mul(hdp[..., None, :], Phi[:, None], 1)
     W0 = WJ[..., 0]
     UJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, dHJ, 1)        # order 1
@@ -475,8 +504,9 @@ def _block_frames(phi_unit, jac, ginv0, codim):
 
 
 def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
-    """Jets of the hypersurface unit normal eta (order 3), f = <H, eta> and
-    the shape operator as a (1,1)-tensor field A^k_j = g^kl <B_lj, eta>.
+    """Jets of the hypersurface unit normal eta and f = <H, eta> (order 2),
+    and of the shape operator as a (1,1)-tensor field A^k_j = g^kl <B_lj, eta>
+    (order 1: ``nabla_A`` reads it at degree <= 1).
 
     At each point eta is the normalized normal projection of the constant
     direction e_{c_star[p]}.  It points along H where H does not vanish, so
@@ -488,20 +518,20 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
     m = dPhi.shape[1]
     E_c = sp.zeros(P, n1)
     E_c[np.arange(P), c_star, 0] = 1.0
-    NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 3)
-    nn = sp.mul(NJ, NJ, 3).sum(axis=-2)
+    NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 2)
+    nn = sp.mul(NJ, NJ, 2).sum(axis=-2)
     if np.any(nn[:, 0] < 1e-16):
         raise GeometryError("normal frame construction failed (degenerate complement)")
-    scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 3), 3)
-    etaJ = sp.mul(NJ, scale[:, None], 3)
+    scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 2), 2)
+    etaJ = sp.mul(NJ, scale[:, None], 2)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2
     flip = fJ[:, 0] < -1e-12
     etaJ = np.where(flip[:, None, None], -etaJ, etaJ)
     fJ = np.where(flip[:, None], -fJ, fJ)
 
-    p = sp.mul(BJ, etaJ[:, None, None], 2).sum(axis=-2)            # [p, l, j]
-    T = sp.mul(ginvJ[..., None, :], p[:, None], 2)                 # [p, k, l, j]
-    AJ = sp.zeros(P, m, m)                                         # order 2
+    p = sp.mul(BJ, etaJ[:, None, None], 1).sum(axis=-2)            # [p, l, j]
+    T = sp.mul(ginvJ[..., None, :], p[:, None], 1)                 # [p, k, l, j]
+    AJ = sp.zeros(P, m, m)                                         # order 1
     for l in range(m):
         AJ += T[:, :, l]
     return etaJ, fJ, AJ

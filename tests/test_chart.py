@@ -178,6 +178,25 @@ def test_eval_jet_margin_enforced():
         eval_jet_stack(spec, [[0.5, 1.0], [0.01, 1.0], [0.5, 9.0]])
 
 
+@pytest.mark.parametrize("block", [
+    [[math.nan, 1.0]],
+    [[0.5, 1.0], [0.5, math.nan], [math.nan, math.nan]],
+])
+def test_nan_coordinate_is_outside_the_safe_region(block):
+    # every comparison with NaN is false, so the check asks "not inside":
+    # the first NaN point is named, alone and in a block
+    spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
+    bad = next(p for p in block if any(map(math.isnan, p)))
+    for call in (lambda: eval_jet_stack(spec, block),
+                 lambda: extrinsic.geometry_block(spec, block)):
+        with pytest.raises(ChartEvalError, match="safe region") as err:
+            call()
+        assert np.array_equal(err.value.point, bad, equal_nan=True)
+    if len(block) == 1:
+        with pytest.raises(ChartEvalError, match=r"safe region.* at point \(nan, 1\.0\)$"):
+            extrinsic.compute_geometry(spec, block[0])
+
+
 def test_eval_real_allows_margin_but_not_outside_box():
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
     eval_chart(spec, [0.01, 1.0])    # inside the box, closer than the margin

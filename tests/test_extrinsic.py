@@ -650,6 +650,92 @@ def test_block_size_rule():
 
 
 # ---------------------------------------------------------------------------
+# order-trimmed jet stages: each equals its deeper, untrimmed version on
+# every coefficient its readers use
+# ---------------------------------------------------------------------------
+
+
+def _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
+    """``_hypersurface_jets`` at its untrimmed orders: eta at 3, A at 2."""
+    P, n1 = Phi.shape[:2]
+    E_c = sp.zeros(P, n1)
+    E_c[np.arange(P), c_star, 0] = 1.0
+    NJ = extrinsic._project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 3)
+    nn = sp.mul(NJ, NJ, 3).sum(axis=-2)
+    scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 3), 3)
+    etaJ = sp.mul(NJ, scale[:, None], 3)
+    fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)
+    flip = fJ[:, 0] < -1e-12
+    etaJ = np.where(flip[:, None, None], -etaJ, etaJ)
+    fJ = np.where(flip[:, None], -fJ, fJ)
+    p = sp.mul(BJ, etaJ[:, None, None], 2).sum(axis=-2)
+    T = sp.mul(ginvJ[..., None, :], p[:, None], 2)
+    AJ = np.zeros(T.shape[:2] + T.shape[3:])
+    for l in range(T.shape[2]):
+        AJ += T[:, :, l]
+    return etaJ, fJ, AJ
+
+
+def recorded_stages(monkeypatch, spec, pts):
+    """The calls one ``geometry_block`` makes to the jet-stage helpers and
+    to the ``mul``/``dot`` kernels, as lists of (args, result)."""
+    calls = {}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = []
+
+        def recording(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+        monkeypatch.setattr(owner, name, recording)
+
+    for name in ("_jet_mat_inv", "_project_normal_jets", "_hypersurface_jets"):
+        spy(extrinsic, name)
+    spy(jets.JetSpace, "mul")
+    spy(jets.JetSpace, "dot")
+    extrinsic.geometry_block(spec, pts)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_trimmed_stages_equal_untrimmed_where_read(spec, monkeypatch):
+    calls = recorded_stages(monkeypatch, spec, sample_points(spec, 3 if spec.m <= 3 else 2, 9))
+    [((sp, gJ, g0inv, _), ginvJ)] = calls["_jet_mat_inv"]
+    upto = {k: sp.degree <= k for k in (1, 2)}
+
+    def same(got, ref, k):
+        assert got.shape == ref.shape
+        assert np.array_equal(got[..., upto[k]], ref[..., upto[k]])
+
+    # ginvJ: the Christoffel symbols, H and eta read degree <= 2
+    ginv3 = extrinsic._jet_mat_inv(sp, gJ, g0inv, 3)
+    same(ginvJ, ginv3, 2)
+
+    # H2J (grad_H2) and hdp (WJ) read degree <= 1; the first projection is
+    # U's, so it holds the dPhi that only hdp passes to ``dot`` whole
+    dPhi = calls["_project_normal_jets"][0][0][2]
+    [((_, HJ_col, _, _), hdp)] = [c for c in calls["dot"] if c[0][2] is dPhi]
+    HJ = HJ_col.base
+    [(_, h2)] = [c for c in calls["mul"] if c[0][1] is HJ and c[0][2] is HJ]
+    same(hdp, sp.dot(HJ[:, None], dPhi, 2), 1)
+    same(h2, sp.mul(HJ, HJ, 2), 1)
+    same(h2.sum(axis=-2), sp.mul(HJ, HJ, 2).sum(axis=-2), 1)
+
+    # eta and f read at degree <= 2 (f's Hessian), A at degree <= 1 (nabla_A)
+    if spec.n - spec.m == 1:
+        [((_, Phi, _, _, _, BJ, c_star), (etaJ, fJ, AJ))] = calls["_hypersurface_jets"]
+        ref_eta, ref_f, ref_A = _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginv3, HJ, BJ, c_star)
+        same(etaJ, ref_eta, 2)
+        same(fJ, ref_f, 2)
+        same(AJ, ref_A, 1)
+    else:
+        assert not calls["_hypersurface_jets"]
+
+
+# ---------------------------------------------------------------------------
 # the block frames: each point's pivots, bit-identical to one point's frames
 # ---------------------------------------------------------------------------
 

@@ -265,6 +265,43 @@ def test_stacked_mul_dot_equal_per_slice_calls(d):
         assert np.array_equal(sp.dot(X, Y, order), dot_ref)
 
 
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_trimmed_mul_dot_equal_order4_through_their_degree(d):
+    # the order-k table is the order-4 table filtered in the same (i, j)
+    # order, so each coefficient of degree <= k is the same sum, bit for bit
+    # (the geometry stages rely on this); the higher ones are left zero
+    sp = jets.space(d)
+    rng = np.random.default_rng(500 + d)
+    a = rng.standard_normal((2, 1, 3, sp.size))
+    b = rng.standard_normal((1, 4, 3, sp.size))
+    full_mul, full_dot = sp.mul(a, b, jets.ORDER), sp.dot(a, b, jets.ORDER)
+    for k in (1, 2, 3):
+        low, high = sp.degree <= k, sp.degree > k
+        for got, full in ((sp.mul(a, b, k), full_mul), (sp.dot(a, b, k), full_dot)):
+            assert got.shape == full.shape
+            assert np.array_equal(got[..., low], full[..., low])
+            assert not got[..., high].any()
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+@pytest.mark.parametrize("fn", ["sqrt", "recip"])
+def test_trimmed_elementary_equals_order4_through_its_degree(d, fn):
+    # rows with leading axes, the last one a tiny value whose series
+    # overflows, so it takes the rescued f(c0) f(1 + h/c0) branch
+    sp = jets.space(d)
+    rng = np.random.default_rng(600 + d)
+    x = rng.standard_normal((2, 3, sp.size))
+    x[..., 0] = rng.uniform(0.5, 2.0, (2, 3))
+    x[1, 2] *= 1e-100
+    assert not all(map(math.isfinite, jets._series_coefficients(fn, float(x[1, 2, 0]))))
+    full = elementary(sp, fn, x, jets.ORDER)
+    assert np.isfinite(full).all()
+    for k in (1, 2, 3):
+        got = elementary(sp, fn, x, k)
+        assert np.array_equal(got[..., sp.degree <= k], full[..., sp.degree <= k])
+        assert not got[..., sp.degree > k].any()
+
+
 def test_scatter_index_prefix_after_larger_call():
     # one cached index per order, grown to the most rows seen: a small
     # product after a large one reads a prefix and equals a fresh space's
