@@ -269,7 +269,6 @@ def evaluate_chart(
     seed: int = 42,
     pass_tol: float = PASS_TOL,
     fail_tol: float = FAIL_TOL,
-    with_audit: bool = True,
 ) -> ResidualReport:
     """Evaluate every characterization over deterministic samples.
 
@@ -277,7 +276,7 @@ def evaluate_chart(
     (metric condition >= 1e8), outside the domain, non-finite) is skipped and its
     message kept in ``failures``.  The samples are evaluated in blocks
     (``extrinsic.sample_geometries``); results and messages are those of
-    one-point evaluation.
+    one-point evaluation.  Only a proper verdict is audited (``quantity_audit``).
     """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
@@ -336,7 +335,7 @@ def evaluate_chart(
         ),
         failures=failures,
     )
-    if with_audit and report.verdict == VERDICT_PROPER:
+    if report.verdict == VERDICT_PROPER:
         report.audit = quantity_audit(report)
     return report
 

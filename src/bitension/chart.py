@@ -38,6 +38,10 @@ class ChartError(ValueError):
     """Chart validation or evaluation failure."""
 
 
+class UnreadParamError(ChartError):
+    """A parameter was given that the chart does not read."""
+
+
 class ChartEvalError(ChartError):
     """Evaluation failed at a specific sample point."""
 
@@ -169,7 +173,8 @@ def _check_fields(doc: dict):
 def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
     """Build a ChartSpec from a chart document (already JSON-decoded);
     ``overrides`` replace or add to its ``params`` (a catalog reference's
-    own, or an expression chart's top-level ones)."""
+    own, or an expression chart's top-level ones).  An override that no
+    component reads raises UnreadParamError."""
     cat = _catalog_reference(doc)
     if cat is not None:
         return catalog_chart(cat["tag"], _params(cat, overrides))
@@ -182,6 +187,11 @@ def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
         components = [expr.parse(s) for s in exprs]
     except expr.ExprSyntaxError as e:
         raise ChartError(f"syntax error: {e}") from e
+    read = set().union(*map(expr.free_params, components))
+    unread = sorted(set(overrides or {}) - read)
+    if unread:
+        raise UnreadParamError(f"no expression of chart {doc['name']!r} reads "
+                               f"parameter {unread[0]!r}")
     return ChartSpec(
         name=doc["name"],
         m=doc["m"],
@@ -353,9 +363,11 @@ def _build_veronese(params: dict) -> ChartSpec:
     )
 
 
+# "takes" names the parameters a tag reads; "params" describes them
 _CATALOG = {
     "small-hypersphere": {
         "build": _build_small_hypersphere,
+        "takes": ("m", "r"),
         "params": "m (integer dimension, default 2), r in (0, 1]",
         "family_param": "r",
         "describe": "small hypersphere S^m(r) in S^{m+1}; proper biharmonic "
@@ -363,6 +375,7 @@ _CATALOG = {
     },
     "product-spheres": {
         "build": _build_product_spheres,
+        "takes": ("m1", "m2", "r1", "r2"),
         "params": "m1, m2 (integer dimensions), r1, r2 with r1^2 + r2^2 = 1",
         "family_param": "r",
         "describe": "S^{m1}(r1) x S^{m2}(r2) in S^{m1+m2+1}; proper biharmonic "
@@ -370,6 +383,7 @@ _CATALOG = {
     },
     "generalized-clifford": {
         "build": lambda p: _build_product_spheres(p, tag="generalized-clifford"),
+        "takes": ("m1", "m2", "r1", "r2"),
         "params": "m1, m2 (integer dimensions), r1, r2 with r1^2 + r2^2 = 1",
         "family_param": "r",
         "describe": "product of equatorial spheres S^{m1}(r1) x S^{m2}(r2); "
@@ -377,6 +391,7 @@ _CATALOG = {
     },
     "clifford-torus-b3": {
         "build": _build_clifford_torus_b3,
+        "takes": ("a", "b"),
         "params": "a, b > 0 with a^2 + b^2 <= 1",
         "family_param": "t",
         "describe": "flat torus (a cos u1, a sin u1, b cos u2, b sin u2, "
@@ -385,6 +400,7 @@ _CATALOG = {
     },
     "veronese": {
         "build": _build_veronese,
+        "takes": ("r",),
         "params": "r in (0, 1]",
         "family_param": "r",
         "describe": "constant-curvature surface r * (vw, uw, uv, ...)/sqrt(3) "
@@ -407,6 +423,10 @@ def catalog_chart(tag: str, params: dict) -> ChartSpec:
         raise ChartError(
             f"unknown catalog tag {tag!r}; available: {', '.join(_CATALOG)}"
         )
+    unread = sorted(set(params) - set(meta["takes"]))
+    if unread:
+        raise UnreadParamError(f"catalog chart {tag!r} takes no parameter "
+                               f"{unread[0]!r} (it takes {', '.join(meta['takes'])})")
     return meta["build"](dict(params))
 
 

@@ -9,7 +9,8 @@ Exit status contract (scripts gate on biharmonicity with it):
 * 3 - numerical failure at every sample point.
 
 ``--param NAME=VALUE`` sets a catalog parameter or overrides one in the
-``--chart`` document: a catalog reference's params or an expression chart's.
+``--chart`` document: a catalog reference's params or an expression chart's;
+a name that the chart does not read exits 2.
 ``scan --chart`` on a catalog reference links parameters the same way as
 ``scan --family`` on its tag (r1 = r, r2 = sqrt(1 - r^2); a = b = t).
 

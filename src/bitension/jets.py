@@ -181,10 +181,12 @@ class JetSpace:
 
     def compose(self, series, h: np.ndarray, order: int = ORDER) -> np.ndarray:
         """Evaluate sum_k series[k] * h^k by Horner; h must have zero value part.
-        Each ``series[k]`` is a number or has h's leading axes (one per row)."""
+        Each ``series[k]`` is a number or has h's leading axes (one per row).
+        A term past degree ``order`` has no coefficient of degree <= order, so
+        Horner starts at ``series[order]``: one ``mul`` per degree kept."""
         out = self.zeros(*h.shape[:-1])
-        out[..., 0] = series[ORDER]
-        for k in range(ORDER - 1, -1, -1):
+        out[..., 0] = series[order]
+        for k in range(order - 1, -1, -1):
             out = self.mul(out, h, order)
             out[..., 0] += series[k]
         return out

@@ -12,8 +12,8 @@ points, safeguarded by golden-section steps inside the bracket (see
 ``_refine``); parameter tolerance 1e-8, one order below the 1e-6 reporting
 precision.  A proper biharmonic root is a simple zero of that vector and
 takes a few steps; a minimal member is a double zero and takes about 25.
-Every refined root is re-verified with a full ResidualReport and reported
-only if that verdict is proper biharmonic or minimal.
+A refined root is judged on its profile at the refined parameter, as a grid
+row is, and reported only if proper biharmonic or minimal below pass_tol.
 
 Grid endpoints are never reported as interior roots; an endpoint where the
 profile is still falling is labeled separately as boundary behavior (the
@@ -70,10 +70,13 @@ class FamilySpec:
             raise ScanError(
                 f"steps * samples_per_point exceeds the budget {BUDGET}"
             )
-        # the range must sit inside the admissible parameter domain
+        # the chart must read every parameter given, and the range must sit
+        # inside the admissible parameter domain
         for t in (self.lo, self.hi):
             try:
                 self.chart_at(t)
+            except chart_mod.UnreadParamError as e:
+                raise ScanError(str(e)) from e
             except chart_mod.ChartError as e:
                 raise ScanError(
                     f"parameter value {t} outside the admissible domain: {e}"
@@ -154,12 +157,12 @@ class Profile(NamedTuple):
     tau_max: float          # max ||tau2|| over the sample points
     tau_mean: float
     h_max: float
-    h_min: float
+    verdict: str            # biharmonic._verdict of these samples
     tau2: np.ndarray        # every point's tau2_direct vector, concatenated
 
 
 def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
-    """The Profile at one parameter value, memoized."""
+    """The Profile at one parameter value, memoized; a failing point raises."""
 
     def at(t: float) -> Profile:
         key = float(t)
@@ -175,7 +178,9 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
             vecs.append(biharmonic.tau2_direct(g))
             hs.append(g.H_norm)
         taus = [float(np.linalg.norm(v)) for v in vecs]
-        out = Profile(max(taus), float(np.mean(taus)), max(hs), min(hs),
+        verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
+                                      family.pass_tol, family.fail_tol)
+        out = Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
                       np.concatenate(vecs))
         cache[key] = out
         return out
@@ -227,8 +232,12 @@ def _refine(profile_at, a: float, x: float, b: float):
     return x, steps
 
 
+_ROOT_CLASS = {biharmonic.VERDICT_PROPER: "proper-biharmonic",
+               biharmonic.VERDICT_MINIMAL: "minimal"}
+
+
 def sweep(family: FamilySpec) -> ScanResult:
-    """Residual profile over the uniform grid plus refined, re-verified roots."""
+    """Residual profile over the uniform grid plus the refined roots it passes."""
     ts = np.linspace(family.lo, family.hi, family.steps)
     mid_chart = family.chart_at(0.5 * (family.lo + family.hi))
     points = chart_mod.sample_points(mid_chart, family.samples_per_point,
@@ -240,19 +249,17 @@ def sweep(family: FamilySpec) -> ScanResult:
     values: list[float | None] = []
     for t in ts:
         try:
-            tau_max, tau_mean, h_max, h_min, _ = profile_at(float(t))
+            p = profile_at(float(t))
         except (chart_mod.ChartError, extrinsic.GeometryError) as e:
             grid.append(GridRow(param=float(t), max_residual=None,
                                 mean_residual=None, H_norm=None,
                                 verdict="error", error=str(e)))
             values.append(None)
             continue
-        verdict = biharmonic._verdict(tau_max, h_max, h_min,
-                                      family.pass_tol, family.fail_tol)
-        grid.append(GridRow(param=float(t), max_residual=tau_max,
-                            mean_residual=tau_mean, H_norm=h_max,
-                            verdict=verdict))
-        values.append(tau_max)
+        grid.append(GridRow(param=float(t), max_residual=p.tau_max,
+                            mean_residual=p.tau_mean, H_norm=p.h_max,
+                            verdict=p.verdict))
+        values.append(p.tau_max)
 
     roots: list[Root] = []
     for i in range(1, family.steps - 1):
@@ -269,28 +276,17 @@ def sweep(family: FamilySpec) -> ScanResult:
         try:
             t_root, iters = _refine(profile_at, float(ts[i - 1]), float(ts[i]),
                                     float(ts[i + 1]))
-            report = biharmonic.evaluate_chart(
-                family.chart_at(t_root), samples=family.samples_per_point,
-                seed=family.seed, pass_tol=family.pass_tol,
-                fail_tol=family.fail_tol, with_audit=False,
-            )
-        except (chart_mod.ChartError, extrinsic.GeometryError,
-                biharmonic.AllSamplesFailed):
+            p = profile_at(t_root)
+        except (chart_mod.ChartError, extrinsic.GeometryError):
             continue
-        refined = report.max_of("tau2_norm")
-        if refined >= family.pass_tol:
-            continue
-        if report.verdict == biharmonic.VERDICT_PROPER:
-            cls = "proper-biharmonic"
-        elif report.verdict == biharmonic.VERDICT_MINIMAL:
-            cls = "minimal"
-        else:
+        cls = _ROOT_CLASS.get(p.verdict)
+        if p.tau_max >= family.pass_tol or cls is None:
             continue
         if roots and abs(roots[-1].param - t_root) < 1e-6:
             continue
-        roots.append(Root(param=float(t_root), residual=refined,
+        roots.append(Root(param=float(t_root), residual=p.tau_max,
                           classification=cls, bisection_iterations=iters,
-                          H_norm=report.max_of("H_norm")))
+                          H_norm=p.h_max))
     roots.sort(key=lambda r: r.param)
 
     boundary: list[dict] = []

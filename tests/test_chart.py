@@ -273,6 +273,28 @@ def test_eval_jet_stack_takes_point_blocks_only(points):
             fn(spec, points)
 
 
+@pytest.mark.parametrize("tag,params", ALL_CATALOG)
+def test_catalog_rejects_unread_parameter(tag, params):
+    with pytest.raises(chart.UnreadParamError, match="takes no parameter 'q'"):
+        catalog_chart(tag, {**params, "q": 0.5})
+    ref = {"catalog": {"tag": tag, "params": {**params, "q": 0.5}}}
+    with pytest.raises(chart.UnreadParamError, match="'q'"):
+        parse_chart(ref)
+
+
+def test_expression_chart_rejects_unread_override():
+    doc = {
+        "name": "circle", "m": 1, "n": 2,
+        "expressions": ["rho * cos(u1)", "rho * sin(u1)", "sqrt(1 - rho^2)"],
+        "domain": [[0.0, 6.28]], "params": {"rho": 0.5},
+    }
+    assert parse_chart(doc, {"rho": 0.6}).params == {"rho": 0.6}
+    with pytest.raises(chart.UnreadParamError, match="reads parameter 'r'"):
+        parse_chart(doc, {"rho": 0.6, "r": 0.6})
+    with pytest.raises(chart.UnreadParamError):
+        chart.family_chart(doc, "r", 0.6, {})
+
+
 def test_family_params_bindings():
     p = chart.family_params("product-spheres", "r", 0.6, {"m1": 2, "m2": 1})
     assert p["r1"] == 0.6 and abs(p["r2"] - 0.8) < 1e-15

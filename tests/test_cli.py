@@ -331,6 +331,38 @@ def test_scan_chart_catalog_reference_links_params(capsys, tmp_path):
     assert sum("root:" in line for line in from_doc.split("\n")) == 2
 
 
+def test_unread_param_exit_two(capsys, tmp_path):
+    # a parameter that the chart does not read is an error, not a silent
+    # evaluation of the default chart or a sweep of nothing
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({
+        "name": "circle", "m": 1, "n": 2,
+        "expressions": ["rho * cos(u1)", "rho * sin(u1)", "sqrt(1 - rho^2)"],
+        "domain": [[0.0, 6.28]], "params": {"rho": 0.5}}))
+    ref = tmp_path / "veronese.json"
+    ref.write_text(json.dumps(
+        {"catalog": {"tag": "veronese", "params": {"r": ROOT2INV, "m": 2}}}))
+    r = f"r={ROOT2INV!r}"
+    cases = [
+        (("verify", "--catalog", "small-hypersphere", "--param", "M=3",
+          "--param", r, "--points", "4"), "'M'"),
+        (("scan", "--family", "small-hypersphere", "--param", "x", "--param", r,
+          "--range", "0.1:0.9", "--steps", "8", "--samples", "2"), "'x'"),
+        (("scan", "--family", "veronese", "--param", "r", "--param", "m=2",
+          "--range", "0.5:0.9", "--steps", "8", "--samples", "2"), "'m'"),
+        (("verify", "--chart", str(ref), "--points", "4"), "'m'"),
+        (("verify", "--chart", str(circle), "--param", "r=0.6", "--points", "4"),
+         "'r'"),
+        (("scan", "--chart", str(circle), "--param", "r", "--range", "0.3:0.9",
+          "--steps", "8", "--samples", "2"), "'r'"),
+    ]
+    for argv, name in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert name in err and out == ""
+        assert "admissible" not in err
+
+
 def test_scan_csv_root_row(capsys):
     code, out, _ = run(
         capsys, "scan", "--family", "small-hypersphere", "--param", "r",

@@ -302,6 +302,44 @@ def test_trimmed_elementary_equals_order4_through_its_degree(d, fn):
         assert not got[..., sp.degree > k].any()
 
 
+def full_horner(sp, series, h, order):
+    """``compose`` as it was: Horner from series[ORDER] at every order."""
+    out = sp.zeros(*h.shape[:-1])
+    out[..., 0] = series[jets.ORDER]
+    for k in range(jets.ORDER - 1, -1, -1):
+        out = sp.mul(out, h, order)
+        out[..., 0] += series[k]
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_compose_equals_full_horner(d):
+    # the terms past degree k that the full loop builds first never reach a
+    # coefficient of degree <= k, so starting at series[k] keeps every bit
+    sp = jets.space(d)
+    rng = np.random.default_rng(700 + d)
+    h = rng.standard_normal((2, 3, sp.size))
+    h[..., 0] = 0.0
+    series = rng.standard_normal((jets.ORDER + 1, 2, 3))
+    for k in range(1, jets.ORDER + 1):
+        assert np.array_equal(sp.compose(series, h, k), full_horner(sp, series, h, k))
+
+
+def test_compose_makes_one_mul_per_degree(monkeypatch):
+    sp = jets.JetSpace(2)
+    orders = []
+    mul = sp.mul
+
+    def counted(a, b, order=jets.ORDER):
+        orders.append(order)
+        return mul(a, b, order)
+
+    monkeypatch.setattr(sp, "mul", counted)
+    h = seed_variable(0, 0.0, 2)
+    sp.compose(jets._series_coefficients("sqrt", 2.0), h, 2)
+    assert orders == [2, 2]
+
+
 def test_scatter_index_prefix_after_larger_call():
     # one cached index per order, grown to the most rows seen: a small
     # product after a large one reads a prefix and equals a fresh space's

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bitension import scan
+from bitension import biharmonic, scan
 from bitension.scan import FamilySpec, ScanError, sweep
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -209,6 +209,43 @@ def test_all_roots_verified(sphere_scan):
         assert root.bisection_iterations > 0
 
 
+# one family per root kind: proper roots at 1/sqrt(2) and 0.5, a minimal one
+# at sqrt(2/3)
+ROOT_FAMILIES = {
+    "sphere": dict(tag="small-hypersphere", param_name="r", lo=0.3, hi=0.99),
+    "torus": dict(tag="clifford-torus-b3", param_name="t", lo=0.2, hi=0.69),
+    "product-2+1": dict(tag="product-spheres", param_name="r", lo=0.3, hi=0.95,
+                        fixed={"m1": 2, "m2": 1}),
+}
+
+
+@pytest.mark.parametrize("name", ROOT_FAMILIES)
+def test_roots_equal_full_evaluation_at_root(name):
+    # the profile at a refined root reads the same sample points as a full
+    # evaluation of the chart there: residual, |H| and verdict agree exactly
+    family = FamilySpec(steps=40, seed=3, **ROOT_FAMILIES[name])
+    roots = sweep(family).roots
+    assert roots
+    classes = {"proper-biharmonic": biharmonic.VERDICT_PROPER,
+               "minimal": biharmonic.VERDICT_MINIMAL}
+    for root in roots:
+        report = biharmonic.evaluate_chart(family.chart_at(root.param),
+                                           samples=family.samples_per_point,
+                                           seed=family.seed)
+        assert root.residual == report.max_of("tau2_norm")
+        assert root.H_norm == report.max_of("H_norm")
+        assert classes[root.classification] == report.verdict
+
+
+def test_sweep_makes_no_full_evaluation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep called evaluate_chart")
+
+    monkeypatch.setattr(biharmonic, "evaluate_chart", refuse)
+    res = sweep(FamilySpec(steps=40, seed=3, **ROOT_FAMILIES["product-2+1"]))
+    assert [r.classification for r in res.roots] == ["proper-biharmonic", "minimal"]
+
+
 # ---------------------------------------------------------------------------
 # _refine on synthetic profiles: T(t) stands for the stacked tau2 vector and
 # f = ||T|| for the max over sample points
@@ -225,7 +262,7 @@ def synthetic(T, calls=None):
                 calls.append(t)
             v = np.asarray(T(t), dtype=float)
             f = float(np.linalg.norm(v))
-            cache[t] = scan.Profile(f, f, 0.0, 0.0, v)
+            cache[t] = scan.Profile(f, f, 0.0, "minimal", v)
         return cache[t]
     return at
 

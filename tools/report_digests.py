@@ -46,6 +46,18 @@ S2_S2 = {
                     "0.5 * sin(u3) * cos(u4)", "0.5 * sin(u3) * sin(u4)", "0.5 * cos(u3)", R],
     "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]] * 2,
 }
+# scan --chart: an expression family that reads a declared r, and a catalog
+# reference whose r1 = r, r2 = sqrt(1 - r^2) the sweep links
+SPHERE_FAMILY_DOC = "sphere-family.json"
+SPHERE_FAMILY = {
+    "name": "S2(r) x {sqrt(1 - r^2)}", "m": 2, "n": 3,
+    "expressions": ["r * sin(u1) * cos(u2)", "r * sin(u1) * sin(u2)", "r * cos(u1)",
+                    "sqrt(1 - r^2)"],
+    "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]],
+    "params": {"r": 0.5},
+}
+PRODUCT_REF_DOC = "product-ref.json"
+PRODUCT_REF = {"catalog": {"tag": "product-spheres", "params": {"m1": 2, "m2": 1}}}
 COMMANDS = [
     ["verify", "--catalog", "small-hypersphere", "--param", "m=2", "--param", f"r={R}"],
     ["verify", "--catalog", "clifford-torus-b3", "--param", "a=0.5", "--param", "b=0.5"],
@@ -80,6 +92,8 @@ SCANS = [
     # a range without a root, and one whose upper end is the minimal member
     ["--family", "small-hypersphere", "--param", "r", "--range", "0.3:0.55"],
     ["--family", "veronese", "--param", "r", "--range", "0.5:1.0"],
+    ["--chart", SPHERE_FAMILY_DOC, "--param", "r", "--range", "0.3:0.95"],
+    ["--chart", PRODUCT_REF_DOC, "--param", "r", "--range", "0.3:0.95"],
 ]
 COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
 # the text renderers: human verify and audit, CSV scan
@@ -189,7 +203,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for name, doc in ((CHART_DOC, chart_doc(chart, expr)), (S2_S2_DOC, S2_S2)):
+        for name, doc in ((CHART_DOC, chart_doc(chart, expr)), (S2_S2_DOC, S2_S2),
+                          (SPHERE_FAMILY_DOC, SPHERE_FAMILY), (PRODUCT_REF_DOC, PRODUCT_REF)):
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
         for argv in COMMANDS:
