@@ -32,6 +32,7 @@ from .extrinsic import (
     nabla_A_symmetry_check,
     sample_geometries,
     scalar_curvature,
+    tau2_block,
 )
 from .biharmonic import (
     AllSamplesFailed,
@@ -53,7 +54,8 @@ __all__ = [
     "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
     "catalog_entries", "eval_jet_stack", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
-    "geometry_block", "sample_geometries", "intrinsic_curvature", "scalar_curvature",
+    "geometry_block", "sample_geometries", "tau2_block", "intrinsic_curvature",
+    "scalar_curvature",
     "gauss_ricci_check", "nabla_A_symmetry_check",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
     "tau2_direct", "split_residuals", "hypersurface_residuals", "pmc_check",

@@ -49,7 +49,8 @@ class AllSamplesFailed(RuntimeError):
 
 
 def tau2_direct(geom: PointGeometry) -> np.ndarray:
-    """Bitension field at the point, as an ambient vector."""
+    """Bitension field at the point, as an ambient vector; on an
+    ``extrinsic.Tau2Block`` the same formula gives one row per point."""
     return -geom.m * (geom.delta_H - geom.m * geom.H)
 
 
@@ -245,7 +246,7 @@ class ResidualReport:
             "thresholds": {"pass_tol": self.pass_tol, "fail_tol": self.fail_tol},
             "residuals": self.residual_summary(),
             "quantities": self.quantities(),
-            "per_sample": [asdict(s) for s in self.per_sample],
+            "per_sample": [dict(vars(s)) for s in self.per_sample],
             "failures": list(self.failures),
             "audit": [asdict(a) for a in self.audit],
             "verdict": self.verdict,

@@ -21,19 +21,22 @@ H = (1/m) g^ij B_ij.
 
 Truncation orders.  The chart jets are order 4, and each jet stage runs only
 to the Taylor degree its readers use (the orders are literals at the call
-sites):
+sites).  The stages marked * form the tau2 stage (``_tau2_stage``): with
+the chart, sphere and rank checks they give H, |H| and Delta H, all that
+tau2 reads, and ``geometry_block`` runs the others after them.
 
     stage                          order  its readers
-    dPhi, gJ                       3      d g for Christoffel (2), d2 for B (2)
-    ginvJ (``_jet_mat_inv``)       2      Christoffel (2), H (2), eta (2), U (1)
-    GamJ                           2      B (2), christoffel_grad (degree 1)
-    BJ                             2      H (2), A (1)
-    HJ                             2      f (2), dH, H2J and hdp (1)
+  * dPhi, gJ                       3      d g for Christoffel (2), d2 for B (2)
+  * ginvJ (``_jet_mat_inv``)       2      Christoffel (2), H (2), eta (2), U (1)
+  * GamJ                           2      B (2), christoffel_grad (degree 1)
+  * BJ                             2      H (2), A (1)
+  * HJ                             2      f (2), dH, H2J and hdp (1)
     NJ, nn, eta                    2      f (2), A (1)
     fJ                             2      grad f (1), Delta f (2)
     AJ                             1      nabla_A (degree <= 1)
-    H2J                            1      grad_H2 (degree <= 1)
-    hdp, WJ, UJ                    1      Delta H, Delta-perp H (degree <= 1)
+  * H2J                            1      |H| (degree 0), grad_H2 (degree <= 1)
+  * hdp, WJ                        1      Delta H (degree <= 1)
+    UJ                             1      Delta-perp H (degree <= 1)
 
 Jets of B and H to order 2 support the two extra covariant derivatives
 needed for Delta H, Delta-perp H and Delta f.  Trimming a stage keeps every
@@ -78,9 +81,12 @@ raised the peak memory above the interpreter's from 2 to 8 MB at m = 4, 4 to
 24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries grow with P).
 P stays 1 at m >= 4 until a benchmark workload at m = 4, and repeated runs
 at m = 5, show that gain end to end.  A block raises on the first failed
-check of any point; ``sample_geometries`` then evaluates that block (up to
-32 points) again point by point, so every failure carries its own point's
-message.
+check of any point.  ``_blockwise`` walks the points in blocks and then
+evaluates that block (up to 32 points) again point by point
+(``_one_point``), so every failure carries its own point's message; it
+serves ``sample_geometries`` (``geometry_block``, one point through
+``compute_geometry``) and the scan's profile (``tau2_block``) alike, and a
+caller that stops at the first failure leaves the later points unevaluated.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,29 +263,46 @@ def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeomet
     """Yield the geometry at each point, in order: a ``PointGeometry``, or
     the ``GeometryError``/``ChartError`` that point fails with.
 
-    The points are walked in blocks of ``block_size(spec.m)``.  A block that
-    raises is evaluated again one point at a time, so each failure carries
-    its own point's message, exactly as a lone ``compute_geometry`` call.
-    Points are evaluated as the caller asks for them, so a caller that stops
-    at the first failure leaves the later blocks unevaluated.
+    The points are walked in blocks of ``block_size(spec.m)`` (``_blockwise``).
+    A block that raises is evaluated again one point at a time, so each
+    failure carries its own point's message, exactly as a lone
+    ``compute_geometry`` call.  Points are evaluated as the caller asks for
+    them, so a caller that stops at the first failure leaves the later blocks
+    unevaluated.
     """
+    for out in _blockwise(geometry_block, compute_geometry, spec, points):
+        if isinstance(out, list):
+            yield from out
+        else:
+            yield out
+
+
+def _blockwise(block_fn, point_fn, spec: chart_mod.ChartSpec, points) -> Iterator:
+    """Yield ``block_fn(spec, block)`` for each block of ``block_size(spec.m)``
+    points, in order; for a lone point, and for each point of a block that
+    raises, yield ``_one_point(point_fn, spec, point)`` instead."""
     size = block_size(spec.m)
     for start in range(0, len(points), size):
         block = points[start:start + size]
         if len(block) > 1:
             try:
-                geoms = geometry_block(spec, block)
+                out = block_fn(spec, block)
             except (GeometryError, chart_mod.ChartError):
                 pass                        # re-run point by point below
             else:
-                yield from geoms
+                yield out
                 continue
         for point in block:
-            try:
-                geom = compute_geometry(spec, point)
-            except (GeometryError, chart_mod.ChartError) as e:
-                geom = e
-            yield geom
+            yield _one_point(point_fn, spec, point)
+
+
+def _one_point(point_fn, spec: chart_mod.ChartSpec, point):
+    """``point_fn(spec, point)``, or the ``GeometryError``/``ChartError`` it
+    raises: the one-point re-run of ``_blockwise``."""
+    try:
+        return point_fn(spec, point)
+    except (GeometryError, chart_mod.ChartError) as e:
+        return e
 
 
 def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
@@ -289,16 +313,34 @@ def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
     return geometry_block(spec, [point])[0]
 
 
-@np.errstate(all="ignore")
-def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
-    """Full extrinsic package at each point of a (P, m) block.
+class Tau2Block(NamedTuple):
+    """What tau2 and |H| read at each point of a (P, m) block; the
+    ``biharmonic.tau2_direct`` formula applies to it unchanged, row by row."""
 
-    Every jet stage is one kernel call, and every value-level field one
-    array operation, over the whole block; only the Delta f reductions and
-    the ``PointGeometry`` construction run per point.  Raises on the first
-    failed check of any point, so a caller that needs per-point outcomes
-    re-runs a failed block point by point (``sample_geometries``).
+    m: int
+    H: np.ndarray               # (P, n+1)
+    H_norm: list[float]
+    delta_H: np.ndarray         # (P, n+1)
+
+
+def tau2_block(spec: chart_mod.ChartSpec, points) -> Tau2Block:
+    """H, |H| and Delta H at each point of a (P, m) block: the tau2 stage of
+    ``geometry_block`` alone, each value bit-identical to that field of the
+    full package.  Raises on the checks these values depend on: the chart
+    and its jets, the sphere, the rank, and the finiteness of the fields the
+    stage computes (in field order); the frame checks and the finiteness of
+    the other fields are ``geometry_block``'s alone.
     """
+    values = _tau2_stage(spec, points)[-1]
+    _check_finite(values)
+    return Tau2Block(spec.m, values["H"], values["H_norm"], values["delta_H"])
+
+
+@np.errstate(all="ignore")
+def _tau2_stage(spec: chart_mod.ChartSpec, points):
+    """The jet stages through H and Delta H over a (P, m) block, with the
+    chart, sphere and rank checks: the jets the rest of ``geometry_block``
+    reads, then a dict of the ``PointGeometry`` fields computed here."""
     points = np.asarray(points, dtype=np.float64)
     Phi, sp = chart_mod.eval_jet_stack(spec, points)               # (P, n+1, L)
     if not np.all(np.isfinite(Phi)):
@@ -342,8 +384,6 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
     GamJ = sp.zeros(P, m, m, m)
     GamJ[:, :, iu, ju] = GamJ[:, :, ju, iu] = 0.5 * sp.dot(ginvJ[:, :, None], C[:, None], 2)
     Gam0 = GamJ[..., 0]
-    # d_a Gamma^k_ij, C order per point like every other field
-    dGam0 = np.ascontiguousarray(np.moveaxis(GamJ[..., sp.var_pos], -1, 1))
 
     # second fundamental form, ambient-valued, jets to order 2
     d2 = np.stack([sp.deriv(dPhi, j) for j in range(m)], axis=1)  # [p, j, i]
@@ -353,7 +393,6 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
         val = val - T[:, k]
     BJ = sp.zeros(P, m, m, n + 1)
     BJ[:, iu, ju] = BJ[:, ju, iu] = val
-    B0 = BJ[..., 0]
 
     T = sp.mul(ginvJ[..., None, :], BJ, 2)
     HJ = sp.zeros(P, n + 1)                                        # order 2
@@ -364,33 +403,58 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
     H0 = HJ[..., 0]
     H2J = sp.mul(HJ, HJ, 1).sum(axis=-2)
 
-    # covariant derivatives of H in the pull-back bundle: W_j = nabla_j H,
-    # and its normal part U_j = P_N(d_j H)
+    # the rough Laplacian of H from W_j = nabla_j H = d_j H + <H, dphi_j> phi
+    # and nabla_i W_j = d_i W_j + <W_j, dphi_i> phi; second derivatives
+    # [p, i, j, c] in C order like a lone point's (``_lap``)
     dHJ = np.stack([sp.deriv(HJ, j) for j in range(m)], axis=1)   # order 1
     hdp = sp.dot(HJ[:, None], dPhi, 1)                             # <H, dphi_j>
     WJ = dHJ + sp.mul(hdp[..., None, :], Phi[:, None], 1)
     W0 = WJ[..., 0]
+    phi = phi0[:, None, None]
+    ddH = np.ascontiguousarray(_first_partials(sp, WJ)
+                               + _dot(W0[:, None], jac[:, :, None])[..., None] * phi)
+
+    H2 = H2J[:, 0].tolist()
+    values = dict(
+        point=points, phi=phi0, jac=jac, metric=g0, metric_inv=ginv0, christoffel=Gam0,
+        B_coord=BJ[..., 0], H=H0, H_norm=[math.sqrt(max(x, 0.0)) for x in H2], H2=H2,
+        delta_H=_lap(ginv0, Gam0, ddH, W0),
+    )
+    return sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, rows / norm[:, None], values
+
+
+@np.errstate(all="ignore")
+def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
+    """Full extrinsic package at each point of a (P, m) block: the tau2
+    stage (``_tau2_stage``), then the normal part of nabla H, the frames,
+    the hypersurface jets and the remaining value fields.
+
+    Every jet stage is one kernel call, and every value-level field one
+    array operation, over the whole block; only the Delta f reductions and
+    the ``PointGeometry`` construction run per point.  Raises on the first
+    failed check of any point, so a caller that needs per-point outcomes
+    re-runs a failed block point by point (``sample_geometries``).
+    """
+    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, values = _tau2_stage(spec, points)
+    m, n = spec.m, spec.n
+    P = len(phi_unit)
+    phi0, jac, g0, ginv0, Gam0, B0, H0 = (
+        values[k] for k in ("phi", "jac", "metric", "metric_inv", "christoffel", "B_coord", "H"))
+    # d_a Gamma^k_ij, C order per point like every other field
+    dGam0 = np.ascontiguousarray(np.moveaxis(GamJ[..., sp.var_pos], -1, 1))
+
+    # the normal part of nabla H, U_j = P_N(d_j H), and the second
+    # derivatives P_N(d_i U_j) of the normal Laplacian, in C order
     UJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, dHJ, 1)        # order 1
     U0 = UJ[..., 0]
 
     # value stage: each field once over the point axis, with the numpy
     # primitive a lone point uses, on the same strided views (module docstring)
     codim = n - m
-    tangent, E, normal = _block_frames(rows / norm[:, None], jac, ginv0, codim)
-    d1 = slice(sp.var_pos[0], sp.var_pos[-1] + 1)  # first partials, adjacent in graded order
+    tangent, E, normal = _block_frames(phi_unit, jac, ginv0, codim)
 
-    def lap(dd, V):
-        """-g^ij dd_ij + g^ij Gamma^k_ij V_k"""
-        return (-np.einsum("pij,pijc->pc", ginv0, dd)
-                + np.einsum("pij,pkij,pkc->pc", ginv0, Gam0, V))
-
-    # second derivatives [p, i, j, c], in C order like a lone point's (the
-    # einsums in ``lap`` sum in a layout-dependent order): the rough
-    # Laplacian's nabla_i W_j = d_i W_j + <W_j, dphi_i> phi, and the normal
-    # one's P_N(d_i U_j)
     phi, J = phi0[:, None, None], jac[:, None, None]
-    dW, dU = (np.moveaxis(X[..., d1], -1, 1) for X in (WJ, UJ))
-    ddH = np.ascontiguousarray(dW + _dot(W0[:, None], jac[:, :, None])[..., None] * phi)
+    dU = _first_partials(sp, UJ)
     coeffs = ginv0[:, None, None] @ (J @ dU[..., None])
     ddU = np.ascontiguousarray(dU - _dot(dU, phi)[..., None] * phi
                                - (coeffs.swapaxes(-1, -2) @ J)[..., 0, :])
@@ -429,26 +493,43 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
         )
     A_H = np.einsum("pai,pbj,pijc,pc->pab", E, E, B0, H0)
 
-    H2 = H2J[:, 0].tolist()
     perp2 = np.einsum("pij,pic,pjc->p", ginv0, U0, U0).tolist()
     block = dict(
-        point=points, phi=phi0, jac=jac, metric=g0, metric_inv=ginv0, christoffel=Gam0,
-        christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
-        normal_frame=normal, B_coord=B0, B_frame=B_frame, A_H=A_H, H=H0,
-        H_norm=[math.sqrt(max(x, 0.0)) for x in H2], H2=H2, B2=B2.tolist(),
-        AH2=_sumsq(A_H).tolist(), delta_H=lap(ddH, W0), delta_perp_H=lap(ddU, U0), nabla_perp_H=U0,
+        values, christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
+        normal_frame=normal, B_frame=B_frame, A_H=A_H, B2=B2.tolist(),
+        AH2=_sumsq(A_H).tolist(), delta_perp_H=_lap(ginv0, Gam0, ddU, U0), nabla_perp_H=U0,
         nabla_perp_H_norm=[math.sqrt(max(x, 0.0)) for x in perp2],
         grad_H2=np.einsum("pij,pi,pjc->pc", ginv0, H2J[:, sp.var_pos], jac),
         trace_B_AH=np.einsum("pij,pkl,pil,pjkc->pc", ginv0, ginv0, BH, B0),
         trace_A_nablaH=np.einsum("pij,pkl,pjlc,pic,pkd->pd", ginv0, ginv0, B0, U0, jac),
         **hyper,
     )
-    for f in fields(PointGeometry):     # the first non-finite field, in field order
-        v = block.get(f.name)
-        if v is not None and not np.isfinite(v).all():
-            raise GeometryError(f"non-finite {f.name} at the sample point")
+    _check_finite(block)
     return [PointGeometry(m=m, n=n, **{k: v[p] for k, v in block.items()})
             for p in range(P)]
+
+
+def _check_finite(values: dict) -> None:
+    """Raise on the first non-finite field of ``values`` in ``PointGeometry``
+    field order; fields that are absent or None are skipped."""
+    for f in fields(PointGeometry):
+        v = values.get(f.name)
+        if v is not None and not np.isfinite(v).all():
+            raise GeometryError(f"non-finite {f.name} at the sample point")
+
+
+def _first_partials(sp: jets.JetSpace, X: np.ndarray) -> np.ndarray:
+    """The first partials of jets X (P, F.., L) as (P, m, F..): the degree-1
+    coefficients, adjacent in graded order, moved after the point axis."""
+    return np.moveaxis(X[..., sp.var_pos[0]:sp.var_pos[-1] + 1], -1, 1)
+
+
+def _lap(ginv0: np.ndarray, Gam0: np.ndarray, dd: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """-g^ij dd_ij + g^ij Gamma^k_ij V_k over a block: a Laplacian from the
+    second derivatives dd [p, i, j, c] (C order: the einsums sum in a
+    layout-dependent order) and the first ones V [p, k, c]."""
+    return (-np.einsum("pij,pijc->pc", ginv0, dd)
+            + np.einsum("pij,pkij,pkc->pc", ginv0, Gam0, V))
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

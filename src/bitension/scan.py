@@ -14,6 +14,19 @@ precision.  A proper biharmonic root is a simple zero of that vector and
 takes a few steps; a minimal member is a double zero and takes about 25.
 A refined root is judged on its profile at the refined parameter, as a grid
 row is, and reported only if proper biharmonic or minimal below pass_tol.
+Where |A|^2 = m at a minimal member, tau2 = m |H| (|A|^2 - m) eta vanishes
+to second order, and the secant can stall in rounding noise near it while
+|H| is still above pass_tol; a root that reads proper therefore takes one
+secant step on the stacked mean curvature vector H, and is replaced by the
+minimal member found there (``_minimal_member``).
+
+The profile reads only tau2 and |H| (``extrinsic.tau2_block``), never the
+full geometry package, so a parameter value fails only on the checks those
+two depend on: a chart or domain error, non-finite chart jets, a point off
+the sphere, a rank-deficient metric, or a non-finite field of the tau2
+stage, reported with the error of the first failing sample point.  The
+tangent and normal frame checks, and the finiteness of the fields a scan
+never reads, guard only the full package (``extrinsic.geometry_block``).
 
 Grid endpoints are never reported as interior roots; an endpoint where the
 profile is still falling is labeled separately as boundary behavior (the
@@ -159,10 +172,16 @@ class Profile(NamedTuple):
     h_max: float
     verdict: str            # biharmonic._verdict of these samples
     tau2: np.ndarray        # every point's tau2_direct vector, concatenated
+    H: np.ndarray           # every point's mean curvature vector, concatenated
 
 
 def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
-    """The Profile at one parameter value, memoized; a failing point raises."""
+    """The Profile at one parameter value, memoized; a failing point raises.
+
+    It reads only the tau2 stage (``extrinsic.tau2_block``), in the blocks
+    of ``extrinsic._blockwise``; a block that raises is re-run one point at
+    a time, and the first failing point's error is raised.
+    """
 
     def at(t: float) -> Profile:
         key = float(t)
@@ -170,22 +189,26 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
         if hit is not None:
             return hit
         spec = family.chart_at(key)
-        vecs = []
-        hs = []
-        for g in extrinsic.sample_geometries(spec, points):
-            if not isinstance(g, extrinsic.PointGeometry):
-                raise g                     # the first failing point's error
-            vecs.append(biharmonic.tau2_direct(g))
-            hs.append(g.H_norm)
+        vecs, H_vecs, hs = [], [], []
+        for out in extrinsic._blockwise(extrinsic.tau2_block, _tau2_point, spec, points):
+            if not isinstance(out, extrinsic.Tau2Block):
+                raise out                   # the first failing point's error
+            vecs.extend(biharmonic.tau2_direct(out))
+            H_vecs.extend(out.H)
+            hs.extend(out.H_norm)
         taus = [float(np.linalg.norm(v)) for v in vecs]
         verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
                                       family.pass_tol, family.fail_tol)
         out = Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
-                      np.concatenate(vecs))
+                      np.concatenate(vecs), np.concatenate(H_vecs))
         cache[key] = out
         return out
 
     return at
+
+
+def _tau2_point(spec: chart_mod.ChartSpec, point) -> extrinsic.Tau2Block:
+    return extrinsic.tau2_block(spec, [point])
 
 
 def _refine(profile_at, a: float, x: float, b: float):
@@ -230,6 +253,32 @@ def _refine(profile_at, a: float, x: float, b: float):
             b = t
         t0, t1 = t1, t
     return x, steps
+
+
+def _minimal_member(profile_at, t: float, t_grid: float):
+    """(t, profile) of the minimal member next to a proper-looking root, or
+    of the root itself.
+
+    At a minimal member where |A|^2 = m, tau2 = m |H| (|A|^2 - m) eta has a
+    double zero that sinks into rounding noise about 1e-6 away from it,
+    where |H| is still above pass_tol; the secant on tau2 stalls there, and
+    the stall point reads as proper.  One secant step on the stacked H
+    vector through t and the cached grid point t_grid,
+    t - <H_t, H_t - H_g> (t - t_grid) / ||H_t - H_g||^2, finds where H
+    vanishes; it is taken when it moves t by less than 1e-6 and the profile
+    there is minimal.  A genuine proper root, with |H| of order 1, sends the
+    step far away and costs no evaluation.
+    """
+    p = profile_at(t)
+    H, d = p.H, p.H - profile_at(t_grid).H
+    dd = float(d @ d)
+    if dd > 0.0:
+        t_H = t - float(H @ d) * (t - t_grid) / dd
+        if abs(t_H - t) < 1e-6:
+            q = profile_at(t_H)
+            if q.verdict == biharmonic.VERDICT_MINIMAL:
+                return t_H, q
+    return t, p
 
 
 _ROOT_CLASS = {biharmonic.VERDICT_PROPER: "proper-biharmonic",
@@ -277,6 +326,8 @@ def sweep(family: FamilySpec) -> ScanResult:
             t_root, iters = _refine(profile_at, float(ts[i - 1]), float(ts[i]),
                                     float(ts[i + 1]))
             p = profile_at(t_root)
+            if p.verdict == biharmonic.VERDICT_PROPER:
+                t_root, p = _minimal_member(profile_at, t_root, float(ts[i]))
         except (chart_mod.ChartError, extrinsic.GeometryError):
             continue
         cls = _ROOT_CLASS.get(p.verdict)

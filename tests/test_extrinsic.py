@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -913,8 +914,9 @@ def test_scan_row_reports_first_failing_point(monkeypatch):
     fam = scan.FamilySpec(doc=POLE_DOC, param_name="c", lo=0.9, hi=1.1, steps=8,
                           samples_per_point=8)
     calls = []
-    monkeypatch.setattr(extrinsic, "compute_geometry",
-                        lambda *args: calls.append(args[1]) or compute_geometry(*args))
+    one_point = extrinsic._one_point
+    monkeypatch.setattr(extrinsic, "_one_point",
+                        lambda *args: calls.append(args[2]) or one_point(*args))
     grid = scan.sweep(fam).grid
     # after the failed block, the one-point re-run stops at the failing point
     assert len(calls) == 3 * len(grid) and tuple(calls[2]) == RANK_POINT
@@ -922,3 +924,86 @@ def test_scan_row_reports_first_failing_point(monkeypatch):
         with pytest.raises(GeometryError) as err:
             compute_geometry(fam.chart_at(row.param), RANK_POINT)
         assert row.verdict == "error" and row.error == str(err.value)
+
+
+# one 1-parameter chart family per check the tau2 stage keeps, with sample
+# points that pass at index 0 and 1 and fail from index 2 or 4 on
+def _curve(name, last):
+    return {"name": name, "m": 1, "n": 2, "expressions": ["cos(u1)", "sin(u1)", last],
+            "domain": [[0.0, 6.0]], "params": {"c": 1.0}}
+
+
+def _swapped(pts, i, j):
+    pts = pts.copy()
+    pts[[i, j]] = pts[[j, i]]
+    return pts
+
+
+CURVE_POINTS = np.array([[0.1], [0.2], [3.0], [0.3], [4.0], [0.4], [0.5], [0.6]])
+STAGE_CHECKS = {
+    # c u1 > 34.7 overflows the power, and 0 * inf leaves a NaN in the jets
+    "chart-jets": (_curve("overflow", "0 * (c * u1)^200"), 5.0, 30.0, CURVE_POINTS,
+                   "^non-finite chart jets$"),
+    # |phi| - 1 > 1e-8 where c u1^12 > 141
+    "sphere": (_curve("lifted", "1e-6 * c * u1^12"), 0.5, 1.0, CURVE_POINTS,
+               "^chart does not land on the unit sphere"),
+    "domain": (POLE_DOC, 0.9, 1.1, _swapped(pole_points(8), 2, 5), "sqrt"),
+    "rank": (POLE_DOC, 0.9, 1.1, pole_points(8), "^rank-deficient differential"),
+}
+
+
+@pytest.mark.parametrize("check", STAGE_CHECKS)
+def test_scan_row_error_for_each_stage_check(check, monkeypatch):
+    # a scan row fails with compute_geometry's error at the first sample
+    # point that fails, for every check the tau2 stage keeps
+    doc, lo, hi, pts, pattern = STAGE_CHECKS[check]
+    monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pts)
+    fam = scan.FamilySpec(doc=doc, param_name="c", lo=lo, hi=hi, steps=8, samples_per_point=8)
+    errors = [row for row in scan.sweep(fam).grid if row.verdict == "error"]
+    assert errors
+    for row in errors:
+        spec = fam.chart_at(row.param)
+        outcomes = []
+        for p in pts:
+            try:
+                compute_geometry(spec, p)
+            except (GeometryError, chart.ChartError) as e:
+                outcomes.append(str(e))
+            else:
+                outcomes.append(None)
+        assert outcomes[:2] == [None, None]
+        assert row.error == next(o for o in outcomes if o is not None)
+        assert re.search(pattern, row.error)
+
+
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_tau2_block_equals_geometry_block(spec):
+    # m = 1..6, codimension 1..3, catalog, perturbed and document charts
+    pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
+    got = extrinsic.tau2_block(spec, pts)
+    ref = extrinsic.geometry_block(spec, pts)
+    assert got.m == spec.m
+    assert np.array_equal(got.H, [g.H for g in ref])
+    assert np.array_equal(got.delta_H, [g.delta_H for g in ref])
+    assert got.H.tobytes() == np.array([g.H for g in ref]).tobytes()
+    assert got.delta_H.tobytes() == np.array([g.delta_H for g in ref]).tobytes()
+    assert got.H_norm == [g.H_norm for g in ref]
+    assert all(type(h) is float for h in got.H_norm)
+
+
+def test_tau2_block_checks_its_fields(monkeypatch):
+    # a NaN in one point's Delta H: the tau2 stage alone raises on it with
+    # the message of the full package (field order: B2 and AH2, which only
+    # the full package computes, come before delta_H and stay finite)
+    lap = extrinsic._lap
+
+    def poison_last_point(ginv0, Gam0, dd, V):
+        out = lap(ginv0, Gam0, dd, V)
+        out[-1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(extrinsic, "_lap", poison_last_point)
+    pts = sample_points(TORUS, 4, 6)
+    for fn in (extrinsic.tau2_block, extrinsic.geometry_block):
+        with pytest.raises(GeometryError, match="^non-finite delta_H at the sample point$"):
+            fn(TORUS, pts)

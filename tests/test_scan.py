@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bitension import biharmonic, scan
+from bitension import biharmonic, extrinsic, scan
 from bitension.scan import FamilySpec, ScanError, sweep
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -246,6 +246,37 @@ def test_sweep_makes_no_full_evaluation(monkeypatch):
     assert [r.classification for r in res.roots] == ["proper-biharmonic", "minimal"]
 
 
+def test_sweep_builds_no_point_geometry(monkeypatch):
+    # the profile reads the tau2 stage alone (extrinsic.tau2_block)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep called geometry_block")
+
+    monkeypatch.setattr(extrinsic, "geometry_block", refuse)
+    res = sweep(FamilySpec(steps=40, seed=3, **ROOT_FAMILIES["product-2+1"]))
+    assert [r.classification for r in res.roots] == ["proper-biharmonic", "minimal"]
+    assert all(row.verdict != "error" for row in res.grid)
+
+
+@pytest.mark.parametrize("steps, samples", [(8, 2), (8, 8), (20, 4)])
+def test_minimal_root_at_double_zero_not_proper(steps, samples):
+    # S^1(1/2) x S^3(sqrt(3)/2) is minimal with |A|^2 = m = 4, so tau2 has a
+    # double zero there that sinks into rounding noise while |H| is still
+    # above pass_tol; on coarse grids the tau2 secant stalled in that noise
+    # and the stall point was reported proper biharmonic
+    fam = FamilySpec(tag="product-spheres", param_name="r", lo=0.3, hi=0.95, steps=steps,
+                     fixed={"m1": 1, "m2": 3}, samples_per_point=samples, seed=3)
+    roots = sweep(fam).roots
+    near_half = [r for r in roots if abs(r.param - 0.5) < 1e-6]
+    assert len(near_half) == 1
+    assert near_half[0].classification == "minimal"
+    assert abs(near_half[0].param - 0.5) < 1e-8
+    assert near_half[0].H_norm < fam.pass_tol
+    for r in roots:
+        if r is not near_half[0]:
+            assert r.classification == "proper-biharmonic"
+            assert abs(r.param - ROOT2INV) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # _refine on synthetic profiles: T(t) stands for the stacked tau2 vector and
 # f = ||T|| for the max over sample points
@@ -262,7 +293,7 @@ def synthetic(T, calls=None):
                 calls.append(t)
             v = np.asarray(T(t), dtype=float)
             f = float(np.linalg.norm(v))
-            cache[t] = scan.Profile(f, f, 0.0, "minimal", v)
+            cache[t] = scan.Profile(f, f, 0.0, "minimal", v, 0.0 * v)
         return cache[t]
     return at
 

@@ -58,6 +58,9 @@ SPHERE_FAMILY = {
 }
 PRODUCT_REF_DOC = "product-ref.json"
 PRODUCT_REF = {"catalog": {"tag": "product-spheres", "params": {"m1": 2, "m2": 1}}}
+# the --fields pole-crossing chart (below) swept over c: from c ~ 0.6 up a
+# sample point fails, and each such row carries that point's error
+POLE_DOC_FILE = "pole-crossing.json"
 COMMANDS = [
     ["verify", "--catalog", "small-hypersphere", "--param", "m=2", "--param", f"r={R}"],
     ["verify", "--catalog", "clifford-torus-b3", "--param", "a=0.5", "--param", "b=0.5"],
@@ -94,6 +97,10 @@ SCANS = [
     ["--family", "veronese", "--param", "r", "--range", "0.5:1.0"],
     ["--chart", SPHERE_FAMILY_DOC, "--param", "r", "--range", "0.3:0.95"],
     ["--chart", PRODUCT_REF_DOC, "--param", "r", "--range", "0.3:0.95"],
+    # m = 4, one point per block: a minimal root at r = 1/2, a proper one at 1/sqrt(2)
+    ["--family", "product-spheres", "--param", "r", "--param", "m1=1", "--param", "m2=3",
+     "--range", "0.3:0.95"],
+    ["--chart", POLE_DOC_FILE, "--param", "c", "--range", "0.0:3.0"],
 ]
 COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
 # the text renderers: human verify and audit, CSV scan
@@ -204,7 +211,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         for name, doc in ((CHART_DOC, chart_doc(chart, expr)), (S2_S2_DOC, S2_S2),
-                          (SPHERE_FAMILY_DOC, SPHERE_FAMILY), (PRODUCT_REF_DOC, PRODUCT_REF)):
+                          (SPHERE_FAMILY_DOC, SPHERE_FAMILY), (PRODUCT_REF_DOC, PRODUCT_REF),
+                          (POLE_DOC_FILE, POLE_DOC)):
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
         for argv in COMMANDS:
