@@ -458,40 +458,38 @@ def family_params(tag: str | None, param_name: str, value: float, fixed: dict) -
 # ---------------------------------------------------------------------------
 
 
-def _check_margin(spec: ChartSpec, points) -> np.ndarray:
-    """The (P, m) block as a float array, checked to lie in the safe region."""
+def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace, list]:
+    """Order-4 jets of all ambient components at each point of a (P, m)
+    block, stacked as a (P, n+1, L) array from one expression pass, and each
+    point's error: None, or the ``ChartEvalError`` of its one-point block.
+    A block that is not (P, m) raises ``ChartError``.
+
+    Every healthy point's jets are bit-identical to those of its own
+    one-point block.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.m:
         raise ChartError(f"expected a point with {spec.m} coordinates")
+    errors = [None] * len(points)
     slack = 1e-12
     lo, hi = np.array(spec.domain).T
     # "not inside" rather than "below or above": a NaN coordinate is outside
     outside = ~((points >= lo + SINGULAR_MARGIN - slack)
                 & (points <= hi - SINGULAR_MARGIN + slack)).all(axis=1)
-    if outside.any():
-        raise ChartEvalError(f"point outside the safe region (margin {SINGULAR_MARGIN})",
-                             points[np.argmax(outside)])
-    return points
-
-
-def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
-    """Order-4 jets of all ambient components at each point of a (P, m)
-    block, stacked as a (P, n+1, L) array from one expression pass.
-
-    Every point's jets are bit-identical to those of its own one-point block.
-    An error names the first offending point where it is known, else the
-    block's first point.
-    """
-    points = _check_margin(spec, points)
+    jets.fail(errors, outside, lambda p: ChartEvalError(
+        f"point outside the safe region (margin {SINGULAR_MARGIN})", points[p]))
     sp = jets.space(spec.m)
     var_jets = [jets.seed_variable(i, points[:, i], spec.m) for i in range(spec.m)]
     memo: dict = {}
-    rows = []
+    domain = [None] * len(points)
     try:
-        for comp in spec.components:
-            rows.append(expr.eval_jet(comp, sp, var_jets, spec.params, memo))
-    except (jets.JetDomainError, expr.ExprEvalError) as e:
-        raise ChartEvalError(f"chart evaluation failed: {e}", points[0]) from e
+        rows = [expr.eval_jet(comp, sp, var_jets, spec.params, domain, memo)
+                for comp in spec.components]
+    except expr.ExprEvalError as e:             # a parameter no point can read
+        domain = [d or e for d in domain]
+        rows = [np.nan] * len(spec.components)
+    jets.fail(errors, [d is not None for d in domain], lambda p: ChartEvalError(
+        f"chart evaluation failed: {domain[p]}", points[p]))
     stack = np.empty((len(points), len(rows), sp.size))
     for c, row in enumerate(rows):
         stack[:, c] = row                       # a constant row broadcasts
@@ -499,14 +497,13 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace]:
         norm2 = sp.dot(stack, stack)
         small = norm2[:, 0] < 1e-12
         if small.any():
-            p = int(np.argmax(small))
-            raise ChartEvalError(
-                f"cannot normalize near-zero vector (|phi| = {math.sqrt(max(norm2[p, 0], 0)):.3e})",
-                points[p],
-            )
+            jets.fail(errors, small, lambda p: ChartEvalError(
+                f"cannot normalize near-zero vector "
+                f"(|phi| = {math.sqrt(max(norm2[p, 0], 0)):.3e})", points[p]))
+            norm2 = np.where(small[:, None], sp.constant(1.0), norm2)
         scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", norm2))
         stack = sp.mul(stack, scale[:, None])
-    return stack, sp
+    return stack, sp, errors
 
 
 _LATTICE_ALPHAS = np.array(

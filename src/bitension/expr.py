@@ -323,14 +323,17 @@ def max_var_index(e: Expr) -> int:
     return -1
 
 
-def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict,
+def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
              memo: dict | None = None) -> np.ndarray:
-    """Evaluate over order-4 jets of ``sp``, arrays (..., L).  ``memo``
-    shares equal subtrees within one call.
+    """Evaluate over order-4 jets of ``sp``, arrays (..., L); ``errors`` has
+    one entry per point (None while it has no error), and ``memo`` shares
+    equal subtrees within one call.
 
     ``chart.eval_jet_stack`` passes (P, L) variable jets, one row per point
     of a block (a lone point is a block of one); constant subtrees stay (L,)
-    jets that broadcast against them.
+    jets that broadcast against them.  A row outside the domain of ``sqrt``,
+    ``/`` or a negative power at degree 0 records the ``JetDomainError`` its
+    point alone raises and turns NaN, which ``jets.elementary`` passes through.
     """
     if memo is None:
         memo = {}
@@ -349,10 +352,13 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict,
         except KeyError:
             raise ExprEvalError(f"unknown parameter {e.name!r}") from None
     elif isinstance(e, Unary):
-        out = jets.elementary(sp, e.op, eval_jet(e.arg, sp, var_jets, params, memo))
+        x = eval_jet(e.arg, sp, var_jets, params, errors, memo)
+        if e.op == "sqrt":
+            x = _domain(errors, x, "sqrt")
+        out = jets.elementary(sp, e.op, x)
     elif isinstance(e, Binary):
-        a = eval_jet(e.left, sp, var_jets, params, memo)
-        b = eval_jet(e.right, sp, var_jets, params, memo)
+        a = eval_jet(e.left, sp, var_jets, params, errors, memo)
+        b = eval_jet(e.right, sp, var_jets, params, errors, memo)
         if e.op == "+":
             out = a + b
         elif e.op == "-":
@@ -360,13 +366,26 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict,
         elif e.op == "*":
             out = sp.mul(a, b)
         else:
-            if (b[..., 0] == 0.0).any():
-                raise jets.JetDomainError("recip", 0.0)
-            out = sp.mul(a, jets.elementary(sp, "recip", b))
+            out = sp.mul(a, jets.elementary(sp, "recip", _domain(errors, b, "recip", 0.0)))
     elif isinstance(e, Power):
-        out = jets.elementary(sp, "pow_int", eval_jet(e.base, sp, var_jets, params, memo),
-                              exponent=e.exponent)
+        x = eval_jet(e.base, sp, var_jets, params, errors, memo)
+        if e.exponent < 0:
+            x = _domain(errors, x, "recip")
+        out = jets.elementary(sp, "pow_int", x, exponent=e.exponent)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[e] = out
     return out
+
+
+def _domain(errors: list, x: np.ndarray, fn: str, value: float | None = None) -> np.ndarray:
+    """``x`` with NaN rows where its degree-0 value is outside the domain of
+    ``fn`` (sqrt: <= 0, recip: 0), each such point's error recorded; the
+    message gives ``value``, else the row's own value."""
+    c0 = np.broadcast_to(x[..., 0], (len(errors),))
+    bad = c0 <= 0.0 if fn == "sqrt" else c0 == 0.0
+    if not bad.any():
+        return x
+    jets.fail(errors, bad, lambda p: jets.JetDomainError(
+        fn, float(c0[p]) if value is None else value))
+    return np.where(bad[:, None], np.nan, x)

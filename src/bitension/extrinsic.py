@@ -65,7 +65,7 @@ views: an ``einsum`` gains a ``p`` index, ``np.dot`` of two jet rows becomes
 a stacked ``@`` (``_dot``; a contiguous copy would sum in another order) and
 ``np.sum`` a per-row sum.  The pivoted Gram-Schmidt frames run over the
 point axis too, each point with its own pivots (``_block_frames``), and the
-finiteness of every field is checked once per block.  Only the two full
+finiteness of every field is tested once per block.  Only the two full
 reductions of Delta f stay per point: their ``einsum`` with a point axis
 sums in another order (it moved the last bit of 12 of 640 probed values).
 ``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
@@ -80,13 +80,12 @@ of eight one-point calls at m = 4, 1.0-2.2x at m = 5 and 0.8x at m = 6, and
 raised the peak memory above the interpreter's from 2 to 8 MB at m = 4, 4 to
 24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries grow with P).
 P stays 1 at m >= 4 until a benchmark workload at m = 4, and repeated runs
-at m = 5, show that gain end to end.  A block raises on the first failed
-check of any point.  ``_blockwise`` walks the points in blocks and then
-evaluates that block (up to 32 points) again point by point
-(``_one_point``), so every failure carries its own point's message; it
-serves ``sample_geometries`` (``geometry_block``, one point through
-``compute_geometry``) and the scan's profile (``tau2_block``) alike, and a
-caller that stops at the first failure leaves the later points unevaluated.
+at m = 5, show that gain end to end.  No check raises: a failed check
+records the point's error (``jets.fail``; a point keeps its first), and every
+row goes on, as rows never mix, so one pass gives each point the outcome of
+its one-point block.  A failed point passes neutral rows (the identity, the
+constant-1 jet) to the calls that raise for a whole stack: LAPACK's
+``eigvalsh`` and ``cholesky``, and the jet ``sqrt`` and ``recip``.
 """
 
 from __future__ import annotations
@@ -167,9 +166,8 @@ class PointGeometry:
     """All extrinsic data of one chart at one sample point.
 
     Immutable value: every field is computed once by ``geometry_block``,
-    its only constructor, and is finite: ``geometry_block`` checks each
-    field over its block and raises ``GeometryError`` naming the first
-    non-finite one in field order.
+    its only constructor, and is finite: a point with a non-finite field
+    gets a ``GeometryError`` naming the first one in field order instead.
     """
 
     point: np.ndarray
@@ -260,57 +258,24 @@ def block_size(m: int) -> int:
 
 
 def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
-    """Yield the geometry at each point, in order: a ``PointGeometry``, or
-    the ``GeometryError``/``ChartError`` that point fails with.
-
-    The points are walked in blocks of ``block_size(spec.m)`` (``_blockwise``).
-    A block that raises is evaluated again one point at a time, so each
-    failure carries its own point's message, exactly as a lone
-    ``compute_geometry`` call.  Points are evaluated as the caller asks for
-    them, so a caller that stops at the first failure leaves the later blocks
-    unevaluated.
-    """
-    for out in _blockwise(geometry_block, compute_geometry, spec, points):
-        if isinstance(out, list):
-            yield from out
-        else:
-            yield out
-
-
-def _blockwise(block_fn, point_fn, spec: chart_mod.ChartSpec, points) -> Iterator:
-    """Yield ``block_fn(spec, block)`` for each block of ``block_size(spec.m)``
-    points, in order; for a lone point, and for each point of a block that
-    raises, yield ``_one_point(point_fn, spec, point)`` instead."""
+    """Yield the outcome at each point, in order: ``geometry_block`` over
+    blocks of ``block_size(spec.m)`` points, each evaluated when the caller
+    asks for its first point."""
     size = block_size(spec.m)
     for start in range(0, len(points), size):
-        block = points[start:start + size]
-        if len(block) > 1:
-            try:
-                out = block_fn(spec, block)
-            except (GeometryError, chart_mod.ChartError):
-                pass                        # re-run point by point below
-            else:
-                yield out
-                continue
-        for point in block:
-            yield _one_point(point_fn, spec, point)
-
-
-def _one_point(point_fn, spec: chart_mod.ChartSpec, point):
-    """``point_fn(spec, point)``, or the ``GeometryError``/``ChartError`` it
-    raises: the one-point re-run of ``_blockwise``."""
-    try:
-        return point_fn(spec, point)
-    except (GeometryError, chart_mod.ChartError) as e:
-        return e
+        yield from geometry_block(spec, points[start:start + size])
 
 
 def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
     """Full extrinsic package at one point (m,): ``geometry_block`` of the
-    one-point block.  Floating-point overflow does not warn: a sample whose
-    jets or outputs are not finite raises ``GeometryError``.
+    one-point block, whose error it raises.  Floating-point overflow does
+    not warn: a sample whose jets or outputs are not finite raises
+    ``GeometryError``.
     """
-    return geometry_block(spec, [point])[0]
+    [out] = geometry_block(spec, [point])
+    if isinstance(out, PointGeometry):
+        return out
+    raise out
 
 
 class Tau2Block(NamedTuple):
@@ -321,41 +286,41 @@ class Tau2Block(NamedTuple):
     H: np.ndarray               # (P, n+1)
     H_norm: list[float]
     delta_H: np.ndarray         # (P, n+1)
+    errors: list                # None, or the error of the point's one-point block
 
 
 def tau2_block(spec: chart_mod.ChartSpec, points) -> Tau2Block:
     """H, |H| and Delta H at each point of a (P, m) block: the tau2 stage of
     ``geometry_block`` alone, each value bit-identical to that field of the
-    full package.  Raises on the checks these values depend on: the chart
-    and its jets, the sphere, the rank, and the finiteness of the fields the
-    stage computes (in field order); the frame checks and the finiteness of
-    the other fields are ``geometry_block``'s alone.
+    full package.  A point fails only the checks these values depend on:
+    the chart and its jets, the sphere, the rank, and the finiteness of the
+    fields the stage computes (in field order); the frame checks and the
+    finiteness of the other fields are ``geometry_block``'s alone.  A failed
+    point's values mean nothing.
     """
-    values = _tau2_stage(spec, points)[-1]
-    _check_finite(values)
-    return Tau2Block(spec.m, values["H"], values["H_norm"], values["delta_H"])
+    *_, errors, values = _tau2_stage(spec, points)
+    _check_finite(values, errors)
+    return Tau2Block(spec.m, values["H"], values["H_norm"], values["delta_H"], errors)
 
 
 @np.errstate(all="ignore")
 def _tau2_stage(spec: chart_mod.ChartSpec, points):
     """The jet stages through H and Delta H over a (P, m) block, with the
     chart, sphere and rank checks: the jets the rest of ``geometry_block``
-    reads, then a dict of the ``PointGeometry`` fields computed here."""
+    reads, each point's error, and a dict of the ``PointGeometry`` fields
+    computed here."""
+    Phi, sp, errors = chart_mod.eval_jet_stack(spec, points)       # (P, n+1, L)
     points = np.asarray(points, dtype=np.float64)
-    Phi, sp = chart_mod.eval_jet_stack(spec, points)               # (P, n+1, L)
-    if not np.all(np.isfinite(Phi)):
-        raise GeometryError("non-finite chart jets")
+    if not np.isfinite(Phi).all():
+        _fail(errors, ~np.isfinite(Phi).all(axis=(1, 2)), "non-finite chart jets")
     m, n = spec.m, spec.n
     P = len(points)
 
     phi0 = Phi[..., 0]
     rows = np.ascontiguousarray(phi0)       # np.linalg.norm's sum: np.dot of a contiguous row
     norm = np.sqrt(_dot(rows, rows))
-    off_sphere = np.abs(norm - 1.0) > 1e-8
-    if off_sphere.any():
-        raise GeometryError(
-            f"chart does not land on the unit sphere (|phi| = {norm[np.argmax(off_sphere)]:.6g})"
-        )
+    _fail(errors, np.abs(norm - 1.0) > 1e-8,
+          "chart does not land on the unit sphere (|phi| = {:.6g})", norm)
 
     dPhi = np.stack([sp.deriv(Phi, i) for i in range(m)], axis=1)  # order 3, as gJ
     jac = dPhi[..., 0]
@@ -365,14 +330,11 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points):
     gJ[:, iu, ju] = gJ[:, ju, iu] = sp.dot(dPhi[:, iu], dPhi[:, ju], 3)
     g0 = gJ[..., 0]
 
-    eig = np.linalg.eigvalsh(g0)[:, [0, -1]]
-    rank_deficient = eig[:, 0] <= RANK_TOL * eig[:, 1]
-    if rank_deficient.any():
-        lo, hi = eig[np.argmax(rank_deficient)]
-        raise GeometryError(
-            f"rank-deficient differential (metric eigenvalues {lo:.3e}..{hi:.3e})"
-        )
-    cho = np.linalg.cholesky(g0)
+    # LAPACK raises for a whole stack: a failed point passes the identity
+    eig = np.linalg.eigvalsh(_neutral(errors, g0, np.eye(m)))[:, [0, -1]]
+    _fail(errors, eig[:, 0] <= RANK_TOL * eig[:, 1],
+          "rank-deficient differential (metric eigenvalues {:.3e}..{:.3e})", *eig.T)
+    cho = np.linalg.cholesky(_neutral(errors, g0, np.eye(m)))
     g0inv = np.linalg.inv(cho.swapaxes(-1, -2)) @ np.linalg.inv(cho)
     ginvJ = _jet_mat_inv(sp, gJ, g0inv, 2)
     ginv0 = ginvJ[..., 0]
@@ -420,22 +382,23 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points):
         B_coord=BJ[..., 0], H=H0, H_norm=[math.sqrt(max(x, 0.0)) for x in H2], H2=H2,
         delta_H=_lap(ginv0, Gam0, ddH, W0),
     )
-    return sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, rows / norm[:, None], values
+    return sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, rows / norm[:, None], errors, values
 
 
 @np.errstate(all="ignore")
-def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
+def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry | ValueError]:
     """Full extrinsic package at each point of a (P, m) block: the tau2
     stage (``_tau2_stage``), then the normal part of nabla H, the frames,
     the hypersurface jets and the remaining value fields.
 
     Every jet stage is one kernel call, and every value-level field one
     array operation, over the whole block; only the Delta f reductions and
-    the ``PointGeometry`` construction run per point.  Raises on the first
-    failed check of any point, so a caller that needs per-point outcomes
-    re-runs a failed block point by point (``sample_geometries``).
+    the ``PointGeometry`` construction run per point.  Returns one entry per
+    point: its ``PointGeometry``, or the ``GeometryError``/``ChartError``
+    of its one-point block (its first failed check).
     """
-    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, values = _tau2_stage(spec, points)
+    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, errors, values = (
+        _tau2_stage(spec, points))
     m, n = spec.m, spec.n
     P = len(phi_unit)
     phi0, jac, g0, ginv0, Gam0, B0, H0 = (
@@ -451,7 +414,7 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
     # value stage: each field once over the point axis, with the numpy
     # primitive a lone point uses, on the same strided views (module docstring)
     codim = n - m
-    tangent, E, normal = _block_frames(phi_unit, jac, ginv0, codim)
+    tangent, E, normal = _block_frames(phi_unit, jac, ginv0, codim, errors)
 
     phi, J = phi0[:, None, None], jac[:, None, None]
     dU = _first_partials(sp, UJ)
@@ -467,7 +430,7 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
     B2 = _sumsq(B_frame)
     if codim == 1:
         c_star = np.argmax(np.abs(normal[:, 0]), axis=-1)
-        etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star)
+        etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors)
         normal = etaJ[:, None, :, 0].copy()
         B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
     B_frame.setflags(write=False)
@@ -504,18 +467,31 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry]:
         trace_A_nablaH=np.einsum("pij,pkl,pjlc,pic,pkd->pd", ginv0, ginv0, B0, U0, jac),
         **hyper,
     )
-    _check_finite(block)
-    return [PointGeometry(m=m, n=n, **{k: v[p] for k, v in block.items()})
-            for p in range(P)]
+    _check_finite(block, errors)
+    return [PointGeometry(m=m, n=n, **{k: v[p] for k, v in block.items()}) if e is None else e
+            for p, e in enumerate(errors)]
 
 
-def _check_finite(values: dict) -> None:
-    """Raise on the first non-finite field of ``values`` in ``PointGeometry``
-    field order; fields that are absent or None are skipped."""
+def _fail(errors: list, bad, message: str, *values) -> None:
+    """``jets.fail`` with a ``GeometryError``: ``message`` formatted with the
+    point's entries of ``values``."""
+    jets.fail(errors, bad, lambda p: GeometryError(message.format(*(v[p] for v in values))))
+
+
+def _neutral(errors: list, x: np.ndarray, row) -> np.ndarray:
+    """``x`` with ``row`` in place of each failed point's row."""
+    failed = np.array([e is not None for e in errors])
+    return np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), row, x) if failed.any() else x
+
+
+def _check_finite(values: dict, errors: list) -> None:
+    """Fail each point at its first non-finite field of ``values``, in
+    ``PointGeometry`` field order; absent or None fields are skipped."""
     for f in fields(PointGeometry):
         v = values.get(f.name)
         if v is not None and not np.isfinite(v).all():
-            raise GeometryError(f"non-finite {f.name} at the sample point")
+            bad = ~np.isfinite(np.reshape(v, (len(errors), -1))).all(axis=1)
+            _fail(errors, bad, f"non-finite {f.name} at the sample point")
 
 
 def _first_partials(sp: jets.JetSpace, X: np.ndarray) -> np.ndarray:
@@ -543,10 +519,10 @@ def _sumsq(X: np.ndarray) -> np.ndarray:
     return (X * X).reshape(len(X), -1).sum(-1)
 
 
-def _block_frames(phi_unit, jac, ginv0, codim):
+def _block_frames(phi_unit, jac, ginv0, codim, errors):
     """Orthonormal tangent frames, their coefficients E (e_a = E[a,i] dphi_i)
-    and value-level orthonormal normal frames of a (P, ...) block; raises if
-    any point's frame degenerates.
+    and value-level orthonormal normal frames of a (P, ...) block; a point
+    whose frame degenerates fails (``errors``).
 
     Each tangent frame is bit-identical to ``_mgs(jac[p])``: the rows are a
     contiguous copy, a row norm is ``sqrt(<v, v>)`` (``np.linalg.norm`` of a
@@ -563,8 +539,7 @@ def _block_frames(phi_unit, jac, ginv0, codim):
         norms[picked] = -np.inf
         pick = np.argmax(norms, axis=-1)
         top = norms[at, pick]
-        if np.any(top < 1e-13):
-            raise GeometryError("tangent frame construction failed")
+        _fail(errors, top < 1e-13, "tangent frame construction failed")
         e = tangent[:, a] = V[at, pick] / top[:, None]
         picked[at, pick] = True
         V -= _dot(V, e[:, None])[..., None] * e[:, None]
@@ -577,14 +552,13 @@ def _block_frames(phi_unit, jac, ginv0, codim):
     for x in range(codim):
         v = work[at, np.argmax(np.linalg.norm(work, axis=-1), axis=-1)]
         nv = np.sqrt(_dot(v, v))
-        if np.any(nv < 1e-10):
-            raise GeometryError("normal frame construction failed (degenerate complement)")
+        _fail(errors, nv < 1e-10, "normal frame construction failed (degenerate complement)")
         e = normal[:, x] = v / nv[:, None]
         work = work - (work @ e[..., None]) * e[:, None]
     return tangent, E, normal
 
 
-def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
+def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
     """Jets of the hypersurface unit normal eta and f = <H, eta> (order 2),
     and of the shape operator as a (1,1)-tensor field A^k_j = g^kl <B_lj, eta>
     (order 1: ``nabla_A`` reads it at degree <= 1).
@@ -601,8 +575,10 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
     E_c[np.arange(P), c_star, 0] = 1.0
     NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 2)
     nn = sp.mul(NJ, NJ, 2).sum(axis=-2)
-    if np.any(nn[:, 0] < 1e-16):
-        raise GeometryError("normal frame construction failed (degenerate complement)")
+    small = nn[:, 0] < 1e-16
+    if small.any():                 # a failed point composes the constant 1
+        _fail(errors, small, "normal frame construction failed (degenerate complement)")
+        nn = np.where(small[:, None], sp.constant(1.0), nn)
     scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 2), 2)
     etaJ = sp.mul(NJ, scale[:, None], 2)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2

@@ -51,6 +51,14 @@ class JetDomainError(JetError):
         super().__init__(f"{fn} applied to jet with degree-0 value {value!r}")
 
 
+def fail(errors: list, bad, error) -> None:
+    """Set ``errors[p] = error(p)`` at each row p that ``bad`` flags and that
+    has no error yet, so a point keeps the first check it fails."""
+    for p in np.flatnonzero(bad):
+        if errors[p] is None:
+            errors[p] = error(p)
+
+
 @lru_cache(maxsize=None)
 def space(num_vars: int) -> "JetSpace":
     return JetSpace(num_vars)

@@ -178,9 +178,8 @@ class Profile(NamedTuple):
 def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
     """The Profile at one parameter value, memoized; a failing point raises.
 
-    It reads only the tau2 stage (``extrinsic.tau2_block``), in the blocks
-    of ``extrinsic._blockwise``; a block that raises is re-run one point at
-    a time, and the first failing point's error is raised.
+    It reads only the tau2 stage (``extrinsic.tau2_block``), in blocks of
+    ``extrinsic.block_size``, and raises the first failing point's error.
     """
 
     def at(t: float) -> Profile:
@@ -190,9 +189,12 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
             return hit
         spec = family.chart_at(key)
         vecs, H_vecs, hs = [], [], []
-        for out in extrinsic._blockwise(extrinsic.tau2_block, _tau2_point, spec, points):
-            if not isinstance(out, extrinsic.Tau2Block):
-                raise out                   # the first failing point's error
+        size = extrinsic.block_size(spec.m)
+        for start in range(0, len(points), size):
+            out = extrinsic.tau2_block(spec, points[start:start + size])
+            error = next(filter(None, out.errors), None)
+            if error is not None:
+                raise error                 # the first failing point's error
             vecs.extend(biharmonic.tau2_direct(out))
             H_vecs.extend(out.H)
             hs.extend(out.H_norm)
@@ -205,10 +207,6 @@ def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
         return out
 
     return at
-
-
-def _tau2_point(spec: chart_mod.ChartSpec, point) -> extrinsic.Tau2Block:
-    return extrinsic.tau2_block(spec, [point])
 
 
 def _refine(profile_at, a: float, x: float, b: float):

@@ -2,6 +2,7 @@
 sampling, and the perturbation harness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_catalog_unit_sphere_invariant(tag, params):
 def test_catalog_immersion_invariant(tag, params):
     spec = catalog_chart(tag, params)
     for p in sample_points(spec, 8, 5):
-        stack, sp = eval_jet_stack(spec, [p])
+        stack, sp, _ = eval_jet_stack(spec, [p])
         jac = stack[0][:, sp.var_pos].T                         # (m, n+1)
         g = jac @ jac.T
         eig = np.linalg.eigvalsh(g)
@@ -173,9 +174,13 @@ def test_sample_points_contract():
 
 
 def test_eval_jet_margin_enforced():
+    # each point outside the safe region gets its own error; the others none
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
-    with pytest.raises(ChartEvalError, match=r"safe region.* at point \(0\.01, 1\.0\)$"):
-        eval_jet_stack(spec, [[0.5, 1.0], [0.01, 1.0], [0.5, 9.0]])
+    _, _, errors = eval_jet_stack(spec, [[0.5, 1.0], [0.01, 1.0], [0.5, 9.0]])
+    assert errors[0] is None
+    assert all(isinstance(e, ChartEvalError) for e in errors[1:])
+    assert re.search(r"safe region.* at point \(0\.01, 1\.0\)$", str(errors[1]))
+    assert re.search(r"safe region.* at point \(0\.5, 9\.0\)$", str(errors[2]))
 
 
 @pytest.mark.parametrize("block", [
@@ -184,14 +189,15 @@ def test_eval_jet_margin_enforced():
 ])
 def test_nan_coordinate_is_outside_the_safe_region(block):
     # every comparison with NaN is false, so the check asks "not inside":
-    # the first NaN point is named, alone and in a block
+    # each NaN point is named, alone and in a block
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
-    bad = next(p for p in block if any(map(math.isnan, p)))
-    for call in (lambda: eval_jet_stack(spec, block),
-                 lambda: extrinsic.geometry_block(spec, block)):
-        with pytest.raises(ChartEvalError, match="safe region") as err:
-            call()
-        assert np.array_equal(err.value.point, bad, equal_nan=True)
+    for got in (eval_jet_stack(spec, block)[2], extrinsic.geometry_block(spec, block)):
+        for p, out in zip(block, got):
+            if any(map(math.isnan, p)):
+                assert isinstance(out, ChartEvalError) and "safe region" in str(out)
+                assert np.array_equal(out.point, p, equal_nan=True)
+            else:
+                assert not isinstance(out, Exception)
     if len(block) == 1:
         with pytest.raises(ChartEvalError, match=r"safe region.* at point \(nan, 1\.0\)$"):
             extrinsic.compute_geometry(spec, block[0])
@@ -230,8 +236,10 @@ def test_normalize_rejects_near_zero():
         "normalize": True,
     }
     spec = parse_chart(doc)
+    [error] = eval_jet_stack(spec, [[1.0]])[2]
+    assert isinstance(error, ChartEvalError) and "normalize" in str(error)
     with pytest.raises(ChartEvalError, match="normalize"):
-        eval_jet_stack(spec, [[1.0]])
+        extrinsic.compute_geometry(spec, [1.0])
 
 
 def test_eval_jet_overflow_returns_non_finite():
@@ -246,7 +254,7 @@ def test_eval_jet_overflow_returns_non_finite():
         "normalize": True,
     }
     with np.errstate(all="ignore"):
-        comps, _ = eval_jet_stack(parse_chart(doc), [[1.0, 2.0]])
+        comps, _, _ = eval_jet_stack(parse_chart(doc), [[1.0, 2.0]])
     assert not all(np.isfinite(j).all() for j in comps[0])
 
 
@@ -259,7 +267,8 @@ def test_division_by_tiny_constant_is_scaling():
                         "cos(u1)", "0.5"],
         "domain": [[0.0, 3.14159], [0.0, 6.28318]],
     })
-    stack, _ = eval_jet_stack(spec, sample_points(spec, 5, 2))
+    stack, _, errors = eval_jet_stack(spec, sample_points(spec, 5, 2))
+    assert errors == [None] * 5
     assert np.isfinite(stack).all()
     np.testing.assert_allclose(stack[:, 0], stack[:, 1], rtol=1e-15, atol=0.0)
 

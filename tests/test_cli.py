@@ -1,12 +1,16 @@
 """CLI: exit-status contract, report schemas, determinism, atomic output."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
+import chart_docs
 from bitension import cli
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -476,3 +480,24 @@ def test_scan_json_deterministic(capsys, tmp_path):
 def test_usage_error_exit_two(capsys):
     assert cli.main(["verify"]) == 2            # missing chart source
     assert cli.main(["frobnicate"]) == 2        # unknown subcommand
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON token {name}")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=chart_docs.chart_documents(valid=False))
+def test_bad_input_never_ends_in_a_traceback(tmp_path_factory, doc):
+    # random chart documents, most failing at some or all samples: the exit
+    # code stays in 0..3, no exception leaves main, and a report is strict JSON
+    path = tmp_path_factory.mktemp("fuzz") / "chart.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--chart", str(path), "--points", "3", "--format", "json"])
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert err.getvalue().startswith("error: ")

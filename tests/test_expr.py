@@ -36,7 +36,37 @@ def test_unknown_parameter_at_eval():
     with pytest.raises(ExprEvalError):
         eval_real(t, [1.0], {})
     with pytest.raises(ExprEvalError):
-        eval_jet(t, jets.space(1), [jets.seed_variable(0, 1.0, 1)], {})
+        eval_jet(t, jets.space(1), [jets.seed_variable(0, 1.0, 1)], {}, [None])
+
+
+@pytest.mark.parametrize("source,messages", [
+    # sqrt: degree-0 value <= 0, each row's own value; a row keeps its first error
+    ("sqrt(u1) + sqrt(u1 - 5)", ["sqrt applied to jet with degree-0 value -1.0",
+                                 "sqrt applied to jet with degree-0 value -1.0",
+                                 "sqrt applied to jet with degree-0 value 0.0",
+                                 "sqrt applied to jet with degree-0 value -0.0"]),
+    # division: a zero denominator, reported as 0.0 whatever its sign
+    ("1 / u1", [None, None, "recip applied to jet with degree-0 value 0.0",
+                "recip applied to jet with degree-0 value 0.0"]),
+    # a negative power: the row's own value
+    ("u1^-2", [None, None, "recip applied to jet with degree-0 value 0.0",
+               "recip applied to jet with degree-0 value -0.0"]),
+])
+def test_eval_jet_domain_errors_per_row(source, messages):
+    # rows at u1 = 4, -1, 0, -0: a row outside the domain gets its error and
+    # turns NaN, and a healthy row equals its lone evaluation
+    sp = jets.space(1)
+    values = [4.0, -1.0, 0.0, -0.0]
+    errors = [None] * 4
+    out = eval_jet(parse(source), sp, [jets.seed_variable(0, np.array(values), 1)], {}, errors)
+    assert [e if e is None else str(e) for e in errors] == messages
+    assert all(isinstance(e, jets.JetDomainError) for e in errors if e is not None)
+    for p, v in enumerate(values):
+        if messages[p] is None:
+            alone = eval_jet(parse(source), sp, [jets.seed_variable(0, v, 1)], {}, [None])
+            assert out[p].tobytes() == alone.tobytes()
+        else:
+            assert np.isnan(out[p]).all()
 
 
 def test_unexpected_character():
@@ -126,7 +156,8 @@ def test_jet_real_agreement(seed):
     source = "sin(2*u1 + 0.3) * cos(u2)^2 + sqrt(2.5 + sin(u1*u2)) - u1/(2.5 + cos(u2))"
     t = parse(source)
     point = rng.uniform(-1.2, 1.2, 2)
-    j = eval_jet(t, jets.space(2), [jets.seed_variable(i, point[i], 2) for i in range(2)], {})
+    j = eval_jet(t, jets.space(2), [jets.seed_variable(i, point[i], 2) for i in range(2)], {},
+                 [None])
     r = eval_real(t, list(point), {})
     assert abs(j[0] - r) <= 1e-13 * max(1.0, abs(r))
 

@@ -20,7 +20,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chart_docs
 import oracle
 from bitension import biharmonic, chart, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
@@ -82,6 +85,46 @@ def test_product_spheres_closed_form(m1, m2, a):
         match = (np.allclose(eig, eig_ref, atol=1e-10)
                  or np.allclose(eig, sorted(-x for x in eig_ref), atol=1e-10))
         assert match, f"shape eigenvalues {eig} vs {eig_ref}"
+
+
+def _closed_form_cases():
+    """(tag, params, m, |H|, |A|^2, s) for S^m(r), m = 1..6, and for
+    S^{m1}(r1) x S^{m2}(r2) up to m = 6."""
+    for m, r in itertools.product(range(1, 7), (0.5, ROOT2INV, 0.9)):
+        yield ("small-hypersphere", {"m": m, "r": r}, m, math.sqrt(1 - r * r) / r,
+               m * (1 - r * r) / (r * r), m * (m - 1) / (r * r))
+    for (m1, m2), r1 in itertools.product(
+            [(1, 1), (2, 1), (1, 3), (2, 2), (1, 4), (2, 4), (3, 3)], (0.6, ROOT2INV)):
+        r2, m = math.sqrt(1 - r1 * r1), m1 + m2
+        yield ("product-spheres", {"m1": m1, "m2": m2, "r1": r1, "r2": r2}, m,
+               abs(m1 * r2 / r1 - m2 * r1 / r2) / m,
+               m1 * r2 * r2 / (r1 * r1) + m2 * r1 * r1 / (r2 * r2),
+               m1 * (m1 - 1) / (r1 * r1) + m2 * (m2 - 1) / (r2 * r2))
+
+
+CLOSED_FORM_CASES = list(_closed_form_cases())
+
+
+@pytest.mark.parametrize("tag,params,m,H,A2,s", CLOSED_FORM_CASES, ids=[
+    "-".join([c[0], *(f"{k}={v:.4g}" for k, v in c[1].items())]) for c in CLOSED_FORM_CASES])
+def test_catalog_closed_forms_m1_to_6(tag, params, m, H, A2, s):
+    # |H|, |A|^2, the scalar curvature and the split residuals at every
+    # sample: for these CMC hypersurfaces the normal part is |H| (|A|^2 - m)
+    # and the tangent part 0 (the direct tau2 at m >= 4 waits for extended
+    # precision; it reads 2.1e-5 at m = 6, r = 1/sqrt(2))
+    spec = catalog_chart(tag, params)
+    pts = sample_points(spec, 64 if m <= 3 else 8, 13)
+    bounds = {"H": 1e-13, "A2": 1e-13, "s": 1e-9, "normal": 1e-8, "tangent": 1e-10}
+    for g in extrinsic.sample_geometries(spec, pts):
+        assert isinstance(g, extrinsic.PointGeometry)
+        normal, tangent = biharmonic.split_residuals(g)
+        got = {"H": (g.H_norm, H), "A2": (g.A2, A2),
+               "normal": (np.linalg.norm(normal), H * abs(A2 - m)),
+               "tangent": (np.linalg.norm(tangent), 0.0)}
+        if m >= 2:
+            got["s"] = (scalar_curvature(g), s)
+        for name, (value, exact) in got.items():
+            assert abs(value - exact) / max(1.0, abs(exact)) < bounds[name], name
 
 
 def test_minimal_product_spheres():
@@ -476,7 +519,7 @@ def test_ill_conditioned_metric_guard():
     }
     spec = chart.parse_chart(doc)
     point = [1.3, 3.0]
-    stack, sp = chart.eval_jet_stack(spec, [point])
+    stack, sp, _ = chart.eval_jet_stack(spec, [point])
     jac = stack[0][:, sp.var_pos].T
     eig = np.linalg.eigvalsh(jac @ jac.T)
     assert eig[-1] / eig[0] > 1.0 / extrinsic.RANK_TOL
@@ -528,7 +571,7 @@ def test_tiny_sqrt_component_finite_in_block_and_alone():
     pts = sample_points(spec, 5, 11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack, sp = chart.eval_jet_stack(spec, pts)
+        stack, sp, _ = chart.eval_jet_stack(spec, pts)
     assert np.isfinite(stack).all()
     value = np.sqrt(1e-120 * (2.0 + np.sin(pts[:, 1])))
     np.testing.assert_allclose(stack[:, 3, 0], value, rtol=1e-14)
@@ -727,7 +770,7 @@ def test_trimmed_stages_equal_untrimmed_where_read(spec, monkeypatch):
 
     # eta and f read at degree <= 2 (f's Hessian), A at degree <= 1 (nabla_A)
     if spec.n - spec.m == 1:
-        [((_, Phi, _, _, _, BJ, c_star), (etaJ, fJ, AJ))] = calls["_hypersurface_jets"]
+        [((_, Phi, _, _, _, BJ, c_star, _), (etaJ, fJ, AJ))] = calls["_hypersurface_jets"]
         ref_eta, ref_f, ref_A = _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginv3, HJ, BJ, c_star)
         same(etaJ, ref_eta, 2)
         same(fJ, ref_f, 2)
@@ -744,7 +787,7 @@ def test_trimmed_stages_equal_untrimmed_where_read(spec, monkeypatch):
 def block_frame_inputs(spec, pts):
     """``_block_frames`` inputs from real jets, jac and ginv0 strided as in
     ``geometry_block``."""
-    Phi, sp = chart.eval_jet_stack(spec, pts)
+    Phi, sp, _ = chart.eval_jet_stack(spec, pts)
     dPhi = np.stack([sp.deriv(Phi, i) for i in range(spec.m)], axis=1)
     phi0, jac = Phi[..., 0], dPhi[..., 0]
     phi_unit = phi0 / np.linalg.norm(phi0, axis=-1, keepdims=True)
@@ -758,12 +801,14 @@ def test_block_frames_equal_one_point_frames(spec):
     # normal frames in codimension 1 to 3 (torus, S2 x S2: 2, veronese: 3)
     phi_unit, jac, ginv0 = block_frame_inputs(spec, sample_points(spec, 9, 3))
     assert not jac.flags.c_contiguous
-    tangent, E, normal = extrinsic._block_frames(phi_unit, jac, ginv0, spec.n - spec.m)
+    errors = [None] * len(jac)
+    tangent, E, normal = extrinsic._block_frames(phi_unit, jac, ginv0, spec.n - spec.m, errors)
+    assert errors == [None] * len(jac)
     for p in range(len(jac)):
         assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
         assert E[p].tobytes() == ((tangent[p] @ jac[p].T) @ ginv0[p]).tobytes()
         one = extrinsic._block_frames(phi_unit[p:p + 1], jac[p:p + 1], ginv0[p:p + 1],
-                                      spec.n - spec.m)
+                                      spec.n - spec.m, [None])
         for got, ref in zip((tangent, E, normal), one):
             assert got[p].tobytes() == ref[0].tobytes()
 
@@ -777,7 +822,8 @@ def test_block_tangent_frames_pivot_per_point():
         [[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0]],
     ])
     phi_unit = np.tile([0.0, 0.0, 0.0, 0.0, 1.0], (3, 1))
-    tangent, _, normal = extrinsic._block_frames(phi_unit, jac, np.tile(np.eye(3), (3, 1, 1)), 1)
+    tangent, _, normal = extrinsic._block_frames(phi_unit, jac, np.tile(np.eye(3), (3, 1, 1)), 1,
+                                                 [None] * 3)
     for p in range(3):
         assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
     # first pivots: the largest row; the tie goes to the lower index
@@ -791,46 +837,58 @@ def test_block_tangent_frames_pivot_per_point():
     third = 1e6 / 3.0
     jac = np.array([[[third, 2 * third, 2 * third, 0.0, 0.0], [0.3, 0.2, 0.1, 0.0, 0.0],
                      [2e-11, -1e-11, 3e-11, 0.0, 0.0]]])
-    tangent, _, _ = extrinsic._block_frames(phi_unit[:1], jac, np.eye(3)[None], 1)
+    tangent, _, _ = extrinsic._block_frames(phi_unit[:1], jac, np.eye(3)[None], 1, [None])
     assert tangent[0].tobytes() == extrinsic._mgs(jac[0]).tobytes()
 
 
 TORUS = catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.45})    # codimension 2
 
 
-def test_block_frames_degenerate_point_raises():
+def test_block_frames_degenerate_point_fails():
+    # the degenerate point gets the error, and the frames go on past it (the
+    # geometry stage runs them under np.errstate, as here)
     phi_unit, jac, ginv0 = block_frame_inputs(TORUS, sample_points(TORUS, 4, 3))
     flat = jac.copy()
     flat[2, 1] = flat[2, 0]                 # point 2 spans a line only
-    with pytest.raises(GeometryError, match="^tangent frame construction failed$"):
-        extrinsic._block_frames(phi_unit, flat, ginv0, 2)
-    with pytest.raises(GeometryError, match="degenerate complement"):
-        extrinsic._block_frames(phi_unit, jac, ginv0, 3)   # one normal too many
+    errors = [None] * 4
+    with np.errstate(all="ignore"):
+        tangent, _, _ = extrinsic._block_frames(phi_unit, flat, ginv0, 2, errors)
+    assert [e is None for e in errors] == [True, True, False, True]
+    assert isinstance(errors[2], GeometryError)
+    assert re.search("^tangent frame construction failed$", str(errors[2]))
+    ref = extrinsic._block_frames(phi_unit, jac, ginv0, 2, [None] * 4)[0]
+    assert tangent[[0, 1, 3]].tobytes() == ref[[0, 1, 3]].tobytes()
+    errors = [None] * 4
+    with np.errstate(all="ignore"):
+        extrinsic._block_frames(phi_unit, jac, ginv0, 3, errors)   # one normal too many
+    assert all(isinstance(e, GeometryError) and "degenerate complement" in str(e)
+               for e in errors)
 
 
-def test_degenerate_frame_in_block_rerun_point_by_point(monkeypatch):
+def test_degenerate_frame_in_block_fails_that_point_alone(monkeypatch):
     spec = TORUS
     pts = sample_points(spec, 10, 4)
     refs = [compute_geometry(spec, p) for p in pts]
     bad_phi = refs[3].phi
     block_frames = extrinsic._block_frames
 
-    def collapse_point_3(phi_unit, jac, ginv0, codim):
+    def collapse_point_3(phi_unit, jac, ginv0, codim, errors):
         bad = np.linalg.norm(phi_unit - bad_phi, axis=-1) < 1e-6
-        return block_frames(phi_unit, np.where(bad[:, None, None], 0.0, jac), ginv0, codim)
+        return block_frames(phi_unit, np.where(bad[:, None, None], 0.0, jac), ginv0, codim,
+                            errors)
 
     monkeypatch.setattr(extrinsic, "_block_frames", collapse_point_3)
-    with pytest.raises(GeometryError, match="^tangent frame construction failed$"):
-        extrinsic.geometry_block(spec, pts)
-    got = list(extrinsic.sample_geometries(spec, pts))
-    assert str(got[3]) == "tangent frame construction failed"
-    for p in (0, 1, 2, 4, 5, 6, 7, 8, 9):
-        assert_same_geometry(got[p], refs[p])
+    for got in (extrinsic.geometry_block(spec, pts),
+                list(extrinsic.sample_geometries(spec, pts))):
+        assert isinstance(got[3], GeometryError)
+        assert str(got[3]) == "tangent frame construction failed"
+        for p in (0, 1, 2, 4, 5, 6, 7, 8, 9):
+            assert_same_geometry(got[p], refs[p])
 
 
 def test_non_finite_field_checked_once_per_block(monkeypatch):
-    # a NaN in one point's normal part of nabla H: the block raises, and the
-    # re-run names the first non-finite field in field order at that point
+    # a NaN in one point's normal part of nabla H: that point's entry names
+    # its first non-finite field in field order, and the others are healthy
     spec = TORUS
     pts = sample_points(spec, 10, 6)
     refs = [compute_geometry(spec, p) for p in pts]
@@ -844,8 +902,8 @@ def test_non_finite_field_checked_once_per_block(monkeypatch):
         return out
 
     monkeypatch.setattr(extrinsic, "_project_normal_jets", poison_point_6)
-    with pytest.raises(GeometryError, match="^non-finite"):
-        extrinsic.geometry_block(spec, pts)
+    block = extrinsic.geometry_block(spec, pts)
+    assert isinstance(block[6], GeometryError) and re.search("^non-finite", str(block[6]))
     with pytest.raises(GeometryError) as err:
         compute_geometry(spec, pts[6])
     # delta_perp_H, nabla_perp_H, nabla_perp_H_norm and trace_A_nablaH all
@@ -854,15 +912,15 @@ def test_non_finite_field_checked_once_per_block(monkeypatch):
     names = [f.name for f in dataclasses.fields(extrinsic.PointGeometry)]
     assert names.index("delta_perp_H") < min(
         names.index(k) for k in ("nabla_perp_H", "nabla_perp_H_norm", "trace_A_nablaH"))
-    got = list(extrinsic.sample_geometries(spec, pts))
-    assert str(got[6]) == str(err.value)
-    for p in (0, 1, 2, 3, 4, 5, 7, 8, 9):
-        assert_same_geometry(got[p], refs[p])
+    for got in (block, list(extrinsic.sample_geometries(spec, pts))):
+        assert str(got[6]) == str(err.value)
+        for p in (0, 1, 2, 3, 4, 5, 7, 8, 9):
+            assert_same_geometry(got[p], refs[p])
 
 
 # a sphere chart whose polar angle u2 crosses the pole: at u2 = 0 the metric
 # is rank-deficient (a geometry-stage failure), and u1 < c fails the sqrt
-# during chart evaluation (a chart-stage failure, raised earlier in a block)
+# during chart evaluation (a chart-stage failure)
 POLE_DOC = {
     "name": "pole-crossing", "m": 2, "n": 3,
     "expressions": ["cos(u1) * sin(u2)", "sin(u1) * sin(u2)", "cos(u2)",
@@ -882,11 +940,9 @@ def pole_points(count=13):
     return pts
 
 
-def test_failing_point_in_block_rerun_point_by_point(monkeypatch):
+def test_failing_points_in_block_keep_their_errors(monkeypatch):
     spec = chart.parse_chart(POLE_DOC)
     pts = pole_points()
-    with pytest.raises(chart.ChartEvalError):       # the block fails as a whole
-        extrinsic.geometry_block(spec, pts[:8])
     expected = []
     for p in (RANK_POINT, SQRT_POINT):
         with pytest.raises((GeometryError, chart.ChartError)) as err:
@@ -894,11 +950,13 @@ def test_failing_point_in_block_rerun_point_by_point(monkeypatch):
         expected.append(str(err.value))
     assert "rank-deficient" in expected[0] and "sqrt" in expected[1]
 
-    got = list(extrinsic.sample_geometries(spec, pts))
-    assert [str(g) for g in got if isinstance(g, Exception)] == expected
-    for g, p in zip(got, pts):
-        if not isinstance(g, Exception):
-            assert_same_geometry(g, compute_geometry(spec, p))
+    for got in (extrinsic.geometry_block(spec, pts[:8]),
+                list(extrinsic.sample_geometries(spec, pts))):
+        assert [str(g) for g in got if isinstance(g, Exception)] == expected
+        assert [i for i, g in enumerate(got) if isinstance(g, Exception)] == [2, 5]
+        for g, p in zip(got, pts):
+            if not isinstance(g, Exception):
+                assert_same_geometry(g, compute_geometry(spec, p))
 
     # a report from blocks equals the point-by-point report, failures included
     monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
@@ -909,17 +967,97 @@ def test_failing_point_in_block_rerun_point_by_point(monkeypatch):
     assert blocked.to_report_dict() == single.to_report_dict()
 
 
+def one_point_outcome(spec, point):
+    """``compute_geometry`` at one point, or the error it raises."""
+    try:
+        return compute_geometry(spec, point)
+    except (GeometryError, chart.ChartError) as e:
+        return e
+
+
+def assert_same_outcome(got, ref):
+    """The same error (type, message, named point) or the same geometry."""
+    assert type(got) is type(ref)
+    if isinstance(ref, Exception):
+        assert str(got) == str(ref)
+        if isinstance(ref, chart.ChartEvalError):
+            assert np.array_equal(got.point, ref.point, equal_nan=True)
+    else:
+        assert_same_geometry(got, ref)
+
+
+def test_block_outcomes_name_their_own_points():
+    # a block with a chart-stage failure (index 5) and a rank-deficient point
+    # (index 2) among 37: each entry, and each chart-stage error, is what the
+    # point's own one-point call gives, never another point's message
+    spec = chart.parse_chart(POLE_DOC)
+    pts = pole_points(37)
+    refs = [one_point_outcome(spec, p) for p in pts]
+    assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [2, 5]
+    block = extrinsic.geometry_block(spec, pts)
+    assert len(block) == len(pts)
+    for got, ref in zip(block, refs):
+        assert_same_outcome(got, ref)
+    _, _, errors = chart.eval_jet_stack(spec, pts)
+    for got, ref in zip(errors, refs):
+        if isinstance(ref, chart.ChartError):
+            assert_same_outcome(got, ref)
+        else:
+            assert got is None
+
+
+def test_unknown_parameter_fails_every_point():
+    # a parameter dropped from spec.params after validation: each point gets
+    # the error of its one-point call, the margin error first where it has one
+    spec = chart.parse_chart(POLE_DOC)
+    spec.params.clear()
+    pts = np.vstack([pole_points(6), [[0.0, 0.0]]])
+    refs = [one_point_outcome(spec, p) for p in pts]
+    assert all("unknown parameter 'c'" in str(r) for r in refs[:-1])
+    assert "safe region" in str(refs[-1])
+    for got, ref in zip(chart.eval_jet_stack(spec, pts)[2], refs):
+        assert_same_outcome(got, ref)
+
+
+def _planted_points(spec, count, seed):
+    """``count`` sample points, a NaN point at index 1 and the box corner,
+    outside the safe region, at index 3."""
+    pts = sample_points(spec, count, seed)
+    pts = np.insert(pts, 1, np.nan, axis=0)
+    return np.insert(pts, 3, [lo for lo, _ in spec.domain], axis=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=chart_docs.chart_documents(), seed=st.integers(0, 1000))
+def test_block_equals_its_points_one_by_one(doc, seed):
+    # random charts fail at every stage; a block and its one-point calls agree
+    # in every outcome, and so do the tau2 stage and its one-point calls
+    spec = chart.parse_chart(doc)
+    pts = _planted_points(spec, 6, seed)
+    with np.errstate(all="ignore"):     # huge healthy fields overflow the curvature
+        for got, p in zip(extrinsic.geometry_block(spec, pts), pts):
+            assert_same_outcome(got, one_point_outcome(spec, p))
+        tau2 = extrinsic.tau2_block(spec, pts)
+        for p, got in enumerate(tau2.errors):
+            ref = extrinsic.tau2_block(spec, pts[p:p + 1])
+            assert type(got) is type(ref.errors[0]) and str(got) == str(ref.errors[0])
+            if got is None:
+                assert tau2.H[p].tobytes() == ref.H[0].tobytes()
+                assert tau2.delta_H[p].tobytes() == ref.delta_H[0].tobytes()
+                assert tau2.H_norm[p] == ref.H_norm[0]
+
+
 def test_scan_row_reports_first_failing_point(monkeypatch):
     monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
     fam = scan.FamilySpec(doc=POLE_DOC, param_name="c", lo=0.9, hi=1.1, steps=8,
                           samples_per_point=8)
     calls = []
-    one_point = extrinsic._one_point
-    monkeypatch.setattr(extrinsic, "_one_point",
-                        lambda *args: calls.append(args[2]) or one_point(*args))
+    tau2_block = extrinsic.tau2_block
+    monkeypatch.setattr(extrinsic, "tau2_block",
+                        lambda spec, pts: calls.append(pts) or tau2_block(spec, pts))
     grid = scan.sweep(fam).grid
-    # after the failed block, the one-point re-run stops at the failing point
-    assert len(calls) == 3 * len(grid) and tuple(calls[2]) == RANK_POINT
+    # each grid row evaluates its 8 points once, as one block
+    assert len(calls) == len(grid) and all(len(c) == 8 for c in calls)
     for row in grid:
         with pytest.raises(GeometryError) as err:
             compute_geometry(fam.chart_at(row.param), RANK_POINT)
@@ -992,9 +1130,9 @@ def test_tau2_block_equals_geometry_block(spec):
 
 
 def test_tau2_block_checks_its_fields(monkeypatch):
-    # a NaN in one point's Delta H: the tau2 stage alone raises on it with
-    # the message of the full package (field order: B2 and AH2, which only
-    # the full package computes, come before delta_H and stay finite)
+    # a NaN in one point's Delta H: the tau2 stage alone fails that point
+    # with the message of the full package (field order: B2 and AH2, which
+    # only the full package computes, come before delta_H and stay finite)
     lap = extrinsic._lap
 
     def poison_last_point(ginv0, Gam0, dd, V):
@@ -1004,6 +1142,8 @@ def test_tau2_block_checks_its_fields(monkeypatch):
 
     monkeypatch.setattr(extrinsic, "_lap", poison_last_point)
     pts = sample_points(TORUS, 4, 6)
-    for fn in (extrinsic.tau2_block, extrinsic.geometry_block):
-        with pytest.raises(GeometryError, match="^non-finite delta_H at the sample point$"):
-            fn(TORUS, pts)
+    for errors in (extrinsic.tau2_block(TORUS, pts).errors,
+                   extrinsic.geometry_block(TORUS, pts)):
+        assert isinstance(errors[-1], GeometryError)
+        assert re.search("^non-finite delta_H at the sample point$", str(errors[-1]))
+        assert not any(isinstance(e, Exception) for e in errors[:-1])

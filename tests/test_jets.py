@@ -182,7 +182,7 @@ def test_pow_int_negative_and_zero():
 def test_division():
     x = seed_variable(0, 0.3, 2)
     y = seed_variable(1, 1.7, 2)
-    q = expr.eval_jet(expr.parse("(u1 * u2 + 2.0) / u2"), SP2, [x, y], {})
+    q = expr.eval_jet(expr.parse("(u1 * u2 + 2.0) / u2"), SP2, [x, y], {}, [None])
     ref = x + elementary(SP2, "recip", y) * 2.0
     np.testing.assert_allclose(q, ref, atol=1e-13)
 

@@ -108,6 +108,9 @@ COMMANDS += [
     [cmd, "--chart", S2_S2_DOC, "--points", "16", "--seed", SEED] for cmd in ("verify", "audit")
 ]
 COMMANDS += [["scan", *SCANS[2], "--steps", "40", "--seed", SEED, "--format", "csv"]]
+# a report with failures: 5 of 37 pole-crossing samples fail the sqrt (c = 1)
+COMMANDS += [["verify", "--chart", POLE_DOC_FILE, "--points", "37", "--seed", SEED, *fmt]
+             for fmt in (["--format", "json"], [])]
 
 
 def chart_doc(chart, expr) -> dict:
