@@ -23,6 +23,7 @@ from .chart import (
 )
 from .extrinsic import (
     GeometryError,
+    GeometryStack,
     IntrinsicCurvature,
     PointGeometry,
     compute_geometry,
@@ -30,6 +31,7 @@ from .extrinsic import (
     geometry_block,
     intrinsic_curvature,
     nabla_A_symmetry_check,
+    sample_blocks,
     sample_geometries,
     scalar_curvature,
     tau2_block,
@@ -42,6 +44,7 @@ from .biharmonic import (
     hypersurface_residuals,
     pmc_check,
     quantity_audit,
+    sample_records,
     split_residuals,
     tau2_direct,
 )
@@ -54,11 +57,11 @@ __all__ = [
     "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
     "catalog_entries", "eval_jet_stack", "sample_points", "perturbed_chart",
     "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
-    "geometry_block", "sample_geometries", "tau2_block", "intrinsic_curvature",
-    "scalar_curvature",
+    "geometry_block", "sample_blocks", "sample_geometries", "tau2_block",
+    "GeometryStack", "intrinsic_curvature", "scalar_curvature",
     "gauss_ricci_check", "nabla_A_symmetry_check",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
-    "tau2_direct", "split_residuals", "hypersurface_residuals", "pmc_check",
-    "quantity_audit",
+    "sample_records", "tau2_direct", "split_residuals", "hypersurface_residuals",
+    "pmc_check", "quantity_audit",
     "FamilySpec", "ScanResult", "ScanError", "sweep",
 ]

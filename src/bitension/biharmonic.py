@@ -28,7 +28,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from . import extrinsic
-from .extrinsic import GeometryError, PointGeometry
+from .extrinsic import GeometryError, GeometryStack, PointGeometry
 
 PASS_TOL = 1e-6
 FAIL_TOL = 1e-3
@@ -50,26 +50,40 @@ class AllSamplesFailed(RuntimeError):
 
 def tau2_direct(geom: PointGeometry) -> np.ndarray:
     """Bitension field at the point, as an ambient vector; on an
-    ``extrinsic.Tau2Block`` the same formula gives one row per point."""
+    ``extrinsic.Tau2Block`` or a ``GeometryStack`` the same formula gives
+    one row per point."""
     return -geom.m * (geom.delta_H - geom.m * geom.H)
 
 
 def split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Normal and tangent residual vectors of the split characterization."""
+    """Normal and tangent residual vectors of the split characterization
+    (one row per point of a ``GeometryStack``)."""
     normal = geom.delta_perp_H + geom.trace_B_AH - geom.m * geom.H
     tangent = 2.0 * geom.trace_A_nablaH + 0.5 * geom.m * geom.grad_H2
     return normal, tangent
 
 
-def hypersurface_residuals(geom: PointGeometry) -> tuple[float, float]:
-    """(|Delta f - (m - |A|^2) f|, ||A(grad f) + (m/2) f grad f||)."""
+def hypersurface_residuals(geom: PointGeometry | GeometryStack):
+    """(|Delta f - (m - |A|^2) f|, ||A(grad f) + (m/2) f grad f||): two floats
+    at a ``PointGeometry``, two arrays of one value per point of a
+    ``GeometryStack``."""
+    if isinstance(geom, PointGeometry):
+        res_i, res_ii = hypersurface_residuals(GeometryStack([geom]))
+        return float(res_i[0]), float(res_ii[0])
     if not geom.hypersurface:
         raise GeometryError("hypersurface residuals require n = m + 1")
-    res_i = abs(geom.delta_f - (geom.m - geom.A2) * geom.f)
-    gf_frame = geom.tangent_frame @ geom.grad_f
-    a_gf = (geom.A @ gf_frame) @ geom.tangent_frame
-    res_ii = float(np.linalg.norm(a_gf + 0.5 * geom.m * geom.f * geom.grad_f))
+    res_i = np.abs(geom.delta_f - (geom.m - geom.A2) * geom.f)
+    gf_frame = geom.tangent_frame @ geom.grad_f[..., None]         # [p, a, 1]
+    a_gf = ((geom.A @ gf_frame).swapaxes(-1, -2) @ geom.tangent_frame)[:, 0]
+    res_ii = _norms(a_gf + (0.5 * geom.m * geom.f)[:, None] * geom.grad_f)
     return res_i, res_ii
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a (P, n) block: sqrt(<v, v>) of a
+    contiguous row."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(extrinsic._dot(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -93,35 +107,43 @@ def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBloc
 
     Samples where H vanishes contribute only to the minimality side: the
     normal-frame completion of H/|H| is undefined there.
+
+    One block pass over the samples with H (``extrinsic.GeometryStack``):
+    each point completes H/|H| to its normal frame with the pivoted block
+    Gram-Schmidt of the tangent frames (``extrinsic._block_mgs``), and a
+    point's xi from its first step below 1e-13 on are dropped, where a lone
+    point's pass stops.  Each value is the one that point's own pass gives.
+    Only the maxima stay per point: Python's ``max`` over the values in
+    sample order, which keeps the first of equal values and passes over NaN
+    as a sample-by-sample loop does, so the block is that loop to the bit.
     """
     if not geoms:
         raise GeometryError("pmc_check needs at least one sample")
-    parallel = 0.0
-    eq4 = 0.0
-    eq5a = 0.0
-    eq5b = 0.0
-    with_h = 0
-    for g in geoms:
-        parallel = max(parallel, g.nabla_perp_H_norm)
-        if g.H_norm <= pass_tol:
-            continue
-        with_h += 1
-        eq4 = max(eq4, float(np.linalg.norm(g.trace_B_AH - g.m * g.H)))
-        eq5b = max(eq5b, abs(g.AH2 - g.m * g.H2))
+    parallel = max([0.0] + [g.nabla_perp_H_norm for g in geoms])
+    eq4 = eq5a = eq5b = 0.0
+    with_h = [g for g in geoms if g.H_norm > pass_tol]
+    if with_h:
+        g = GeometryStack(with_h)
+        eq4 = max([0.0] + _norms(g.trace_B_AH - g.m * g.H).tolist())
+        eq5b = max([0.0] + np.abs(g.AH2 - g.m * g.H2).tolist())
         # complete H/|H| to an orthonormal normal frame and test the spanning set
-        u0 = g.H / g.H_norm
-        rest = g.normal_frame - np.outer(g.normal_frame @ u0, u0)
-        for xi in extrinsic._mgs(rest):
-            coeffs = g.normal_frame @ xi
-            a_xi = np.einsum("x,xab->ab", coeffs, g.B_frame)
-            eq5a = max(eq5a, abs(float(np.sum(g.A_H * a_xi))))
+        u0 = g.H / g.H_norm[:, None]
+        N = g.normal_frame                                          # [p, x, c]
+        rest = N - (N @ u0[..., None]) * u0[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):       # the dropped steps
+            xi, tops = extrinsic._block_mgs(rest)                   # [p, y, c]
+        kept = np.logical_and.accumulate(~(tops < 1e-13), axis=-1)
+        coeffs = (N[:, None] @ xi[..., None])[..., 0]               # [p, y, x]
+        a_xi = np.einsum("pyx,pxab->pyab", coeffs, g.B_frame)
+        dots = (g.A_H[:, None] * a_xi).reshape(kept.shape + (-1,)).sum(axis=-1)
+        eq5a = max([0.0] + np.abs(dots[kept]).tolist())
     applicable = parallel < pass_tol
     equivalence: bool | None = None
     if applicable and with_h:
         equivalence = (eq4 < pass_tol) == (eq5a < pass_tol and eq5b < pass_tol)
     return PMCBlock(
         parallel_norm=parallel, eq4_norm=eq4, eq5a=eq5a, eq5b=eq5b,
-        applicable=applicable, equivalence_ok=equivalence, samples_with_H=with_h,
+        applicable=applicable, equivalence_ok=equivalence, samples_with_H=len(with_h),
     )
 
 
@@ -253,6 +275,30 @@ class ResidualReport:
         }
 
 
+def sample_records(geoms: list[PointGeometry]) -> list[SampleRecord]:
+    """The ``SampleRecord`` of each point of one block: every residual norm,
+    the scalar curvature and the hypersurface residuals in one pass over the
+    point axis (``extrinsic.GeometryStack``), each value the one that point
+    alone gives."""
+    g = GeometryStack(geoms)
+    tau = tau2_direct(g)
+    normal, tangent = split_residuals(g)
+    columns = dict(
+        point=[tuple(p) for p in g.point.tolist()],
+        tau2_norm=_norms(tau),
+        split_normal_norm=_norms(normal),
+        split_tangent_norm=_norms(tangent),
+        split_gap=_norms(tau + g.m * (normal + tangent)),
+        H_norm=g.H_norm, B2=g.B2, nabla_perp_H_norm=g.nabla_perp_H_norm,
+        scalar_curvature=extrinsic.scalar_curvature(g) if g.m >= 2 else [None] * len(g),
+    )
+    if g.hypersurface:
+        columns["hyper_i"], columns["hyper_ii"] = hypersurface_residuals(g)
+        columns["A2"], columns["f"] = g.A2, g.f
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
+    return [SampleRecord(**dict(zip(columns, row))) for row in zip(*values)]
+
+
 def _verdict(tau_max: float, h_max: float, h_min: float,
              pass_tol: float, fail_tol: float) -> str:
     if h_max < pass_tol:
@@ -275,47 +321,32 @@ def evaluate_chart(
 
     A sample point whose geometry fails (off the sphere, rank-deficient
     (metric condition >= 1e8), outside the domain, non-finite) is skipped and its
-    message kept in ``failures``.  The samples are evaluated in blocks
-    (``extrinsic.sample_geometries``); results and messages are those of
-    one-point evaluation.  Only a proper verdict is audited (``quantity_audit``).
+    message kept in ``failures``.  The samples are evaluated in geometry
+    blocks (``extrinsic.sample_blocks``), and the records of each block's
+    good points in one residual pass over the point axis
+    (``sample_records``), so the residual stage never holds more points than
+    ``extrinsic.block_size``; ``pmc_check`` then makes one pass over all good
+    samples, whose temporaries are small.  Only the ``SampleRecord`` objects
+    and the maxima over samples are per point, in sample order.  Results and
+    messages are those of one-point evaluation, to the bit.  Only a proper
+    verdict is audited (``quantity_audit``).
     """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
     good: list[PointGeometry] = []
     failures: list[str] = []
+    records: list[SampleRecord] = []
     points = chart_mod.sample_points(spec, samples, seed)
-    for g in extrinsic.sample_geometries(spec, points):
-        if isinstance(g, PointGeometry):
-            good.append(g)
-        else:
-            failures.append(str(g))
+    for block in extrinsic.sample_blocks(spec, points):
+        geoms = [g for g in block if isinstance(g, PointGeometry)]
+        failures += [str(g) for g in block if not isinstance(g, PointGeometry)]
+        if geoms:
+            records += sample_records(geoms)
+            good += geoms
     if not good:
         raise AllSamplesFailed(
             f"all {samples} samples failed; first failure: {failures[0]}"
         )
-
-    records = []
-    for g in good:
-        tau = tau2_direct(g)
-        normal, tangent = split_residuals(g)
-        tau_norm = float(np.linalg.norm(tau))
-        gap = float(np.linalg.norm(tau + g.m * (normal + tangent)))
-        rec = SampleRecord(
-            point=tuple(float(x) for x in g.point),
-            tau2_norm=tau_norm,
-            split_normal_norm=float(np.linalg.norm(normal)),
-            split_tangent_norm=float(np.linalg.norm(tangent)),
-            split_gap=gap,
-            H_norm=g.H_norm,
-            B2=g.B2,
-            nabla_perp_H_norm=g.nabla_perp_H_norm,
-            scalar_curvature=extrinsic.scalar_curvature(g) if g.m >= 2 else None,
-        )
-        if g.hypersurface:
-            rec.hyper_i, rec.hyper_ii = hypersurface_residuals(g)
-            rec.A2 = g.A2
-            rec.f = g.f
-        records.append(rec)
 
     pmc = pmc_check(good, pass_tol)
     report = ResidualReport(

@@ -82,6 +82,7 @@ written exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,7 +230,10 @@ def _human_scan(result: scan_mod.ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` fills a
+    new namespace on every call and leaves the parser as it was."""
     p = argparse.ArgumentParser(
         prog="bitension",
         description="numerical verification of biharmonic submanifolds of the unit sphere",

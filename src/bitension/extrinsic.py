@@ -86,6 +86,17 @@ row goes on, as rows never mix, so one pass gives each point the outcome of
 its one-point block.  A failed point passes neutral rows (the identity, the
 constant-1 jet) to the calls that raise for a whole stack: LAPACK's
 ``eigvalsh`` and ``cholesky``, and the jet ``sqrt`` and ``recip``.
+
+The residuals read the good points of a block back along a point axis
+(``GeometryStack``: one stacked copy per field read), and the scalar
+curvature (``_coord_riemann``, ``_frame_riemann``), the hypersurface
+residuals, the record norms and the PMC frame completion (``_block_mgs``)
+run once per block, with the same rule: each contraction keeps the kernel a
+lone point calls (a matrix-vector ``@`` stays one ``gemv`` per point, a row
+norm ``sqrt(<v, v>)``, an ``einsum`` gains a ``p`` index, and the frame
+entries accumulate along the last axis), so no residual has to stay per
+point.  The stack is one geometry block, so at m >= 4 the curvature
+temporaries stay one point wide (at m = 6, 64 points would take about 24 MB).
 """
 
 from __future__ import annotations
@@ -135,25 +146,6 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
         T[..., 0] += eye2
         X = _jet_matmul(sp, X, T, order)
     return X
-
-
-def _mgs(rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the rows, largest remaining row first (one
-    point; ``_block_frames`` is the same over a point axis)."""
-    V = rows.astype(np.float64).copy()
-    frame = []
-    remaining = list(range(V.shape[0]))
-    while remaining:
-        norms = [np.linalg.norm(V[i]) for i in remaining]
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-13:
-            break
-        i = remaining.pop(pick)
-        e = V[i] / np.linalg.norm(V[i])
-        frame.append(e)
-        for j in remaining:
-            V[j] = V[j] - np.dot(V[j], e) * e
-    return np.array(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +208,31 @@ class PointGeometry:
         return self.codim == 1
 
 
+class GeometryStack:
+    """The ``PointGeometry`` fields of a list of points of one chart, each
+    read as one array with a leading point axis: the points' values stacked
+    (``np.array`` of their list, a C-contiguous copy), on the field's first
+    read.  Per-point formulas such as ``biharmonic.tau2_direct`` apply to it
+    unchanged, row by row.
+    """
+
+    def __init__(self, geoms: list[PointGeometry]):
+        self._geoms = geoms
+        self.m, self.n = geoms[0].m, geoms[0].n
+
+    def __len__(self) -> int:
+        return len(self._geoms)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = self.__dict__[name] = np.array([getattr(g, name) for g in self._geoms])
+        return value
+
+    codim = PointGeometry.codim
+    hypersurface = PointGeometry.hypersurface
+
+
 @dataclass
 class IntrinsicCurvature:
     riemann: np.ndarray    # (m, m, m, m), R[i,j,i,j] = K(e_i, e_j)
@@ -257,13 +274,18 @@ def block_size(m: int) -> int:
     return 32 if m <= 3 else 1
 
 
-def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
-    """Yield the outcome at each point, in order: ``geometry_block`` over
-    blocks of ``block_size(spec.m)`` points, each evaluated when the caller
-    asks for its first point."""
+def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[list[PointGeometry | ValueError]]:
+    """Yield ``geometry_block`` of each run of ``block_size(spec.m)``
+    consecutive points, evaluated when the caller asks for it."""
     size = block_size(spec.m)
     for start in range(0, len(points), size):
-        yield from geometry_block(spec, points[start:start + size])
+        yield geometry_block(spec, points[start:start + size])
+
+
+def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
+    """Yield the outcome at each point, in order (``sample_blocks``)."""
+    for block in sample_blocks(spec, points):
+        yield from block
 
 
 def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
@@ -519,31 +541,45 @@ def _sumsq(X: np.ndarray) -> np.ndarray:
     return (X * X).reshape(len(X), -1).sum(-1)
 
 
-def _block_frames(phi_unit, jac, ginv0, codim, errors):
-    """Orthonormal tangent frames, their coefficients E (e_a = E[a,i] dphi_i)
-    and value-level orthonormal normal frames of a (P, ...) block; a point
-    whose frame degenerates fails (``errors``).
+def _block_mgs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on the k rows of each point of a (P, k, n)
+    block, largest remaining row first: the (P, k, n) frames and the (P, k)
+    norm each step divided by.  A one-point pass stops at its first step
+    whose norm is below 1e-13; here every step runs, and the caller drops
+    (or fails) the steps from there on.
 
-    Each tangent frame is bit-identical to ``_mgs(jac[p])``: the rows are a
-    contiguous copy, a row norm is ``sqrt(<v, v>)`` (``np.linalg.norm`` of a
-    contiguous row), and each point's pivot is the ``argmax`` with its picked
-    rows at -inf, so ties and NaN go to the lowest remaining index.
+    Each point pivots on its own: the rows are a contiguous copy, a row norm
+    is ``sqrt(<v, v>)`` (``np.linalg.norm`` of a contiguous row), and the
+    pivot is the ``argmax`` with the point's picked rows at -inf, so ties and
+    NaN go to the lowest remaining index.  Every row is updated each step.
     """
-    V = np.array(jac)
-    P, m, n1 = V.shape
+    V = np.array(rows)
+    P, k, _ = V.shape
     at = np.arange(P)
-    tangent = np.empty_like(V)
-    picked = np.zeros((P, m), dtype=bool)
-    for a in range(m):
+    frame = np.empty_like(V)
+    tops = np.empty((P, k))
+    picked = np.zeros((P, k), dtype=bool)
+    for a in range(k):
         norms = np.sqrt(_dot(V, V))
         norms[picked] = -np.inf
         pick = np.argmax(norms, axis=-1)
-        top = norms[at, pick]
-        _fail(errors, top < 1e-13, "tangent frame construction failed")
-        e = tangent[:, a] = V[at, pick] / top[:, None]
+        top = tops[:, a] = norms[at, pick]
+        e = frame[:, a] = V[at, pick] / top[:, None]
         picked[at, pick] = True
         V -= _dot(V, e[:, None])[..., None] * e[:, None]
+    return frame, tops
+
+
+def _block_frames(phi_unit, jac, ginv0, codim, errors):
+    """Orthonormal tangent frames (``_block_mgs`` of the rows of ``jac``),
+    their coefficients E (e_a = E[a,i] dphi_i) and value-level orthonormal
+    normal frames of a (P, ...) block; a point whose frame degenerates fails
+    (``errors``)."""
+    tangent, tops = _block_mgs(jac)
+    _fail(errors, (tops < 1e-13).any(axis=-1), "tangent frame construction failed")
     E = (tangent @ jac.swapaxes(-1, -2)) @ ginv0
+    P, _, n1 = tangent.shape
+    at = np.arange(P)
 
     span = np.concatenate([phi_unit[:, None], tangent], axis=1)
     eye = np.eye(n1)
@@ -599,52 +635,60 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
 # ---------------------------------------------------------------------------
 
 
-def _coord_riemann(geom: PointGeometry) -> np.ndarray:
-    """Rm[i,j,k,w] = <R(d_i, d_j) d_k, d_w> from the Christoffel symbols."""
-    Gam0 = geom.christoffel
+def _coord_riemann(g: GeometryStack) -> np.ndarray:
+    """Rm[p,i,j,k,w] = <R(d_i, d_j) d_k, d_w> at each point p, from the
+    Christoffel symbols."""
+    Gam0 = g.christoffel
     # R(d_i, d_j) d_k = opR[i,j,k,l] d_l, with
     # opR[i,j,k,l] = d_i Gamma^l_jk - d_j Gamma^l_ik
     #                + Gamma^s_jk Gamma^l_is - Gamma^s_ik Gamma^l_js
-    dGam = geom.christoffel_grad.transpose(0, 2, 3, 1)            # [i, j, k, l]
-    GG = np.einsum("sjk,lis->ijkl", Gam0, Gam0)
-    opR = dGam - dGam.transpose(1, 0, 2, 3) + GG - GG.transpose(1, 0, 2, 3)
-    return np.einsum("ijkl,lw->ijkw", opR, geom.metric)
+    dGam = g.christoffel_grad.transpose(0, 1, 3, 4, 2)            # [p, i, j, k, l]
+    GG = np.einsum("psjk,plis->pijkl", Gam0, Gam0)
+    opR = dGam - dGam.swapaxes(1, 2) + GG - GG.swapaxes(1, 2)
+    return np.einsum("pijkl,plw->pijkw", opR, g.metric)
 
 
-def _frame_riemann(geom: PointGeometry, a, b, c, d) -> np.ndarray:
-    """Frame curvature entries R4f[a,b,c,d] = <R(e_a, e_b) e_c, e_d>.
+def _frame_riemann(g: GeometryStack, a, b, c, d) -> np.ndarray:
+    """Frame curvature entries R4f[p,a,b,c,d] = <R(e_a, e_b) e_c, e_d> at
+    each point p.
 
-    ``a, b, c, d`` are index arrays (broadcast together); the result has
-    their broadcast shape.  Each entry is the sum over (i, j, k, w) in C
-    order of ((((E[a,i] E[b,j]) E[c,k]) E[d,w]) Rm[i,j,k,w]), added one term
-    at a time, with a final ``+ 0.0`` so that it is never -0.0.  This order
-    is part of the report-byte contract: another one moves the last bits of
-    the reported scalar curvature.
+    ``a, b, c, d`` are index arrays of one number of dimensions (broadcast
+    together); the result is the point axis followed by their broadcast
+    shape.  Each entry is the sum over
+    (i, j, k, w) in C order of ((((E[a,i] E[b,j]) E[c,k]) E[d,w]) Rm[i,j,k,w]),
+    added one term at a time along the last axis, with a final ``+ 0.0`` so
+    that it is never -0.0.  This order is part of the report-byte contract:
+    another one moves the last bits of the reported scalar curvature.
     """
-    E = geom.frame_coeff
-    Rm = _coord_riemann(geom)
-    t = (E[a][..., :, None, None, None] * E[b][..., None, :, None, None]
-         * E[c][..., None, None, :, None] * E[d][..., None, None, None, :] * Rm)
+    E = g.frame_coeff
+    Rm = _coord_riemann(g)
+    Rm = Rm.reshape(Rm.shape[:1] + (1,) * np.ndim(a) + Rm.shape[1:])
+    t = (E[:, a][..., :, None, None, None] * E[:, b][..., None, :, None, None]
+         * E[:, c][..., None, None, :, None] * E[:, d][..., None, None, None, :] * Rm)
     t = t.reshape(t.shape[:-4] + (-1,))
     return np.add.accumulate(t, axis=-1)[..., -1] + 0.0
 
 
-def scalar_curvature(geom: PointGeometry) -> float:
-    """Scalar curvature, from the m^2 frame entries R4f[c,a,a,c] only.
+def scalar_curvature(geom: PointGeometry | GeometryStack):
+    """Scalar curvature, from the m^2 frame entries R4f[c,a,a,c] only: a
+    float at a ``PointGeometry``, one value per point of a ``GeometryStack``.
 
     Bit-identical to ``intrinsic_curvature(geom).scalar``: the Ricci
     diagonal is summed over c from zero, then its trace is taken.
     """
+    if isinstance(geom, PointGeometry):
+        return float(scalar_curvature(GeometryStack([geom]))[0])
     i = np.arange(geom.m)
-    ricci_diag = np.zeros(geom.m)
-    for row in _frame_riemann(geom, i[:, None], i, i, i[:, None]):  # [c, a]
-        ricci_diag += row
-    return float(np.sum(ricci_diag))
+    R = _frame_riemann(geom, i[:, None], i[None], i[None], i[:, None])   # [p, c, a]
+    ricci_diag = np.zeros((len(geom), geom.m))
+    for c in range(geom.m):
+        ricci_diag += R[:, c]
+    return ricci_diag.sum(axis=-1)
 
 
 def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
     """Riemann, Ricci, scalar and sectional curvature in the tangent frame."""
-    R4f = _frame_riemann(geom, *np.indices((geom.m,) * 4))
+    [R4f] = _frame_riemann(GeometryStack([geom]), *np.indices((geom.m,) * 4))
     riemann = R4f.transpose(0, 1, 3, 2)                            # R[a,b,a,b] = K_ab
     ricci = np.einsum("cabc->ab", R4f)
     scalar = float(np.trace(ricci))

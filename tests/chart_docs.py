@@ -6,6 +6,7 @@ domains, with ``normalize`` on or off.  Most such charts fail at most sample
 points, at every stage of the geometry, which is what the properties probe.
 With ``valid=False`` two documents in five have an empty or narrow domain
 interval or an undeclared parameter, which the chart validation rejects.
+``perturbed_tori`` draws the opposite: charts that mostly evaluate.
 """
 
 from hypothesis import strategies as st
@@ -45,3 +46,21 @@ def chart_documents(draw, valid: bool = True) -> dict:
     elif flaw == "param":
         doc["expressions"][0] = f"c * {doc['expressions'][0]}"
     return doc
+
+
+@st.composite
+def perturbed_tori(draw) -> dict:
+    """Flat tori T^m in S^{2m} (codimension m = 1..3) with a bounded random
+    term eps * sin(tree) added to every component, normalized: unlike
+    ``chart_documents``, most sample points of most such charts evaluate,
+    with |H| > 0 and no parallel structure."""
+    m = draw(st.integers(1, 3))
+    base = [f"{f}(u{i + 1})" for i in range(m) for f in ("cos", "sin")] + ["1"]
+    eps = draw(st.sampled_from(["0.01", "0.05", "0.2"]))
+    terms = draw(st.lists(expressions(m), min_size=len(base), max_size=len(base)))
+    return {
+        "name": "perturbed-torus", "m": m, "n": 2 * m,
+        "expressions": [f"{b} + {eps} * sin({t})" for b, t in zip(base, terms)],
+        "domain": [[0.3, 6.0]] * m,
+        "normalize": True,
+    }

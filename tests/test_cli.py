@@ -482,6 +482,50 @@ def test_usage_error_exit_two(capsys):
     assert cli.main(["frobnicate"]) == 2        # unknown subcommand
 
 
+PARSER_SEQUENCE = [
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=2", "--param", "r=0.6",
+     "--points", "4", "--seed", "5", "--format", "json"],
+    ["scan", "--family", "small-hypersphere", "--param", "r", "--range", "0.5:0.9",
+     "--steps", "8", "--samples", "2", "--format", "csv"],
+    ["verify", "--catalog", "small-hypersphere", "--param", "r=0.9", "--points", "4"],
+    ["audit", "--catalog", "small-hypersphere", "--param", "r=0.7", "--points", "4",
+     "--format", "json"],
+    ["catalog"],
+    ["verify", "--points", "4"],                # usage error: no chart source
+    ["verify", "--catalog", "small-hypersphere", "--param", "r=0.9", "--points", "4",
+     "--format", "json"],
+]
+
+
+def test_parser_built_once_keeps_no_state(capsys):
+    # one parser per process; each call parses as a freshly built parser
+    # would: no --param list, --format or --seed carries to the next call
+    assert cli._build_parser() is cli._build_parser()
+    for argv in PARSER_SEQUENCE * 2:
+        parsed = []
+        for parser in (cli._build_parser(), cli._build_parser.__wrapped__()):
+            try:
+                parsed.append(vars(parser.parse_args(argv)))
+            except SystemExit as e:
+                parsed.append(e.code)
+        assert parsed[0] == parsed[1], argv
+    capsys.readouterr()
+
+    codes, outs = [], []
+    for argv in PARSER_SEQUENCE:
+        code, out, _ = run(capsys, *argv)
+        codes.append(code)
+        outs.append(out)
+    assert codes == [1, 0, 1, 1, 0, 2, 1]
+    first, last = json.loads(outs[0]), json.loads(outs[-1])
+    assert first["config_echo"]["params"] == {"m": 2.0, "r": 0.6}
+    assert first["config_echo"]["seed"] == 5
+    assert last["config_echo"]["params"] == {"r": 0.9}
+    assert last["config_echo"]["seed"] == 42 and last["config_echo"]["format"] == "json"
+    assert json.loads(outs[3])["config_echo"]["params"] == {"r": 0.7}
+    assert not outs[2].lstrip().startswith("{")         # --format back at human
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON token {name}")
 

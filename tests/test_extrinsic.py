@@ -348,9 +348,10 @@ def test_scalar_curvature_exact(spec):
     for p in sample_points(spec, 3, 7):
         g = compute_geometry(spec, p)
         assert scalar_curvature(g) == intrinsic_curvature(g).scalar
-        m, E, Rm = g.m, g.frame_coeff, extrinsic._coord_riemann(g)
-        idx = np.indices((m,) * 4)
-        R4f = extrinsic._frame_riemann(g, *idx)
+        one = extrinsic.GeometryStack([g])
+        [Rm] = extrinsic._coord_riemann(one)
+        m, E, idx = g.m, g.frame_coeff, np.indices((g.m,) * 4)
+        [R4f] = extrinsic._frame_riemann(one, *idx)
         if m <= 3:
             ref = [frame_riemann_loop(E.tolist(), Rm.tolist(), *abcd)
                    for abcd in zip(*(i.ravel() for i in idx))]
@@ -784,6 +785,26 @@ def test_trimmed_stages_equal_untrimmed_where_read(spec, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def mgs(rows):
+    """Modified Gram-Schmidt on the rows of one point, largest remaining row
+    first, stopping at the first norm below 1e-13: the one-point reference
+    of ``extrinsic._block_mgs``."""
+    V = rows.astype(np.float64).copy()
+    frame = []
+    remaining = list(range(V.shape[0]))
+    while remaining:
+        norms = [np.linalg.norm(V[i]) for i in remaining]
+        pick = int(np.argmax(norms))
+        if norms[pick] < 1e-13:
+            break
+        i = remaining.pop(pick)
+        e = V[i] / np.linalg.norm(V[i])
+        frame.append(e)
+        for j in remaining:
+            V[j] = V[j] - np.dot(V[j], e) * e
+    return np.array(frame)
+
+
 def block_frame_inputs(spec, pts):
     """``_block_frames`` inputs from real jets, jac and ginv0 strided as in
     ``geometry_block``."""
@@ -797,7 +818,7 @@ def block_frame_inputs(spec, pts):
 
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_frames_equal_one_point_frames(spec):
-    # tangent frames against _mgs, and all three against P = 1 calls, the
+    # tangent frames against mgs, and all three against P = 1 calls, the
     # normal frames in codimension 1 to 3 (torus, S2 x S2: 2, veronese: 3)
     phi_unit, jac, ginv0 = block_frame_inputs(spec, sample_points(spec, 9, 3))
     assert not jac.flags.c_contiguous
@@ -805,7 +826,7 @@ def test_block_frames_equal_one_point_frames(spec):
     tangent, E, normal = extrinsic._block_frames(phi_unit, jac, ginv0, spec.n - spec.m, errors)
     assert errors == [None] * len(jac)
     for p in range(len(jac)):
-        assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
+        assert tangent[p].tobytes() == mgs(jac[p]).tobytes()
         assert E[p].tobytes() == ((tangent[p] @ jac[p].T) @ ginv0[p]).tobytes()
         one = extrinsic._block_frames(phi_unit[p:p + 1], jac[p:p + 1], ginv0[p:p + 1],
                                       spec.n - spec.m, [None])
@@ -825,7 +846,7 @@ def test_block_tangent_frames_pivot_per_point():
     tangent, _, normal = extrinsic._block_frames(phi_unit, jac, np.tile(np.eye(3), (3, 1, 1)), 1,
                                                  [None] * 3)
     for p in range(3):
-        assert tangent[p].tobytes() == extrinsic._mgs(jac[p]).tobytes()
+        assert tangent[p].tobytes() == mgs(jac[p]).tobytes()
     # first pivots: the largest row; the tie goes to the lower index
     assert [int(np.argmax(np.abs(tangent[p, 0]))) for p in range(3)] == [1, 0, 1]
     for p in range(3):
@@ -838,7 +859,7 @@ def test_block_tangent_frames_pivot_per_point():
     jac = np.array([[[third, 2 * third, 2 * third, 0.0, 0.0], [0.3, 0.2, 0.1, 0.0, 0.0],
                      [2e-11, -1e-11, 3e-11, 0.0, 0.0]]])
     tangent, _, _ = extrinsic._block_frames(phi_unit[:1], jac, np.eye(3)[None], 1, [None])
-    assert tangent[0].tobytes() == extrinsic._mgs(jac[0]).tobytes()
+    assert tangent[0].tobytes() == mgs(jac[0]).tobytes()
 
 
 TORUS = catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.45})    # codimension 2
@@ -1147,3 +1168,170 @@ def test_tau2_block_checks_its_fields(monkeypatch):
         assert isinstance(errors[-1], GeometryError)
         assert re.search("^non-finite delta_H at the sample point$", str(errors[-1]))
         assert not any(isinstance(e, Exception) for e in errors[:-1])
+
+
+# ---------------------------------------------------------------------------
+# the block residual stage: per-sample records and PMC over the point axis,
+# bit-identical to the per-point loop they replaced (kept here as reference)
+# ---------------------------------------------------------------------------
+
+
+def scalar_curvature_one_point(g):
+    """The scalar curvature of one ``PointGeometry``, each contraction on
+    the point's own field views."""
+    Gam0 = g.christoffel
+    dGam = g.christoffel_grad.transpose(0, 2, 3, 1)
+    GG = np.einsum("sjk,lis->ijkl", Gam0, Gam0)
+    opR = dGam - dGam.transpose(1, 0, 2, 3) + GG - GG.transpose(1, 0, 2, 3)
+    Rm = np.einsum("ijkl,lw->ijkw", opR, g.metric)
+    E, i = g.frame_coeff, np.arange(g.m)
+    a, b, c, d = i[:, None], i, i, i[:, None]
+    t = (E[a][..., :, None, None, None] * E[b][..., None, :, None, None]
+         * E[c][..., None, None, :, None] * E[d][..., None, None, None, :] * Rm)
+    R = np.add.accumulate(t.reshape(t.shape[:-4] + (-1,)), axis=-1)[..., -1] + 0.0
+    ricci_diag = np.zeros(g.m)
+    for row in R:
+        ricci_diag += row
+    return float(np.sum(ricci_diag))
+
+
+def records_one_by_one(geoms):
+    """The ``SampleRecord`` of each point from its own ``PointGeometry``."""
+    records = []
+    for g in geoms:
+        tau = biharmonic.tau2_direct(g)
+        normal, tangent = biharmonic.split_residuals(g)
+        rec = biharmonic.SampleRecord(
+            point=tuple(float(x) for x in g.point),
+            tau2_norm=float(np.linalg.norm(tau)),
+            split_normal_norm=float(np.linalg.norm(normal)),
+            split_tangent_norm=float(np.linalg.norm(tangent)),
+            split_gap=float(np.linalg.norm(tau + g.m * (normal + tangent))),
+            H_norm=g.H_norm, B2=g.B2, nabla_perp_H_norm=g.nabla_perp_H_norm,
+            scalar_curvature=scalar_curvature_one_point(g) if g.m >= 2 else None,
+        )
+        if g.hypersurface:
+            rec.hyper_i = abs(g.delta_f - (g.m - g.A2) * g.f)
+            a_gf = (g.A @ (g.tangent_frame @ g.grad_f)) @ g.tangent_frame
+            rec.hyper_ii = float(np.linalg.norm(a_gf + 0.5 * g.m * g.f * g.grad_f))
+            rec.A2, rec.f = g.A2, g.f
+        records.append(rec)
+    return records
+
+
+def pmc_one_by_one(geoms, pass_tol=biharmonic.PASS_TOL):
+    """``biharmonic.pmc_check`` as a loop over the samples, each completing
+    H/|H| to its normal frame with ``mgs``."""
+    parallel = eq4 = eq5a = eq5b = 0.0
+    with_h = 0
+    for g in geoms:
+        parallel = max(parallel, g.nabla_perp_H_norm)
+        if g.H_norm <= pass_tol:
+            continue
+        with_h += 1
+        eq4 = max(eq4, float(np.linalg.norm(g.trace_B_AH - g.m * g.H)))
+        eq5b = max(eq5b, abs(g.AH2 - g.m * g.H2))
+        u0 = g.H / g.H_norm
+        rest = g.normal_frame - np.outer(g.normal_frame @ u0, u0)
+        for xi in mgs(rest):
+            a_xi = np.einsum("x,xab->ab", g.normal_frame @ xi, g.B_frame)
+            eq5a = max(eq5a, abs(float(np.sum(g.A_H * a_xi))))
+    applicable = parallel < pass_tol
+    equivalence = None
+    if applicable and with_h:
+        equivalence = (eq4 < pass_tol) == (eq5a < pass_tol and eq5b < pass_tol)
+    return biharmonic.PMCBlock(parallel_norm=parallel, eq4_norm=eq4, eq5a=eq5a, eq5b=eq5b,
+                               applicable=applicable, equivalence_ok=equivalence,
+                               samples_with_H=with_h)
+
+
+def assert_same_bits(got, ref):
+    """Every dataclass field of the same type and, for floats and tuples of
+    floats, the same bytes."""
+    for f in dataclasses.fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, (float, tuple)):
+            assert np.array(a).tobytes() == np.array(b).tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_block_residuals_equal_point_by_point(spec, full):
+    # m = 1..6, codimension 1..3; at m <= 3 whole blocks of 32 or a full
+    # and a partial one, at m >= 4 blocks of one point
+    count = (32 if full else 37) if spec.m <= 3 else (1 if full else 3)
+    rep = biharmonic.evaluate_chart(spec, samples=count, seed=5)
+    geoms = [compute_geometry(spec, p) for p in sample_points(spec, count, 5)]
+    assert len(rep.per_sample) == count
+    for got, ref in zip(rep.per_sample, records_one_by_one(geoms)):
+        assert_same_bits(got, ref)
+    assert_same_bits(rep.pmc, pmc_one_by_one(geoms))
+    assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))
+    # the one-point forms are the block code at P = 1
+    for g, ref in zip(geoms, records_one_by_one(geoms)):
+        if g.m >= 2:
+            assert scalar_curvature(g) == ref.scalar_curvature
+        if g.hypersurface:
+            assert biharmonic.hypersurface_residuals(g) == (ref.hyper_i, ref.hyper_ii)
+
+
+def test_pmc_block_drops_steps_past_each_points_stop():
+    # codimension 2 with |H| > 0 at every sample: each point completes H/|H|
+    # with one xi; dropping H (the equator) leaves every sample out
+    spec = perturbed_chart(5, base="torus")
+    geoms = [compute_geometry(spec, p) for p in sample_points(spec, 9, 3)]
+    pmc = biharmonic.pmc_check(geoms)
+    assert pmc.samples_with_H == 9 and pmc.eq5a > 0.0
+    assert_same_bits(pmc, pmc_one_by_one(geoms))
+    equator = catalog_chart("small-hypersphere", {"m": 2, "r": 1.0})
+    geoms = [compute_geometry(equator, p) for p in sample_points(equator, 5, 3)]
+    assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))
+    # rows of rank 1, 2 and 3 in one block: each point keeps the steps of
+    # its own one-point pass, up to its first norm below 1e-13
+    rows = np.array([[[1.0, 2.0, 0.0, 0.5], [2.0, 4.0, 0.0, 1.0], [-1.0, -2.0, 0.0, -0.5]],
+                     [[1.0, 0.0, 0.0, 0.0], [0.0, 3.0, 1.0, 0.0], [2.0, 6.0, 2.0, 0.0]],
+                     [[1.0, 0.1, 0.0, 0.0], [0.0, 2.0, 0.3, 0.0], [0.2, 0.0, 0.5, 0.0]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frame, tops = extrinsic._block_mgs(rows)
+    kept = np.logical_and.accumulate(~(tops < 1e-13), axis=-1)
+    assert kept.sum(axis=-1).tolist() == [1, 2, 3]
+    for p in range(3):
+        assert frame[p, kept[p]].tobytes() == mgs(rows[p]).tobytes()
+
+
+def test_residual_stage_sees_at_most_one_block(monkeypatch):
+    # the memory guard: the curvature temporaries grow with the points per
+    # call, so the residual stage follows block_size (1 point at m >= 4)
+    seen = {}
+    for name, owner in (("sample_records", biharmonic), ("_frame_riemann", extrinsic)):
+        fn = getattr(owner, name)
+
+        def spy(g, *args, fn=fn, name=name):
+            seen.setdefault(name, []).append(len(g))
+            return fn(g, *args)
+        monkeypatch.setattr(owner, name, spy)
+    for m in range(2, 7):
+        seen.clear()
+        biharmonic.evaluate_chart(bumped_hypersphere(m), samples=37 if m <= 3 else 3, seed=5)
+        size = extrinsic.block_size(m)
+        assert seen["sample_records"] == ([32, 5] if m <= 3 else [1, 1, 1])
+        assert seen["_frame_riemann"] and max(seen["_frame_riemann"]) <= size
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=chart_docs.perturbed_tori(), seed=st.integers(0, 1000))
+def test_block_residuals_equal_point_by_point_random_charts(doc, seed):
+    # random charts in codimension 1..3 with |H| > 0: the good points of a
+    # block with failures among them
+    spec = chart.parse_chart(doc)
+    with np.errstate(all="ignore"):     # huge healthy fields overflow the residuals
+        geoms = [g for g in extrinsic.geometry_block(spec, _planted_points(spec, 6, seed))
+                 if isinstance(g, extrinsic.PointGeometry)]
+        if not geoms:
+            return
+        for got, ref in zip(biharmonic.sample_records(geoms), records_one_by_one(geoms)):
+            assert_same_bits(got, ref)
+        assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))

@@ -37,6 +37,8 @@ import numpy as np
 R = repr(1.0 / math.sqrt(2.0))
 SEED = "3"
 CHART_DOC = "perturbed-sphere-5.json"
+# codimension 2 with |H| > 0 at every sample: PMC completes H/|H| everywhere
+TORUS_DOC = "perturbed-torus-5.json"
 # S^2(1/2) x S^2(1/2) x {1/sqrt(2)} in S^6: m = 4 in codimension 2, proper
 # biharmonic with |H| = 1, so the normal frame, B_frame and PMC all show
 S2_S2_DOC = "s2-s2-point.json"
@@ -111,10 +113,17 @@ COMMANDS += [["scan", *SCANS[2], "--steps", "40", "--seed", SEED, "--format", "c
 # a report with failures: 5 of 37 pole-crossing samples fail the sqrt (c = 1)
 COMMANDS += [["verify", "--chart", POLE_DOC_FILE, "--points", "37", "--seed", SEED, *fmt]
              for fmt in (["--format", "json"], [])]
+# both PMC branches at every sample: the normal-frame completion of H/|H|
+# (perturbed torus), and none at all (the equator, where H vanishes)
+COMMANDS += [
+    ["verify", "--chart", TORUS_DOC, "--points", "37", "--seed", SEED, "--format", "json"],
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=2", "--param", "r=1",
+     "--points", "37", "--seed", SEED, "--format", "json"],
+]
 
 
-def chart_doc(chart, expr) -> dict:
-    spec = chart.perturbed_chart(5, "sphere")
+def chart_doc(chart, expr, base) -> dict:
+    spec = chart.perturbed_chart(5, base)
     return {
         "name": spec.name, "m": spec.m, "n": spec.n,
         "expressions": [expr.to_string(c) for c in spec.components],
@@ -213,7 +222,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for name, doc in ((CHART_DOC, chart_doc(chart, expr)), (S2_S2_DOC, S2_S2),
+        for name, doc in ((CHART_DOC, chart_doc(chart, expr, "sphere")),
+                          (TORUS_DOC, chart_doc(chart, expr, "torus")), (S2_S2_DOC, S2_S2),
                           (SPHERE_FAMILY_DOC, SPHERE_FAMILY), (PRODUCT_REF_DOC, PRODUCT_REF),
                           (POLE_DOC_FILE, POLE_DOC)):
             with open(name, "w", encoding="utf-8") as fh:
