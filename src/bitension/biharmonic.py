@@ -23,6 +23,7 @@ nonzero, ``inconclusive`` in the gap between the two thresholds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -116,6 +117,8 @@ def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBloc
     Only the maxima stay per point: Python's ``max`` over the values in
     sample order, which keeps the first of equal values and passes over NaN
     as a sample-by-sample loop does, so the block is that loop to the bit.
+    ``evaluate_chart`` checks each geometry block on its own and merges the
+    blocks (``_merge_pmc``).
     """
     if not geoms:
         raise GeometryError("pmc_check needs at least one sample")
@@ -137,13 +140,36 @@ def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBloc
         a_xi = np.einsum("pyx,pxab->pyab", coeffs, g.B_frame)
         dots = (g.A_H[:, None] * a_xi).reshape(kept.shape + (-1,)).sum(axis=-1)
         eq5a = max([0.0] + np.abs(dots[kept]).tolist())
+    return _pmc_block(parallel, eq4, eq5a, eq5b, len(with_h), pass_tol)
+
+
+def _merge_pmc(blocks: list[PMCBlock], pass_tol: float) -> PMCBlock:
+    """The ``pmc_check`` of the samples of all ``blocks`` (the checks of
+    consecutive runs of samples, in sample order), to the bit: each maximum
+    is the max over the blocks, and the sample counts add up.
+
+    A block's maximum starts from 0.0, so it is never NaN, and Python's
+    ``max`` over those maxima keeps the first of equal values, as one pass
+    over all samples does; equal values are equal floats, except 0.0 and
+    -0.0, where the leading 0.0 wins in both.
+    """
+    def top(name: str) -> float:
+        return max([0.0] + [getattr(b, name) for b in blocks])
+
+    return _pmc_block(top("parallel_norm"), top("eq4_norm"), top("eq5a"), top("eq5b"),
+                      sum(b.samples_with_H for b in blocks), pass_tol)
+
+
+def _pmc_block(parallel: float, eq4: float, eq5a: float, eq5b: float,
+               samples_with_H: int, pass_tol: float) -> PMCBlock:
+    """The ``PMCBlock`` of the maxima over samples, with its verdicts."""
     applicable = parallel < pass_tol
     equivalence: bool | None = None
-    if applicable and with_h:
+    if applicable and samples_with_H:
         equivalence = (eq4 < pass_tol) == (eq5a < pass_tol and eq5b < pass_tol)
     return PMCBlock(
         parallel_norm=parallel, eq4_norm=eq4, eq5a=eq5a, eq5b=eq5b,
-        applicable=applicable, equivalence_ok=equivalence, samples_with_H=len(with_h),
+        applicable=applicable, equivalence_ok=equivalence, samples_with_H=samples_with_H,
     )
 
 
@@ -299,6 +325,16 @@ def sample_records(geoms: list[PointGeometry]) -> list[SampleRecord]:
     return [SampleRecord(**dict(zip(columns, row))) for row in zip(*values)]
 
 
+def _read_block(block: list, pass_tol: float):
+    """The records, failure messages and ``pmc_check`` (None without a good
+    point) of one geometry block's entries."""
+    geoms = [g for g in block if isinstance(g, PointGeometry)]
+    failures = [str(g) for g in block if not isinstance(g, PointGeometry)]
+    if not geoms:
+        return [], failures, None
+    return sample_records(geoms), failures, pmc_check(geoms, pass_tol)
+
+
 def _verdict(tau_max: float, h_max: float, h_min: float,
              pass_tol: float, fail_tol: float) -> str:
     if h_max < pass_tol:
@@ -322,42 +358,43 @@ def evaluate_chart(
     A sample point whose geometry fails (off the sphere, rank-deficient
     (metric condition >= 1e8), outside the domain, non-finite) is skipped and its
     message kept in ``failures``.  The samples are evaluated in geometry
-    blocks (``extrinsic.sample_blocks``), and the records of each block's
-    good points in one residual pass over the point axis
-    (``sample_records``), so the residual stage never holds more points than
-    ``extrinsic.block_size``; ``pmc_check`` then makes one pass over all good
-    samples, whose temporaries are small.  Only the ``SampleRecord`` objects
-    and the maxima over samples are per point, in sample order.  Results and
-    messages are those of one-point evaluation, to the bit.  Only a proper
-    verdict is audited (``quantity_audit``).
+    blocks (``extrinsic.sample_blocks``), and each block's good points are
+    read in one residual pass over the point axis (``sample_records``) and
+    one ``pmc_check``, whose results ``_merge_pmc`` then combines.  So the
+    residual stage never holds more points than ``extrinsic.block_size``,
+    and no ``PointGeometry`` outlives its block.  Only the ``SampleRecord``
+    objects and the maxima over samples are per point, in sample order.
+    Results and messages are those of one-point evaluation, to the bit.
+    Only a proper verdict is audited (``quantity_audit``).
     """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
-    good: list[PointGeometry] = []
     failures: list[str] = []
     records: list[SampleRecord] = []
+    pmc_blocks: list[PMCBlock] = []
     points = chart_mod.sample_points(spec, samples, seed)
-    for block in extrinsic.sample_blocks(spec, points):
-        geoms = [g for g in block if isinstance(g, PointGeometry)]
-        failures += [str(g) for g in block if not isinstance(g, PointGeometry)]
-        if geoms:
-            records += sample_records(geoms)
-            good += geoms
-    if not good:
+    # map, unlike a for loop over the blocks, holds no block while the next
+    # one is computed
+    for block_records, block_failures, block_pmc in map(
+            partial(_read_block, pass_tol=pass_tol), extrinsic.sample_blocks(spec, points)):
+        records += block_records
+        failures += block_failures
+        if block_pmc is not None:
+            pmc_blocks.append(block_pmc)
+    if not records:
         raise AllSamplesFailed(
             f"all {samples} samples failed; first failure: {failures[0]}"
         )
 
-    pmc = pmc_check(good, pass_tol)
     report = ResidualReport(
         chart=spec.describe(),
-        samples_used=len(good),
+        samples_used=len(records),
         samples_requested=samples,
         seed=seed,
         pass_tol=pass_tol,
         fail_tol=fail_tol,
         per_sample=records,
-        pmc=pmc,
+        pmc=_merge_pmc(pmc_blocks, pass_tol),
         verdict=_verdict(
             max(r.tau2_norm for r in records),
             max(r.H_norm for r in records),

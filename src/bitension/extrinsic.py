@@ -69,18 +69,27 @@ finiteness of every field is tested once per block.  Only the two full
 reductions of Delta f stay per point: their ``einsum`` with a point axis
 sums in another order (it moved the last bit of 12 of 640 probed values).
 ``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
-mostly per-call dispatch, and 1 for m >= 4, where the kernels' own
-arithmetic takes over.  On a 2-core Xeon VM, before the order trim above,
-one block of 8 cost 0.30-0.47 of eight one-point calls at m = 2, 3.  At
-m <= 3, blocks of 32 instead of 8 (and the block frames) took 64-sample
-verify calls from 920 to 1550 samples/s at a peak of 55 MB instead of 50
-(16 points: 51 MB, 64: 63 MB).  With the trim, on the same VM (small
-hypersphere, best of three, a noisy host), one block of 8 ran 2.5x the rate
-of eight one-point calls at m = 4, 1.0-2.2x at m = 5 and 0.8x at m = 6, and
-raised the peak memory above the interpreter's from 2 to 8 MB at m = 4, 4 to
-24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries grow with P).
-P stays 1 at m >= 4 until a benchmark workload at m = 4, and repeated runs
-at m = 5, show that gain end to end.  No check raises: a failed check
+mostly per-call dispatch, 8 for m = 4, 5, and 1 for m = 6, where the
+kernels' own arithmetic takes over.  On a 2-core Xeon VM, before the order
+trim above, one block of 8 cost 0.30-0.47 of eight one-point calls at
+m = 2, 3.  At m <= 3, blocks of 32 instead of 8 (and the block frames) took
+64-sample verify calls from 920 to 1550 samples/s at a peak of 55 MB
+instead of 50 (16 points: 51 MB, 64: 63 MB).  With the trim, on the same VM
+(small hypersphere, best of three, a noisy host), one block of 8 ran 2.5x
+the rate of eight one-point calls at m = 4, 1.0-2.2x at m = 5 and 0.8x at
+m = 6, and raised the peak memory above the interpreter's from 2 to 8 MB at
+m = 4, 4 to 24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries
+grow with P).  With the chart pass below and the PMC check per block,
+blocks of 8 instead of 1 took 64-sample ``evaluate_chart`` calls (median of
+five) from 310 to 623 samples/s on small-hypersphere m = 4, 151 to 259 at
+m = 5 and 198 to 239 on product-spheres 1+4; at m = 6 blocks of 2, 4 and
+8 ran 71-74 samples/s against 66, too little for their memory.
+``sample_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
+(64) points, a multiple of every block size, and hands each block its rows
+and errors; one pass gives each point the jets of its one-point block, and
+cut the chart-jet time of 64 points 1.25-3.2x against one pass per point
+(generalized-clifford 2+4, product-spheres 1+4, small-hypersphere m = 6).
+No check raises: a failed check
 records the point's error (``jets.fail``; a point keeps its first), and every
 row goes on, as rows never mix, so one pass gives each point the outcome of
 its one-point block.  A failed point passes neutral rows (the identity, the
@@ -95,8 +104,11 @@ run once per block, with the same rule: each contraction keeps the kernel a
 lone point calls (a matrix-vector ``@`` stays one ``gemv`` per point, a row
 norm ``sqrt(<v, v>)``, an ``einsum`` gains a ``p`` index, and the frame
 entries accumulate along the last axis), so no residual has to stay per
-point.  The stack is one geometry block, so at m >= 4 the curvature
-temporaries stay one point wide (at m = 6, 64 points would take about 24 MB).
+point.  The stack is one geometry block, so at m = 6 the curvature
+temporaries stay one point wide (64 points would take about 24 MB), and
+``biharmonic.evaluate_chart`` drops each block's ``PointGeometry`` objects,
+whose value views pin the block's jet arrays (about 1 MB a point at m = 6),
+before it computes the next block.
 """
 
 from __future__ import annotations
@@ -268,18 +280,29 @@ def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
     return out
 
 
+CHART_RUN = 64      # sample points per chart-jet pass: a multiple of every block size
+
+
 def block_size(m: int) -> int:
     """Sample points per ``geometry_block`` call for an m-dimensional chart
     (the rule and its measurements are in the module docstring)."""
-    return 32 if m <= 3 else 1
+    return 32 if m <= 3 else 8 if m <= 5 else 1
 
 
 def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[list[PointGeometry | ValueError]]:
     """Yield ``geometry_block`` of each run of ``block_size(spec.m)``
-    consecutive points, evaluated when the caller asks for it."""
+    consecutive points, evaluated when the caller asks for it.  The chart
+    jets come from one ``chart.eval_jet_stack`` pass per ``CHART_RUN``
+    points, whose rows and errors each block reads."""
     size = block_size(spec.m)
-    for start in range(0, len(points), size):
-        yield geometry_block(spec, points[start:start + size])
+    for start in range(0, len(points), CHART_RUN):
+        run = points[start:start + CHART_RUN]
+        with np.errstate(all="ignore"):     # a decorator would not cover a generator's body
+            Phi, sp, errors = chart_mod.eval_jet_stack(spec, run)
+        for b in range(0, len(run), size):
+            rows = slice(b, b + size)
+            yield _geometry_rest(spec, _tau2_stage(spec, run[rows],
+                                                   (Phi[rows], sp, errors[rows])))
 
 
 def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
@@ -326,12 +349,14 @@ def tau2_block(spec: chart_mod.ChartSpec, points) -> Tau2Block:
 
 
 @np.errstate(all="ignore")
-def _tau2_stage(spec: chart_mod.ChartSpec, points):
+def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     """The jet stages through H and Delta H over a (P, m) block, with the
     chart, sphere and rank checks: the jets the rest of ``geometry_block``
     reads, each point's error, and a dict of the ``PointGeometry`` fields
-    computed here."""
-    Phi, sp, errors = chart_mod.eval_jet_stack(spec, points)       # (P, n+1, L)
+    computed here.  ``chart_jets`` is the block's rows of an
+    ``eval_jet_stack`` pass over more points (``sample_blocks``); by default
+    the stage makes its own."""
+    Phi, sp, errors = chart_jets or chart_mod.eval_jet_stack(spec, points)  # (P, n+1, L)
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(Phi).all():
         _fail(errors, ~np.isfinite(Phi).all(axis=(1, 2)), "non-finite chart jets")
@@ -407,11 +432,10 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points):
     return sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, rows / norm[:, None], errors, values
 
 
-@np.errstate(all="ignore")
 def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry | ValueError]:
     """Full extrinsic package at each point of a (P, m) block: the tau2
     stage (``_tau2_stage``), then the normal part of nabla H, the frames,
-    the hypersurface jets and the remaining value fields.
+    the hypersurface jets and the remaining value fields (``_geometry_rest``).
 
     Every jet stage is one kernel call, and every value-level field one
     array operation, over the whole block; only the Delta f reductions and
@@ -419,8 +443,13 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry | Va
     point: its ``PointGeometry``, or the ``GeometryError``/``ChartError``
     of its one-point block (its first failed check).
     """
-    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, errors, values = (
-        _tau2_stage(spec, points))
+    return _geometry_rest(spec, _tau2_stage(spec, points))
+
+
+@np.errstate(all="ignore")
+def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> list[PointGeometry | ValueError]:
+    """``geometry_block`` after its tau2 stage, whose output is ``stage``."""
+    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, errors, values = stage
     m, n = spec.m, spec.n
     P = len(phi_unit)
     phi0, jac, g0, ginv0, Gam0, B0, H0 = (

@@ -220,6 +220,25 @@ def test_non_finite_chart_exit_three_strict_output(capsys, tmp_path):
         assert "NaN" not in text and "Infinity" not in text
 
 
+def test_non_finite_chart_in_blocks_of_eight_no_warning(capsys, tmp_path):
+    # the same overflow at m = 4, over two chart-jet passes (64 + 6 points)
+    # and blocks of 8: the chart pass runs under the block's errstate too
+    doc = {
+        "name": "overflow-4", "m": 4, "n": 5,
+        "expressions": ["sin(u1)*1e200*1e200*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)",
+                        "sin(u3)*cos(u4)", "sin(u3)*sin(u4)", "0.5"],
+        "domain": [[0, 3.14159], [0, 6.28318]] * 2,
+        "params": {}, "normalize": True,
+    }
+    f = tmp_path / "overflow.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "verify", "--chart", str(f), "--points", "70")
+    assert code == 3
+    assert "all 70 samples failed" in err and "non-finite chart jets" in err
+
+
 def test_infinite_sin_argument_exit_three(capsys, tmp_path):
     # sin of an infinite value fails the sample (non-finite jets, exit 3)
     # instead of escaping as a math domain error (exit 2)

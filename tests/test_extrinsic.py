@@ -13,10 +13,12 @@ Closed-form references, derived by hand once and frozen here:
 
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 import chart_docs
 import oracle
-from bitension import biharmonic, chart, expr, extrinsic, jets, scan
+from bitension import biharmonic, chart, cli, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
     GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
@@ -691,7 +693,24 @@ def test_geometry_block_equals_point_by_point(spec, mirror):
 
 
 def test_block_size_rule():
-    assert [extrinsic.block_size(m) for m in range(1, 7)] == [32, 32, 32, 1, 1, 1]
+    assert [extrinsic.block_size(m) for m in range(1, 7)] == [32, 32, 32, 8, 8, 1]
+    # one chart pass serves whole blocks
+    assert all(extrinsic.CHART_RUN % extrinsic.block_size(m) == 0 for m in range(1, 7))
+
+
+@pytest.mark.parametrize("spec", [bumped_hypersphere(4), bumped_hypersphere(5),
+                                  chart.parse_chart(S2_S2_DOC)], ids=lambda s: s.name)
+def test_sample_geometries_in_blocks_of_eight(spec):
+    # 11 points at m = 4, 5: a full block of 8 and a partial one, with a
+    # point outside the safe region (the box corner) in the second block
+    pts = sample_points(spec, 11, 5)
+    pts[9] = [lo for lo, _ in spec.domain]
+    refs = [one_point_outcome(spec, p) for p in pts]
+    assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [9]
+    got = list(extrinsic.sample_geometries(spec, pts))
+    assert len(got) == len(refs)
+    for g, ref in zip(got, refs):
+        assert_same_outcome(g, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -1260,9 +1279,10 @@ def assert_same_bits(got, ref):
 @pytest.mark.parametrize("full", [True, False])
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_residuals_equal_point_by_point(spec, full):
-    # m = 1..6, codimension 1..3; at m <= 3 whole blocks of 32 or a full
-    # and a partial one, at m >= 4 blocks of one point
-    count = (32 if full else 37) if spec.m <= 3 else (1 if full else 3)
+    # m = 1..6, codimension 1..3: one whole geometry block, or a full and a
+    # partial one
+    size = extrinsic.block_size(spec.m)
+    count = size if full else size + 5
     rep = biharmonic.evaluate_chart(spec, samples=count, seed=5)
     geoms = [compute_geometry(spec, p) for p in sample_points(spec, count, 5)]
     assert len(rep.per_sample) == count
@@ -1303,22 +1323,62 @@ def test_pmc_block_drops_steps_past_each_points_stop():
 
 
 def test_residual_stage_sees_at_most_one_block(monkeypatch):
-    # the memory guard: the curvature temporaries grow with the points per
-    # call, so the residual stage follows block_size (1 point at m >= 4)
+    # the memory guard: the curvature and PMC temporaries grow with the
+    # points per call, so the residual stage follows block_size (8 points at
+    # m = 4, 5 and 1 at m = 6)
     seen = {}
-    for name, owner in (("sample_records", biharmonic), ("_frame_riemann", extrinsic)):
+    for name, owner in (("sample_records", biharmonic), ("pmc_check", biharmonic),
+                        ("_frame_riemann", extrinsic)):
         fn = getattr(owner, name)
 
         def spy(g, *args, fn=fn, name=name):
             seen.setdefault(name, []).append(len(g))
             return fn(g, *args)
         monkeypatch.setattr(owner, name, spy)
-    for m in range(2, 7):
+    for m, samples, blocks in ((2, 37, [32, 5]), (3, 37, [32, 5]), (4, 11, [8, 3]),
+                               (5, 11, [8, 3]), (6, 3, [1, 1, 1])):
         seen.clear()
-        biharmonic.evaluate_chart(bumped_hypersphere(m), samples=37 if m <= 3 else 3, seed=5)
-        size = extrinsic.block_size(m)
-        assert seen["sample_records"] == ([32, 5] if m <= 3 else [1, 1, 1])
-        assert seen["_frame_riemann"] and max(seen["_frame_riemann"]) <= size
+        biharmonic.evaluate_chart(bumped_hypersphere(m), samples=samples, seed=5)
+        assert seen["sample_records"] == seen["pmc_check"] == blocks
+        assert seen["_frame_riemann"] and max(seen["_frame_riemann"]) <= extrinsic.block_size(m)
+
+
+@pytest.mark.parametrize("m,samples", [(2, 37), (6, 3)])
+def test_no_point_geometry_outlives_its_block(m, samples, monkeypatch):
+    # the memory bound of evaluate_chart: a PointGeometry pins its block's
+    # jet arrays through its value views, so every one of a block must be
+    # gone when the next block starts
+    earlier = []
+    stage, rest = extrinsic._tau2_stage, extrinsic._geometry_rest
+
+    def starting(*args):
+        gc.collect()
+        assert all(ref() is None for ref in earlier)
+        return stage(*args)
+
+    def finished(*args):
+        block = rest(*args)
+        earlier.extend(weakref.ref(g) for g in block)
+        return block
+
+    monkeypatch.setattr(extrinsic, "_tau2_stage", starting)
+    monkeypatch.setattr(extrinsic, "_geometry_rest", finished)
+    report = biharmonic.evaluate_chart(bumped_hypersphere(m), samples=samples, seed=5)
+    assert report.samples_used == len(earlier) == samples
+    gc.collect()
+    assert all(ref() is None for ref in earlier)
+
+
+def test_chart_pass_sees_at_most_64_points(monkeypatch, tmp_path):
+    # one chart-jet pass per 64 sample points keeps memory flat in --points
+    seen = []
+    eval_jet_stack = chart.eval_jet_stack
+    monkeypatch.setattr(chart, "eval_jet_stack",
+                        lambda spec, pts: seen.append(len(pts)) or eval_jet_stack(spec, pts))
+    code = cli.main(["verify", "--catalog", "small-hypersphere", "--param", "m=2",
+                     "--param", f"r={ROOT2INV!r}", "--points", "150",
+                     "--output", str(tmp_path / "report.txt")])
+    assert code == 0 and seen == [64, 64, 22]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -172,7 +172,7 @@ def field_digests(chart, expr, extrinsic) -> None:
             return e
 
     for spec in field_charts(chart, expr):
-        count = 37 if spec.m <= 3 else 3     # at m <= 3 a full and a partial block
+        count = 37 if spec.m <= 3 else 11    # a full and a partial block at m <= 5
         if spec.name == POLE_DOC["name"]:
             pts = np.column_stack([np.linspace(1.5, 6.0, count), np.linspace(-1.2, 1.3, count)])
             pts[2], pts[5] = (3.0, 0.0), (0.5, 0.7)
