@@ -506,6 +506,26 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace, 
     return stack, sp, errors
 
 
+def stack_members(specs: list[ChartSpec], counts) -> ChartSpec | None:
+    """One chart for several members of a family whose sample points are
+    stacked on the point axis, member i on the next ``counts[i]`` rows: its
+    ``eval_jet_stack`` pass gives each row the jets and error of its
+    member's own pass (``expr.merge`` has the argument).  None when the
+    members differ in m, n, domain or normalize, or their trees do not
+    merge; a lone member is its own chart."""
+    first = specs[0]
+    if len(specs) == 1:
+        return first
+    shape = (first.m, first.n, first.domain, first.normalize)
+    if any((s.m, s.n, s.domain, s.normalize) != shape for s in specs):
+        return None
+    components = expr.merge([s.components for s in specs], [s.params for s in specs], counts)
+    if components is None:
+        return None
+    return ChartSpec(first.name, first.m, first.n, components, first.domain,
+                     first.params, first.normalize)
+
+
 _LATTICE_ALPHAS = np.array(
     [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13)], dtype=np.float64
 )

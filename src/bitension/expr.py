@@ -9,12 +9,20 @@ Trees are frozen dataclasses, so structurally equal subtrees hash equal and
 the jet evaluator can share work between components (all the catalog charts
 reuse sin/cos factors heavily).
 
-``parse(to_string(tree)) == tree`` holds for every tree: the printer inserts
-parentheses wherever reparsing would otherwise re-associate.
+``parse(to_string(tree)) == tree`` holds for every parsed tree: the printer
+inserts parentheses wherever reparsing would otherwise re-associate.
+
+One leaf never comes from the parser: ``Rows``, a constant that differs
+along the point axis.  ``merge`` makes it when it stacks the trees of
+several members of a 1-parameter family (catalog builders bake the swept
+value into literals, so such trees differ only in constant leaves), and
+``eval_jet`` evaluates it as a (P, L) constant jet, one member's value on
+each of its rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -60,6 +68,17 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Param(Expr):
     name: str
+
+
+@dataclass(frozen=True)
+class Rows(Expr):
+    """A constant per row of a stacked block: the value ``float.fromhex(
+    values[i])`` on the next ``counts[i]`` rows.  Held as ``float.hex``
+    strings, so equal leaves have equal bits and a memo keeps 0.0 and -0.0
+    apart."""
+
+    values: tuple[str, ...]
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -331,7 +350,8 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
 
     ``chart.eval_jet_stack`` passes (P, L) variable jets, one row per point
     of a block (a lone point is a block of one); constant subtrees stay (L,)
-    jets that broadcast against them.  A row outside the domain of ``sqrt``,
+    jets that broadcast against them, except those over a ``Rows`` leaf,
+    which are (P, L).  A row outside the domain of ``sqrt``,
     ``/`` or a negative power at degree 0 records the ``JetDomainError`` its
     point alone raises and turns NaN, which ``jets.elementary`` passes through.
     """
@@ -351,6 +371,9 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
             out = sp.constant(params[e.name])
         except KeyError:
             raise ExprEvalError(f"unknown parameter {e.name!r}") from None
+    elif isinstance(e, Rows):
+        out = np.zeros((sum(e.counts), sp.size))
+        out[:, 0] = np.repeat([float.fromhex(v) for v in e.values], e.counts)
     elif isinstance(e, Unary):
         x = eval_jet(e.arg, sp, var_jets, params, errors, memo)
         if e.op == "sqrt":
@@ -376,6 +399,80 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
         raise TypeError(f"not an expression node: {e!r}")
     memo[e] = out
     return out
+
+
+class _Unmerged(Exception):
+    pass
+
+
+_FIELDS = {kind: [f.name for f in dataclasses.fields(kind)] for kind in (Var, Unary, Binary, Power)}
+
+
+def merge(members, params, counts) -> tuple[Expr, ...] | None:
+    """The component trees of several members stacked on the point axis,
+    member i on the next ``counts[i]`` rows: ``members[i]`` is its tuple of
+    component trees and ``params[i]`` its parameter values.  None when the
+    trees differ in more than constant leaves (``Const``, ``Pi``, ``Param``).
+
+    A constant leaf keeps its node where every member has the same one with
+    the same value (compared by ``float.hex``, so 0.0 and -0.0 differ); the
+    merged trees are then evaluated with the first member's ``params``.
+    Any other constant leaf becomes a ``Rows`` leaf of the members' values.
+
+    Each row of the merged trees' ``eval_jet`` over one memo gives the bits
+    of its member's own: a broadcast (L,) constant gives the same pair
+    products as a per-row copy, ``jets.JetSpace`` sums each coefficient in
+    table order, and ``jets.elementary`` takes each row's series on its own.
+    The memo shares equal subtrees, and ``Const(0.0) == Const(-0.0)``; so a
+    member with zero constants of both signs, whose own evaluation may
+    share them, does not merge.
+    """
+    zero_signs = [set() for _ in members]
+
+    def value(i: int, e: Expr):
+        if isinstance(e, Const):
+            if e.value == 0.0:
+                zero_signs[i].add(math.copysign(1.0, e.value))
+            return e.value
+        if isinstance(e, Pi):
+            return math.pi
+        if isinstance(e, Param) and e.name in params[i]:
+            return params[i][e.name]
+        return None
+
+    def walk(nodes: list) -> Expr:
+        first = nodes[0]
+        vals = [value(i, e) for i, e in enumerate(nodes)]
+        if None not in vals:
+            hexes = tuple(map(float.hex, vals))
+            if len({(type(e), getattr(e, "name", None), h) for e, h in zip(nodes, hexes)}) == 1:
+                return first
+            return Rows(hexes, tuple(counts))
+        kind = type(first)
+        if kind not in _FIELDS or any(type(e) is not kind for e in nodes):
+            raise _Unmerged
+        parts = {}
+        for name in _FIELDS[kind]:
+            column = [getattr(e, name) for e in nodes]
+            if isinstance(column[0], Expr):
+                parts[name] = walk(column)
+            elif any(x != column[0] for x in column):
+                raise _Unmerged             # another variable, operator or exponent
+            else:
+                parts[name] = column[0]
+        if all(v is getattr(first, k) for k, v in parts.items()):
+            return first
+        return kind(**parts)
+
+    if len({len(trees) for trees in members}) != 1:
+        return None
+    try:
+        merged = tuple(walk(list(column)) for column in zip(*members))
+    except _Unmerged:
+        return None
+    if any(len(signs) > 1 for signs in zero_signs):
+        return None
+    return merged
 
 
 def _domain(errors: list, x: np.ndarray, fn: str, value: float | None = None) -> np.ndarray:

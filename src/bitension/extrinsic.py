@@ -334,16 +334,16 @@ class Tau2Block(NamedTuple):
     errors: list                # None, or the error of the point's one-point block
 
 
-def tau2_block(spec: chart_mod.ChartSpec, points) -> Tau2Block:
+def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> Tau2Block:
     """H, |H| and Delta H at each point of a (P, m) block: the tau2 stage of
     ``geometry_block`` alone, each value bit-identical to that field of the
     full package.  A point fails only the checks these values depend on:
     the chart and its jets, the sphere, the rank, and the finiteness of the
     fields the stage computes (in field order); the frame checks and the
     finiteness of the other fields are ``geometry_block``'s alone.  A failed
-    point's values mean nothing.
+    point's values mean nothing.  ``chart_jets`` is as for ``_tau2_stage``.
     """
-    *_, errors, values = _tau2_stage(spec, points)
+    *_, errors, values = _tau2_stage(spec, points, chart_jets)
     _check_finite(values, errors)
     return Tau2Block(spec.m, values["H"], values["H_norm"], values["delta_H"], errors)
 
@@ -354,8 +354,9 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     chart, sphere and rank checks: the jets the rest of ``geometry_block``
     reads, each point's error, and a dict of the ``PointGeometry`` fields
     computed here.  ``chart_jets`` is the block's rows of an
-    ``eval_jet_stack`` pass over more points (``sample_blocks``); by default
-    the stage makes its own."""
+    ``eval_jet_stack`` pass over more points (``sample_blocks``), or over
+    several members of a family (``scan._profiles``); by default the stage
+    makes its own."""
     Phi, sp, errors = chart_jets or chart_mod.eval_jet_stack(spec, points)  # (P, n+1, L)
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(Phi).all():

@@ -28,6 +28,18 @@ stage, reported with the error of the first failing sample point.  The
 tangent and normal frame checks, and the finiteness of the fields a scan
 never reads, guard only the full package (``extrinsic.geometry_block``).
 
+The grid's values are evaluated stacked (``_profiles``): the sample points
+of consecutive values ("members") are rows of one point axis, member after
+member.  One ``chart.eval_jet_stack`` pass covers up to
+``extrinsic.CHART_RUN`` rows, over the members' charts merged by
+``chart.stack_members`` (catalog builders bake the swept value into
+literals, so the members' trees differ only in constant leaves), and one
+tau2 stage covers ``extrinsic.block_size(m)`` rows of a pass, across
+member boundaries.  Rows never mix, so each member's Profile, or its error,
+cut back out of the rows is bit for bit what the member alone gives.
+Refinement evaluates one value at a time through the same code, and the
+errors are memoized with the profiles (``_profile``).
+
 Grid endpoints are never reported as interior roots; an endpoint where the
 profile is still falling is labeled separately as boundary behavior (the
 small-hypersphere family ends in the minimal equator at r = 1 this way).
@@ -176,37 +188,111 @@ class Profile(NamedTuple):
 
 
 def _profile(family: FamilySpec, points: np.ndarray, cache: dict):
-    """The Profile at one parameter value, memoized; a failing point raises.
-
-    It reads only the tau2 stage (``extrinsic.tau2_block``), in blocks of
-    ``extrinsic.block_size``, and raises the first failing point's error.
-    """
+    """The Profile at one parameter value, memoized with the errors: ``at(t)``
+    returns ``cache[t]`` (``sweep`` fills it with the grid), or evaluates
+    the one value through ``_profiles``; a stored error is raised."""
 
     def at(t: float) -> Profile:
         key = float(t)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        spec = family.chart_at(key)
-        vecs, H_vecs, hs = [], [], []
-        size = extrinsic.block_size(spec.m)
-        for start in range(0, len(points), size):
-            out = extrinsic.tau2_block(spec, points[start:start + size])
-            error = next(filter(None, out.errors), None)
-            if error is not None:
-                raise error                 # the first failing point's error
-            vecs.extend(biharmonic.tau2_direct(out))
-            H_vecs.extend(out.H)
-            hs.extend(out.H_norm)
-        taus = [float(np.linalg.norm(v)) for v in vecs]
-        verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
-                                      family.pass_tol, family.fail_tol)
-        out = Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
-                      np.concatenate(vecs), np.concatenate(H_vecs))
-        cache[key] = out
-        return out
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = _profiles(family, points, [key])[0]
+        if isinstance(out, Profile):
+            return out
+        raise out
 
     return at
+
+
+def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
+    """The Profile at each parameter value of ``ts``, or the error of its
+    first failing sample point (a ``ChartError`` or ``GeometryError``).
+
+    The values' members are evaluated stacked: member after member, each
+    member's sample points in order, as rows of one point axis.  Each chart
+    pass (``_chart_passes``) covers at most ``extrinsic.CHART_RUN`` rows,
+    and each tau2 stage (``extrinsic.tau2_block``) ``extrinsic.block_size``
+    rows of one pass, across member boundaries; every row gets the bits of
+    its point's one-point block.  A pass that raises as a whole (sample
+    points with the wrong number of coordinates) fails its members.
+    """
+    outcomes: list = [None] * len(ts)
+    rows: dict = {}         # per member with a chart: tau2 vectors, H vectors, |H|
+
+    def members():          # built as the passes reach them
+        for i, t in enumerate(ts):
+            try:
+                spec = family.chart_at(t)
+            except chart_mod.ChartError as e:
+                outcomes[i] = e
+                continue
+            rows[i] = ([], [], [])
+            yield i, spec
+
+    for spec, owners, pts in _chart_passes(members(), points):
+        try:
+            with np.errstate(all="ignore"):
+                Phi, sp, errors = chart_mod.eval_jet_stack(spec, pts)
+        except chart_mod.ChartError as e:
+            for i in set(owners):
+                outcomes[i] = outcomes[i] or e
+            continue
+        size = extrinsic.block_size(spec.m)
+        for b in range(0, len(pts), size):
+            block = slice(b, b + size)
+            out = extrinsic.tau2_block(spec, pts[block], (Phi[block], sp, errors[block]))
+            # H copied: a row view would keep the block's H jets alive
+            for i, error, tau2, H, h in zip(owners[block], out.errors, biharmonic.tau2_direct(out),
+                                            np.array(out.H), out.H_norm):
+                if outcomes[i] is not None:
+                    continue                # the member failed at an earlier point
+                if error is not None:
+                    outcomes[i] = error
+                    continue
+                vecs, H_vecs, hs = rows[i]
+                vecs.append(tau2)
+                H_vecs.append(H)
+                hs.append(h)
+    for i, (vecs, H_vecs, hs) in rows.items():
+        if outcomes[i] is None:
+            taus = [float(np.linalg.norm(v)) for v in vecs]
+            verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
+                                          family.pass_tol, family.fail_tol)
+            outcomes[i] = Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
+                                  np.concatenate(vecs), np.concatenate(H_vecs))
+    return outcomes
+
+
+def _chart_passes(members, points):
+    """Yield (spec, owners, points) for each chart pass over the stacked
+    rows of ``members``, pairs (index, ChartSpec): the rows are cut into runs
+    of ``extrinsic.CHART_RUN``, ``owners`` names the member of each row, and
+    ``spec`` is ``chart.stack_members`` of the run's members.  A run whose
+    members do not stack makes one pass per member."""
+    run: list = []      # (index, spec, lo, hi): points[lo:hi] of one member
+    used = 0
+    for i, spec in members:
+        lo = 0
+        while lo < len(points):
+            if used == extrinsic.CHART_RUN:
+                yield from _run_passes(run, points)
+                run, used = [], 0
+            hi = min(len(points), lo + extrinsic.CHART_RUN - used)
+            run.append((i, spec, lo, hi))
+            used += hi - lo
+            lo = hi
+    if run:
+        yield from _run_passes(run, points)
+
+
+def _run_passes(run: list, points: np.ndarray):
+    """The passes of one run of ``_chart_passes``."""
+    stacked = chart_mod.stack_members([spec for _, spec, _, _ in run],
+                                      [hi - lo for *_, lo, hi in run])
+    groups = [(run, stacked)] if stacked is not None else [([r], r[1]) for r in run]
+    for group, spec in groups:
+        yield (spec, [i for i, _, lo, hi in group for _ in range(lo, hi)],
+               np.concatenate([points[lo:hi] for *_, lo, hi in group]))
 
 
 def _refine(profile_at, a: float, x: float, b: float):
@@ -291,19 +377,19 @@ def sweep(family: FamilySpec) -> ScanResult:
                                      family.seed)
     cache: dict = {}
     profile_at = _profile(family, points, cache)
+    ts_float = [float(t) for t in ts]
+    outcomes = _profiles(family, points, ts_float)
+    cache.update(zip(ts_float, outcomes))
 
     grid: list[GridRow] = []
     values: list[float | None] = []
-    for t in ts:
-        try:
-            p = profile_at(float(t))
-        except (chart_mod.ChartError, extrinsic.GeometryError) as e:
-            grid.append(GridRow(param=float(t), max_residual=None,
-                                mean_residual=None, H_norm=None,
-                                verdict="error", error=str(e)))
+    for t, p in zip(ts_float, outcomes):
+        if not isinstance(p, Profile):
+            grid.append(GridRow(param=t, max_residual=None, mean_residual=None,
+                                H_norm=None, verdict="error", error=str(p)))
             values.append(None)
             continue
-        grid.append(GridRow(param=float(t), max_residual=p.tau_max,
+        grid.append(GridRow(param=t, max_residual=p.tau_max,
                             mean_residual=p.tau_mean, H_norm=p.h_max,
                             verdict=p.verdict))
         values.append(p.tau_max)

@@ -6,8 +6,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitension import chart, extrinsic, jets
+import chart_docs
+from bitension import chart, expr, extrinsic, jets, scan
 from bitension.chart import (
     ChartError, ChartEvalError, catalog_chart, eval_jet_stack, parse_chart,
     perturbed_chart, sample_points,
@@ -334,3 +337,106 @@ def test_catalog_entries_listing():
     tags = {e["tag"] for e in entries}
     assert tags == {"small-hypersphere", "product-spheres",
                     "generalized-clifford", "clifford-torus-b3", "veronese"}
+
+
+# ---------------------------------------------------------------------------
+# stacked family members: one chart pass over several members' points
+
+
+def member_jets(members, points):
+    """Each row's chart jets and error from the passes ``scan`` makes over
+    ``members``, (index, ChartSpec) pairs, each on all of ``points``: per
+    member, a list of (jets, error) in point order."""
+    rows = {i: [] for i, _ in members}
+    for spec, owners, pts in scan._chart_passes(members, points):
+        assert len(pts) <= extrinsic.CHART_RUN
+        Phi, _, errors = eval_jet_stack(spec, pts)
+        for i, jet, error in zip(owners, Phi, errors):
+            rows[i].append((jet, error))
+    return rows
+
+
+def bits(jet: np.ndarray) -> bytes:
+    """The bytes of ``jet`` with every NaN made the same NaN.  The sign of a
+    NaN numpy makes depends on the SIMD path it takes, and so on the
+    alignment of the arrays: one chart evaluated twice on the same points
+    can differ there."""
+    return np.where(np.isnan(jet), np.nan, jet).tobytes()
+
+
+PARAM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, 1e300]),
+                         st.floats(-10.0, 10.0))
+READS_C = ["c * ({})", "({}) + c", "({}) / c", "sqrt(c) * ({})", "({})^2 - c^3"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=chart_docs.chart_documents(), data=st.data())
+def test_stacked_members_equal_their_own_passes(doc, data):
+    # members of a one-parameter family of random charts, with signed zeros
+    # and huge values of c, and possibly one member of a family of the same
+    # shape whose trees do not merge with theirs: every row of the stacked
+    # passes has the bytes (signed zeros included) and the error message of
+    # its member's own pass
+    exprs = list(doc["expressions"])
+    for k in data.draw(st.lists(st.integers(0, len(exprs) - 1), min_size=1, max_size=3)):
+        exprs[k] = data.draw(st.sampled_from(READS_C)).format(exprs[k])
+    doc = dict(doc, expressions=exprs, params={"c": 1.0})
+    other = dict(doc, expressions=[f"-({exprs[0]})", *exprs[1:]])
+    specs = [chart.family_chart(doc, "c", v, {})
+             for v in data.draw(st.lists(PARAM_VALUES, min_size=2, max_size=5))]
+    odd = data.draw(st.one_of(st.none(), st.integers(0, len(specs))))
+    if odd is not None:
+        specs.insert(odd, chart.family_chart(other, "c", data.draw(PARAM_VALUES), {}))
+    points = sample_points(specs[0], data.draw(st.integers(1, 24)), data.draw(st.integers(0, 99)))
+    points[data.draw(st.integers(0, len(points) - 1))] = np.nan
+    counts = [len(points)] * len(specs)
+    assert (chart.stack_members(specs, counts) is None) == (odd is not None)
+
+    with np.errstate(all="ignore"):
+        rows = member_jets(list(enumerate(specs)), points)
+        for i, spec in enumerate(specs):
+            Phi, _, errors = eval_jet_stack(spec, points)
+            assert len(rows[i]) == len(points)
+            for (jet, error), ref, ref_error in zip(rows[i], Phi, errors):
+                assert bits(jet) == bits(ref)
+                assert type(error) is type(ref_error) and str(error) == str(ref_error)
+
+
+def test_members_with_zeros_of_both_signs_do_not_merge():
+    # one evaluation memo shares Const(0.0) and Const(-0.0), which compare
+    # equal: a chart with both reads its -0.0 as the 0.0 it met first, and a
+    # merged tree where that 0.0 became a per-row leaf would not
+    def member(c):
+        return chart.ChartSpec("zeros", 1, 3, ["cos(u1)", "sin(u1)", c, "-0.0"],
+                               [(0.0, 3.0)])
+
+    points = sample_points(member("0.0"), 4, 1)
+    shared = eval_jet_stack(member("0.0"), points)[0][:, 3, 0]
+    alone = eval_jet_stack(member("0.5"), points)[0][:, 3, 0]
+    assert np.signbit(alone).all() and not np.signbit(shared).any()
+    assert chart.stack_members([member("0.0"), member("0.5")], [4, 4]) is None
+    specs = [member("0.5"), member("0.7")]          # -0.0 alone merges
+    assert chart.stack_members(specs, [4, 4]) is not None
+    for spec in ([member("0.0"), member("0.5")], specs):
+        rows = member_jets(list(enumerate(spec)), points)
+        for i, one in enumerate(spec):
+            ref = eval_jet_stack(one, points)[0]
+            assert [jet.tobytes() for jet, _ in rows[i]] == [r.tobytes() for r in ref]
+
+
+def test_merged_leaves():
+    # a constant the members share keeps its node; one that differs, by
+    # value or by the sign of a zero, becomes a per-row leaf
+    trees = [(expr.parse("2 * u1 + c"),), (expr.parse("2 * u1 + c"),)]
+    params = [{"c": 0.0}, {"c": -0.0}]
+    [merged] = expr.merge(trees, params, [2, 3])
+    assert merged.left == trees[0][0].left
+    assert merged.right == expr.Rows(("0x0.0p+0", "-0x0.0p+0"), (2, 3))
+    assert merged.right != expr.Rows(("0x0.0p+0", "0x0.0p+0"), (2, 3))
+    [same] = expr.merge(trees, [{"c": 1.5}, {"c": 1.5}], [2, 3])
+    assert same is trees[0][0]
+    sp = jets.space(1)
+    jet = expr.eval_jet(merged.right, sp, [], {}, [None] * 5)
+    assert jet.shape == (5, sp.size)
+    assert [math.copysign(1.0, v) for v in jet[:, 0]] == [1.0, 1.0, -1.0, -1.0, -1.0]
+    assert expr.merge([(expr.parse("u1"),), (expr.parse("2 * u1"),)], [{}, {}], [1, 1]) is None

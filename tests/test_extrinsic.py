@@ -1091,13 +1091,22 @@ def test_scan_row_reports_first_failing_point(monkeypatch):
     monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
     fam = scan.FamilySpec(doc=POLE_DOC, param_name="c", lo=0.9, hi=1.1, steps=8,
                           samples_per_point=8)
-    calls = []
-    tau2_block = extrinsic.tau2_block
-    monkeypatch.setattr(extrinsic, "tau2_block",
-                        lambda spec, pts: calls.append(pts) or tau2_block(spec, pts))
+    stages, passes = [], []
+    tau2_block, eval_jet_stack = extrinsic.tau2_block, chart.eval_jet_stack
+
+    def counted_stage(spec, pts, *args):
+        stages.append((spec.m, len(pts)))
+        return tau2_block(spec, pts, *args)
+
+    monkeypatch.setattr(extrinsic, "tau2_block", counted_stage)
+    monkeypatch.setattr(chart, "eval_jet_stack",
+                        lambda spec, pts: passes.append(len(pts)) or eval_jet_stack(spec, pts))
     grid = scan.sweep(fam).grid
-    # each grid row evaluates its 8 points once, as one block
-    assert len(calls) == len(grid) and all(len(c) == 8 for c in calls)
+    # the grid rows' points are stacked: 8 rows of 8 points make one chart
+    # pass of 64 rows and two tau2 stages of 32
+    assert passes == [64] and all(n <= extrinsic.CHART_RUN for n in passes)
+    assert stages == [(2, 32), (2, 32)]
+    assert all(n <= extrinsic.block_size(m) for m, n in stages)
     for row in grid:
         with pytest.raises(GeometryError) as err:
             compute_geometry(fam.chart_at(row.param), RANK_POINT)

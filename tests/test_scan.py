@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bitension import biharmonic, extrinsic, scan
+from bitension import biharmonic, chart, extrinsic, scan
 from bitension.scan import FamilySpec, ScanError, sweep
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -376,3 +376,108 @@ def test_proper_root_refinement_cost(monkeypatch):
     assert abs(res.roots[0].param - ROOT2INV) < 1e-11
     assert count["refine_evals"] <= 8
     assert res.roots[0].bisection_iterations == count["refine_evals"]
+
+
+# ---------------------------------------------------------------------------
+# stacked members: the grid's parameter values share chart passes and tau2
+# stages, and each value's Profile equals the one-value evaluation they
+# replaced (kept here as the reference)
+
+
+def profile_one_value(family, points, t):
+    """The Profile at one parameter value, evaluated alone in blocks of
+    ``extrinsic.block_size``; the first failing point's error is raised."""
+    spec = family.chart_at(t)
+    vecs, H_vecs, hs = [], [], []
+    size = extrinsic.block_size(spec.m)
+    for start in range(0, len(points), size):
+        out = extrinsic.tau2_block(spec, points[start:start + size])
+        error = next(filter(None, out.errors), None)
+        if error is not None:
+            raise error
+        vecs.extend(biharmonic.tau2_direct(out))
+        H_vecs.extend(out.H)
+        hs.extend(out.H_norm)
+    taus = [float(np.linalg.norm(v)) for v in vecs]
+    verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
+                                  family.pass_tol, family.fail_tol)
+    return scan.Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
+                        np.concatenate(vecs), np.concatenate(H_vecs))
+
+
+SPHERE_FAMILY = {
+    "name": "S2(r) x {sqrt(1 - r^2)}", "m": 2, "n": 3,
+    "expressions": ["r * sin(u1) * cos(u2)", "r * sin(u1) * sin(u2)", "r * cos(u1)",
+                    "sqrt(1 - r^2)"],
+    "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]],
+    "params": {"r": 0.5},
+}
+PRODUCT_REF = {"catalog": {"tag": "product-spheres", "params": {"m1": 2, "m2": 1}}}
+# from c ~ 0.6 up some sample points fail the sqrt, so errors sit inside
+# stacked runs
+POLE_FAMILY = {
+    "name": "pole-crossing", "m": 2, "n": 3,
+    "expressions": ["cos(u1) * sin(u2)", "sin(u1) * sin(u2)", "cos(u2)",
+                    "sin(u2) * sqrt(u1 - c)"],
+    "domain": [[0.0, 6.28], [-1.5, 1.5]],
+    "params": {"c": 1.0},
+    "normalize": True,
+}
+STACKED_FAMILIES = {
+    **ROOT_FAMILIES,
+    "param-leaf": dict(doc=SPHERE_FAMILY, param_name="r", lo=0.3, hi=0.95),
+    "catalog-ref": dict(doc=PRODUCT_REF, param_name="r", lo=0.3, hi=0.95),
+    "pole-crossing": dict(doc=POLE_FAMILY, param_name="c", lo=0.0, hi=3.0),
+    # points drawn at m = 3: m = 1, 2, 4, 5 fail the whole chart pass, and
+    # the half-integer values fail to build
+    "mixed-m": dict(tag="small-hypersphere", param_name="m", lo=1.0, hi=5.0,
+                    fixed={"r": ROOT2INV}),
+}
+
+
+def assert_same_profile(got, ref):
+    assert type(got) is type(ref)
+    if isinstance(ref, Exception):
+        assert str(got) == str(ref)
+        return
+    for a, b in zip(got[:3], ref[:3]):
+        assert float.hex(a) == float.hex(b)
+    assert got.verdict == ref.verdict
+    assert got.tau2.tobytes() == ref.tau2.tobytes()
+    assert got.H.tobytes() == ref.H.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 5, 8, 33, 40, 70])
+@pytest.mark.parametrize("name", STACKED_FAMILIES)
+def test_stacked_profiles_equal_one_value_profiles(name, samples):
+    # 14 values of 5 points split a value across two chart passes; 33 and 40
+    # cross tau2 blocks and passes; 70 points span two passes per value
+    steps = 9 if name == "mixed-m" else 14
+    family = FamilySpec(steps=steps, samples_per_point=samples, seed=3,
+                        **STACKED_FAMILIES[name])
+    mid = family.chart_at(0.5 * (family.lo + family.hi))
+    points = chart.sample_points(mid, samples, family.seed)
+    ts = [float(t) for t in np.linspace(family.lo, family.hi, steps)]
+    refs = []
+    for t in ts:
+        try:
+            refs.append(profile_one_value(family, points, t))
+        except (chart.ChartError, extrinsic.GeometryError) as e:
+            refs.append(e)
+    for got, ref in zip(scan._profiles(family, points, ts), refs):
+        assert_same_profile(got, ref)
+    # a lone value, as refinement evaluates it
+    at = scan._profile(family, points, {})
+    for t, ref in zip(ts[::5], refs[::5]):
+        try:
+            got = at(t)
+        except ValueError as e:
+            got = e
+        assert_same_profile(got, ref)
+    if name == "mixed-m":
+        assert [type(r).__name__ for r in refs] == ["ChartError"] * 4 + ["Profile"] + [
+            "ChartError"] * 4
+        assert "expected a point with 1 coordinates" in str(refs[0])
+    if name == "pole-crossing":
+        assert any(isinstance(r, Exception) for r in refs)
+        assert any(isinstance(r, scan.Profile) for r in refs)

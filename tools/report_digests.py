@@ -104,7 +104,24 @@ SCANS = [
      "--range", "0.3:0.95"],
     ["--chart", POLE_DOC_FILE, "--param", "c", "--range", "0.0:3.0"],
 ]
+# scans stack the sample points of consecutive grid values into chart passes
+# of 64 rows and tau2 stages of block_size(m) rows: 5 points a value split
+# a value across two passes, 33 cross the blocks of 32, and 70 points make
+# more than one pass a value; the pole-crossing family has failing points
+# inside a pass
+SCANS += [
+    [*SCANS[0], "--samples", "5"],
+    [*SCANS[2], "--samples", "5"],
+    [*SCANS[1], "--samples", "33"],
+    [*SCANS[0], "--samples", "70"],
+    [*SCANS[8], "--samples", "5"],
+]
 COMMANDS += [["scan", *s, "--steps", "40", "--seed", SEED, "--format", "json"] for s in SCANS]
+# sample points drawn at m = 3: the values m = 1, 2, 4, 5 fail their whole
+# chart pass, and the half-integer ones fail to build
+COMMANDS += [["scan", "--family", "small-hypersphere", "--param", "m", "--param", f"r={R}",
+              "--range", "1:5", "--steps", "9", "--samples", "5", "--seed", SEED,
+              "--format", "json"]]
 # the text renderers: human verify and audit, CSV scan
 COMMANDS += [
     [cmd, "--chart", S2_S2_DOC, "--points", "16", "--seed", SEED] for cmd in ("verify", "audit")
