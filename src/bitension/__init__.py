@@ -22,17 +22,14 @@ from .chart import (
     sample_points,
 )
 from .extrinsic import (
+    GeometryBlock,
     GeometryError,
-    GeometryStack,
     IntrinsicCurvature,
     PointGeometry,
     compute_geometry,
-    gauss_ricci_check,
     geometry_block,
     intrinsic_curvature,
-    nabla_A_symmetry_check,
     sample_blocks,
-    sample_geometries,
     scalar_curvature,
     tau2_block,
 )
@@ -56,10 +53,9 @@ __all__ = [
     "parse", "to_string", "ExprSyntaxError",
     "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
     "catalog_entries", "eval_jet_stack", "sample_points", "perturbed_chart",
-    "PointGeometry", "IntrinsicCurvature", "GeometryError", "compute_geometry",
-    "geometry_block", "sample_blocks", "sample_geometries", "tau2_block",
-    "GeometryStack", "intrinsic_curvature", "scalar_curvature",
-    "gauss_ricci_check", "nabla_A_symmetry_check",
+    "PointGeometry", "GeometryBlock", "IntrinsicCurvature", "GeometryError",
+    "compute_geometry", "geometry_block", "sample_blocks", "tau2_block",
+    "intrinsic_curvature", "scalar_curvature",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",
     "sample_records", "tau2_direct", "split_residuals", "hypersurface_residuals",
     "pmc_check", "quantity_audit",

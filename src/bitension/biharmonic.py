@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from . import extrinsic
-from .extrinsic import GeometryError, GeometryStack, PointGeometry
+from .extrinsic import GeometryBlock, GeometryError, PointGeometry
 
 PASS_TOL = 1e-6
 FAIL_TOL = 1e-3
@@ -49,28 +49,23 @@ class AllSamplesFailed(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def tau2_direct(geom: PointGeometry) -> np.ndarray:
+def tau2_direct(geom: PointGeometry | GeometryBlock) -> np.ndarray:
     """Bitension field at the point, as an ambient vector; on an
-    ``extrinsic.Tau2Block`` or a ``GeometryStack`` the same formula gives
-    one row per point."""
+    ``extrinsic.GeometryBlock`` the same formula gives one row per point."""
     return -geom.m * (geom.delta_H - geom.m * geom.H)
 
 
-def split_residuals(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+def split_residuals(geom: PointGeometry | GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
     """Normal and tangent residual vectors of the split characterization
-    (one row per point of a ``GeometryStack``)."""
+    (one row per point of a ``GeometryBlock``)."""
     normal = geom.delta_perp_H + geom.trace_B_AH - geom.m * geom.H
     tangent = 2.0 * geom.trace_A_nablaH + 0.5 * geom.m * geom.grad_H2
     return normal, tangent
 
 
-def hypersurface_residuals(geom: PointGeometry | GeometryStack):
-    """(|Delta f - (m - |A|^2) f|, ||A(grad f) + (m/2) f grad f||): two floats
-    at a ``PointGeometry``, two arrays of one value per point of a
-    ``GeometryStack``."""
-    if isinstance(geom, PointGeometry):
-        res_i, res_ii = hypersurface_residuals(GeometryStack([geom]))
-        return float(res_i[0]), float(res_ii[0])
+def hypersurface_residuals(geom: GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(|Delta f - (m - |A|^2) f|, ||A(grad f) + (m/2) f grad f||) at each
+    point of a block's ``rows``: two arrays of one value per point."""
     if not geom.hypersurface:
         raise GeometryError("hypersurface residuals require n = m + 1")
     res_i = np.abs(geom.delta_f - (geom.m - geom.A2) * geom.f)
@@ -103,30 +98,31 @@ class PMCBlock:
     samples_with_H: int
 
 
-def pmc_check(geoms: list[PointGeometry], pass_tol: float = PASS_TOL) -> PMCBlock:
-    """Evaluate the parallel-mean-curvature characterization over samples.
+def pmc_check(block: GeometryBlock, pass_tol: float = PASS_TOL) -> PMCBlock:
+    """Evaluate the parallel-mean-curvature characterization over the samples
+    of a block's ``rows``.
 
     Samples where H vanishes contribute only to the minimality side: the
     normal-frame completion of H/|H| is undefined there.
 
-    One block pass over the samples with H (``extrinsic.GeometryStack``):
-    each point completes H/|H| to its normal frame with the pivoted block
-    Gram-Schmidt of the tangent frames (``extrinsic._block_mgs``), and a
-    point's xi from its first step below 1e-13 on are dropped, where a lone
-    point's pass stops.  Each value is the one that point's own pass gives.
+    One block pass over the samples with H (their ``rows``): each point
+    completes H/|H| to its normal frame with the pivoted block Gram-Schmidt
+    of the tangent frames (``extrinsic._block_mgs``), and a point's xi from
+    its first step below 1e-13 on are dropped, where a lone point's pass
+    stops.  Each value is the one that point's own pass gives.
     Only the maxima stay per point: Python's ``max`` over the values in
     sample order, which keeps the first of equal values and passes over NaN
     as a sample-by-sample loop does, so the block is that loop to the bit.
     ``evaluate_chart`` checks each geometry block on its own and merges the
     blocks (``_merge_pmc``).
     """
-    if not geoms:
+    if not block:
         raise GeometryError("pmc_check needs at least one sample")
-    parallel = max([0.0] + [g.nabla_perp_H_norm for g in geoms])
+    parallel = max([0.0] + block.nabla_perp_H_norm.tolist())
     eq4 = eq5a = eq5b = 0.0
-    with_h = [g for g in geoms if g.H_norm > pass_tol]
-    if with_h:
-        g = GeometryStack(with_h)
+    with_h = np.flatnonzero(block.H_norm > pass_tol)
+    if len(with_h):
+        g = block.rows(with_h)
         eq4 = max([0.0] + _norms(g.trace_B_AH - g.m * g.H).tolist())
         eq5b = max([0.0] + np.abs(g.AH2 - g.m * g.H2).tolist())
         # complete H/|H| to an orthonormal normal frame and test the spanning set
@@ -301,12 +297,10 @@ class ResidualReport:
         }
 
 
-def sample_records(geoms: list[PointGeometry]) -> list[SampleRecord]:
-    """The ``SampleRecord`` of each point of one block: every residual norm,
-    the scalar curvature and the hypersurface residuals in one pass over the
-    point axis (``extrinsic.GeometryStack``), each value the one that point
-    alone gives."""
-    g = GeometryStack(geoms)
+def sample_records(g: GeometryBlock) -> list[SampleRecord]:
+    """The ``SampleRecord`` of each point of a block's ``rows``: every
+    residual norm, the scalar curvature and the hypersurface residuals in one
+    pass over the point axis, each value the one that point alone gives."""
     tau = tau2_direct(g)
     normal, tangent = split_residuals(g)
     columns = dict(
@@ -325,14 +319,15 @@ def sample_records(geoms: list[PointGeometry]) -> list[SampleRecord]:
     return [SampleRecord(**dict(zip(columns, row))) for row in zip(*values)]
 
 
-def _read_block(block: list, pass_tol: float):
+def _read_block(block: GeometryBlock, pass_tol: float):
     """The records, failure messages and ``pmc_check`` (None without a good
-    point) of one geometry block's entries."""
-    geoms = [g for g in block if isinstance(g, PointGeometry)]
-    failures = [str(g) for g in block if not isinstance(g, PointGeometry)]
-    if not geoms:
+    point) of one geometry block, read from the ``rows`` of its good points."""
+    good = [p for p, e in enumerate(block.errors) if e is None]
+    failures = [str(e) for e in block.errors if e is not None]
+    if not good:
         return [], failures, None
-    return sample_records(geoms), failures, pmc_check(geoms, pass_tol)
+    rows = block.rows(good)
+    return sample_records(rows), failures, pmc_check(rows, pass_tol)
 
 
 def _verdict(tau_max: float, h_max: float, h_min: float,
@@ -362,8 +357,9 @@ def evaluate_chart(
     read in one residual pass over the point axis (``sample_records``) and
     one ``pmc_check``, whose results ``_merge_pmc`` then combines.  So the
     residual stage never holds more points than ``extrinsic.block_size``,
-    and no ``PointGeometry`` outlives its block.  Only the ``SampleRecord``
-    objects and the maxima over samples are per point, in sample order.
+    no ``GeometryBlock`` outlives the reading of its records, and no
+    ``PointGeometry`` is built.  Only the ``SampleRecord`` objects and the
+    maxima over samples are per point, in sample order.
     Results and messages are those of one-point evaluation, to the bit.
     Only a proper verdict is audited (``quantity_audit``).
     """

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,14 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    """A number, compared and hashed by the ``float.hex`` of its value, so
+    equal leaves have equal bits and a memo keeps 0.0 and -0.0 apart."""
+
+    value: float = field(compare=False)
+    key: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", float(self.value).hex())
 
 
 @dataclass(frozen=True)
@@ -423,16 +430,9 @@ def merge(members, params, counts) -> tuple[Expr, ...] | None:
     of its member's own: a broadcast (L,) constant gives the same pair
     products as a per-row copy, ``jets.JetSpace`` sums each coefficient in
     table order, and ``jets.elementary`` takes each row's series on its own.
-    The memo shares equal subtrees, and ``Const(0.0) == Const(-0.0)``; so a
-    member with zero constants of both signs, whose own evaluation may
-    share them, does not merge.
     """
-    zero_signs = [set() for _ in members]
-
     def value(i: int, e: Expr):
         if isinstance(e, Const):
-            if e.value == 0.0:
-                zero_signs[i].add(math.copysign(1.0, e.value))
             return e.value
         if isinstance(e, Pi):
             return math.pi
@@ -469,8 +469,6 @@ def merge(members, params, counts) -> tuple[Expr, ...] | None:
     try:
         merged = tuple(walk(list(column)) for column in zip(*members))
     except _Unmerged:
-        return None
-    if any(len(signs) > 1 for signs in zero_signs):
         return None
     return merged
 

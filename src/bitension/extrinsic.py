@@ -58,16 +58,18 @@ at once, and a lone point is the block P = 1 (``compute_geometry``): every
 array carries exactly one leading point axis, from the chart jets
 (P, n+1, L) through the Christoffel, B and H jets to each value-level field,
 so each kernel call and each contraction serves all P points (Taylor
-arithmetic in vector mode).  Each point's ``PointGeometry`` stays
-bit-identical to that of its one-point block, because every value
-step is the numpy primitive a lone point would call, on the same strided
-views: an ``einsum`` gains a ``p`` index, ``np.dot`` of two jet rows becomes
-a stacked ``@`` (``_dot``; a contiguous copy would sum in another order) and
-``np.sum`` a per-row sum.  The pivoted Gram-Schmidt frames run over the
-point axis too, each point with its own pivots (``_block_frames``), and the
-finiteness of every field is tested once per block.  Only the two full
-reductions of Delta f stay per point: their ``einsum`` with a point axis
-sums in another order (it moved the last bit of 12 of 640 probed values).
+arithmetic in vector mode).  The result is one ``GeometryBlock``: every
+``PointGeometry`` field as one value over the point axis, and each point's
+error.  Each point's values stay bit-identical to those of its one-point
+block, because every value step is the numpy primitive a lone point would
+call, on the same strided views: an ``einsum`` gains a ``p`` index,
+``np.dot`` of two jet rows becomes a stacked ``@`` (``_dot``; a contiguous
+copy would sum in another order) and ``np.sum`` a per-row sum.  The
+pivoted Gram-Schmidt frames run over the point axis too, each point with
+its own pivots (``_block_frames``), and the finiteness of every field is
+tested once per block.  Only the two full reductions of Delta f stay per
+point: their ``einsum`` with a point axis sums in another order (it moved
+the last bit of 12 of 640 probed values).
 ``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
 mostly per-call dispatch, 8 for m = 4, 5, and 1 for m = 6, where the
 kernels' own arithmetic takes over.  On a 2-core Xeon VM, before the order
@@ -96,19 +98,19 @@ its one-point block.  A failed point passes neutral rows (the identity, the
 constant-1 jet) to the calls that raise for a whole stack: LAPACK's
 ``eigvalsh`` and ``cholesky``, and the jet ``sqrt`` and ``recip``.
 
-The residuals read the good points of a block back along a point axis
-(``GeometryStack``: one stacked copy per field read), and the scalar
-curvature (``_coord_riemann``, ``_frame_riemann``), the hypersurface
-residuals, the record norms and the PMC frame completion (``_block_mgs``)
-run once per block, with the same rule: each contraction keeps the kernel a
-lone point calls (a matrix-vector ``@`` stays one ``gemv`` per point, a row
-norm ``sqrt(<v, v>)``, an ``einsum`` gains a ``p`` index, and the frame
-entries accumulate along the last axis), so no residual has to stay per
-point.  The stack is one geometry block, so at m = 6 the curvature
-temporaries stay one point wide (64 points would take about 24 MB), and
-``biharmonic.evaluate_chart`` drops each block's ``PointGeometry`` objects,
-whose value views pin the block's jet arrays (about 1 MB a point at m = 6),
-before it computes the next block.
+The residuals read the good points of a block as its ``rows`` (one
+contiguous copy per field), and the scalar curvature (``_coord_riemann``,
+``_frame_riemann``), the hypersurface residuals, the record norms and the
+PMC frame completion (``_block_mgs``) run once per block, with the same
+rule: each contraction keeps the kernel a lone point calls (a matrix-vector
+``@`` stays one ``gemv`` per point, a row norm ``sqrt(<v, v>)``, an
+``einsum`` gains a ``p`` index, and the frame entries accumulate along the
+last axis), so no residual has to stay per point.  The rows are one
+geometry block, so at m = 6 the curvature temporaries stay one point wide
+(64 points would take about 24 MB), and ``biharmonic.evaluate_chart``
+drops each ``GeometryBlock``, whose value views pin the block's jet arrays
+(about 1 MB a point at m = 6), before it computes the next block.  A lone
+point's residuals are those of the ``rows`` of its one-point block.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -220,26 +221,38 @@ class PointGeometry:
         return self.codim == 1
 
 
-class GeometryStack:
-    """The ``PointGeometry`` fields of a list of points of one chart, each
-    read as one array with a leading point axis: the points' values stacked
-    (``np.array`` of their list, a C-contiguous copy), on the field's first
-    read.  Per-point formulas such as ``biharmonic.tau2_direct`` apply to it
-    unchanged, row by row.
+class GeometryBlock:
+    """The ``PointGeometry`` fields of a block of sample points of one chart,
+    each read as an attribute holding one value per point along a leading
+    point axis (an array, or a list of floats for a float field), and
+    ``errors``: None for a good point, else the error of its one-point block.
+    A failed point's values mean nothing.  Per-point formulas such as
+    ``biharmonic.tau2_direct`` apply to a block unchanged, row by row.
+
+    ``block[p]`` is point p's error, or its ``PointGeometry`` of the row
+    views ``v[p]``.  ``block.rows(index)`` is the block of those points with
+    every field an ``np.take`` copy along the point axis: C-contiguous, as
+    the residuals need, since their einsums sum in a layout-dependent order.
     """
 
-    def __init__(self, geoms: list[PointGeometry]):
-        self._geoms = geoms
-        self.m, self.n = geoms[0].m, geoms[0].n
+    def __init__(self, m: int, n: int, values: dict, errors: list):
+        self.m, self.n, self.errors = m, n, errors
+        self._values = values
+        self.__dict__.update(values)
 
     def __len__(self) -> int:
-        return len(self._geoms)
+        return len(self.errors)
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        value = self.__dict__[name] = np.array([getattr(g, name) for g in self._geoms])
-        return value
+    def __getitem__(self, p: int) -> PointGeometry | ValueError:
+        error = self.errors[p]
+        if error is not None:
+            return error
+        return PointGeometry(m=self.m, n=self.n, **{k: v[p] for k, v in self._values.items()})
+
+    def rows(self, index) -> GeometryBlock:
+        return GeometryBlock(self.m, self.n,
+                             {k: np.take(v, index, axis=0) for k, v in self._values.items()},
+                             [self.errors[p] for p in index])
 
     codim = PointGeometry.codim
     hypersurface = PointGeometry.hypersurface
@@ -247,10 +260,10 @@ class GeometryStack:
 
 @dataclass
 class IntrinsicCurvature:
-    riemann: np.ndarray    # (m, m, m, m), R[i,j,i,j] = K(e_i, e_j)
-    ricci: np.ndarray      # (m, m)
-    scalar: float
-    sectional: np.ndarray  # (m, m), zero diagonal
+    riemann: np.ndarray    # (P, m, m, m, m), R[p,i,j,i,j] = K(e_i, e_j)
+    ricci: np.ndarray      # (P, m, m)
+    scalar: np.ndarray     # (P,)
+    sectional: np.ndarray  # (P, m, m), zero diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +302,7 @@ def block_size(m: int) -> int:
     return 32 if m <= 3 else 8 if m <= 5 else 1
 
 
-def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[list[PointGeometry | ValueError]]:
+def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[GeometryBlock]:
     """Yield ``geometry_block`` of each run of ``block_size(spec.m)``
     consecutive points, evaluated when the caller asks for it.  The chart
     jets come from one ``chart.eval_jet_stack`` pass per ``CHART_RUN``
@@ -305,39 +318,23 @@ def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[list[PointGeome
                                                    (Phi[rows], sp, errors[rows])))
 
 
-def sample_geometries(spec: chart_mod.ChartSpec, points) -> Iterator[PointGeometry | ValueError]:
-    """Yield the outcome at each point, in order (``sample_blocks``)."""
-    for block in sample_blocks(spec, points):
-        yield from block
-
-
 def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
     """Full extrinsic package at one point (m,): ``geometry_block`` of the
     one-point block, whose error it raises.  Floating-point overflow does
     not warn: a sample whose jets or outputs are not finite raises
     ``GeometryError``.
     """
-    [out] = geometry_block(spec, [point])
+    out = geometry_block(spec, [point])[0]
     if isinstance(out, PointGeometry):
         return out
     raise out
 
 
-class Tau2Block(NamedTuple):
-    """What tau2 and |H| read at each point of a (P, m) block; the
-    ``biharmonic.tau2_direct`` formula applies to it unchanged, row by row."""
-
-    m: int
-    H: np.ndarray               # (P, n+1)
-    H_norm: list[float]
-    delta_H: np.ndarray         # (P, n+1)
-    errors: list                # None, or the error of the point's one-point block
-
-
-def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> Tau2Block:
-    """H, |H| and Delta H at each point of a (P, m) block: the tau2 stage of
-    ``geometry_block`` alone, each value bit-identical to that field of the
-    full package.  A point fails only the checks these values depend on:
+def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> GeometryBlock:
+    """H, |H| and Delta H at each point of a (P, m) block, as a
+    ``GeometryBlock`` of these three fields (so without ``block[p]``): the
+    tau2 stage of ``geometry_block`` alone, each value bit-identical to that
+    field of the full package.  A point fails only the checks these values depend on:
     the chart and its jets, the sphere, the rank, and the finiteness of the
     fields the stage computes (in field order); the frame checks and the
     finiteness of the other fields are ``geometry_block``'s alone.  A failed
@@ -345,7 +342,8 @@ def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> Tau2Block:
     """
     *_, errors, values = _tau2_stage(spec, points, chart_jets)
     _check_finite(values, errors)
-    return Tau2Block(spec.m, values["H"], values["H_norm"], values["delta_H"], errors)
+    return GeometryBlock(spec.m, spec.n, {k: values[k] for k in ("H", "H_norm", "delta_H")},
+                         errors)
 
 
 @np.errstate(all="ignore")
@@ -433,22 +431,22 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     return sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, rows / norm[:, None], errors, values
 
 
-def geometry_block(spec: chart_mod.ChartSpec, points) -> list[PointGeometry | ValueError]:
+def geometry_block(spec: chart_mod.ChartSpec, points) -> GeometryBlock:
     """Full extrinsic package at each point of a (P, m) block: the tau2
     stage (``_tau2_stage``), then the normal part of nabla H, the frames,
     the hypersurface jets and the remaining value fields (``_geometry_rest``).
 
     Every jet stage is one kernel call, and every value-level field one
-    array operation, over the whole block; only the Delta f reductions and
-    the ``PointGeometry`` construction run per point.  Returns one entry per
-    point: its ``PointGeometry``, or the ``GeometryError``/``ChartError``
-    of its one-point block (its first failed check).
+    array operation, over the whole block; only the Delta f reductions run
+    per point.  Each point's error is the ``GeometryError``/``ChartError``
+    of its one-point block (its first failed check), and ``block[p]`` of a
+    good point equals the ``PointGeometry`` of its one-point block.
     """
     return _geometry_rest(spec, _tau2_stage(spec, points))
 
 
 @np.errstate(all="ignore")
-def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> list[PointGeometry | ValueError]:
+def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
     """``geometry_block`` after its tau2 stage, whose output is ``stage``."""
     sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, errors, values = stage
     m, n = spec.m, spec.n
@@ -509,7 +507,7 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> list[PointGeometry | Val
     A_H = np.einsum("pai,pbj,pijc,pc->pab", E, E, B0, H0)
 
     perp2 = np.einsum("pij,pic,pjc->p", ginv0, U0, U0).tolist()
-    block = dict(
+    out = dict(
         values, christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
         normal_frame=normal, B_frame=B_frame, A_H=A_H, B2=B2.tolist(),
         AH2=_sumsq(A_H).tolist(), delta_perp_H=_lap(ginv0, Gam0, ddU, U0), nabla_perp_H=U0,
@@ -519,9 +517,8 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> list[PointGeometry | Val
         trace_A_nablaH=np.einsum("pij,pkl,pjlc,pic,pkd->pd", ginv0, ginv0, B0, U0, jac),
         **hyper,
     )
-    _check_finite(block, errors)
-    return [PointGeometry(m=m, n=n, **{k: v[p] for k, v in block.items()}) if e is None else e
-            for p, e in enumerate(errors)]
+    _check_finite(out, errors)
+    return GeometryBlock(m, n, out, errors)
 
 
 def _fail(errors: list, bad, message: str, *values) -> None:
@@ -661,11 +658,11 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
 
 
 # ---------------------------------------------------------------------------
-# intrinsic curvature and the identity checks
+# intrinsic curvature
 # ---------------------------------------------------------------------------
 
 
-def _coord_riemann(g: GeometryStack) -> np.ndarray:
+def _coord_riemann(g: GeometryBlock) -> np.ndarray:
     """Rm[p,i,j,k,w] = <R(d_i, d_j) d_k, d_w> at each point p, from the
     Christoffel symbols."""
     Gam0 = g.christoffel
@@ -678,7 +675,7 @@ def _coord_riemann(g: GeometryStack) -> np.ndarray:
     return np.einsum("pijkl,plw->pijkw", opR, g.metric)
 
 
-def _frame_riemann(g: GeometryStack, a, b, c, d) -> np.ndarray:
+def _frame_riemann(g: GeometryBlock, a, b, c, d) -> np.ndarray:
     """Frame curvature entries R4f[p,a,b,c,d] = <R(e_a, e_b) e_c, e_d> at
     each point p.
 
@@ -699,15 +696,13 @@ def _frame_riemann(g: GeometryStack, a, b, c, d) -> np.ndarray:
     return np.add.accumulate(t, axis=-1)[..., -1] + 0.0
 
 
-def scalar_curvature(geom: PointGeometry | GeometryStack):
-    """Scalar curvature, from the m^2 frame entries R4f[c,a,a,c] only: a
-    float at a ``PointGeometry``, one value per point of a ``GeometryStack``.
+def scalar_curvature(geom: GeometryBlock) -> np.ndarray:
+    """Scalar curvature at each point of a block's ``rows``, from the m^2
+    frame entries R4f[c,a,a,c] only.
 
     Bit-identical to ``intrinsic_curvature(geom).scalar``: the Ricci
     diagonal is summed over c from zero, then its trace is taken.
     """
-    if isinstance(geom, PointGeometry):
-        return float(scalar_curvature(GeometryStack([geom]))[0])
     i = np.arange(geom.m)
     R = _frame_riemann(geom, i[:, None], i[None], i[None], i[:, None])   # [p, c, a]
     ricci_diag = np.zeros((len(geom), geom.m))
@@ -716,42 +711,13 @@ def scalar_curvature(geom: PointGeometry | GeometryStack):
     return ricci_diag.sum(axis=-1)
 
 
-def intrinsic_curvature(geom: PointGeometry) -> IntrinsicCurvature:
-    """Riemann, Ricci, scalar and sectional curvature in the tangent frame."""
-    [R4f] = _frame_riemann(GeometryStack([geom]), *np.indices((geom.m,) * 4))
-    riemann = R4f.transpose(0, 1, 3, 2)                            # R[a,b,a,b] = K_ab
-    ricci = np.einsum("cabc->ab", R4f)
-    scalar = float(np.trace(ricci))
-    sectional = np.einsum("abba->ab", R4f).copy()
-    np.fill_diagonal(sectional, 0.0)
-    return IntrinsicCurvature(riemann=riemann, ricci=ricci, scalar=scalar,
-                              sectional=sectional)
-
-
-def gauss_ricci_check(geom: PointGeometry) -> float:
-    """Residual of the Gauss-equation Ricci identity for hypersurfaces:
-
-    ricci(X,Y) = (m-1)<X,Y> + <A(X),Y> trace A - <A(X), A(Y)>.
-    """
-    if not geom.hypersurface:
-        raise GeometryError("gauss_ricci_check requires a hypersurface (n = m + 1)")
-    curv = intrinsic_curvature(geom)
-    A = geom.A
-    predicted = (
-        (geom.m - 1) * np.eye(geom.m) + A * np.trace(A) - A @ A
-    )
-    return float(np.max(np.abs(curv.ricci - predicted)))
-
-
-def nabla_A_symmetry_check(geom: PointGeometry) -> tuple[float, float]:
-    """Total symmetry of <(grad A)(.,.),.> and trace(grad A) = m grad f."""
-    if not geom.hypersurface:
-        raise GeometryError("nabla_A_symmetry_check requires a hypersurface")
-    S = geom.nabla_A
-    sym = 0.0
-    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        sym = max(sym, float(np.max(np.abs(S - S.transpose(perm)))))
-    trace_res = float(
-        np.linalg.norm(geom.trace_nabla_A - geom.m * geom.grad_f)
-    )
-    return sym, trace_res
+def intrinsic_curvature(geom: GeometryBlock) -> IntrinsicCurvature:
+    """Riemann, Ricci, scalar and sectional curvature in the tangent frame at
+    each point of a block's ``rows``, each with a leading point axis."""
+    R4f = _frame_riemann(geom, *np.indices((geom.m,) * 4))
+    riemann = R4f.transpose(0, 1, 2, 4, 3)                         # R[p,a,b,a,b] = K_ab
+    ricci = np.einsum("pcabc->pab", R4f)
+    sectional = np.einsum("pabba->pab", R4f).copy()
+    sectional[:, np.arange(geom.m), np.arange(geom.m)] = 0.0
+    return IntrinsicCurvature(riemann=riemann, ricci=ricci,
+                              scalar=np.trace(ricci, axis1=1, axis2=2), sectional=sectional)

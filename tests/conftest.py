@@ -75,11 +75,9 @@ def perturbed_reports(perturbed_hypersurfaces, perturbed_codim2):
 
 @pytest.fixture(scope="session")
 def perturbed_geometries(perturbed_hypersurfaces):
-    """Eight PointGeometry values per perturbed hypersurface (criterion 7)."""
-    from bitension import extrinsic
+    """The geometry rows of eight samples per perturbed hypersurface
+    (criterion 7)."""
+    from identities import rows_of
 
-    out = {}
-    for spec in perturbed_hypersurfaces:
-        pts = chart.sample_points(spec, 8, 7)
-        out[spec.name] = [extrinsic.compute_geometry(spec, p) for p in pts]
-    return out
+    return {spec.name: rows_of(spec, chart.sample_points(spec, 8, 7))
+            for spec in perturbed_hypersurfaces}

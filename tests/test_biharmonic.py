@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
+from identities import rows_of
 from bitension import biharmonic, chart, extrinsic
 from bitension.biharmonic import (
     VERDICT_INCONCLUSIVE, VERDICT_MINIMAL, VERDICT_NOT, VERDICT_PROPER,
@@ -130,11 +131,9 @@ def test_split_residuals_minimal_product():
 
 def test_hypersurface_residuals_negative_control():
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.6})
-    for p in sample_points(spec, 3, 37):
-        g = extrinsic.compute_geometry(spec, p)
-        res_i, res_ii = hypersurface_residuals(g)
-        assert res_i > 1e-3          # fails eq (3)(i) clearly
-        assert res_ii < 1e-12        # CMC: grad f = 0 identically
+    res_i, res_ii = hypersurface_residuals(rows_of(spec, sample_points(spec, 3, 37)))
+    assert (res_i > 1e-3).all()      # fails eq (3)(i) clearly
+    assert (res_ii < 1e-12).all()    # CMC: grad f = 0 identically
 
 
 def test_pmc_block_generalized_clifford(catalog_reports):
@@ -163,22 +162,20 @@ def test_pmc_b3_charts(catalog_reports):
 def test_pmc_not_applicable_for_non_parallel_chart():
     spec = perturbed_chart(205, base="torus", amplitude=0.08)
     pts = sample_points(spec, 6, 3)
-    geoms = [extrinsic.compute_geometry(spec, p) for p in pts]
-    pmc = pmc_check(geoms)
+    rows = rows_of(spec, pts)
+    pmc = pmc_check(rows)
     assert not pmc.applicable
     assert pmc.parallel_norm > 1e-3
     # independent finite-difference confirmation at the worst sample
-    worst = max(geoms, key=lambda g: g.nabla_perp_H_norm)
-    fd = oracle.fd_nabla_perp_H(spec, worst.point)
+    worst = int(np.argmax(rows.nabla_perp_H_norm))
+    fd = oracle.fd_nabla_perp_H(spec, pts[worst])
     assert np.linalg.norm(fd) > 1e-3
-    assert np.max(np.abs(fd - worst.nabla_perp_H)) < 1e-2
+    assert np.max(np.abs(fd - rows.nabla_perp_H[worst])) < 1e-2
 
 
 def test_pmc_skips_minimal_samples():
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 1.0})
-    geoms = [extrinsic.compute_geometry(spec, p)
-             for p in sample_points(spec, 4, 5)]
-    pmc = pmc_check(geoms)
+    pmc = pmc_check(rows_of(spec, sample_points(spec, 4, 5)))
     assert pmc.samples_with_H == 0
     assert pmc.equivalence_ok is None
 

@@ -402,26 +402,26 @@ def test_stacked_members_equal_their_own_passes(doc, data):
                 assert type(error) is type(ref_error) and str(error) == str(ref_error)
 
 
-def test_members_with_zeros_of_both_signs_do_not_merge():
-    # one evaluation memo shares Const(0.0) and Const(-0.0), which compare
-    # equal: a chart with both reads its -0.0 as the 0.0 it met first, and a
-    # merged tree where that 0.0 became a per-row leaf would not
+def test_members_with_zeros_of_both_signs_merge():
+    # Const compares by float.hex, so one evaluation memo keeps 0.0 and -0.0
+    # apart: a chart with both literals reads each as itself, and members
+    # with zeros of both signs merge, each stacked row its member's own
     def member(c):
         return chart.ChartSpec("zeros", 1, 3, ["cos(u1)", "sin(u1)", c, "-0.0"],
                                [(0.0, 3.0)])
 
     points = sample_points(member("0.0"), 4, 1)
-    shared = eval_jet_stack(member("0.0"), points)[0][:, 3, 0]
-    alone = eval_jet_stack(member("0.5"), points)[0][:, 3, 0]
-    assert np.signbit(alone).all() and not np.signbit(shared).any()
-    assert chart.stack_members([member("0.0"), member("0.5")], [4, 4]) is None
-    specs = [member("0.5"), member("0.7")]          # -0.0 alone merges
+    for c in ("0.0", "0.5"):
+        last = eval_jet_stack(member(c), points)[0][:, 3, 0]
+        assert np.signbit(last).all() and not last.any()
+    zero = eval_jet_stack(member("0.0"), points)[0][:, 2, 0]
+    assert not np.signbit(zero).any() and not zero.any()
+    specs = [member("0.0"), member("0.5")]
     assert chart.stack_members(specs, [4, 4]) is not None
-    for spec in ([member("0.0"), member("0.5")], specs):
-        rows = member_jets(list(enumerate(spec)), points)
-        for i, one in enumerate(spec):
-            ref = eval_jet_stack(one, points)[0]
-            assert [jet.tobytes() for jet, _ in rows[i]] == [r.tobytes() for r in ref]
+    rows = member_jets(list(enumerate(specs)), points)
+    for i, one in enumerate(specs):
+        ref = eval_jet_stack(one, points)[0]
+        assert [jet.tobytes() for jet, _ in rows[i]] == [r.tobytes() for r in ref]
 
 
 def test_merged_leaves():

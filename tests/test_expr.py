@@ -93,6 +93,19 @@ def test_precedence():
     assert parse("-u1*u2") == Binary("*", Unary("neg", Var(0)), Var(1))
 
 
+def test_const_compares_by_bits():
+    # leaves compare and hash by float.hex, so a memo keyed by subtree keeps
+    # the two zeros apart
+    assert parse("-0.0") == Const(-0.0) != Const(0.0)
+    assert hash(Const(-0.0)) != hash(Const(0.0))
+    assert Const(2) == Const(2.0) and hash(Const(2)) == hash(Const(2.0))
+    sp = jets.space(1)
+    memo: dict = {}
+    for value in (0.0, -0.0):
+        jet = eval_jet(Const(value), sp, [], {}, [None], memo)
+        assert math.copysign(1.0, jet[0]) == math.copysign(1.0, value)
+
+
 @pytest.mark.parametrize("source", [
     "cos(u1)/sqrt(2)",
     "-u1^2 + 3.5*pi - (u2 - 1)/2",

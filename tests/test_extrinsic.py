@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 
 import chart_docs
 import oracle
+from identities import gauss_ricci_check, nabla_A_symmetry_check, rows_of
 from bitension import biharmonic, chart, cli, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
-    GeometryError, compute_geometry, gauss_ricci_check, intrinsic_curvature,
-    nabla_A_symmetry_check, scalar_curvature,
+    GeometryError, compute_geometry, intrinsic_curvature, scalar_curvature,
 )
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
@@ -51,6 +51,12 @@ def geoms_of(tag, params, count=4, seed=11):
                   for p in sample_points(spec, count, seed)]
 
 
+def curvature_of(tag, params, count=4, seed=11):
+    """``intrinsic_curvature`` at the points of ``geoms_of``."""
+    spec = catalog_chart(tag, params)
+    return intrinsic_curvature(rows_of(spec, sample_points(spec, count, seed)))
+
+
 # ---------------------------------------------------------------------------
 # closed-form catalog values
 # ---------------------------------------------------------------------------
@@ -65,11 +71,11 @@ def test_small_hypersphere_closed_form(m, r):
         assert abs(g.f - sphere_H(r)) < 1e-12          # orientation: f >= 0
         assert abs(g.f * g.f - g.H2) < 1e-12
         assert g.B2 == pytest.approx(g.A2, abs=1e-11)  # codimension one
-        if m >= 2:
-            curv = intrinsic_curvature(g)
-            K = 1.0 / (r * r)
-            assert abs(curv.sectional[0, 1] - K) < 1e-9
-            assert abs(curv.scalar - m * (m - 1) * K) < 1e-8
+    if m >= 2:
+        curv = curvature_of("small-hypersphere", {"m": m, "r": r})
+        K = 1.0 / (r * r)
+        assert np.all(np.abs(curv.sectional[:, 0, 1] - K) < 1e-9)
+        assert np.all(np.abs(curv.scalar - m * (m - 1) * K) < 1e-8)
 
 
 @pytest.mark.parametrize("m1,m2,a", [(2, 1, ROOT2INV), (1, 2, 0.6), (1, 1, 0.8)])
@@ -117,16 +123,17 @@ def test_catalog_closed_forms_m1_to_6(tag, params, m, H, A2, s):
     spec = catalog_chart(tag, params)
     pts = sample_points(spec, 64 if m <= 3 else 8, 13)
     bounds = {"H": 1e-13, "A2": 1e-13, "s": 1e-9, "normal": 1e-8, "tangent": 1e-10}
-    for g in extrinsic.sample_geometries(spec, pts):
-        assert isinstance(g, extrinsic.PointGeometry)
+    for block in extrinsic.sample_blocks(spec, pts):
+        assert block.errors == [None] * len(block)
+        g = block.rows(range(len(block)))
         normal, tangent = biharmonic.split_residuals(g)
         got = {"H": (g.H_norm, H), "A2": (g.A2, A2),
-               "normal": (np.linalg.norm(normal), H * abs(A2 - m)),
-               "tangent": (np.linalg.norm(tangent), 0.0)}
+               "normal": (np.linalg.norm(normal, axis=-1), H * abs(A2 - m)),
+               "tangent": (np.linalg.norm(tangent, axis=-1), 0.0)}
         if m >= 2:
             got["s"] = (scalar_curvature(g), s)
         for name, (value, exact) in got.items():
-            assert abs(value - exact) / max(1.0, abs(exact)) < bounds[name], name
+            assert np.all(np.abs(value - exact) / max(1.0, abs(exact)) < bounds[name]), name
 
 
 def test_minimal_product_spheres():
@@ -144,17 +151,15 @@ def test_equator_totally_geodesic():
     for g in geoms:
         assert g.H_norm < 1e-13
         assert np.max(np.abs(g.B_coord)) < 1e-12
-        ricci = intrinsic_curvature(g).ricci
-        np.testing.assert_allclose(ricci, (g.m - 1) * np.eye(g.m), atol=1e-9)
+    ricci = curvature_of("small-hypersphere", {"m": 2, "r": 1.0}).ricci
+    np.testing.assert_allclose(ricci, np.broadcast_to(np.eye(2), ricci.shape), atol=1e-9)
 
 
 def test_veronese_metric_and_curvature():
     # induced metric is the round metric of radius sqrt(3) r; K = 1/(3 r^2)
     r = 0.8
-    _, geoms = geoms_of("veronese", {"r": r})
-    for g in geoms:
-        K = intrinsic_curvature(g).sectional[0, 1]
-        assert abs(K - 1.0 / (3 * r * r)) < 1e-9
+    K = curvature_of("veronese", {"r": r}).sectional[:, 0, 1]
+    assert len(K) == 4 and np.all(np.abs(K - 1.0 / (3 * r * r)) < 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +221,37 @@ def test_point_geometry_is_frozen():
         g.A[0, 0] = 0.0
 
 
+def point_fields(g):
+    """The names of the fields a ``PointGeometry`` holds: all but m, n and
+    the hypersurface fields it leaves None."""
+    return [f.name for f in dataclasses.fields(extrinsic.PointGeometry)
+            if f.name not in ("m", "n") and getattr(g, f.name) is not None]
+
+
+def stacked_block(block, index):
+    """A ``GeometryBlock`` rebuilt field by field from the ``PointGeometry``
+    of each point of ``index``: every field ``np.array`` of their values."""
+    names = point_fields(block[index[0]])
+    return extrinsic.GeometryBlock(
+        block.m, block.n, {k: np.array([getattr(block[p], k) for p in index]) for k in names},
+        [None] * len(index))
+
+
 def test_intrinsic_curvature_reads_only_declared_fields():
     # every input of intrinsic_curvature is a public field, so copies and
     # field-by-field rebuilds give bit-identical curvature
-    _, geoms = geoms_of("generalized-clifford",
-                        {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV},
-                        count=2)
-    for g in geoms:
-        assert not [f.name for f in dataclasses.fields(g) if f.name.startswith("_")]
-        ref = intrinsic_curvature(g)
-        for other in (copy.deepcopy(g), dataclasses.replace(g)):
-            curv = intrinsic_curvature(other)
-            assert curv.scalar == ref.scalar
-            assert scalar_curvature(other) == ref.scalar
-            for name in ("riemann", "ricci", "sectional"):
-                assert np.array_equal(getattr(curv, name), getattr(ref, name))
+    spec = catalog_chart("generalized-clifford",
+                         {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV})
+    block = extrinsic.geometry_block(spec, sample_points(spec, 2, 11))
+    g = block.rows([0, 1])
+    assert not [f.name for f in dataclasses.fields(block[0]) if f.name.startswith("_")]
+    ref = intrinsic_curvature(g)
+    for other in (copy.deepcopy(g), stacked_block(block, [0, 1])):
+        curv = intrinsic_curvature(other)
+        assert curv.scalar.tobytes() == ref.scalar.tobytes()
+        assert scalar_curvature(other).tobytes() == ref.scalar.tobytes()
+        for name in ("riemann", "ricci", "sectional"):
+            assert np.array_equal(getattr(curv, name), getattr(ref, name))
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +264,18 @@ def test_gauss_ricci_catalog_hypersurfaces():
         spec = catalog_chart(tag, params)
         if spec.n != spec.m + 1:
             continue
-        for p in sample_points(spec, 4, 3):
-            assert gauss_ricci_check(compute_geometry(spec, p)) < 1e-7
+        assert np.all(gauss_ricci_check(rows_of(spec, sample_points(spec, 4, 3))) < 1e-7)
 
 
 def test_gauss_ricci_perturbed():
     for seed in (21, 22, 23):
         spec = perturbed_chart(seed)
-        for p in sample_points(spec, 4, 3):
-            assert gauss_ricci_check(compute_geometry(spec, p)) < 1e-6
+        assert np.all(gauss_ricci_check(rows_of(spec, sample_points(spec, 4, 3))) < 1e-6)
 
 
 def test_gauss_ricci_requires_hypersurface():
     spec = catalog_chart("veronese", {"r": 0.8})
-    g = compute_geometry(spec, sample_points(spec, 1, 0)[0])
+    g = rows_of(spec, sample_points(spec, 1, 0))
     with pytest.raises(GeometryError):
         gauss_ricci_check(g)
     with pytest.raises(GeometryError):
@@ -268,23 +287,21 @@ def test_nabla_A_symmetry_catalog():
         spec = catalog_chart(tag, params)
         if spec.n != spec.m + 1:
             continue
-        for p in sample_points(spec, 3, 5):
-            g = compute_geometry(spec, p)
-            sym, trace = nabla_A_symmetry_check(g)
-            assert sym < 1e-6 and trace < 1e-6
-            # CMC charts: trace(grad A) and grad f vanish separately
-            assert np.linalg.norm(g.trace_nabla_A) < 1e-9
-            assert np.linalg.norm(g.grad_f) < 1e-10
+        g = rows_of(spec, sample_points(spec, 3, 5))
+        sym, trace = nabla_A_symmetry_check(g)
+        assert np.all(sym < 1e-6) and np.all(trace < 1e-6)
+        # CMC charts: trace(grad A) and grad f vanish separately
+        assert np.all(np.linalg.norm(g.trace_nabla_A, axis=-1) < 1e-9)
+        assert np.all(np.linalg.norm(g.grad_f, axis=-1) < 1e-10)
 
 
 def test_nabla_A_symmetry_perturbed_with_fd_cross_check():
     spec = perturbed_chart(31)
     pts = sample_points(spec, 3, 5)
-    for p in pts:
-        g = compute_geometry(spec, p)
-        sym, trace = nabla_A_symmetry_check(g)
-        assert sym < 1e-5 and trace < 1e-5
-        assert np.linalg.norm(g.grad_f) > 1e-4      # genuinely non-CMC
+    rows = rows_of(spec, pts)
+    sym, trace = nabla_A_symmetry_check(rows)
+    assert np.all(sym < 1e-5) and np.all(trace < 1e-5)
+    assert np.all(np.linalg.norm(rows.grad_f, axis=-1) > 1e-4)     # genuinely non-CMC
     g = compute_geometry(spec, pts[0])
     s_fd = oracle.fd_nabla_A(spec, pts[0], eta_ref=g.eta, frame=g.tangent_frame)
     assert np.max(np.abs(s_fd - g.nabla_A)) < 1e-8
@@ -292,24 +309,23 @@ def test_nabla_A_symmetry_perturbed_with_fd_cross_check():
 
 def test_riemann_symmetries_and_bianchi():
     for spec in (perturbed_chart(41), catalog_chart("veronese", {"r": 0.9})):
-        for p in sample_points(spec, 3, 2):
-            g = compute_geometry(spec, p)
-            R = intrinsic_curvature(g).riemann
-            assert np.max(np.abs(R + R.transpose(1, 0, 2, 3))) < 1e-8
-            assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-8
-            assert np.max(np.abs(R - R.transpose(2, 3, 0, 1))) < 1e-8
-            # first Bianchi on the operator tensor R4[i,j,k,l] = R[i,j,l,k]
-            R4 = R.transpose(0, 1, 3, 2)
-            bianchi = R4 + R4.transpose(1, 2, 0, 3) + R4.transpose(2, 0, 1, 3)
-            assert np.max(np.abs(bianchi)) < 1e-8
+        R = intrinsic_curvature(rows_of(spec, sample_points(spec, 3, 2))).riemann
+        assert R.shape == (3,) + (spec.m,) * 4
+        assert np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4))) < 1e-8
+        assert np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3))) < 1e-8
+        assert np.max(np.abs(R - R.transpose(0, 3, 4, 1, 2))) < 1e-8
+        # first Bianchi on the operator tensor R4[i,j,k,l] = R[i,j,l,k]
+        R4 = R.transpose(0, 1, 2, 4, 3)
+        bianchi = R4 + R4.transpose(0, 2, 3, 1, 4) + R4.transpose(0, 3, 1, 2, 4)
+        assert np.max(np.abs(bianchi)) < 1e-8
 
 
 def test_scalar_is_trace_of_ricci():
     spec = perturbed_chart(47)
-    g = compute_geometry(spec, sample_points(spec, 1, 1)[0])
-    curv = intrinsic_curvature(g)
-    assert abs(curv.scalar - np.trace(curv.ricci)) < 1e-12
-    assert abs(curv.sectional[0, 1] - curv.riemann[0, 1, 0, 1]) < 1e-14
+    curv = intrinsic_curvature(rows_of(spec, sample_points(spec, 1, 1)))
+    [scalar], [ricci] = curv.scalar, curv.ricci
+    assert abs(scalar - np.trace(ricci)) < 1e-12
+    assert abs(curv.sectional[0, 0, 1] - curv.riemann[0, 0, 1, 0, 1]) < 1e-14
 
 
 def bumped_hypersphere(m):
@@ -348,11 +364,10 @@ def test_scalar_curvature_exact(spec):
     # the reports read scalar_curvature; it must equal the full-tensor scalar
     # bit for bit, and the frame entries must follow the documented order
     for p in sample_points(spec, 3, 7):
-        g = compute_geometry(spec, p)
-        assert scalar_curvature(g) == intrinsic_curvature(g).scalar
-        one = extrinsic.GeometryStack([g])
+        one = rows_of(spec, [p])
+        assert scalar_curvature(one).tobytes() == intrinsic_curvature(one).scalar.tobytes()
         [Rm] = extrinsic._coord_riemann(one)
-        m, E, idx = g.m, g.frame_coeff, np.indices((g.m,) * 4)
+        m, [E], idx = one.m, one.frame_coeff, np.indices((one.m,) * 4)
         [R4f] = extrinsic._frame_riemann(one, *idx)
         if m <= 3:
             ref = [frame_riemann_loop(E.tolist(), Rm.tolist(), *abcd)
@@ -477,18 +492,19 @@ def test_orientation_covariance():
     # the paper fixes no orientation; the program orients eta along H, and
     # every check must agree on the geometry with the opposite normal
     spec = perturbed_chart(64)
-    p = sample_points(spec, 1, 2)[0]
-    g1 = compute_geometry(spec, p)
-    assert g1.f > 0.0
-    g2 = dataclasses.replace(g1, **{k: -getattr(g1, k) for k in ORIENTATION_ODD})
-    assert abs(g1.f + g2.f) < 1e-13                     # f flips sign
+    g1 = rows_of(spec, sample_points(spec, 1, 2))
+    assert g1.f[0] > 0.0
+    g2 = extrinsic.GeometryBlock(g1.m, g1.n, {
+        k: -getattr(g1, k) if k in ORIENTATION_ODD else getattr(g1, k)
+        for k in point_fields(g1[0])}, g1.errors)
+    assert abs(g1.f[0] + g2.f[0]) < 1e-13               # f flips sign
     np.testing.assert_allclose(g1.eta, -g2.eta, atol=1e-13)
     r1 = biharmonic.hypersurface_residuals(g1)
     r2 = biharmonic.hypersurface_residuals(g2)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
     np.testing.assert_allclose(nabla_A_symmetry_check(g1),
                                nabla_A_symmetry_check(g2), atol=1e-12)
-    assert abs(gauss_ricci_check(g1) - gauss_ricci_check(g2)) < 1e-12
+    assert np.max(np.abs(gauss_ricci_check(g1) - gauss_ricci_check(g2))) < 1e-12
     np.testing.assert_allclose(g1.delta_H, g2.delta_H, atol=1e-12)
 
 
@@ -663,9 +679,20 @@ def assert_same_geometry(g, ref):
             assert a is None, f.name
         else:
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
-    if ref.m >= 2:
-        assert np.asarray(scalar_curvature(g)).tobytes() == \
-            np.asarray(scalar_curvature(ref)).tobytes()
+
+
+def assert_same_scalar_curvature(block, ref):
+    """The scalar curvature of the rows of ``block``'s good points, bit for
+    bit ``ref``, that of each point's one-point block."""
+    good = [p for p, e in enumerate(block.errors) if e is None]
+    if block.m >= 2 and good:
+        got = scalar_curvature(block.rows(good))
+        assert got.tobytes() == np.array([ref[p] for p in good]).tobytes()
+
+
+def sampled(spec, pts):
+    """Each point's entry of the blocks of ``sample_blocks``, in order."""
+    return [g for block in extrinsic.sample_blocks(spec, pts) for g in block]
 
 
 def antipodal(spec):
@@ -684,12 +711,39 @@ def test_geometry_block_equals_point_by_point(spec, mirror):
     if mirror:
         spec = antipodal(spec)
     pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
-    ref = [compute_geometry(spec, p) for p in pts]
-    for got in (extrinsic.geometry_block(spec, pts),
-                list(extrinsic.sample_geometries(spec, pts))):
+    ones = [extrinsic.geometry_block(spec, [p]) for p in pts]
+    ref = [one[0] for one in ones]
+    ref_scalar = [scalar_curvature(one.rows([0]))[0] if spec.m >= 2 else None for one in ones]
+    whole = extrinsic.geometry_block(spec, pts)
+    parts = list(extrinsic.sample_blocks(spec, pts))
+    for got in (whole, [g for block in parts for g in block]):
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_same_geometry(g, r)
+    assert_same_scalar_curvature(whole, ref_scalar)
+    start = 0
+    for block in parts:
+        assert_same_scalar_curvature(block, ref_scalar[start:start + len(block)])
+        start += len(block)
+
+
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_block_rows_equal_stacked_points(spec):
+    # rows(idx) holds each field as its points' values stacked: the bytes,
+    # dtype, shape and strides of np.array of their list, for all the good
+    # points and for a subset of them
+    pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
+    block = extrinsic.geometry_block(spec, pts)
+    good = [p for p, e in enumerate(block.errors) if e is None]
+    assert good == list(range(len(pts)))
+    for index in (good, good[1::2]):
+        rows, stacked = block.rows(index), stacked_block(block, index)
+        assert len(rows) == len(index) and rows.errors == [None] * len(index)
+        assert (rows.m, rows.n) == (spec.m, spec.n)
+        for name in point_fields(block[good[0]]):
+            got, ref = getattr(rows, name), getattr(stacked, name)
+            assert (got.dtype, got.shape, got.strides) == (ref.dtype, ref.shape, ref.strides), name
+            assert got.tobytes() == ref.tobytes(), name
 
 
 def test_block_size_rule():
@@ -701,13 +755,15 @@ def test_block_size_rule():
 @pytest.mark.parametrize("spec", [bumped_hypersphere(4), bumped_hypersphere(5),
                                   chart.parse_chart(S2_S2_DOC)], ids=lambda s: s.name)
 def test_sample_geometries_in_blocks_of_eight(spec):
-    # 11 points at m = 4, 5: a full block of 8 and a partial one, with a
-    # point outside the safe region (the box corner) in the second block
+    # 11 points at m = 4, 5: sample_blocks makes a full block of 8 and a
+    # partial one, with a point outside the safe region (the box corner) in
+    # the second block
     pts = sample_points(spec, 11, 5)
     pts[9] = [lo for lo, _ in spec.domain]
     refs = [one_point_outcome(spec, p) for p in pts]
     assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [9]
-    got = list(extrinsic.sample_geometries(spec, pts))
+    assert [len(block) for block in extrinsic.sample_blocks(spec, pts)] == [8, 3]
+    got = sampled(spec, pts)
     assert len(got) == len(refs)
     for g, ref in zip(got, refs):
         assert_same_outcome(g, ref)
@@ -918,8 +974,7 @@ def test_degenerate_frame_in_block_fails_that_point_alone(monkeypatch):
                             errors)
 
     monkeypatch.setattr(extrinsic, "_block_frames", collapse_point_3)
-    for got in (extrinsic.geometry_block(spec, pts),
-                list(extrinsic.sample_geometries(spec, pts))):
+    for got in (extrinsic.geometry_block(spec, pts), sampled(spec, pts)):
         assert isinstance(got[3], GeometryError)
         assert str(got[3]) == "tangent frame construction failed"
         for p in (0, 1, 2, 4, 5, 6, 7, 8, 9):
@@ -952,7 +1007,7 @@ def test_non_finite_field_checked_once_per_block(monkeypatch):
     names = [f.name for f in dataclasses.fields(extrinsic.PointGeometry)]
     assert names.index("delta_perp_H") < min(
         names.index(k) for k in ("nabla_perp_H", "nabla_perp_H_norm", "trace_A_nablaH"))
-    for got in (block, list(extrinsic.sample_geometries(spec, pts))):
+    for got in (block, sampled(spec, pts)):
         assert str(got[6]) == str(err.value)
         for p in (0, 1, 2, 3, 4, 5, 7, 8, 9):
             assert_same_geometry(got[p], refs[p])
@@ -990,8 +1045,7 @@ def test_failing_points_in_block_keep_their_errors(monkeypatch):
         expected.append(str(err.value))
     assert "rank-deficient" in expected[0] and "sqrt" in expected[1]
 
-    for got in (extrinsic.geometry_block(spec, pts[:8]),
-                list(extrinsic.sample_geometries(spec, pts))):
+    for got in (extrinsic.geometry_block(spec, pts[:8]), sampled(spec, pts)):
         assert [str(g) for g in got if isinstance(g, Exception)] == expected
         assert [i for i, g in enumerate(got) if isinstance(g, Exception)] == [2, 5]
         for g, p in zip(got, pts):
@@ -1075,8 +1129,13 @@ def test_block_equals_its_points_one_by_one(doc, seed):
     spec = chart.parse_chart(doc)
     pts = _planted_points(spec, 6, seed)
     with np.errstate(all="ignore"):     # huge healthy fields overflow the curvature
-        for got, p in zip(extrinsic.geometry_block(spec, pts), pts):
+        block = extrinsic.geometry_block(spec, pts)
+        for got, p in zip(block, pts):
             assert_same_outcome(got, one_point_outcome(spec, p))
+        if spec.m >= 2:
+            assert_same_scalar_curvature(block, [
+                None if e else scalar_curvature(rows_of(spec, [p]))[0]
+                for p, e in zip(pts, block.errors)])
         tau2 = extrinsic.tau2_block(spec, pts)
         for p, got in enumerate(tau2.errors):
             ref = extrinsic.tau2_block(spec, pts[p:p + 1])
@@ -1293,31 +1352,35 @@ def test_block_residuals_equal_point_by_point(spec, full):
     size = extrinsic.block_size(spec.m)
     count = size if full else size + 5
     rep = biharmonic.evaluate_chart(spec, samples=count, seed=5)
-    geoms = [compute_geometry(spec, p) for p in sample_points(spec, count, 5)]
+    pts = sample_points(spec, count, 5)
+    geoms = [compute_geometry(spec, p) for p in pts]
     assert len(rep.per_sample) == count
     for got, ref in zip(rep.per_sample, records_one_by_one(geoms)):
         assert_same_bits(got, ref)
     assert_same_bits(rep.pmc, pmc_one_by_one(geoms))
-    assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))
+    assert_same_bits(biharmonic.pmc_check(rows_of(spec, pts)), pmc_one_by_one(geoms))
     # the one-point forms are the block code at P = 1
-    for g, ref in zip(geoms, records_one_by_one(geoms)):
-        if g.m >= 2:
-            assert scalar_curvature(g) == ref.scalar_curvature
-        if g.hypersurface:
-            assert biharmonic.hypersurface_residuals(g) == (ref.hyper_i, ref.hyper_ii)
+    for p, ref in zip(pts, records_one_by_one(geoms)):
+        one = rows_of(spec, [p])
+        if spec.m >= 2:
+            assert scalar_curvature(one).tolist() == [ref.scalar_curvature]
+        if one.hypersurface:
+            res_i, res_ii = biharmonic.hypersurface_residuals(one)
+            assert (res_i.tolist(), res_ii.tolist()) == ([ref.hyper_i], [ref.hyper_ii])
 
 
 def test_pmc_block_drops_steps_past_each_points_stop():
     # codimension 2 with |H| > 0 at every sample: each point completes H/|H|
     # with one xi; dropping H (the equator) leaves every sample out
     spec = perturbed_chart(5, base="torus")
-    geoms = [compute_geometry(spec, p) for p in sample_points(spec, 9, 3)]
-    pmc = biharmonic.pmc_check(geoms)
+    pts = sample_points(spec, 9, 3)
+    pmc = biharmonic.pmc_check(rows_of(spec, pts))
     assert pmc.samples_with_H == 9 and pmc.eq5a > 0.0
-    assert_same_bits(pmc, pmc_one_by_one(geoms))
+    assert_same_bits(pmc, pmc_one_by_one([compute_geometry(spec, p) for p in pts]))
     equator = catalog_chart("small-hypersphere", {"m": 2, "r": 1.0})
-    geoms = [compute_geometry(equator, p) for p in sample_points(equator, 5, 3)]
-    assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))
+    pts = sample_points(equator, 5, 3)
+    assert_same_bits(biharmonic.pmc_check(rows_of(equator, pts)),
+                     pmc_one_by_one([compute_geometry(equator, p) for p in pts]))
     # rows of rank 1, 2 and 3 in one block: each point keeps the steps of
     # its own one-point pass, up to its first norm below 1e-13
     rows = np.array([[[1.0, 2.0, 0.0, 0.5], [2.0, 4.0, 0.0, 1.0], [-1.0, -2.0, 0.0, -0.5]],
@@ -1354,9 +1417,9 @@ def test_residual_stage_sees_at_most_one_block(monkeypatch):
 
 @pytest.mark.parametrize("m,samples", [(2, 37), (6, 3)])
 def test_no_point_geometry_outlives_its_block(m, samples, monkeypatch):
-    # the memory bound of evaluate_chart: a PointGeometry pins its block's
-    # jet arrays through its value views, so every one of a block must be
-    # gone when the next block starts
+    # the memory bound of evaluate_chart: a GeometryBlock pins its jet
+    # arrays through its value views, so each block must be gone when the
+    # next block starts
     earlier = []
     stage, rest = extrinsic._tau2_stage, extrinsic._geometry_rest
 
@@ -1367,15 +1430,30 @@ def test_no_point_geometry_outlives_its_block(m, samples, monkeypatch):
 
     def finished(*args):
         block = rest(*args)
-        earlier.extend(weakref.ref(g) for g in block)
+        earlier.append(weakref.ref(block))
         return block
 
     monkeypatch.setattr(extrinsic, "_tau2_stage", starting)
     monkeypatch.setattr(extrinsic, "_geometry_rest", finished)
     report = biharmonic.evaluate_chart(bumped_hypersphere(m), samples=samples, seed=5)
-    assert report.samples_used == len(earlier) == samples
+    assert report.samples_used == samples
+    assert len(earlier) == -(-samples // extrinsic.block_size(m))
     gc.collect()
     assert all(ref() is None for ref in earlier)
+
+
+def test_verify_builds_no_point_geometry(monkeypatch):
+    # the residuals read each block's rows, never one point's PointGeometry
+    def refuse(self, p):
+        raise AssertionError("evaluate_chart read a geometry block point by point")
+
+    monkeypatch.setattr(extrinsic.GeometryBlock, "__getitem__", refuse)
+    for spec, count in ((bumped_hypersphere(4), 11), (chart.parse_chart(S2_S2_DOC), 3)):
+        assert biharmonic.evaluate_chart(spec, samples=count, seed=5).samples_used == count
+    # failed points among the good ones of a block
+    monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
+    report = biharmonic.evaluate_chart(chart.parse_chart(POLE_DOC), samples=13, seed=0)
+    assert report.samples_used == 11 and len(report.failures) == 2
 
 
 def test_chart_pass_sees_at_most_64_points(monkeypatch, tmp_path):
@@ -1397,10 +1475,11 @@ def test_block_residuals_equal_point_by_point_random_charts(doc, seed):
     # block with failures among them
     spec = chart.parse_chart(doc)
     with np.errstate(all="ignore"):     # huge healthy fields overflow the residuals
-        geoms = [g for g in extrinsic.geometry_block(spec, _planted_points(spec, 6, seed))
-                 if isinstance(g, extrinsic.PointGeometry)]
-        if not geoms:
+        block = extrinsic.geometry_block(spec, _planted_points(spec, 6, seed))
+        good = [p for p, e in enumerate(block.errors) if e is None]
+        if not good:
             return
-        for got, ref in zip(biharmonic.sample_records(geoms), records_one_by_one(geoms)):
+        rows, geoms = block.rows(good), [block[p] for p in good]
+        for got, ref in zip(biharmonic.sample_records(rows), records_one_by_one(geoms)):
             assert_same_bits(got, ref)
-        assert_same_bits(biharmonic.pmc_check(geoms), pmc_one_by_one(geoms))
+        assert_same_bits(biharmonic.pmc_check(rows), pmc_one_by_one(geoms))

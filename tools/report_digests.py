@@ -5,7 +5,7 @@ lines means a change moved report bytes.
 
     python3 tools/report_digests.py                  # the package in ./src
     python3 tools/report_digests.py --src OTHER/src  # another checkout's src
-    python3 tools/report_digests.py --fields         # PointGeometry fields
+    python3 tools/report_digests.py --fields         # geometry fields per point
 
 Each line reads ``<sha256>  exit=<code>  <command line>``.  The commands run
 in-process through ``cli.main`` inside a temporary directory, so the chart
@@ -14,10 +14,11 @@ document path echoed in a report is the same relative name on every run.
 ``--fields`` prints one line per chart instead: a sha256 over every
 ``PointGeometry`` field (bytes, dtype, shape, the strides of its long axes,
 the writeable flag) and ``scalar_curvature`` of each sample, from a
-``geometry_block`` call, ``sample_geometries`` and one-point calls, in the
-one normal orientation the program computes (eta along H), with each
-failure's message.  It guards the fields a report does not print, and uses
-only API that every tree since the point blocks has.
+``geometry_block`` call, the blocks of ``sample_blocks`` and one-point
+``geometry_block`` calls, in the one normal orientation the program computes
+(eta along H), with each failure's message.  It guards the fields a report
+does not print, and uses only API that every tree since the point blocks
+has.
 """
 
 from __future__ import annotations
@@ -188,6 +189,20 @@ def field_digests(chart, expr, extrinsic) -> None:
         except ValueError as e:         # GeometryError, ChartError
             return e
 
+    def entries(block):
+        """(PointGeometry or error, scalar curvature) of each point of a
+        geometry block, or the error the whole call raised."""
+        if isinstance(block, ValueError):
+            return [(block, None)]
+        if isinstance(block, list):
+            # list-shaped blocks of trees before GeometryBlock; remove with
+            # the next change that moves the digests' base past them
+            return [(g, extrinsic.scalar_curvature(g) if not isinstance(g, ValueError)
+                     and g.m >= 2 else None) for g in block]
+        return [(block[p], float(extrinsic.scalar_curvature(block.rows([p]))[0])
+                 if block.errors[p] is None and block.m >= 2 else None)
+                for p in range(len(block))]
+
     for spec in field_charts(chart, expr):
         count = 37 if spec.m <= 3 else 11    # a full and a partial block at m <= 5
         if spec.name == POLE_DOC["name"]:
@@ -197,17 +212,17 @@ def field_digests(chart, expr, extrinsic) -> None:
             pts = chart.sample_points(spec, count, 5)
         h = hashlib.sha256()
         nfields = ngeoms = 0
-        block = outcome(extrinsic.geometry_block, spec, pts)
-        for g in itertools.chain(
-                [block] if isinstance(block, ValueError) else block,
-                extrinsic.sample_geometries(spec, pts),
-                [outcome(extrinsic.compute_geometry, spec, p) for p in pts]):
+        blocks = itertools.chain(
+            [outcome(extrinsic.geometry_block, spec, pts)],
+            extrinsic.sample_blocks(spec, pts),
+            [outcome(extrinsic.geometry_block, spec, [p]) for p in pts])
+        for g, scalar in itertools.chain.from_iterable(map(entries, blocks)):
             if isinstance(g, ValueError):
                 h.update(f"{type(g).__name__}: {g}".encode())
                 continue
             values = [getattr(g, f.name) for f in dataclasses.fields(g)]
-            if g.m >= 2:
-                values.append(extrinsic.scalar_curvature(g))
+            if scalar is not None:
+                values.append(scalar)
             for v in values:
                 if isinstance(v, np.ndarray):
                     long_axes = [(s, k) for s, k in zip(v.strides, v.shape) if k > 1]
@@ -228,7 +243,7 @@ def main() -> int:
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                     help="directory holding the bitension package (default: ./src)")
     ap.add_argument("--fields", action="store_true",
-                    help="digest PointGeometry fields per chart instead of reports")
+                    help="digest the geometry fields per chart instead of reports")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from bitension import chart, cli, expr, extrinsic
