@@ -122,7 +122,8 @@ def pmc_check(block: GeometryBlock, pass_tol: float = PASS_TOL) -> PMCBlock:
     eq4 = eq5a = eq5b = 0.0
     with_h = np.flatnonzero(block.H_norm > pass_tol)
     if len(with_h):
-        g = block.rows(with_h)
+        # a block whose every point has H is already its own C-contiguous rows
+        g = block if len(with_h) == len(block) else block.rows(with_h)
         eq4 = max([0.0] + _norms(g.trace_B_AH - g.m * g.H).tolist())
         eq5b = max([0.0] + np.abs(g.AH2 - g.m * g.H2).tolist())
         # complete H/|H| to an orthonormal normal frame and test the spanning set

@@ -6,12 +6,21 @@ biharmonic families (small hyperspheres, products of spheres, the flat-torus
 and Veronese parallel surfaces) plus products of equatorial spheres in
 higher codimension; user charts come from a small JSON document format.
 
-Catalog builders bake their numeric parameters into the component
-expressions as literals.  That keeps the equator case r = 1 evaluable (the
-constant last component sqrt(1 - r^2) = 0 never reaches the jet sqrt, whose
-domain is positive reals) and makes every catalog chart a plain expression
-chart, so the jet path and the finite-difference oracle path share exactly
-one description of the map.
+Catalog builders write each component once, as a template string with
+named values where the numbers go (``r * sin(u1) * cos(u2)``, ``c`` for a
+constant last component), and bind the member's values into its parsed
+tree as constants (``expr.bind``; ``expr.parse`` is memoized, so a template
+is tokenized once).  The tree is the one the literal string with
+``repr(value)`` in place of each name parses to: ``repr`` of a float
+round-trips, the parser reads a name and a number as the same kind of atom,
+and every bound value is finite and >= 0 and follows no unary minus, so no
+minus is folded into it.
+Binding keeps the equator case r = 1 evaluable (the constant last component
+sqrt(1 - r^2) = 0 never reaches the jet sqrt, whose domain is positive
+reals) and makes every catalog chart a plain expression chart, so the jet
+path and the finite-difference oracle path share exactly one description of
+the map.  The members of a family share every subtree that holds no bound
+value, which ``expr.merge`` keeps without walking it.
 
 Coordinate singularities (spherical-coordinate poles) are handled by inset
 sampling rather than atlas switching: all verification is pointwise, and
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -149,7 +159,12 @@ def _params(holder: dict, overrides: dict | None) -> dict:
     params = holder.get("params") or {}
     if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
         raise ChartError('"params" must be an object of numbers')
-    return {**params, **(overrides or {})}
+    params = {**params, **(overrides or {})}
+    for name, v in params.items():
+        # json.load reads NaN, Infinity and integers beyond the float range
+        if not abs(v) <= sys.float_info.max:
+            raise ChartError(f"parameter {name!r} must be a finite number")
+    return params
 
 
 def _check_fields(doc: dict):
@@ -243,8 +258,13 @@ def _sphere_domain(m: int) -> list[tuple[float, float]]:
     return [(0.0, math.pi)] * (m - 1) + [(0.0, _TWO_PI)]
 
 
-def _scaled(scale: float, comps: list[str]) -> list[str]:
-    return [f"{scale!r} * {c}" for c in comps]
+def _scaled(scale: str, comps: list[str]) -> list[str]:
+    return [f"{scale} * {c}" for c in comps]
+
+
+def _bound(templates: list[str], values: dict) -> list[expr.Expr]:
+    """The parsed ``templates`` with ``values`` bound to their names."""
+    return [expr.bind(expr.parse(s), values) for s in templates]
 
 
 def _int_param(params: dict, name: str, default: int | None = None):
@@ -252,7 +272,7 @@ def _int_param(params: dict, name: str, default: int | None = None):
         if default is not None:
             return default
         raise ChartError(f"missing catalog parameter {name!r}")
-    v = float(params[name])
+    v = _float_param(params, name)
     k = int(round(v))
     if abs(v - k) > 1e-9:
         raise ChartError(f"parameter {name!r} must be an integer, got {v}")
@@ -262,7 +282,10 @@ def _int_param(params: dict, name: str, default: int | None = None):
 def _float_param(params: dict, name: str):
     if name not in params:
         raise ChartError(f"missing catalog parameter {name!r}")
-    return float(params[name])
+    v = float(params[name])
+    if not math.isfinite(v):
+        raise ChartError(f"parameter {name!r} must be a finite number, got {v}")
+    return v
 
 
 def _build_small_hypersphere(params: dict) -> ChartSpec:
@@ -272,7 +295,8 @@ def _build_small_hypersphere(params: dict) -> ChartSpec:
         raise ChartError(f"small-hypersphere needs 1 <= m <= {MAX_DOMAIN_DIM}")
     if not 0.0 < r <= 1.0:
         raise ChartError(f"small-hypersphere radius must be in (0, 1], got {r}")
-    comps = _scaled(r, _sphere_comps(m, 0)) + [repr(math.sqrt(max(1.0 - r * r, 0.0)))]
+    comps = _bound(_scaled("r", _sphere_comps(m, 0)) + ["c"],
+                   {"r": r, "c": math.sqrt(max(1.0 - r * r, 0.0))})
     return ChartSpec(
         name=f"small-hypersphere(m={m}, r={r:.10g})",
         m=m,
@@ -299,7 +323,8 @@ def _build_product_spheres(params: dict, tag: str = "product-spheres") -> ChartS
             f"radii must satisfy r1^2 + r2^2 = 1 to land on the unit sphere, "
             f"got {r1 * r1 + r2 * r2:.12g}"
         )
-    comps = _scaled(r1, _sphere_comps(m1, 0)) + _scaled(r2, _sphere_comps(m2, m1))
+    comps = _bound(_scaled("r1", _sphere_comps(m1, 0)) + _scaled("r2", _sphere_comps(m2, m1)),
+                   {"r1": r1, "r2": r2})
     domain = _sphere_domain(m1) + _sphere_domain(m2)
     m = m1 + m2
     return ChartSpec(
@@ -320,13 +345,8 @@ def _build_clifford_torus_b3(params: dict) -> ChartSpec:
     if a * a + b * b > 1.0 + 1e-12:
         raise ChartError(f"torus radii must satisfy a^2 + b^2 <= 1, got {a*a+b*b:.12g}")
     c = math.sqrt(max(1.0 - a * a - b * b, 0.0))
-    comps = [
-        f"{a!r} * cos(u1)",
-        f"{a!r} * sin(u1)",
-        f"{b!r} * cos(u2)",
-        f"{b!r} * sin(u2)",
-        repr(c),
-    ]
+    comps = _bound(["a * cos(u1)", "a * sin(u1)", "b * cos(u2)", "b * sin(u2)", "c"],
+                   {"a": a, "b": b, "c": c})
     return ChartSpec(
         name=f"clifford-torus-b3(a={a:.10g}, b={b:.10g})",
         m=2,
@@ -345,14 +365,15 @@ def _build_veronese(params: dict) -> ChartSpec:
     #   u = sqrt(3) sin(u1) cos(u2),  v = sqrt(3) sin(u1) sin(u2),
     #   w = sqrt(3) cos(u1),          u^2 + v^2 + w^2 = 3
     s3 = math.sqrt(3.0)
-    comps = [
-        f"{r * s3!r} * sin(u1) * sin(u2) * cos(u1)",          # v w / sqrt(3)
-        f"{r * s3!r} * sin(u1) * cos(u2) * cos(u1)",          # u w / sqrt(3)
-        f"{r * s3!r} * sin(u1)^2 * cos(u2) * sin(u2)",        # u v / sqrt(3)
-        f"{r * s3 / 2.0!r} * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
-        f"{r / 2.0!r} * (sin(u1)^2 - 2 * cos(u1)^2)",
-        repr(math.sqrt(max(1.0 - r * r, 0.0))),
-    ]
+    comps = _bound([
+        "k1 * sin(u1) * sin(u2) * cos(u1)",           # v w / sqrt(3)
+        "k1 * sin(u1) * cos(u2) * cos(u1)",           # u w / sqrt(3)
+        "k1 * sin(u1)^2 * cos(u2) * sin(u2)",         # u v / sqrt(3)
+        "k2 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
+        "k3 * (sin(u1)^2 - 2 * cos(u1)^2)",
+        "c",
+    ], {"k1": r * s3, "k2": r * s3 / 2.0, "k3": r / 2.0,
+        "c": math.sqrt(max(1.0 - r * r, 0.0))})
     return ChartSpec(
         name=f"veronese(r={r:.10g})",
         m=2,
@@ -430,27 +451,33 @@ def catalog_chart(tag: str, params: dict) -> ChartSpec:
     return meta["build"](dict(params))
 
 
+# the parameters that sweeping a catalog family's linked parameter sets
+_FAMILY_LINKS = {("product-spheres", "r"): ("r1", "r2"),
+                 ("generalized-clifford", "r"): ("r1", "r2"),
+                 ("clifford-torus-b3", "t"): ("a", "b")}
+
+
 def family_params(tag: str | None, param_name: str, value: float, fixed: dict) -> dict:
     """Parameter map for one member of a 1-parameter catalog family.
 
     Linked parameters keep the chart on the unit sphere: for the sphere
     products, sweeping ``r`` binds r1 = r and r2 = sqrt(1 - r^2); for the
     torus, sweeping ``t`` binds a = b = t.  Any other tag, or None for an
-    expression chart, sets ``param_name`` alone.
+    expression chart, sets ``param_name`` alone.  A ``fixed`` parameter
+    that the sweep sets would never be read: it raises UnreadParamError.
     """
-    params = dict(fixed)
-    if tag in ("product-spheres", "generalized-clifford") and param_name == "r":
+    sets = _FAMILY_LINKS.get((tag, param_name), (param_name,))
+    for name in sets:
+        if name in fixed:
+            raise UnreadParamError(f"fixed parameter {name!r} is never read: sweeping "
+                                   f"{param_name!r} sets it")
+    if sets == ("r1", "r2"):
         if not 0.0 < value < 1.0:
             raise ChartError(f"family parameter r must be in (0, 1), got {value}")
-        params["r1"] = value
-        params["r2"] = math.sqrt(1.0 - value * value)
-        return params
-    if tag == "clifford-torus-b3" and param_name == "t":
-        params["a"] = value
-        params["b"] = value
-        return params
-    params[param_name] = value
-    return params
+        values = (value, math.sqrt(1.0 - value * value))
+    else:
+        values = (value,) * len(sets)
+    return {**fixed, **dict(zip(sets, values))}
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +595,7 @@ def perturbed_chart(seed: int, base: str = "sphere", amplitude: float = 0.04) ->
     rng = np.random.default_rng(seed)
     if base == "sphere":
         r = 0.6 + 0.3 * rng.random()
-        comps = _scaled(r, _sphere_comps(2, 0)) + [repr(math.sqrt(1.0 - r * r))]
+        comps = _scaled(repr(r), _sphere_comps(2, 0)) + [repr(math.sqrt(1.0 - r * r))]
         domain = [(0.45, math.pi - 0.45), (0.3, _TWO_PI - 0.3)]
     elif base == "torus":
         a = 0.4 + 0.2 * rng.random()

@@ -10,9 +10,10 @@ Exit status contract (scripts gate on biharmonicity with it):
 
 ``--param NAME=VALUE`` sets a catalog parameter or overrides one in the
 ``--chart`` document: a catalog reference's params or an expression chart's;
-a name that the chart does not read exits 2.
-``scan --chart`` on a catalog reference links parameters the same way as
-``scan --family`` on its tag (r1 = r, r2 = sqrt(1 - r^2); a = b = t).
+a name that the chart does not read, or a value that is not a finite
+number, exits 2.  ``scan --chart`` on a catalog reference links parameters
+the same way as ``scan --family`` on its tag (r1 = r, r2 = sqrt(1 - r^2);
+a = b = t), and a fixed ``--param`` that the swept one sets exits 2.
 
 Verification report schema (JSON, keys sorted, 2-space indent)::
 
@@ -84,6 +85,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -104,6 +106,8 @@ def _parse_params(raw: list[str] | None) -> tuple[dict, list[str]]:
                 fixed[name] = float(value)
             except ValueError:
                 raise ValueError(f"--param {item!r}: value is not a number")
+            if not math.isfinite(fixed[name]):
+                raise ValueError(f"--param {item!r}: value is not a finite number")
         else:
             bare.append(item.strip())
     return fixed, bare

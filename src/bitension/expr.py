@@ -12,17 +12,28 @@ reuse sin/cos factors heavily).
 ``parse(to_string(tree)) == tree`` holds for every parsed tree: the printer
 inserts parentheses wherever reparsing would otherwise re-associate.
 
+``parse`` is memoized by its source string (a bounded cache; a syntax
+error is raised again on every call), so every chart built from the same
+strings shares the same tree objects, which is safe because no node can be
+changed.  ``bind(tree, values)`` replaces named ``Param`` leaves by
+``Const`` leaves and hands back every subtree without such a leaf as the
+same object: the catalog builders parse one template per tag and bind each
+member's values into it, so all members of a family share their
+parameter-free subtrees.
+
 One leaf never comes from the parser: ``Rows``, a constant that differs
 along the point axis.  ``merge`` makes it when it stacks the trees of
-several members of a 1-parameter family (catalog builders bake the swept
-value into literals, so such trees differ only in constant leaves), and
-``eval_jet`` evaluates it as a (P, L) constant jet, one member's value on
-each of its rows.
+several members of a 1-parameter family (catalog members differ only in
+their bound constants), and ``eval_jet`` evaluates it as a (P, L) constant
+jet, one member's value on each of its rows.  A subtree that every member
+shares as one object and that reads no parameter is merged as itself,
+without walking it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -258,8 +269,29 @@ class _Parser:
                               tok.line, tok.column)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(source: str) -> Expr:
     return _Parser(_tokenize(source)).parse()
+
+
+def bind(e: Expr, values: dict) -> Expr:
+    """``e`` with each ``Param`` leaf named in ``values`` replaced by the
+    ``Const`` of its value; a subtree with no such leaf is returned as the
+    same object.  For finite values >= 0, the result equals ``parse`` of
+    the source with ``repr(value)`` in place of each name, unless a unary
+    minus stands right before a name (the parser folds it into a number)."""
+    if isinstance(e, Param):
+        return Const(float(values[e.name])) if e.name in values else e
+    if isinstance(e, Unary):
+        arg = bind(e.arg, values)
+        return e if arg is e.arg else Unary(e.op, arg)
+    if isinstance(e, Binary):
+        left, right = bind(e.left, values), bind(e.right, values)
+        return e if left is e.left and right is e.right else Binary(e.op, left, right)
+    if isinstance(e, Power):
+        base = bind(e.base, values)
+        return e if base is e.base else Power(base, e.exponent)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +453,11 @@ def merge(members, params, counts) -> tuple[Expr, ...] | None:
     component trees and ``params[i]`` its parameter values.  None when the
     trees differ in more than constant leaves (``Const``, ``Pi``, ``Param``).
 
-    A constant leaf keeps its node where every member has the same one with
-    the same value (compared by ``float.hex``, so 0.0 and -0.0 differ); the
-    merged trees are then evaluated with the first member's ``params``.
+    A subtree that every member holds as the same object and that reads no
+    ``Param`` is kept as it is.  A constant leaf keeps its node where every
+    member has the same one with the same value (compared by ``float.hex``,
+    so 0.0 and -0.0 differ); the merged trees are then evaluated with the
+    first member's ``params``.
     Any other constant leaf becomes a ``Rows`` leaf of the members' values.
 
     Each row of the merged trees' ``eval_jet`` over one memo gives the bits
@@ -442,6 +476,8 @@ def merge(members, params, counts) -> tuple[Expr, ...] | None:
 
     def walk(nodes: list) -> Expr:
         first = nodes[0]
+        if all(e is first for e in nodes) and not free_params(first):
+            return first                    # the same tree the walk below builds
         vals = [value(i, e) for i, e in enumerate(nodes)]
         if None not in vals:
             hexes = tuple(map(float.hex, vals))

@@ -70,22 +70,30 @@ its own pivots (``_block_frames``), and the finiteness of every field is
 tested once per block.  Only the two full reductions of Delta f stay per
 point: their ``einsum`` with a point axis sums in another order (it moved
 the last bit of 12 of 640 probed values).
-``block_size`` fixes P from m alone: 32 for m <= 3, where a point's cost is
-mostly per-call dispatch, 8 for m = 4, 5, and 1 for m = 6, where the
-kernels' own arithmetic takes over.  On a 2-core Xeon VM, before the order
-trim above, one block of 8 cost 0.30-0.47 of eight one-point calls at
-m = 2, 3.  At m <= 3, blocks of 32 instead of 8 (and the block frames) took
-64-sample verify calls from 920 to 1550 samples/s at a peak of 55 MB
-instead of 50 (16 points: 51 MB, 64: 63 MB).  With the trim, on the same VM
-(small hypersphere, best of three, a noisy host), one block of 8 ran 2.5x
-the rate of eight one-point calls at m = 4, 1.0-2.2x at m = 5 and 0.8x at
-m = 6, and raised the peak memory above the interpreter's from 2 to 8 MB at
-m = 4, 4 to 24 MB at m = 5 and 9 to 65 MB at m = 6 (stacked temporaries
-grow with P).  With the chart pass below and the PMC check per block,
-blocks of 8 instead of 1 took 64-sample ``evaluate_chart`` calls (median of
-five) from 310 to 623 samples/s on small-hypersphere m = 4, 151 to 259 at
-m = 5 and 198 to 239 on product-spheres 1+4; at m = 6 blocks of 2, 4 and
-8 ran 71-74 samples/s against 66, too little for their memory.
+``block_size`` fixes P from m alone: 64 for m <= 2 and 32 for m = 3, where
+a point's cost is mostly per-call dispatch, 8 for m = 4, 5, and 1 for
+m = 6, where the kernels' own arithmetic takes over.  On a 2-core Xeon VM,
+before the order trim above, one block of 8 cost 0.30-0.47 of eight
+one-point calls at m = 2, 3.  At m <= 3, blocks of 32 instead of 8 (and the
+block frames) took 64-sample verify calls from 920 to 1550 samples/s at a
+peak of 55 MB instead of 50 (16 points: 51 MB, 64: 63 MB).  At m <= 2,
+blocks of 64, one per chart pass below, instead of 32 took 64-sample
+``evaluate_chart`` calls 0.76-1.10x the time (median of five, three probes
+each; torus 0.76, small hypersphere 0.91, perturbed charts 0.85 and 1.0,
+Veronese 1.10), and the verify-lowdim benchmark from 2719 to 3246
+samples/s (median call 0.0210 to 0.0161 s) at a peak of 51.0 MB instead of
+50.6 (medians of ten pairs of 30 s runs, seed 1).  At m = 3, blocks of 64 ran 0.91-1.09x the rate of 32 in
+four probes (small hypersphere, product-spheres 2+1), too little for the
+63 MB.  With the trim, on the same VM (small hypersphere, best of three, a
+noisy host), one block of 8 ran 2.5x the rate of eight one-point calls at
+m = 4, 1.0-2.2x at m = 5 and 0.8x at m = 6, and raised the peak memory above
+the interpreter's from 2 to 8 MB at m = 4, 4 to 24 MB at m = 5 and 9 to
+65 MB at m = 6 (stacked temporaries grow with P).  With the chart pass
+below and the PMC check per block, blocks of 8 instead of 1 took 64-sample
+``evaluate_chart`` calls (median of five) from 310 to 623 samples/s on
+small-hypersphere m = 4, 151 to 259 at m = 5 and 198 to 239 on
+product-spheres 1+4; at m = 6 blocks of 2, 4 and 8 ran 71-74 samples/s
+against 66, too little for their memory.
 ``sample_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
 (64) points, a multiple of every block size, and hands each block its rows
 and errors; one pass gives each point the jets of its one-point block, and
@@ -299,7 +307,7 @@ CHART_RUN = 64      # sample points per chart-jet pass: a multiple of every bloc
 def block_size(m: int) -> int:
     """Sample points per ``geometry_block`` call for an m-dimensional chart
     (the rule and its measurements are in the module docstring)."""
-    return 32 if m <= 3 else 8 if m <= 5 else 1
+    return 64 if m <= 2 else 32 if m == 3 else 8 if m <= 5 else 1
 
 
 def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[GeometryBlock]:

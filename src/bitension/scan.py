@@ -32,11 +32,12 @@ The grid's values are evaluated stacked (``_profiles``): the sample points
 of consecutive values ("members") are rows of one point axis, member after
 member.  One ``chart.eval_jet_stack`` pass covers up to
 ``extrinsic.CHART_RUN`` rows, over the members' charts merged by
-``chart.stack_members`` (catalog builders bake the swept value into
-literals, so the members' trees differ only in constant leaves), and one
-tau2 stage covers ``extrinsic.block_size(m)`` rows of a pass, across
-member boundaries.  Rows never mix, so each member's Profile, or its error,
-cut back out of the rows is bit for bit what the member alone gives.
+``chart.stack_members`` (catalog builders bind the swept value into one
+parsed template per tag, so the members' trees differ only in constant
+leaves and share every other subtree), and one tau2 stage covers
+``extrinsic.block_size(m)`` rows of a pass, across member boundaries (at
+m <= 2 the whole pass).  Rows never mix, so each member's Profile, or its
+error, cut back out of the rows is bit for bit what the member alone gives.
 Refinement evaluates one value at a time through the same code, and the
 errors are memoized with the profiles (``_profile``).
 

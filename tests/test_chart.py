@@ -319,6 +319,108 @@ def test_family_params_bindings():
     assert chart.family_chart(ref, "t", 0.5, {}).catalog["params"] == {"a": 0.5, "b": 0.5}
 
 
+# the component strings of the catalog builders when they printed every
+# value as a literal: binding the values into parsed templates must give the
+# same trees, so these strings, printed from the trees, stay as they were
+GOLDEN_COMPONENTS = [
+    ("small-hypersphere", {"m": 2, "r": 0.3},
+     ["0.3 * sin(u1) * cos(u2)", "0.3 * sin(u1) * sin(u2)", "0.3 * cos(u1)",
+      "0.9539392014169457"]),
+    ("small-hypersphere", {"m": 2, "r": ROOT2INV},
+     ["0.7071067811865475 * sin(u1) * cos(u2)", "0.7071067811865475 * sin(u1) * sin(u2)",
+      "0.7071067811865475 * cos(u1)", "0.7071067811865476"]),
+    ("small-hypersphere", {"m": 2, "r": 1.0},
+     ["1.0 * sin(u1) * cos(u2)", "1.0 * sin(u1) * sin(u2)", "1.0 * cos(u1)", "0.0"]),
+    ("veronese", {"r": 0.3},
+     ["0.5196152422706631 * sin(u1) * sin(u2) * cos(u1)",
+      "0.5196152422706631 * sin(u1) * cos(u2) * cos(u1)",
+      "0.5196152422706631 * sin(u1)^2 * cos(u2) * sin(u2)",
+      "0.25980762113533157 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
+      "0.15 * (sin(u1)^2 - 2.0 * cos(u1)^2)", "0.9539392014169457"]),
+    ("veronese", {"r": ROOT2INV},
+     ["1.224744871391589 * sin(u1) * sin(u2) * cos(u1)",
+      "1.224744871391589 * sin(u1) * cos(u2) * cos(u1)",
+      "1.224744871391589 * sin(u1)^2 * cos(u2) * sin(u2)",
+      "0.6123724356957945 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
+      "0.35355339059327373 * (sin(u1)^2 - 2.0 * cos(u1)^2)", "0.7071067811865476"]),
+    ("veronese", {"r": 1.0},
+     ["1.7320508075688772 * sin(u1) * sin(u2) * cos(u1)",
+      "1.7320508075688772 * sin(u1) * cos(u2) * cos(u1)",
+      "1.7320508075688772 * sin(u1)^2 * cos(u2) * sin(u2)",
+      "0.8660254037844386 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
+      "0.5 * (sin(u1)^2 - 2.0 * cos(u1)^2)", "0.0"]),
+    *[(tag, {"m1": 1, "m2": 2, "r1": 0.3, "r2": 0.9539392014169457},
+       ["0.3 * cos(u1)", "0.3 * sin(u1)", "0.9539392014169457 * sin(u2) * cos(u3)",
+        "0.9539392014169457 * sin(u2) * sin(u3)", "0.9539392014169457 * cos(u2)"])
+      for tag in ("product-spheres", "generalized-clifford")],
+    *[(tag, {"m1": 1, "m2": 2, "r1": ROOT2INV, "r2": math.sqrt(0.5)},
+       ["0.7071067811865475 * cos(u1)", "0.7071067811865475 * sin(u1)",
+        "0.7071067811865476 * sin(u2) * cos(u3)", "0.7071067811865476 * sin(u2) * sin(u3)",
+        "0.7071067811865476 * cos(u2)"])
+      for tag in ("product-spheres", "generalized-clifford")],
+    ("clifford-torus-b3", {"a": 0.3, "b": 0.4},
+     ["0.3 * cos(u1)", "0.3 * sin(u1)", "0.4 * cos(u2)", "0.4 * sin(u2)",
+      "0.8660254037844386"]),
+    ("clifford-torus-b3", {"a": 0.5, "b": 0.5},
+     ["0.5 * cos(u1)", "0.5 * sin(u1)", "0.5 * cos(u2)", "0.5 * sin(u2)",
+      "0.7071067811865476"]),
+    ("clifford-torus-b3", {"a": 0.6, "b": 0.8},
+     ["0.6 * cos(u1)", "0.6 * sin(u1)", "0.8 * cos(u2)", "0.8 * sin(u2)", "0.0"]),
+]
+
+
+@pytest.mark.parametrize("tag,params,strings", GOLDEN_COMPONENTS)
+def test_catalog_trees_equal_the_literal_form(tag, params, strings):
+    spec = catalog_chart(tag, params)
+    assert [expr.to_string(c) for c in spec.components] == strings
+    assert [expr.parse(s) for s in strings] == list(spec.components)
+
+
+def test_catalog_members_share_their_parameter_free_subtrees():
+    a, b = (catalog_chart("veronese", {"r": r}) for r in (0.5, 0.6))
+    for ca, cb in zip(a.components[:5], b.components[:5]):
+        assert ca != cb and ca.right is cb.right
+
+
+@pytest.mark.parametrize("tag,params,name", [
+    ("small-hypersphere", {"m": math.inf, "r": 0.7}, "m"),
+    ("small-hypersphere", {"m": math.nan, "r": 0.7}, "m"),
+    ("product-spheres", {"m1": math.inf, "m2": 1, "r1": 0.6, "r2": 0.8}, "m1"),
+    ("clifford-torus-b3", {"a": 0.5, "b": math.nan}, "b"),
+    ("clifford-torus-b3", {"a": math.nan, "b": math.nan}, "a"),
+    ("veronese", {"r": math.nan}, "r"),
+])
+def test_catalog_rejects_non_finite_parameters(tag, params, name):
+    with pytest.raises(ChartError, match=f"parameter '{name}' must be a finite number"):
+        catalog_chart(tag, params)
+
+
+def test_documents_reject_non_finite_parameters():
+    # json.load reads NaN and Infinity, so a document can carry them
+    torus = {"catalog": {"tag": "clifford-torus-b3", "params": {"a": math.nan, "b": 0.5}}}
+    circle = {"name": "circle", "m": 1, "n": 2,
+              "expressions": ["rho * cos(u1)", "rho * sin(u1)", "sqrt(1 - rho^2)"],
+              "domain": [[0.0, 6.28]], "params": {"rho": math.inf}}
+    huge = {"catalog": {"tag": "small-hypersphere", "params": {"m": 10 ** 400, "r": 0.5}}}
+    for doc, name in ((torus, "a"), (circle, "rho"), (huge, "m")):
+        with pytest.raises(ChartError, match=f"parameter '{name}' must be a finite number"):
+            parse_chart(doc)
+    with pytest.raises(ChartError, match="parameter 'rho' must be a finite number"):
+        parse_chart({**circle, "params": {"rho": 0.5}}, {"rho": -math.inf})
+
+
+@pytest.mark.parametrize("tag,param,fixed,name", [
+    ("clifford-torus-b3", "t", {"a": 0.3}, "a"),
+    ("product-spheres", "r", {"m1": 2, "m2": 1, "r2": 0.1}, "r2"),
+    ("generalized-clifford", "r", {"m1": 2, "m2": 1, "r1": 0.1}, "r1"),
+    ("small-hypersphere", "r", {"r": 0.5}, "r"),
+    (None, "rho", {"rho": 0.5}, "rho"),
+])
+def test_family_params_reject_a_fixed_parameter_the_sweep_sets(tag, param, fixed, name):
+    with pytest.raises(chart.UnreadParamError, match=f"fixed parameter '{name}' is never read"):
+        chart.family_params(tag, param, 0.6, fixed)
+
+
 def test_perturbed_charts_are_valid_immersions():
     for seed in (0, 1, 2):
         spec = perturbed_chart(seed, base="sphere")

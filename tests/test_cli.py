@@ -386,6 +386,51 @@ def test_unread_param_exit_two(capsys, tmp_path):
         assert "admissible" not in err
 
 
+def test_non_finite_param_exit_two(capsys, tmp_path):
+    # a non-finite value is refused by name: no OverflowError traceback, no
+    # "nan" read as a parameter name
+    torus = tmp_path / "nan-torus.json"
+    torus.write_text('{"catalog": {"tag": "clifford-torus-b3", "params": {"a": NaN, "b": 0.5}}}')
+    circle = tmp_path / "inf-circle.json"
+    circle.write_text('{"name": "circle", "m": 1, "n": 2, "domain": [[0.0, 6.28]], '
+                      '"expressions": ["rho * cos(u1)", "rho * sin(u1)", "sqrt(1 - rho^2)"], '
+                      '"params": {"rho": Infinity}}')
+    cases = [
+        (("verify", "--catalog", "small-hypersphere", "--param", "r=0.7", "--param", "m=inf"),
+         "'m=inf'"),
+        (("verify", "--catalog", "product-spheres", "--param", "m1=inf", "--param", "m2=1",
+          "--param", "r1=0.6", "--param", "r2=0.8"), "'m1=inf'"),
+        (("verify", "--catalog", "small-hypersphere", "--param", "r=0.7", "--param", "m=nan"),
+         "'m=nan'"),
+        (("verify", "--catalog", "clifford-torus-b3", "--param", "a=0.5", "--param", "b=nan"),
+         "'b=nan'"),
+        (("scan", "--family", "small-hypersphere", "--param", "r", "--param", "m=-inf",
+          "--range", "0.3:0.9", "--steps", "8"), "'m=-inf'"),
+        (("verify", "--chart", str(torus), "--points", "4"), "'a'"),
+        (("verify", "--chart", str(circle), "--points", "4"), "'rho'"),
+    ]
+    for argv, name in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert name in err and "finite number" in err, argv
+
+
+def test_scan_fixed_param_set_by_the_sweep_exit_two(capsys):
+    # the swept parameter, or its link, would overwrite the fixed value
+    cases = [
+        (("--family", "clifford-torus-b3", "--param", "t", "--param", "a=0.3"), "'a'"),
+        (("--family", "product-spheres", "--param", "r", "--param", "m1=2", "--param", "m2=1",
+          "--param", "r2=0.1"), "'r2'"),
+        (("--family", "small-hypersphere", "--param", "r", "--param", "r=0.5"), "'r'"),
+    ]
+    for argv, name in cases:
+        code, out, err = run(capsys, "scan", *argv, "--range", "0.3:0.6", "--steps", "8")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"fixed parameter {name} is never read" in err, argv
+
+
 def test_scan_csv_root_row(capsys):
     code, out, _ = run(
         capsys, "scan", "--family", "small-hypersphere", "--param", "r",

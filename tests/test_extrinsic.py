@@ -727,6 +727,17 @@ def test_geometry_block_equals_point_by_point(spec, mirror):
         start += len(block)
 
 
+@pytest.mark.parametrize("spec", [s for s in BLOCK_CHARTS if s.m <= 2], ids=lambda s: s.name)
+def test_blocks_of_64_equal_point_by_point(spec):
+    # 69 points at m <= 2: one full block of 64 and a partial one, from two
+    # chart passes
+    pts = sample_points(spec, 69, 5)
+    parts = list(extrinsic.sample_blocks(spec, pts))
+    assert [len(block) for block in parts] == [64, 5]
+    for g, p in zip([g for block in parts for g in block], pts):
+        assert_same_geometry(g, extrinsic.geometry_block(spec, [p])[0])
+
+
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_rows_equal_stacked_points(spec):
     # rows(idx) holds each field as its points' values stacked: the bytes,
@@ -747,7 +758,7 @@ def test_block_rows_equal_stacked_points(spec):
 
 
 def test_block_size_rule():
-    assert [extrinsic.block_size(m) for m in range(1, 7)] == [32, 32, 32, 8, 8, 1]
+    assert [extrinsic.block_size(m) for m in range(1, 7)] == [64, 64, 32, 8, 8, 1]
     # one chart pass serves whole blocks
     assert all(extrinsic.CHART_RUN % extrinsic.block_size(m) == 0 for m in range(1, 7))
 
@@ -1162,9 +1173,9 @@ def test_scan_row_reports_first_failing_point(monkeypatch):
                         lambda spec, pts: passes.append(len(pts)) or eval_jet_stack(spec, pts))
     grid = scan.sweep(fam).grid
     # the grid rows' points are stacked: 8 rows of 8 points make one chart
-    # pass of 64 rows and two tau2 stages of 32
+    # pass of 64 rows and one tau2 stage of 64
     assert passes == [64] and all(n <= extrinsic.CHART_RUN for n in passes)
-    assert stages == [(2, 32), (2, 32)]
+    assert stages == [(2, 64)]
     assert all(n <= extrinsic.block_size(m) for m, n in stages)
     for row in grid:
         with pytest.raises(GeometryError) as err:
@@ -1344,6 +1355,21 @@ def assert_same_bits(got, ref):
             assert a == b, f.name
 
 
+@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
+def test_pmc_check_reads_rows_with_h_everywhere_as_they_are(spec, monkeypatch):
+    # rows whose every point has H are their own np.take copy: pmc_check
+    # reads them without copying, and gives the PMCBlock of the copy
+    rows = rows_of(spec, sample_points(spec, extrinsic.block_size(spec.m), 5))
+    assert all(h > biharmonic.PASS_TOL for h in rows.H_norm)
+    ref = biharmonic.pmc_check(rows.rows(range(len(rows))))
+    copies = []
+    take = extrinsic.GeometryBlock.rows
+    monkeypatch.setattr(extrinsic.GeometryBlock, "rows",
+                        lambda block, index: copies.append(len(index)) or take(block, index))
+    assert_same_bits(biharmonic.pmc_check(rows), ref)
+    assert copies == []
+
+
 @pytest.mark.parametrize("full", [True, False])
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_residuals_equal_point_by_point(spec, full):
@@ -1396,8 +1422,8 @@ def test_pmc_block_drops_steps_past_each_points_stop():
 
 def test_residual_stage_sees_at_most_one_block(monkeypatch):
     # the memory guard: the curvature and PMC temporaries grow with the
-    # points per call, so the residual stage follows block_size (8 points at
-    # m = 4, 5 and 1 at m = 6)
+    # points per call, so the residual stage follows block_size (64 points at
+    # m <= 2, 32 at m = 3, 8 at m = 4, 5 and 1 at m = 6)
     seen = {}
     for name, owner in (("sample_records", biharmonic), ("pmc_check", biharmonic),
                         ("_frame_riemann", extrinsic)):
@@ -1407,7 +1433,7 @@ def test_residual_stage_sees_at_most_one_block(monkeypatch):
             seen.setdefault(name, []).append(len(g))
             return fn(g, *args)
         monkeypatch.setattr(owner, name, spy)
-    for m, samples, blocks in ((2, 37, [32, 5]), (3, 37, [32, 5]), (4, 11, [8, 3]),
+    for m, samples, blocks in ((2, 69, [64, 5]), (3, 37, [32, 5]), (4, 11, [8, 3]),
                                (5, 11, [8, 3]), (6, 3, [1, 1, 1])):
         seen.clear()
         biharmonic.evaluate_chart(bumped_hypersphere(m), samples=samples, seed=5)

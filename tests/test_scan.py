@@ -145,6 +145,17 @@ def test_family_validation():
                    steps=20, fixed={"m": 2}, pass_tol=1e-2, fail_tol=1e-4)
 
 
+@pytest.mark.parametrize("tag,param,fixed,name", [
+    ("clifford-torus-b3", "t", {"a": 0.3}, "a"),
+    ("product-spheres", "r", {"m1": 2, "m2": 1, "r2": 0.1}, "r2"),
+    ("small-hypersphere", "r", {"r": 0.5}, "r"),
+])
+def test_family_rejects_a_fixed_parameter_the_sweep_sets(tag, param, fixed, name):
+    # the swept value, or its link, would overwrite it: it is never read
+    with pytest.raises(ScanError, match=f"fixed parameter '{name}' is never read"):
+        FamilySpec(tag=tag, param_name=param, lo=0.3, hi=0.6, steps=8, fixed=fixed)
+
+
 def test_chart_document_family():
     doc = {
         "name": "scaled-circle", "m": 1, "n": 2,

@@ -107,9 +107,9 @@ SCANS = [
 ]
 # scans stack the sample points of consecutive grid values into chart passes
 # of 64 rows and tau2 stages of block_size(m) rows: 5 points a value split
-# a value across two passes, 33 cross the blocks of 32, and 70 points make
-# more than one pass a value; the pole-crossing family has failing points
-# inside a pass
+# a value across two passes (at m = 3 also across blocks of 32), 33 cross
+# the passes of 64 (at m <= 2 one block each), and 70 points make more than
+# one pass a value; the pole-crossing family has failing points inside a pass
 SCANS += [
     [*SCANS[0], "--samples", "5"],
     [*SCANS[2], "--samples", "5"],
