@@ -33,6 +33,7 @@ from .extrinsic import GeometryBlock, GeometryError, PointGeometry
 
 PASS_TOL = 1e-6
 FAIL_TOL = 1e-3
+BUDGET = 200_000    # sample points of one verify call, or of one scan's grid
 
 VERDICT_PROPER = "biharmonic-proper"
 VERDICT_MINIMAL = "minimal"
@@ -366,6 +367,8 @@ def evaluate_chart(
     """
     if not 0 < pass_tol < fail_tol:
         raise ValueError("tolerances must satisfy 0 < pass_tol < fail_tol")
+    if samples > BUDGET:
+        raise ValueError(f"sample count exceeds the budget {BUDGET}, got {samples}")
     failures: list[str] = []
     records: list[SampleRecord] = []
     pmc_blocks: list[PMCBlock] = []

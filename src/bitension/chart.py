@@ -8,19 +8,16 @@ higher codimension; user charts come from a small JSON document format.
 
 Catalog builders write each component once, as a template string with
 named values where the numbers go (``r * sin(u1) * cos(u2)``, ``c`` for a
-constant last component), and bind the member's values into its parsed
-tree as constants (``expr.bind``; ``expr.parse`` is memoized, so a template
-is tokenized once).  The tree is the one the literal string with
-``repr(value)`` in place of each name parses to: ``repr`` of a float
-round-trips, the parser reads a name and a number as the same kind of atom,
-and every bound value is finite and >= 0 and follows no unary minus, so no
-minus is folded into it.
-Binding keeps the equator case r = 1 evaluable (the constant last component
-sqrt(1 - r^2) = 0 never reaches the jet sqrt, whose domain is positive
-reals) and makes every catalog chart a plain expression chart, so the jet
-path and the finite-difference oracle path share exactly one description of
-the map.  The members of a family share every subtree that holds no bound
-value, which ``expr.merge`` keeps without walking it.
+constant last component), and pass the member's values as the chart's
+``params``.  ``expr.parse`` is memoized, so every member of a family holds
+the same parsed trees and differs from the others only in ``params``; a
+``Param`` leaf evaluates to the jet its value gives as a literal, so the
+chart evaluates bit for bit as the literal string with ``repr(value)`` in
+place of each name.  Computing the constant last component sqrt(1 - r^2)
+as a value keeps the equator case r = 1 evaluable (its 0 never reaches
+the jet sqrt, whose domain is positive reals), and every catalog chart is a
+plain expression chart, so the jet path and the finite-difference oracle
+path share exactly one description of the map.
 
 Coordinate singularities (spherical-coordinate poles) are handled by inset
 sampling rather than atlas switching: all verification is pointwise, and
@@ -94,7 +91,7 @@ class ChartSpec:
              "normalize": self.normalize}
         if self.catalog:
             d["catalog"] = self.catalog
-        if self.params:
+        elif self.params:
             d["params"] = self.params
         return d
 
@@ -155,14 +152,18 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    # json.load reads NaN, Infinity and integers beyond the float range
+    return abs(v) <= sys.float_info.max
+
+
 def _params(holder: dict, overrides: dict | None) -> dict:
     params = holder.get("params") or {}
     if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
         raise ChartError('"params" must be an object of numbers')
     params = {**params, **(overrides or {})}
     for name, v in params.items():
-        # json.load reads NaN, Infinity and integers beyond the float range
-        if not abs(v) <= sys.float_info.max:
+        if not _is_finite(v):
             raise ChartError(f"parameter {name!r} must be a finite number")
     return params
 
@@ -172,15 +173,16 @@ def _check_fields(doc: dict):
     if not isinstance(doc["name"], str):
         raise ChartError('"name" must be a string')
     for field in ("m", "n"):
-        if not (_is_number(doc[field]) and float(doc[field]).is_integer()):
-            raise ChartError(f'"{field}" must be an integer')
+        v = doc[field]
+        if not (_is_number(v) and _is_finite(v) and float(v).is_integer()):
+            raise ChartError(f'"{field}" must be a finite integer')
     exprs, domain = doc["expressions"], doc["domain"]
     if not (isinstance(exprs, list) and all(isinstance(s, str) for s in exprs)):
         raise ChartError('"expressions" must be an array of strings')
     if not (isinstance(domain, list) and all(
-            isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv))
-            for iv in domain)):
-        raise ChartError('"domain" must be an array of [lo, hi] number pairs')
+            isinstance(iv, list) and len(iv) == 2
+            and all(_is_number(v) and _is_finite(v) for v in iv) for iv in domain)):
+        raise ChartError('"domain" must be an array of [lo, hi] finite number pairs')
     if not isinstance(doc.get("normalize", False), bool):
         raise ChartError('"normalize" must be true or false')
 
@@ -262,11 +264,6 @@ def _scaled(scale: str, comps: list[str]) -> list[str]:
     return [f"{scale} * {c}" for c in comps]
 
 
-def _bound(templates: list[str], values: dict) -> list[expr.Expr]:
-    """The parsed ``templates`` with ``values`` bound to their names."""
-    return [expr.bind(expr.parse(s), values) for s in templates]
-
-
 def _int_param(params: dict, name: str, default: int | None = None):
     if name not in params:
         if default is not None:
@@ -295,14 +292,13 @@ def _build_small_hypersphere(params: dict) -> ChartSpec:
         raise ChartError(f"small-hypersphere needs 1 <= m <= {MAX_DOMAIN_DIM}")
     if not 0.0 < r <= 1.0:
         raise ChartError(f"small-hypersphere radius must be in (0, 1], got {r}")
-    comps = _bound(_scaled("r", _sphere_comps(m, 0)) + ["c"],
-                   {"r": r, "c": math.sqrt(max(1.0 - r * r, 0.0))})
     return ChartSpec(
         name=f"small-hypersphere(m={m}, r={r:.10g})",
         m=m,
         n=m + 1,
-        components=comps,
+        components=_scaled("r", _sphere_comps(m, 0)) + ["c"],
         domain=_sphere_domain(m),
+        params={"r": r, "c": math.sqrt(max(1.0 - r * r, 0.0))},
         catalog={"tag": "small-hypersphere", "params": {"m": m, "r": r}},
     )
 
@@ -323,16 +319,14 @@ def _build_product_spheres(params: dict, tag: str = "product-spheres") -> ChartS
             f"radii must satisfy r1^2 + r2^2 = 1 to land on the unit sphere, "
             f"got {r1 * r1 + r2 * r2:.12g}"
         )
-    comps = _bound(_scaled("r1", _sphere_comps(m1, 0)) + _scaled("r2", _sphere_comps(m2, m1)),
-                   {"r1": r1, "r2": r2})
-    domain = _sphere_domain(m1) + _sphere_domain(m2)
     m = m1 + m2
     return ChartSpec(
         name=f"{tag}(m1={m1}, m2={m2}, r1={r1:.10g}, r2={r2:.10g})",
         m=m,
         n=m + 1,
-        components=comps,
-        domain=domain,
+        components=_scaled("r1", _sphere_comps(m1, 0)) + _scaled("r2", _sphere_comps(m2, m1)),
+        domain=_sphere_domain(m1) + _sphere_domain(m2),
+        params={"r1": r1, "r2": r2},
         catalog={"tag": tag, "params": {"m1": m1, "m2": m2, "r1": r1, "r2": r2}},
     )
 
@@ -344,15 +338,13 @@ def _build_clifford_torus_b3(params: dict) -> ChartSpec:
         raise ChartError("torus radii must be positive")
     if a * a + b * b > 1.0 + 1e-12:
         raise ChartError(f"torus radii must satisfy a^2 + b^2 <= 1, got {a*a+b*b:.12g}")
-    c = math.sqrt(max(1.0 - a * a - b * b, 0.0))
-    comps = _bound(["a * cos(u1)", "a * sin(u1)", "b * cos(u2)", "b * sin(u2)", "c"],
-                   {"a": a, "b": b, "c": c})
     return ChartSpec(
         name=f"clifford-torus-b3(a={a:.10g}, b={b:.10g})",
         m=2,
         n=4,
-        components=comps,
+        components=["a * cos(u1)", "a * sin(u1)", "b * cos(u2)", "b * sin(u2)", "c"],
         domain=[(0.0, _TWO_PI), (0.0, _TWO_PI)],
+        params={"a": a, "b": b, "c": math.sqrt(max(1.0 - a * a - b * b, 0.0))},
         catalog={"tag": "clifford-torus-b3", "params": {"a": a, "b": b}},
     )
 
@@ -365,21 +357,21 @@ def _build_veronese(params: dict) -> ChartSpec:
     #   u = sqrt(3) sin(u1) cos(u2),  v = sqrt(3) sin(u1) sin(u2),
     #   w = sqrt(3) cos(u1),          u^2 + v^2 + w^2 = 3
     s3 = math.sqrt(3.0)
-    comps = _bound([
-        "k1 * sin(u1) * sin(u2) * cos(u1)",           # v w / sqrt(3)
-        "k1 * sin(u1) * cos(u2) * cos(u1)",           # u w / sqrt(3)
-        "k1 * sin(u1)^2 * cos(u2) * sin(u2)",         # u v / sqrt(3)
-        "k2 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
-        "k3 * (sin(u1)^2 - 2 * cos(u1)^2)",
-        "c",
-    ], {"k1": r * s3, "k2": r * s3 / 2.0, "k3": r / 2.0,
-        "c": math.sqrt(max(1.0 - r * r, 0.0))})
     return ChartSpec(
         name=f"veronese(r={r:.10g})",
         m=2,
         n=5,
-        components=comps,
+        components=[
+            "k1 * sin(u1) * sin(u2) * cos(u1)",           # v w / sqrt(3)
+            "k1 * sin(u1) * cos(u2) * cos(u1)",           # u w / sqrt(3)
+            "k1 * sin(u1)^2 * cos(u2) * sin(u2)",         # u v / sqrt(3)
+            "k2 * sin(u1)^2 * (cos(u2)^2 - sin(u2)^2)",
+            "k3 * (sin(u1)^2 - 2 * cos(u1)^2)",
+            "c",
+        ],
         domain=[(0.0, math.pi), (0.0, _TWO_PI)],
+        params={"k1": r * s3, "k2": r * s3 / 2.0, "k3": r / 2.0,
+                "c": math.sqrt(max(1.0 - r * r, 0.0))},
         catalog={"tag": "veronese", "params": {"r": r}},
     )
 
@@ -485,15 +477,20 @@ def family_params(tag: str | None, param_name: str, value: float, fixed: dict) -
 # ---------------------------------------------------------------------------
 
 
-def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace, list]:
+def eval_jet_stack(spec: ChartSpec, points,
+                   params: dict | None = None) -> tuple[np.ndarray, jets.JetSpace, list]:
     """Order-4 jets of all ambient components at each point of a (P, m)
     block, stacked as a (P, n+1, L) array from one expression pass, and each
     point's error: None, or the ``ChartEvalError`` of its one-point block.
-    A block that is not (P, m) raises ``ChartError``.
+    A block that is not (P, m) raises ``ChartError``.  ``params`` replaces
+    ``spec.params``; a value may be an array of one value per point (the
+    members of a family stacked on the point axis).
 
     Every healthy point's jets are bit-identical to those of its own
-    one-point block.
+    one-point block, with its own scalar values.
     """
+    if params is None:
+        params = spec.params
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != spec.m:
         raise ChartError(f"expected a point with {spec.m} coordinates")
@@ -510,7 +507,7 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace, 
     memo: dict = {}
     domain = [None] * len(points)
     try:
-        rows = [expr.eval_jet(comp, sp, var_jets, spec.params, domain, memo)
+        rows = [expr.eval_jet(comp, sp, var_jets, params, domain, memo)
                 for comp in spec.components]
     except expr.ExprEvalError as e:             # a parameter no point can read
         domain = [d or e for d in domain]
@@ -531,26 +528,6 @@ def eval_jet_stack(spec: ChartSpec, points) -> tuple[np.ndarray, jets.JetSpace, 
         scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", norm2))
         stack = sp.mul(stack, scale[:, None])
     return stack, sp, errors
-
-
-def stack_members(specs: list[ChartSpec], counts) -> ChartSpec | None:
-    """One chart for several members of a family whose sample points are
-    stacked on the point axis, member i on the next ``counts[i]`` rows: its
-    ``eval_jet_stack`` pass gives each row the jets and error of its
-    member's own pass (``expr.merge`` has the argument).  None when the
-    members differ in m, n, domain or normalize, or their trees do not
-    merge; a lone member is its own chart."""
-    first = specs[0]
-    if len(specs) == 1:
-        return first
-    shape = (first.m, first.n, first.domain, first.normalize)
-    if any((s.m, s.n, s.domain, s.normalize) != shape for s in specs):
-        return None
-    components = expr.merge([s.components for s in specs], [s.params for s in specs], counts)
-    if components is None:
-        return None
-    return ChartSpec(first.name, first.m, first.n, components, first.domain,
-                     first.params, first.normalize)
 
 
 _LATTICE_ALPHAS = np.array(

@@ -15,24 +15,18 @@ inserts parentheses wherever reparsing would otherwise re-associate.
 ``parse`` is memoized by its source string (a bounded cache; a syntax
 error is raised again on every call), so every chart built from the same
 strings shares the same tree objects, which is safe because no node can be
-changed.  ``bind(tree, values)`` replaces named ``Param`` leaves by
-``Const`` leaves and hands back every subtree without such a leaf as the
-same object: the catalog builders parse one template per tag and bind each
-member's values into it, so all members of a family share their
-parameter-free subtrees.
+changed.  The catalog builders rely on it: each passes one template per
+component, with named ``Param`` leaves where the numbers go, and its values
+as the chart's ``params``, so all members of a family hold the same trees.
 
-One leaf never comes from the parser: ``Rows``, a constant that differs
-along the point axis.  ``merge`` makes it when it stacks the trees of
-several members of a 1-parameter family (catalog members differ only in
-their bound constants), and ``eval_jet`` evaluates it as a (P, L) constant
-jet, one member's value on each of its rows.  A subtree that every member
-shares as one object and that reads no parameter is merged as itself,
-without walking it.
+``eval_jet`` reads a ``Param`` leaf's value from ``params``.  A scalar is a
+constant jet, the one the number as a literal gives.  A 1-d array of
+values is a (P, L) constant jet, one value on each row of a stacked block:
+``scan`` stacks the members of a family that way.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import re
@@ -86,17 +80,6 @@ class Var(Expr):
 @dataclass(frozen=True)
 class Param(Expr):
     name: str
-
-
-@dataclass(frozen=True)
-class Rows(Expr):
-    """A constant per row of a stacked block: the value ``float.fromhex(
-    values[i])`` on the next ``counts[i]`` rows.  Held as ``float.hex``
-    strings, so equal leaves have equal bits and a memo keeps 0.0 and -0.0
-    apart."""
-
-    values: tuple[str, ...]
-    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -274,26 +257,6 @@ def parse(source: str) -> Expr:
     return _Parser(_tokenize(source)).parse()
 
 
-def bind(e: Expr, values: dict) -> Expr:
-    """``e`` with each ``Param`` leaf named in ``values`` replaced by the
-    ``Const`` of its value; a subtree with no such leaf is returned as the
-    same object.  For finite values >= 0, the result equals ``parse`` of
-    the source with ``repr(value)`` in place of each name, unless a unary
-    minus stands right before a name (the parser folds it into a number)."""
-    if isinstance(e, Param):
-        return Const(float(values[e.name])) if e.name in values else e
-    if isinstance(e, Unary):
-        arg = bind(e.arg, values)
-        return e if arg is e.arg else Unary(e.op, arg)
-    if isinstance(e, Binary):
-        left, right = bind(e.left, values), bind(e.right, values)
-        return e if left is e.left and right is e.right else Binary(e.op, left, right)
-    if isinstance(e, Power):
-        base = bind(e.base, values)
-        return e if base is e.base else Power(base, e.exponent)
-    return e
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -389,10 +352,14 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
 
     ``chart.eval_jet_stack`` passes (P, L) variable jets, one row per point
     of a block (a lone point is a block of one); constant subtrees stay (L,)
-    jets that broadcast against them, except those over a ``Rows`` leaf,
-    which are (P, L).  A row outside the domain of ``sqrt``,
-    ``/`` or a negative power at degree 0 records the ``JetDomainError`` its
-    point alone raises and turns NaN, which ``jets.elementary`` passes through.
+    jets that broadcast against them, except those over a parameter with
+    one value per row, which are (P, L): such a row gives the pair products
+    of the broadcast constant of its value, ``jets.JetSpace`` sums each
+    coefficient in table order, and ``jets.elementary`` takes each row's
+    series on its own, so each row has the bits of its value's own pass.
+    A row outside the domain of ``sqrt``, ``/`` or a negative power at
+    degree 0 records the ``JetDomainError`` its point alone raises and turns
+    NaN, which ``jets.elementary`` passes through.
     """
     if memo is None:
         memo = {}
@@ -407,12 +374,14 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
         out = var_jets[e.index]
     elif isinstance(e, Param):
         try:
-            out = sp.constant(params[e.name])
+            value = params[e.name]
         except KeyError:
             raise ExprEvalError(f"unknown parameter {e.name!r}") from None
-    elif isinstance(e, Rows):
-        out = np.zeros((sum(e.counts), sp.size))
-        out[:, 0] = np.repeat([float.fromhex(v) for v in e.values], e.counts)
+        if np.ndim(value) > 0:              # one value per row
+            out = np.zeros((len(value), sp.size))
+            out[:, 0] = value
+        else:
+            out = sp.constant(value)
     elif isinstance(e, Unary):
         x = eval_jet(e.arg, sp, var_jets, params, errors, memo)
         if e.op == "sqrt":
@@ -438,75 +407,6 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
         raise TypeError(f"not an expression node: {e!r}")
     memo[e] = out
     return out
-
-
-class _Unmerged(Exception):
-    pass
-
-
-_FIELDS = {kind: [f.name for f in dataclasses.fields(kind)] for kind in (Var, Unary, Binary, Power)}
-
-
-def merge(members, params, counts) -> tuple[Expr, ...] | None:
-    """The component trees of several members stacked on the point axis,
-    member i on the next ``counts[i]`` rows: ``members[i]`` is its tuple of
-    component trees and ``params[i]`` its parameter values.  None when the
-    trees differ in more than constant leaves (``Const``, ``Pi``, ``Param``).
-
-    A subtree that every member holds as the same object and that reads no
-    ``Param`` is kept as it is.  A constant leaf keeps its node where every
-    member has the same one with the same value (compared by ``float.hex``,
-    so 0.0 and -0.0 differ); the merged trees are then evaluated with the
-    first member's ``params``.
-    Any other constant leaf becomes a ``Rows`` leaf of the members' values.
-
-    Each row of the merged trees' ``eval_jet`` over one memo gives the bits
-    of its member's own: a broadcast (L,) constant gives the same pair
-    products as a per-row copy, ``jets.JetSpace`` sums each coefficient in
-    table order, and ``jets.elementary`` takes each row's series on its own.
-    """
-    def value(i: int, e: Expr):
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Pi):
-            return math.pi
-        if isinstance(e, Param) and e.name in params[i]:
-            return params[i][e.name]
-        return None
-
-    def walk(nodes: list) -> Expr:
-        first = nodes[0]
-        if all(e is first for e in nodes) and not free_params(first):
-            return first                    # the same tree the walk below builds
-        vals = [value(i, e) for i, e in enumerate(nodes)]
-        if None not in vals:
-            hexes = tuple(map(float.hex, vals))
-            if len({(type(e), getattr(e, "name", None), h) for e, h in zip(nodes, hexes)}) == 1:
-                return first
-            return Rows(hexes, tuple(counts))
-        kind = type(first)
-        if kind not in _FIELDS or any(type(e) is not kind for e in nodes):
-            raise _Unmerged
-        parts = {}
-        for name in _FIELDS[kind]:
-            column = [getattr(e, name) for e in nodes]
-            if isinstance(column[0], Expr):
-                parts[name] = walk(column)
-            elif any(x != column[0] for x in column):
-                raise _Unmerged             # another variable, operator or exponent
-            else:
-                parts[name] = column[0]
-        if all(v is getattr(first, k) for k, v in parts.items()):
-            return first
-        return kind(**parts)
-
-    if len({len(trees) for trees in members}) != 1:
-        return None
-    try:
-        merged = tuple(walk(list(column)) for column in zip(*members))
-    except _Unmerged:
-        return None
-    return merged
 
 
 def _domain(errors: list, x: np.ndarray, fn: str, value: float | None = None) -> np.ndarray:

@@ -31,10 +31,10 @@ never reads, guard only the full package (``extrinsic.geometry_block``).
 The grid's values are evaluated stacked (``_profiles``): the sample points
 of consecutive values ("members") are rows of one point axis, member after
 member.  One ``chart.eval_jet_stack`` pass covers up to
-``extrinsic.CHART_RUN`` rows, over the members' charts merged by
-``chart.stack_members`` (catalog builders bind the swept value into one
-parsed template per tag, so the members' trees differ only in constant
-leaves and share every other subtree), and one tau2 stage covers
+``extrinsic.CHART_RUN`` rows of consecutive members whose charts differ
+only in their parameter values (the catalog builders and chart documents
+give every member of a family the same parsed trees), reading each
+parameter as one value per row, and one tau2 stage covers
 ``extrinsic.block_size(m)`` rows of a pass, across member boundaries (at
 m <= 2 the whole pass).  Rows never mix, so each member's Profile, or its
 error, cut back out of the rows is bit for bit what the member alone gives.
@@ -48,6 +48,7 @@ small-hypersphere family ends in the minimal equator at r = 1 this way).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -57,7 +58,6 @@ import numpy as np
 from . import biharmonic, chart as chart_mod, extrinsic
 
 PARAM_TOL = 1e-8
-BUDGET = 200_000
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
@@ -92,9 +92,9 @@ class FamilySpec:
             raise ScanError("samples_per_point must be positive")
         if not 0 < self.pass_tol < self.fail_tol:
             raise ScanError("tolerances must satisfy 0 < pass_tol < fail_tol")
-        if self.steps * self.samples_per_point > BUDGET:
+        if self.steps * self.samples_per_point > biharmonic.BUDGET:
             raise ScanError(
-                f"steps * samples_per_point exceeds the budget {BUDGET}"
+                f"steps * samples_per_point exceeds the budget {biharmonic.BUDGET}"
             )
         # the chart must read every parameter given, and the range must sit
         # inside the admissible parameter domain
@@ -230,10 +230,10 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
             rows[i] = ([], [], [])
             yield i, spec
 
-    for spec, owners, pts in _chart_passes(members(), points):
+    for spec, params, owners, pts in _chart_passes(members(), points):
         try:
             with np.errstate(all="ignore"):
-                Phi, sp, errors = chart_mod.eval_jet_stack(spec, pts)
+                Phi, sp, errors = chart_mod.eval_jet_stack(spec, pts, params)
         except chart_mod.ChartError as e:
             for i in set(owners):
                 outcomes[i] = outcomes[i] or e
@@ -265,11 +265,13 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
 
 
 def _chart_passes(members, points):
-    """Yield (spec, owners, points) for each chart pass over the stacked
-    rows of ``members``, pairs (index, ChartSpec): the rows are cut into runs
-    of ``extrinsic.CHART_RUN``, ``owners`` names the member of each row, and
-    ``spec`` is ``chart.stack_members`` of the run's members.  A run whose
-    members do not stack makes one pass per member."""
+    """Yield (spec, params, owners, points) for each chart pass over the
+    stacked rows of ``members``, pairs (index, ChartSpec): the rows are cut
+    into runs of ``extrinsic.CHART_RUN``, and each run into groups of
+    consecutive members whose charts are equal but for their parameter
+    values, one pass each (``_run_passes``).  ``owners`` names the member of
+    each row, ``spec`` is the group's first chart, and ``params`` holds each
+    parameter as one value per row."""
     run: list = []      # (index, spec, lo, hi): points[lo:hi] of one member
     used = 0
     for i, spec in members:
@@ -288,11 +290,18 @@ def _chart_passes(members, points):
 
 def _run_passes(run: list, points: np.ndarray):
     """The passes of one run of ``_chart_passes``."""
-    stacked = chart_mod.stack_members([spec for _, spec, _, _ in run],
-                                      [hi - lo for *_, lo, hi in run])
-    groups = [(run, stacked)] if stacked is not None else [([r], r[1]) for r in run]
-    for group, spec in groups:
-        yield (spec, [i for i, _, lo, hi in group for _ in range(lo, hi)],
+    def shape(entry):
+        spec = entry[1]
+        return (spec.m, spec.n, spec.domain, spec.normalize, spec.components,
+                tuple(spec.params))
+
+    for _, group in itertools.groupby(run, key=shape):
+        group = list(group)
+        spec = group[0][1]
+        counts = [hi - lo for *_, lo, hi in group]
+        params = {k: np.repeat([s.params[k] for _, s, _, _ in group], counts)
+                  for k in spec.params}
+        yield (spec, params, [i for i, _, lo, hi in group for _ in range(lo, hi)],
                np.concatenate([points[lo:hi] for *_, lo, hi in group]))
 
 

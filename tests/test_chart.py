@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chart_docs
-from bitension import chart, expr, extrinsic, jets, scan
+from bitension import chart, extrinsic, scan
 from bitension.chart import (
     ChartError, ChartEvalError, catalog_chart, eval_jet_stack, parse_chart,
     perturbed_chart, sample_points,
@@ -371,15 +371,20 @@ GOLDEN_COMPONENTS = [
 
 @pytest.mark.parametrize("tag,params,strings", GOLDEN_COMPONENTS)
 def test_catalog_trees_equal_the_literal_form(tag, params, strings):
+    # a Param leaf gives the jet its value gives as a literal: the catalog
+    # chart evaluates bit for bit as the chart of the literal strings
     spec = catalog_chart(tag, params)
-    assert [expr.to_string(c) for c in spec.components] == strings
-    assert [expr.parse(s) for s in strings] == list(spec.components)
+    literal = chart.ChartSpec("literal", spec.m, spec.n, strings, spec.domain)
+    assert not literal.params
+    points = sample_points(spec, 7, 3)
+    assert eval_jet_stack(spec, points)[0].tobytes() == eval_jet_stack(literal, points)[0].tobytes()
 
 
 def test_catalog_members_share_their_parameter_free_subtrees():
+    # members of a family differ only in their values: they hold the same trees
     a, b = (catalog_chart("veronese", {"r": r}) for r in (0.5, 0.6))
-    for ca, cb in zip(a.components[:5], b.components[:5]):
-        assert ca != cb and ca.right is cb.right
+    assert all(ca is cb for ca, cb in zip(a.components, b.components))
+    assert a.params.keys() == b.params.keys() and a.params != b.params
 
 
 @pytest.mark.parametrize("tag,params,name", [
@@ -450,9 +455,9 @@ def member_jets(members, points):
     ``members``, (index, ChartSpec) pairs, each on all of ``points``: per
     member, a list of (jets, error) in point order."""
     rows = {i: [] for i, _ in members}
-    for spec, owners, pts in scan._chart_passes(members, points):
+    for spec, params, owners, pts in scan._chart_passes(members, points):
         assert len(pts) <= extrinsic.CHART_RUN
-        Phi, _, errors = eval_jet_stack(spec, pts)
+        Phi, _, errors = eval_jet_stack(spec, pts, params)
         for i, jet, error in zip(owners, Phi, errors):
             rows[i].append((jet, error))
     return rows
@@ -476,9 +481,10 @@ READS_C = ["c * ({})", "({}) + c", "({}) / c", "sqrt(c) * ({})", "({})^2 - c^3"]
 def test_stacked_members_equal_their_own_passes(doc, data):
     # members of a one-parameter family of random charts, with signed zeros
     # and huge values of c, and possibly one member of a family of the same
-    # shape whose trees do not merge with theirs: every row of the stacked
-    # passes has the bytes (signed zeros included) and the error message of
-    # its member's own pass
+    # shape with other trees: a pass starts at each run of CHART_RUN rows and
+    # where the chart changes, and every row of the stacked passes has the
+    # bytes (signed zeros included) and the error message of its member's
+    # own pass
     exprs = list(doc["expressions"])
     for k in data.draw(st.lists(st.integers(0, len(exprs) - 1), min_size=1, max_size=3)):
         exprs[k] = data.draw(st.sampled_from(READS_C)).format(exprs[k])
@@ -491,8 +497,13 @@ def test_stacked_members_equal_their_own_passes(doc, data):
         specs.insert(odd, chart.family_chart(other, "c", data.draw(PARAM_VALUES), {}))
     points = sample_points(specs[0], data.draw(st.integers(1, 24)), data.draw(st.integers(0, 99)))
     points[data.draw(st.integers(0, len(points) - 1))] = np.nan
-    counts = [len(points)] * len(specs)
-    assert (chart.stack_members(specs, counts) is None) == (odd is not None)
+    owners = [i for i in range(len(specs)) for _ in points]
+    starts = [k for k, i in enumerate(owners) if k % extrinsic.CHART_RUN == 0
+              or (i == odd) != (owners[k - 1] == odd)]
+    passes = list(scan._chart_passes(list(enumerate(specs)), points))
+    assert [len(pts) for *_, pts in passes] == list(np.diff(starts + [len(owners)]))
+    for spec, _, pass_owners, _ in passes:
+        assert all(specs[i].components == spec.components for i in pass_owners)
 
     with np.errstate(all="ignore"):
         rows = member_jets(list(enumerate(specs)), points)
@@ -506,39 +517,25 @@ def test_stacked_members_equal_their_own_passes(doc, data):
 
 def test_members_with_zeros_of_both_signs_merge():
     # Const compares by float.hex, so one evaluation memo keeps 0.0 and -0.0
-    # apart: a chart with both literals reads each as itself, and members
-    # with zeros of both signs merge, each stacked row its member's own
-    def member(c):
+    # apart: a chart with both literals reads each as itself.  Members with
+    # c = 0.0 and -0.0 stack into one pass, and each row keeps its sign.
+    def literal(c):
         return chart.ChartSpec("zeros", 1, 3, ["cos(u1)", "sin(u1)", c, "-0.0"],
                                [(0.0, 3.0)])
 
-    points = sample_points(member("0.0"), 4, 1)
+    points = sample_points(literal("0.0"), 4, 1)
     for c in ("0.0", "0.5"):
-        last = eval_jet_stack(member(c), points)[0][:, 3, 0]
+        last = eval_jet_stack(literal(c), points)[0][:, 3, 0]
         assert np.signbit(last).all() and not last.any()
-    zero = eval_jet_stack(member("0.0"), points)[0][:, 2, 0]
+    zero = eval_jet_stack(literal("0.0"), points)[0][:, 2, 0]
     assert not np.signbit(zero).any() and not zero.any()
-    specs = [member("0.0"), member("0.5")]
-    assert chart.stack_members(specs, [4, 4]) is not None
+    specs = [chart.ChartSpec("zeros", 1, 3, ["cos(u1)", "sin(u1)", "c", "-0.0"],
+                             [(0.0, 3.0)], params={"c": c}) for c in (0.0, -0.0)]
+    [(_, params, owners, _)] = scan._chart_passes(list(enumerate(specs)), points)
+    assert owners == [0] * 4 + [1] * 4
+    assert list(np.signbit(params["c"])) == [False] * 4 + [True] * 4
     rows = member_jets(list(enumerate(specs)), points)
     for i, one in enumerate(specs):
         ref = eval_jet_stack(one, points)[0]
         assert [jet.tobytes() for jet, _ in rows[i]] == [r.tobytes() for r in ref]
-
-
-def test_merged_leaves():
-    # a constant the members share keeps its node; one that differs, by
-    # value or by the sign of a zero, becomes a per-row leaf
-    trees = [(expr.parse("2 * u1 + c"),), (expr.parse("2 * u1 + c"),)]
-    params = [{"c": 0.0}, {"c": -0.0}]
-    [merged] = expr.merge(trees, params, [2, 3])
-    assert merged.left == trees[0][0].left
-    assert merged.right == expr.Rows(("0x0.0p+0", "-0x0.0p+0"), (2, 3))
-    assert merged.right != expr.Rows(("0x0.0p+0", "0x0.0p+0"), (2, 3))
-    [same] = expr.merge(trees, [{"c": 1.5}, {"c": 1.5}], [2, 3])
-    assert same is trees[0][0]
-    sp = jets.space(1)
-    jet = expr.eval_jet(merged.right, sp, [], {}, [None] * 5)
-    assert jet.shape == (5, sp.size)
-    assert [math.copysign(1.0, v) for v in jet[:, 0]] == [1.0, 1.0, -1.0, -1.0, -1.0]
-    assert expr.merge([(expr.parse("u1"),), (expr.parse("2 * u1"),)], [{}, {}], [1, 1]) is None
+        assert list(np.signbit([jet[2, 0] for jet, _ in rows[i]])) == [bool(i)] * 4

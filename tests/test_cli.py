@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import chart_docs
-from bitension import cli
+from bitension import biharmonic, chart, cli
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
 
@@ -414,6 +414,34 @@ def test_non_finite_param_exit_two(capsys, tmp_path):
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
         assert name in err and "finite number" in err, argv
+
+
+def test_document_numbers_beyond_the_float_range_exit_two(capsys, tmp_path):
+    # json.load reads integers beyond the float range: an m, n or domain end
+    # that large is refused by name, not ended in an OverflowError traceback
+    good = {"name": "circle", "m": 1, "n": 2, "expressions": ["cos(u1)", "sin(u1)", "0"],
+            "domain": [[0.0, 6.28]]}
+    for field, value in (("m", 10 ** 400), ("n", -10 ** 400), ("domain", [[0, 10 ** 400]])):
+        path = tmp_path / f"huge-{field}.json"
+        path.write_text(json.dumps({**good, field: value}))
+        code, out, err = run(capsys, "verify", "--chart", str(path), "--points", "4")
+        assert code == 2, field
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, field
+        assert f'"{field}"' in err and "finite" in err, field
+
+
+def test_points_beyond_the_budget_exit_two(capsys, monkeypatch):
+    # the budget is checked before any sample point is drawn
+    def no_sampling(*args):
+        raise AssertionError("sample points drawn")
+
+    monkeypatch.setattr(chart, "sample_points", no_sampling)
+    for points in (biharmonic.BUDGET + 1, 10 ** 15):
+        code, out, err = run(capsys, "verify", "--catalog", "small-hypersphere",
+                             "--param", "r=0.5", "--points", str(points))
+        assert code == 2, points
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, points
+        assert f"budget {biharmonic.BUDGET}" in err, points
 
 
 def test_scan_fixed_param_set_by_the_sweep_exit_two(capsys):

@@ -219,40 +219,24 @@ def test_parse_is_memoized_and_its_trees_are_frozen():
         parse("2.5").value = 3.0
 
 
-def test_bind_equals_parse_of_the_literal():
-    # repr of a float round-trips and a name parses as an atom like a number,
-    # so binding a finite value >= 0 gives the tree of the literal string
-    template = parse("k * sin(u1)^2 * (cos(u2)^2 - c) + sqrt(k) / c")
-    for k, c in ((0.3, 5e-324), (1.0 / math.sqrt(2.0), 1e-300), (1.0, 0.0), (2.5, 1.0)):
-        bound = expr.bind(template, {"k": k, "c": c})
-        assert bound == parse(f"{k!r} * sin(u1)^2 * (cos(u2)^2 - {c!r}) + sqrt({k!r}) / {c!r}")
-        assert not expr.free_params(bound)
-
-
-def test_bind_returns_untouched_subtrees_as_they_are():
-    template = parse("k * sin(u1) + cos(u2) * c")
-    bound = expr.bind(template, {"k": 2.0})
-    assert bound.left.left == Const(2.0)
-    assert bound.left.right is template.left.right
-    assert bound.right is template.right            # reads only the unbound c
-    assert expr.bind(template, {}) is template
-    assert expr.bind(template, {"x": 1.0}) is template
-
-
-def test_merge_keeps_shared_parameter_free_subtrees():
-    # members bound into one template share every subtree without the bound
-    # value; merge keeps those as they are, the tree that walking unshared
-    # copies of the members builds
-    template = parse("k * sin(u1) * cos(u2) + sqrt(1 + u1^2)")
-    members = [(expr.bind(template, {"k": k}),) for k in (0.25, 0.5, 0.75)]
-    unshared = [(parse.__wrapped__(to_string(tree)),) for tree, in members]
-    [merged] = expr.merge(members, [{}] * 3, [2, 1, 2])
-    [walked] = expr.merge(unshared, [{}] * 3, [2, 1, 2])
-    assert merged == walked
-    assert merged.right is template.right and merged.left.right is template.left.right
-    assert merged.left.left.left == expr.Rows(tuple(k.hex() for k in (0.25, 0.5, 0.75)),
-                                              (2, 1, 2))
-    # a shared subtree that reads a parameter is walked: its values differ
-    shared = parse("c * u1")
-    [per_row] = expr.merge([(shared,), (shared,)], [{"c": 1.0}, {"c": 2.0}], [1, 1])
-    assert per_row.left == expr.Rows((1.0.hex(), 2.0.hex()), (1, 1))
+def test_param_with_one_value_per_row():
+    # an array of values is a (P, L) constant jet, one value on each row with
+    # its sign, and in a tree each row has the bits of its value's own pass
+    sp = jets.space(1)
+    jet = eval_jet(Param("c"), sp, [], {"c": np.array([0.0, 0.0, -0.0, -0.0, -0.0])},
+                   [None] * 5)
+    assert jet.shape == (5, sp.size) and not jet.any()
+    assert [math.copysign(1.0, v) for v in jet[:, 0]] == [1.0, 1.0, -1.0, -1.0, -1.0]
+    assert jet[4].tobytes() == eval_jet(Param("c"), sp, [], {"c": -0.0}, [None]).tobytes()
+    tree = parse("c * sin(u1) + sqrt(c + 2) / c - c^2")
+    u, c = np.array([0.3, 0.4, 0.5, 0.6]), np.array([1.5, -0.0, 0.25, -1e300])
+    errors = [None] * 4
+    with np.errstate(all="ignore"):
+        rows = eval_jet(tree, sp, [jets.seed_variable(0, u, 1)], {"c": c}, errors)
+        for p in range(4):
+            own = [None]
+            ref = eval_jet(tree, sp, [jets.seed_variable(0, u[p:p + 1], 1)], {"c": c[p]}, own)
+            assert np.where(np.isnan(rows[p]), np.nan, rows[p]).tobytes() == \
+                np.where(np.isnan(ref), np.nan, ref).reshape(-1).tobytes()
+            assert str(errors[p]) == str(own[0])
+    assert errors[0] is None and errors[1] is not None

@@ -336,7 +336,8 @@ def bumped_hypersphere(m):
     comps = [f"{c} + {0.03 * (1 + 0.3 * k)!r} * sin(u{k % m + 1} + 2.0 * u{(k + 1) % m + 1}"
              f" + {0.7 * k!r})" for k, c in enumerate(comps)]
     return chart.ChartSpec(name=f"bumped-hypersphere-{m}", m=m, n=m + 1,
-                           components=comps, domain=base.domain, normalize=True)
+                           components=comps, domain=base.domain, params=base.params,
+                           normalize=True)
 
 
 CURVATURE_CHARTS = (
@@ -402,6 +403,7 @@ def test_lemma_4_1_equality_for_spanned_first_normal():
         "name": "padded-sphere", "m": 2, "n": 4,
         "expressions": [to_string(c) for c in base.components] + ["0.0"],
         "domain": [list(iv) for iv in base.domain],
+        "params": base.params,
     }
     spec = chart.parse_chart(doc)
     for p in sample_points(spec, 4, 9):
@@ -1169,8 +1171,8 @@ def test_scan_row_reports_first_failing_point(monkeypatch):
         return tau2_block(spec, pts, *args)
 
     monkeypatch.setattr(extrinsic, "tau2_block", counted_stage)
-    monkeypatch.setattr(chart, "eval_jet_stack",
-                        lambda spec, pts: passes.append(len(pts)) or eval_jet_stack(spec, pts))
+    monkeypatch.setattr(chart, "eval_jet_stack", lambda spec, pts, params=None:
+                        passes.append(len(pts)) or eval_jet_stack(spec, pts, params))
     grid = scan.sweep(fam).grid
     # the grid rows' points are stacked: 8 rows of 8 points make one chart
     # pass of 64 rows and one tau2 stage of 64

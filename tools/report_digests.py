@@ -168,7 +168,8 @@ def field_charts(chart, expr) -> list:
                  f" + 2.0 * u{(k + 1) % m + 1} + {0.7 * k!r})"
                  for k, c in enumerate(base.components)]
         return chart.ChartSpec(name=f"bumped-hypersphere-{m}", m=m, n=m + 1,
-                               components=comps, domain=base.domain, normalize=True)
+                               components=comps, domain=base.domain, params=base.params,
+                               normalize=True)
 
     return [bumped(m) for m in range(1, 7)] + [
         chart.catalog_chart("small-hypersphere", {"m": 3, "r": 0.7}),
@@ -194,11 +195,6 @@ def field_digests(chart, expr, extrinsic) -> None:
         geometry block, or the error the whole call raised."""
         if isinstance(block, ValueError):
             return [(block, None)]
-        if isinstance(block, list):
-            # list-shaped blocks of trees before GeometryBlock; remove with
-            # the next change that moves the digests' base past them
-            return [(g, extrinsic.scalar_curvature(g) if not isinstance(g, ValueError)
-                     and g.m >= 2 else None) for g in block]
         return [(block[p], float(extrinsic.scalar_curvature(block.rows([p]))[0])
                  if block.errors[p] is None and block.m >= 2 else None)
                 for p in range(len(block))]
