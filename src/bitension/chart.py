@@ -408,8 +408,8 @@ _CATALOG = {
         "params": "a, b > 0 with a^2 + b^2 <= 1",
         "family_param": "t",
         "describe": "flat torus (a cos u1, a sin u1, b cos u2, b sin u2, "
-                    "sqrt(1 - a^2 - b^2)) in S^4; proper biharmonic on "
-                    "a^2 + b^2 = 1/2",
+                    "sqrt(1 - a^2 - b^2)) in S^4; proper biharmonic only at "
+                    "a = b = 1/2, the minimal Clifford torus of S^3(1/sqrt(2))",
     },
     "veronese": {
         "build": _build_veronese,

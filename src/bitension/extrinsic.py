@@ -29,11 +29,10 @@ tau2 reads, and ``geometry_block`` runs the others after them.
   * dPhi, gJ                       3      d g for Christoffel (2), d2 for B (2)
   * ginvJ (``_jet_mat_inv``)       2      Christoffel (2), H (2), eta (2), U (1)
   * GamJ                           2      B (2), christoffel_grad (degree 1)
-  * BJ                             2      H (2), A (1)
+  * BJ                             2      H (2)
   * HJ                             2      f (2), dH, H2J and hdp (1)
-    NJ, nn, eta                    2      f (2), A (1)
+    NJ, nn, eta                    2      f (2)
     fJ                             2      grad f (1), Delta f (2)
-    AJ                             1      nabla_A (degree <= 1)
   * H2J                            1      |H| (degree 0), grad_H2 (degree <= 1)
   * hdp, WJ                        1      Delta H (degree <= 1)
     UJ                             1      Delta-perp H (degree <= 1)
@@ -217,8 +216,6 @@ class PointGeometry:
     A2: float | None = None
     grad_f: np.ndarray | None = None          # (n+1,)
     delta_f: float | None = None
-    nabla_A: np.ndarray | None = None         # (m, m, m): <(grad A)(e_a,e_b), e_c>
-    trace_nabla_A: np.ndarray | None = None   # (n+1,) ambient vector
 
     @property
     def codim(self) -> int:
@@ -357,12 +354,12 @@ def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> GeometryBl
 @np.errstate(all="ignore")
 def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     """The jet stages through H and Delta H over a (P, m) block, with the
-    chart, sphere and rank checks: the jets the rest of ``geometry_block``
-    reads, each point's error, and a dict of the ``PointGeometry`` fields
-    computed here.  ``chart_jets`` is the block's rows of an
-    ``eval_jet_stack`` pass over more points (``sample_blocks``), or over
-    several members of a family (``scan._profiles``); by default the stage
-    makes its own."""
+    chart, sphere and rank checks: the jets it builds (the rest of
+    ``geometry_block`` reads all but BJ, whose values are ``B_coord``), each
+    point's error, and a dict of the ``PointGeometry`` fields computed here.
+    ``chart_jets`` is the block's rows of an ``eval_jet_stack`` pass over
+    more points (``sample_blocks``), or over several members of a family
+    (``scan._profiles``); by default the stage makes its own."""
     Phi, sp, errors = chart_jets or chart_mod.eval_jet_stack(spec, points)  # (P, n+1, L)
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(Phi).all():
@@ -456,11 +453,11 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> GeometryBlock:
 @np.errstate(all="ignore")
 def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
     """``geometry_block`` after its tau2 stage, whose output is ``stage``."""
-    sp, Phi, dPhi, ginvJ, GamJ, BJ, HJ, H2J, dHJ, phi_unit, errors, values = stage
+    sp, Phi, dPhi, ginvJ, GamJ, _, HJ, H2J, dHJ, phi_unit, errors, values = stage
     m, n = spec.m, spec.n
     P = len(phi_unit)
-    phi0, jac, g0, ginv0, Gam0, B0, H0 = (
-        values[k] for k in ("phi", "jac", "metric", "metric_inv", "christoffel", "B_coord", "H"))
+    phi0, jac, ginv0, Gam0, B0, H0 = (
+        values[k] for k in ("phi", "jac", "metric_inv", "christoffel", "B_coord", "H"))
     # d_a Gamma^k_ij, C order per point like every other field
     dGam0 = np.ascontiguousarray(np.moveaxis(GamJ[..., sp.var_pos], -1, 1))
 
@@ -488,19 +485,16 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
     B2 = _sumsq(B_frame)
     if codim == 1:
         c_star = np.argmax(np.abs(normal[:, 0]), axis=-1)
-        etaJ, fJ, AJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors)
+        etaJ, fJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, errors)
         normal = etaJ[:, None, :, 0].copy()
         B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
     B_frame.setflags(write=False)
     hyper: dict = {}
     if codim == 1:
-        # f, grad f, Delta f and the cubic form grad A, from the jets of f
-        # and A^k_j; C order: the einsums below sum in a layout-dependent order
+        # f, grad f and Delta f from the jets of f; C order: the einsums
+        # below sum in a layout-dependent order
         hess = np.stack([sp.deriv(fJ, i)[:, sp.var_pos] for i in range(m)], axis=1).copy()
         df = fJ[:, sp.var_pos]
-        nablaA = AJ[..., sp.var_pos].transpose(0, 1, 3, 2).copy()  # [p, k, i, j]
-        nablaA += np.einsum("pkil,plj->pkij", Gam0, AJ[..., 0])
-        nablaA -= np.einsum("plij,pkl->pkij", Gam0, AJ[..., 0])
         hyper = dict(
             f=fJ[:, 0].tolist(), eta=normal[:, 0], A=B_frame[:, 0],
             A2=_sumsq(B_frame[:, 0]).tolist(),
@@ -509,8 +503,6 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
             delta_f=[float(-np.einsum("ij,ij->", ginv0[p], hess[p])
                            + np.einsum("ij,kij,k->", ginv0[p], Gam0[p], df[p]))
                      for p in range(P)],
-            nabla_A=np.einsum("pai,pbj,pkij,pkw,pcw->pabc", E, E, nablaA, g0, E),
-            trace_nabla_A=np.einsum("pij,pkij,pkc->pc", ginv0, nablaA, jac),
         )
     A_H = np.einsum("pai,pbj,pijc,pc->pab", E, E, B0, H0)
 
@@ -629,10 +621,9 @@ def _block_frames(phi_unit, jac, ginv0, codim, errors):
     return tangent, E, normal
 
 
-def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
-    """Jets of the hypersurface unit normal eta and f = <H, eta> (order 2),
-    and of the shape operator as a (1,1)-tensor field A^k_j = g^kl <B_lj, eta>
-    (order 1: ``nabla_A`` reads it at degree <= 1).
+def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, errors):
+    """Jets of the hypersurface unit normal eta and f = <H, eta>, to order 2
+    (the Hessian of f reads degree 2).
 
     At each point eta is the normalized normal projection of the constant
     direction e_{c_star[p]}.  It points along H where H does not vanish, so
@@ -641,7 +632,6 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
     (the test suite asserts this).
     """
     P, n1 = Phi.shape[:2]
-    m = dPhi.shape[1]
     E_c = sp.zeros(P, n1)
     E_c[np.arange(P), c_star, 0] = 1.0
     NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 2)
@@ -654,15 +644,8 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star, errors):
     etaJ = sp.mul(NJ, scale[:, None], 2)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2
     flip = fJ[:, 0] < -1e-12
-    etaJ = np.where(flip[:, None, None], -etaJ, etaJ)
-    fJ = np.where(flip[:, None], -fJ, fJ)
-
-    p = sp.mul(BJ, etaJ[:, None, None], 1).sum(axis=-2)            # [p, l, j]
-    T = sp.mul(ginvJ[..., None, :], p[:, None], 1)                 # [p, k, l, j]
-    AJ = sp.zeros(P, m, m)                                         # order 1
-    for l in range(m):
-        AJ += T[:, :, l]
-    return etaJ, fJ, AJ
+    return (np.where(flip[:, None, None], -etaJ, etaJ),
+            np.where(flip[:, None], -fJ, fJ))
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,15 @@ class JetSpace:
     tensor expression (over ambient components and tensor indices alike)
     instead of one per slice.  Every leading row is convolved independently
     and each output coefficient sums its pair products in table order, so a
-    stacked call is bit-identical to the per-slice calls it replaces.  The
+    stacked call is bit-identical to the per-slice calls it replaces.
+
+    ``mul`` gathers its operands' coefficients with ``np.take``, so its pair
+    products come out C-contiguous and ``_scatter`` ravels them without a
+    copy (``x[..., I]`` puts the pair axis outermost in memory); the ravel's
+    C order, and so every sum, is the same either way.  ``dot`` keeps
+    ``x[..., I]``: its ``.sum(axis=-2)`` then runs over an axis innermost in
+    memory, which numpy sums pairwise from 8 entries on, and a C-contiguous
+    product would sum it in another order and move result bits.  The
     flattened scatter index is cached once per ``order``, grown to the most
     rows seen so far; a product with fewer rows reads its prefix, which holds
     the values its own index would, so the cache stays one array per order.
@@ -160,7 +168,8 @@ class JetSpace:
 
     def _scatter(self, w: np.ndarray, K: np.ndarray, order: int) -> np.ndarray:
         """Sum pair products ``w`` (..., pairs) into jet coefficients (..., L)
-        at the table's result positions ``K``."""
+        at the table's result positions ``K``, in ``w``'s C order: a
+        C-contiguous ``w`` ravels as a view, any other as a copy."""
         L = self.size
         lead = w.shape[:-1]
         rows = math.prod(lead)
@@ -174,7 +183,7 @@ class JetSpace:
 
     def mul(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         I, J, K = self.mul_table(order)
-        return self._scatter(a[..., I] * b[..., J], K, order)
+        return self._scatter(np.take(a, I, axis=-1) * np.take(b, J, axis=-1), K, order)
 
     def dot(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         """Sum_c a[c]*b[c] over axis -2, in one convolution pass."""

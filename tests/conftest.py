@@ -75,9 +75,12 @@ def perturbed_reports(perturbed_hypersurfaces, perturbed_codim2):
 
 @pytest.fixture(scope="session")
 def perturbed_geometries(perturbed_hypersurfaces):
-    """The geometry rows of eight samples per perturbed hypersurface
-    (criterion 7)."""
-    from identities import rows_of
+    """The geometry rows and the cubic form grad A (``identities.nabla_A``)
+    of eight samples per perturbed hypersurface (criterion 7)."""
+    from identities import nabla_A, rows_of
 
-    return {spec.name: rows_of(spec, chart.sample_points(spec, 8, 7))
-            for spec in perturbed_hypersurfaces}
+    out = {}
+    for spec in perturbed_hypersurfaces:
+        pts = chart.sample_points(spec, 8, 7)
+        out[spec.name] = rows_of(spec, pts), nabla_A(spec, pts)
+    return out

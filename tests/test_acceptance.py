@@ -110,9 +110,9 @@ def test_criterion_6_split_direct_equivalence(catalog_reports, perturbed_reports
 def test_criterion_7_identity_suite(perturbed_geometries):
     with criterion(7, "Gauss-Ricci, grad-A symmetry, |A_H|^2 <= |H|^2 |B|^2"):
         assert len(perturbed_geometries) == 20
-        for name, g in perturbed_geometries.items():
+        for name, (g, grad_A) in perturbed_geometries.items():
             assert (identities.gauss_ricci_check(g) < 1e-6).all(), name
-            sym, trace = identities.nabla_A_symmetry_check(g)
+            sym, trace = identities.nabla_A_symmetry_check(g, grad_A)
             assert (sym < 1e-5).all() and (trace < 1e-5).all(), name
             assert (g.H2 * g.B2 - g.AH2 >= -1e-10).all(), name
 

@@ -30,6 +30,19 @@ def test_catalog_list(capsys):
         assert tag in out
 
 
+def test_clifford_torus_proper_only_at_equal_radii(capsys):
+    # a^2 + b^2 = 1/2 with a != b: a flat torus of S^3(1/sqrt(2)) that is
+    # not minimal there does not lift to a biharmonic one
+    code, out, _ = run(capsys, "verify", "--catalog", "clifford-torus-b3",
+                       "--param", "a=0.6", "--param", f"b={math.sqrt(0.14)!r}",
+                       "--points", "8", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "not-biharmonic"
+    _, out, _ = run(capsys, "catalog")
+    assert "a^2 + b^2 = 1/2" not in out
+    assert "proper biharmonic only at a = b = 1/2" in out
+
+
 def test_verify_biharmonic_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--catalog", "small-hypersphere",

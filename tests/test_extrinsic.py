@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import chart_docs
 import oracle
-from identities import gauss_ricci_check, nabla_A_symmetry_check, rows_of
+from identities import gauss_ricci_check, nabla_A, nabla_A_symmetry_check, rows_of
 from bitension import biharmonic, chart, cli, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
@@ -275,11 +275,11 @@ def test_gauss_ricci_perturbed():
 
 def test_gauss_ricci_requires_hypersurface():
     spec = catalog_chart("veronese", {"r": 0.8})
-    g = rows_of(spec, sample_points(spec, 1, 0))
+    pts = sample_points(spec, 1, 0)
     with pytest.raises(GeometryError):
-        gauss_ricci_check(g)
+        gauss_ricci_check(rows_of(spec, pts))
     with pytest.raises(GeometryError):
-        nabla_A_symmetry_check(g)
+        nabla_A(spec, pts)
 
 
 def test_nabla_A_symmetry_catalog():
@@ -287,24 +287,25 @@ def test_nabla_A_symmetry_catalog():
         spec = catalog_chart(tag, params)
         if spec.n != spec.m + 1:
             continue
-        g = rows_of(spec, sample_points(spec, 3, 5))
-        sym, trace = nabla_A_symmetry_check(g)
+        pts = sample_points(spec, 3, 5)
+        g, grad_A = rows_of(spec, pts), nabla_A(spec, pts)
+        sym, trace = nabla_A_symmetry_check(g, grad_A)
         assert np.all(sym < 1e-6) and np.all(trace < 1e-6)
         # CMC charts: trace(grad A) and grad f vanish separately
-        assert np.all(np.linalg.norm(g.trace_nabla_A, axis=-1) < 1e-9)
+        assert np.all(np.linalg.norm(grad_A[1], axis=-1) < 1e-9)
         assert np.all(np.linalg.norm(g.grad_f, axis=-1) < 1e-10)
 
 
 def test_nabla_A_symmetry_perturbed_with_fd_cross_check():
     spec = perturbed_chart(31)
     pts = sample_points(spec, 3, 5)
-    rows = rows_of(spec, pts)
-    sym, trace = nabla_A_symmetry_check(rows)
+    rows, grad_A = rows_of(spec, pts), nabla_A(spec, pts)
+    sym, trace = nabla_A_symmetry_check(rows, grad_A)
     assert np.all(sym < 1e-5) and np.all(trace < 1e-5)
     assert np.all(np.linalg.norm(rows.grad_f, axis=-1) > 1e-4)     # genuinely non-CMC
     g = compute_geometry(spec, pts[0])
     s_fd = oracle.fd_nabla_A(spec, pts[0], eta_ref=g.eta, frame=g.tangent_frame)
-    assert np.max(np.abs(s_fd - g.nabla_A)) < 1e-8
+    assert np.max(np.abs(s_fd - grad_A[0][0])) < 1e-8
 
 
 def test_riemann_symmetries_and_bianchi():
@@ -486,15 +487,15 @@ def test_delta_perp_consistency_codim1():
 
 
 # the hypersurface fields that change sign with the unit normal eta
-ORIENTATION_ODD = ("eta", "normal_frame", "B_frame", "A", "f", "grad_f", "delta_f",
-                   "nabla_A", "trace_nabla_A")
+ORIENTATION_ODD = ("eta", "normal_frame", "B_frame", "A", "f", "grad_f", "delta_f")
 
 
 def test_orientation_covariance():
     # the paper fixes no orientation; the program orients eta along H, and
     # every check must agree on the geometry with the opposite normal
     spec = perturbed_chart(64)
-    g1 = rows_of(spec, sample_points(spec, 1, 2))
+    pts = sample_points(spec, 1, 2)
+    g1 = rows_of(spec, pts)
     assert g1.f[0] > 0.0
     g2 = extrinsic.GeometryBlock(g1.m, g1.n, {
         k: -getattr(g1, k) if k in ORIENTATION_ODD else getattr(g1, k)
@@ -504,8 +505,10 @@ def test_orientation_covariance():
     r1 = biharmonic.hypersurface_residuals(g1)
     r2 = biharmonic.hypersurface_residuals(g2)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
-    np.testing.assert_allclose(nabla_A_symmetry_check(g1),
-                               nabla_A_symmetry_check(g2), atol=1e-12)
+    # grad A is odd in eta too
+    S, trace_nabla_A = nabla_A(spec, pts)
+    np.testing.assert_allclose(nabla_A_symmetry_check(g1, (S, trace_nabla_A)),
+                               nabla_A_symmetry_check(g2, (-S, -trace_nabla_A)), atol=1e-12)
     assert np.max(np.abs(gauss_ricci_check(g1) - gauss_ricci_check(g2))) < 1e-12
     np.testing.assert_allclose(g1.delta_H, g2.delta_H, atol=1e-12)
 
@@ -788,8 +791,8 @@ def test_sample_geometries_in_blocks_of_eight(spec):
 # ---------------------------------------------------------------------------
 
 
-def _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
-    """``_hypersurface_jets`` at its untrimmed orders: eta at 3, A at 2."""
+def _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginvJ, HJ, c_star):
+    """``_hypersurface_jets`` at its untrimmed order: eta at 3."""
     P, n1 = Phi.shape[:2]
     E_c = sp.zeros(P, n1)
     E_c[np.arange(P), c_star, 0] = 1.0
@@ -801,12 +804,7 @@ def _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginvJ, HJ, BJ, c_star):
     flip = fJ[:, 0] < -1e-12
     etaJ = np.where(flip[:, None, None], -etaJ, etaJ)
     fJ = np.where(flip[:, None], -fJ, fJ)
-    p = sp.mul(BJ, etaJ[:, None, None], 2).sum(axis=-2)
-    T = sp.mul(ginvJ[..., None, :], p[:, None], 2)
-    AJ = np.zeros(T.shape[:2] + T.shape[3:])
-    for l in range(T.shape[2]):
-        AJ += T[:, :, l]
-    return etaJ, fJ, AJ
+    return etaJ, fJ
 
 
 def recorded_stages(monkeypatch, spec, pts):
@@ -857,13 +855,12 @@ def test_trimmed_stages_equal_untrimmed_where_read(spec, monkeypatch):
     same(h2, sp.mul(HJ, HJ, 2), 1)
     same(h2.sum(axis=-2), sp.mul(HJ, HJ, 2).sum(axis=-2), 1)
 
-    # eta and f read at degree <= 2 (f's Hessian), A at degree <= 1 (nabla_A)
+    # eta and f read at degree <= 2 (f's Hessian)
     if spec.n - spec.m == 1:
-        [((_, Phi, _, _, _, BJ, c_star, _), (etaJ, fJ, AJ))] = calls["_hypersurface_jets"]
-        ref_eta, ref_f, ref_A = _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginv3, HJ, BJ, c_star)
+        [((_, Phi, _, _, _, c_star, _), (etaJ, fJ))] = calls["_hypersurface_jets"]
+        ref_eta, ref_f = _hypersurface_jets_untrimmed(sp, Phi, dPhi, ginv3, HJ, c_star)
         same(etaJ, ref_eta, 2)
         same(fJ, ref_f, 2)
-        same(AJ, ref_A, 1)
     else:
         assert not calls["_hypersurface_jets"]
 

@@ -266,6 +266,55 @@ def test_stacked_mul_dot_equal_per_slice_calls(d):
 
 
 @pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_mul_independent_of_operand_layout(d, monkeypatch):
+    # mul's pair products are C-contiguous whatever the operands' strides,
+    # and each coefficient sums them in table order, so the layout of an
+    # operand never moves a bit
+    sp = jets.JetSpace(d)
+    rng = np.random.default_rng(800 + d)
+    a = rng.standard_normal((3, 4, sp.size))
+    b = rng.standard_normal((4, 3, sp.size)).swapaxes(0, 1)          # transposed view
+    c = np.moveaxis(rng.standard_normal((sp.size, 4)), 0, -1)        # strided coefficients
+    wide = np.broadcast_to(rng.standard_normal(sp.size), a.shape)   # stride-0 broadcast
+    contiguous = []
+    scatter = sp._scatter
+
+    def recording(w, K, order):
+        contiguous.append(w.flags.c_contiguous)
+        return scatter(w, K, order)
+
+    monkeypatch.setattr(sp, "_scatter", recording)
+    for order in range(1, jets.ORDER + 1):
+        for x, y in ((a, b), (b, c), (wide, a), (c, wide), (wide[0, 0], b)):
+            for u, v in ((x, y), (y, x)):
+                ref = sp.mul(np.ascontiguousarray(u), np.ascontiguousarray(v), order)
+                assert np.array_equal(sp.mul(u, v, order), ref)
+    assert all(contiguous)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_dot_sums_over_its_gathered_axis(n):
+    # dot sums the products of x[..., I] gathers over axis -2, which is
+    # innermost in memory there: numpy sums it pairwise from 8 entries on
+    # (n + 1 = 8 ambient components at m = 6), and a C-contiguous product
+    # sums it sequentially, in another order
+    sp = jets.space(6)
+    rng = np.random.default_rng(900 + n)
+    a = rng.standard_normal((5, n, sp.size))
+    b = rng.standard_normal((5, n, sp.size))
+    for order in range(1, jets.ORDER + 1):
+        I, J, K = sp.mul_table(order)
+        ref = np.array([np.bincount(K, weights=w, minlength=sp.size)
+                        for w in (a[..., I] * b[..., J]).sum(axis=-2)])
+        assert np.array_equal(sp.dot(a, b, order), ref)
+        products = np.take(a, I, axis=-1) * np.take(b, J, axis=-1)
+        assert products.flags.c_contiguous
+        sequential = np.array([np.bincount(K, weights=w, minlength=sp.size)
+                               for w in products.sum(axis=-2)])
+        assert not np.array_equal(sequential, ref)
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
 def test_trimmed_mul_dot_equal_order4_through_their_degree(d):
     # the order-k table is the order-4 table filtered in the same (i, j)
     # order, so each coefficient of degree <= k is the same sum, bit for bit

@@ -18,7 +18,8 @@ the writeable flag) and ``scalar_curvature`` of each sample, from a
 ``geometry_block`` calls, in the one normal orientation the program computes
 (eta along H), with each failure's message.  It guards the fields a report
 does not print, and uses only API that every tree since the point blocks
-has.
+has.  The ``RETIRED`` fields, which the geometry no longer computes, are
+skipped on every tree, so both sides of a diff hash the same field set.
 """
 
 from __future__ import annotations
@@ -161,6 +162,12 @@ POLE_DOC = {
     "params": {"c": 1.0},
     "normalize": True,
 }
+# PointGeometry fields deleted from the geometry (no report read the cubic
+# form grad A); remove with the next change that moves the digests' base
+# past that deletion
+RETIRED = ("nabla_A", "trace_nabla_A")
+
+
 def field_charts(chart, expr) -> list:
     def bumped(m):
         base = chart.catalog_chart("small-hypersphere", {"m": m, "r": 0.8})
@@ -216,7 +223,8 @@ def field_digests(chart, expr, extrinsic) -> None:
             if isinstance(g, ValueError):
                 h.update(f"{type(g).__name__}: {g}".encode())
                 continue
-            values = [getattr(g, f.name) for f in dataclasses.fields(g)]
+            values = [getattr(g, f.name) for f in dataclasses.fields(g)
+                      if f.name not in RETIRED]
             if scalar is not None:
                 values.append(scalar)
             for v in values:
