@@ -59,6 +59,20 @@ def fail(errors: list, bad, error) -> None:
             errors[p] = error(p)
 
 
+# mul gathers its two operands into these workspaces, shared by every
+# JetSpace (the package runs on one thread) and grown to the largest gather
+# so far.  With fresh gathers per call the C heap could shrink and regrow
+# between calls, and whether a verify round re-faulted megabytes of pages
+# then depended on the heap's layout.  float64, like every jet.
+_WORK = [np.empty(0), np.empty(0)]
+
+
+def _workspace(slot: int, shape: tuple) -> np.ndarray:
+    if _WORK[slot].size < math.prod(shape):
+        _WORK[slot] = np.empty(math.prod(shape))
+    return _WORK[slot][:math.prod(shape)].reshape(shape)
+
+
 @lru_cache(maxsize=None)
 def space(num_vars: int) -> "JetSpace":
     return JetSpace(num_vars)
@@ -183,7 +197,11 @@ class JetSpace:
 
     def mul(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         I, J, K = self.mul_table(order)
-        return self._scatter(np.take(a, I, axis=-1) * np.take(b, J, axis=-1), K, order)
+        # mode="clip" writes straight into out ("raise" buffers it); every
+        # table index is in range, so the values are the same
+        ta = np.take(a, I, axis=-1, out=_workspace(0, a.shape[:-1] + I.shape), mode="clip")
+        tb = np.take(b, J, axis=-1, out=_workspace(1, b.shape[:-1] + J.shape), mode="clip")
+        return self._scatter(ta * tb, K, order)
 
     def dot(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         """Sum_c a[c]*b[c] over axis -2, in one convolution pass."""

@@ -407,6 +407,24 @@ def test_scatter_index_prefix_after_larger_call():
     assert sorted(sp._scatter_index) == list(range(1, jets.ORDER + 1))
 
 
+def test_mul_workspaces_leave_results_alone():
+    # mul gathers into shared workspaces: a larger call grows them, a
+    # smaller one reuses their prefix, and no result shares their memory
+    sp = jets.JetSpace(3)
+    rng = np.random.default_rng(360)
+    small = rng.standard_normal((2, 3, sp.size))
+    big = rng.standard_normal((2, 40, 2, sp.size))
+    first = sp.mul(small[0], small[1])
+    kept = first.copy()
+    sp.mul(big[0], big[1])
+    sizes = [w.size for w in jets._WORK]
+    again = sp.mul(small[0], small[1])
+    assert np.array_equal(first, kept) and np.array_equal(again, kept)
+    assert np.array_equal(again, jets.JetSpace(3).mul(small[0], small[1]))
+    assert [w.size for w in jets._WORK] == sizes
+    assert not any(np.shares_memory(r, w) for r in (first, again) for w in jets._WORK)
+
+
 @pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
 def test_first_partial_value_is_degree_one_coefficient(d):
     sp = jets.space(d)
