@@ -74,6 +74,7 @@ class ChartSpec:
         self.name = str(name)
         self.m = int(m)
         self.n = int(n)
+        components = tuple(components)
         self.components = tuple(
             expr.parse(c) if isinstance(c, str) else c for c in components
         )
@@ -81,7 +82,7 @@ class ChartSpec:
         self.params = {str(k): float(v) for k, v in (params or {}).items()}
         self.normalize = bool(normalize)
         self.catalog = catalog
-        _validate(self)
+        _validate(self, map(expr.facts, components))
 
     def __repr__(self) -> str:
         return f"ChartSpec({self.name!r}, m={self.m}, n={self.n})"
@@ -96,7 +97,8 @@ class ChartSpec:
         return d
 
 
-def _validate(spec: ChartSpec):
+def _validate(spec: ChartSpec, facts):
+    """Check ``spec``; ``facts`` yields ``expr.facts`` of each component."""
     if not 1 <= spec.m <= MAX_DOMAIN_DIM:
         raise ChartError(f"domain_dim m must be in 1..{MAX_DOMAIN_DIM}, got {spec.m}")
     if not spec.m < spec.n <= MAX_AMBIENT_DIM:
@@ -120,13 +122,12 @@ def _validate(spec: ChartSpec):
                 f"domain interval [{lo}, {hi}] narrower than twice the "
                 f"singular margin {SINGULAR_MARGIN}"
             )
-    for c in spec.components:
-        k = expr.max_var_index(c)
+    for k, names in facts:
         if k >= spec.m:
             raise ChartError(
                 f"expression uses u{k + 1} but the chart has {spec.m} variables"
             )
-        unknown = expr.free_params(c) - set(spec.params)
+        unknown = names - set(spec.params)
         if unknown:
             raise ChartError(f"unknown parameter {sorted(unknown)[0]!r}")
 
@@ -201,10 +202,10 @@ def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
     _check_fields(doc)
     exprs = doc["expressions"]
     try:
-        components = [expr.parse(s) for s in exprs]
+        facts = [expr.facts(s) for s in exprs]
     except expr.ExprSyntaxError as e:
         raise ChartError(f"syntax error: {e}") from e
-    read = set().union(*map(expr.free_params, components))
+    read = set().union(*(names for _, names in facts))
     unread = sorted(set(overrides or {}) - read)
     if unread:
         raise UnreadParamError(f"no expression of chart {doc['name']!r} reads "
@@ -213,7 +214,7 @@ def parse_chart(doc: dict, overrides: dict | None = None) -> ChartSpec:
         name=doc["name"],
         m=doc["m"],
         n=doc["n"],
-        components=components,
+        components=exprs,
         domain=doc["domain"],
         params=_params(doc, overrides),
         normalize=doc.get("normalize", False),

@@ -11,13 +11,17 @@ reuse sin/cos factors heavily).
 
 ``parse(to_string(tree)) == tree`` holds for every parsed tree: the printer
 inserts parentheses wherever reparsing would otherwise re-associate.
+``parse`` refuses a source nested deeper than ``MAX_DEPTH`` levels with an
+``ExprSyntaxError``, as every tree walk recurses once per level.
 
 ``parse`` is memoized by its source string (a bounded cache; a syntax
 error is raised again on every call), so every chart built from the same
 strings shares the same tree objects, which is safe because no node can be
-changed.  The catalog builders rely on it: each passes one template per
-component, with named ``Param`` leaves where the numbers go, and its values
-as the chart's ``params``, so all members of a family hold the same trees.
+changed; ``facts`` keeps what chart validation reads of a tree (the
+largest variable index, the parameter names) beside it, by the same key.
+The catalog builders rely on it: each passes one template per component,
+with named ``Param`` leaves where the numbers go, and its values as the
+chart's ``params``, so all members of a family hold the same trees.
 
 ``eval_jet`` reads a ``Param`` leaf's value from ``params``.  A scalar is a
 constant jet, the one the number as a literal gives.  A 1-d array of
@@ -148,10 +152,22 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+# the most levels of nesting an expression may have: each node and each
+# parenthesized group is one level.  Parsing and every tree walk recurse
+# once per level, so a deeper source would end in a RecursionError.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns its tree and that tree's depth
+    in levels, and ``open`` counts the groups, calls and negations around
+    the current token, so a node at depth d under them sits at least
+    ``open + d`` levels deep in the whole tree."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -167,28 +183,48 @@ class _Parser:
             return self.advance()
         raise ExprSyntaxError(f"expected {text!r}", tok.line, tok.column)
 
+    def node(self, tok: _Token, e: Expr, depth: int) -> tuple[Expr, int]:
+        """``e`` with its depth, or a syntax error at ``tok`` if it lies
+        deeper than ``MAX_DEPTH`` levels."""
+        if self.open + depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  tok.line, tok.column)
+        return e, depth
+
+    def nested(self, tok: _Token, rule) -> tuple[Expr, int]:
+        """``rule()`` parsed one level inside ``tok`` (a group, call or
+        negation), refused at ``tok`` before it recurses too deep: what it
+        parses is at least one level deep."""
+        self.open += 1
+        self.node(tok, None, 1)
+        e, depth = rule()
+        self.open -= 1
+        return e, depth
+
     def parse(self) -> Expr:
-        e = self.expression()
+        e, _ = self.expression()
         tok = self.peek()
         if tok.kind != "eof":
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
         return e
 
-    def expression(self) -> Expr:
-        left = self.term()
+    def expression(self) -> tuple[Expr, int]:
+        left, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            left = Binary(op, left, self.term())
-        return left
+            tok = self.advance()
+            right, rdepth = self.term()
+            left, depth = self.node(tok, Binary(tok.text, left, right), 1 + max(depth, rdepth))
+        return left, depth
 
-    def term(self) -> Expr:
-        left = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        left, depth = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            left = Binary(op, left, self.factor())
-        return left
+            tok = self.advance()
+            right, rdepth = self.factor()
+            left, depth = self.node(tok, Binary(tok.text, left, right), 1 + max(depth, rdepth))
+        return left, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
@@ -201,15 +237,16 @@ class _Parser:
                 after is not None and after.kind == "op" and after.text == "^"
             ):
                 self.advance()
-                return Const(-float(nxt.text))
-            return Unary("neg", self.factor())
+                return Const(-float(nxt.text)), 1
+            arg, depth = self.nested(tok, self.factor)
+            return Unary("neg", arg), depth + 1
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
-            self.advance()
+            caret = self.advance()
             sign = 1
             tok = self.peek()
             if tok.kind == "op" and tok.text == "-":
@@ -219,13 +256,13 @@ class _Parser:
             if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
                 raise ExprSyntaxError("expected integer exponent", tok.line, tok.column)
             self.advance()
-            return Power(base, sign * int(tok.text))
-        return base
+            return self.node(caret, Power(base, sign * int(tok.text)), depth + 1)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "ident":
             name = tok.text
             nxt = self.peek()
@@ -235,19 +272,19 @@ class _Parser:
                         f"unknown function {name!r}", tok.line, tok.column
                     )
                 self.advance()
-                arg = self.expression()
+                arg, depth = self.nested(tok, self.expression)
                 self.expect(")")
-                return Unary(name, arg)
+                return Unary(name, arg), depth + 1
             if name == "pi":
-                return Pi()
+                return Pi(), 1
             m = _VAR_RE.match(name)
             if m:
-                return Var(int(m.group(1)) - 1)
-            return Param(name)
+                return Var(int(m.group(1)) - 1), 1
+            return Param(name), 1
         if tok.kind == "op" and tok.text == "(":
-            e = self.expression()
+            e, depth = self.nested(tok, self.expression)
             self.expect(")")
-            return e
+            return e, depth + 1
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
                               tok.line, tok.column)
 
@@ -255,6 +292,22 @@ class _Parser:
 @functools.lru_cache(maxsize=1024)
 def parse(source: str) -> Expr:
     return _Parser(_tokenize(source)).parse()
+
+
+@functools.lru_cache(maxsize=1024)
+def _source_facts(source: str) -> tuple[int, frozenset[str]]:
+    e = parse(source)
+    return max_var_index(e), frozenset(free_params(e))
+
+
+def facts(e: Expr | str) -> tuple[int, frozenset[str]]:
+    """``(max_var_index(e), free_params(e))``, for a source string those of
+    ``parse(e)``.  A string's facts are cached by the string, as its tree
+    is, so the members of a family walk their shared trees once; a tree is
+    walked on every call (hashing a tree for a cache would walk it too)."""
+    if isinstance(e, str):
+        return _source_facts(e)
+    return max_var_index(e), frozenset(free_params(e))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,29 @@ def _workspace(slot: int, shape: tuple) -> np.ndarray:
     return _WORK[slot][:math.prod(shape)].reshape(shape)
 
 
+def _pairwise_sum(w: np.ndarray) -> np.ndarray:
+    """Sum ``w`` over axis 0 in place, in the order numpy's pairwise
+    summation takes over a run of up to 128 entries: the sum lands in
+    ``w[0]``, which is returned, and the other slices are overwritten.
+    Below 8 entries the order is left to right; from 8 on, eight interleaved
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    entries past the last multiple of 8.  (``dot`` contracts at most
+    n + 1 = 9 entries; numpy splits a run longer than 128 in halves.)"""
+    n = len(w)
+    total, rest = w[0], w[1:]
+    if n >= 8:
+        r = w[:8]
+        for i in range(8, n - n % 8, 8):
+            r += w[i:i + 8]
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        total += r[4]
+        rest = w[n - n % 8:]
+    for x in rest:
+        total += x
+    return total
+
+
 @lru_cache(maxsize=None)
 def space(num_vars: int) -> "JetSpace":
     return JetSpace(num_vars)
@@ -93,13 +116,23 @@ class JetSpace:
     ``mul`` gathers its operands' coefficients with ``np.take``, so its pair
     products come out C-contiguous and ``_scatter`` ravels them without a
     copy (``x[..., I]`` puts the pair axis outermost in memory); the ravel's
-    C order, and so every sum, is the same either way.  ``dot`` keeps
-    ``x[..., I]``: its ``.sum(axis=-2)`` then runs over an axis innermost in
-    memory, which numpy sums pairwise from 8 entries on, and a C-contiguous
-    product would sum it in another order and move result bits.  The
-    flattened scatter index is cached once per ``order``, grown to the most
-    rows seen so far; a product with fewer rows reads its prefix, which holds
-    the values its own index would, so the cache stays one array per order.
+    C order, and so every sum, is the same either way.  ``dot`` pads its
+    operands to one ndim, moves the contracted axis -2 to the front and
+    gathers each with ``np.take`` into a fresh C-contiguous (c, ..., pairs)
+    array, so each of the c product slices is contiguous.  It adds them in
+    the order numpy's pairwise summation takes over an axis innermost in
+    memory, the order of ``(a[..., I] * b[..., J]).sum(axis=-2)``: left to
+    right below 8 entries, eight interleaved accumulators from 8 on
+    (``_pairwise_sum``).  The two can differ only in the sign of an
+    all-zero sum, as numpy's reductions start from -0.0 or +0.0, and the
+    ``bincount`` in ``_scatter`` starts each coefficient at +0.0, which
+    erases that sign, so the results have that reduction's bits.  That
+    reduction sums sequentially when the c axis of a broadcast product is
+    not innermost; ``dot`` gives the same bits whatever its operands'
+    layout, as ``mul`` does.  The flattened scatter index is cached once per
+    ``order``, grown to the most rows seen so far; a product with fewer rows
+    reads its prefix, which holds the values its own index would, so the
+    cache stays one array per order.
     """
 
     def __init__(self, num_vars: int):
@@ -182,8 +215,8 @@ class JetSpace:
 
     def _scatter(self, w: np.ndarray, K: np.ndarray, order: int) -> np.ndarray:
         """Sum pair products ``w`` (..., pairs) into jet coefficients (..., L)
-        at the table's result positions ``K``, in ``w``'s C order: a
-        C-contiguous ``w`` ravels as a view, any other as a copy."""
+        at the table's result positions ``K``, in ``w``'s C order; both
+        kernels hand it a C-contiguous ``w``, which ravels as a view."""
         L = self.size
         lead = w.shape[:-1]
         rows = math.prod(lead)
@@ -206,7 +239,13 @@ class JetSpace:
     def dot(self, a: np.ndarray, b: np.ndarray, order: int = ORDER) -> np.ndarray:
         """Sum_c a[c]*b[c] over axis -2, in one convolution pass."""
         I, J, K = self.mul_table(order)
-        return self._scatter((a[..., I] * b[..., J]).sum(axis=-2), K, order)
+        nd = max(a.ndim, b.ndim)
+        c_first = (nd - 2, *range(nd - 2), nd - 1)
+        # every table index is in range, so mode="clip" moves no value and
+        # skips the checks "raise" makes on each index
+        ta, tb = (np.take(x.reshape((1,) * (nd - x.ndim) + x.shape).transpose(c_first),
+                          T, axis=-1, mode="clip") for x, T in ((a, I), (b, J)))
+        return self._scatter(_pairwise_sum(ta * tb), K, order)
 
     def deriv(self, a: np.ndarray, var: int) -> np.ndarray:
         src, dst, fac = self.deriv_table(var)

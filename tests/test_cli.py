@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import chart_docs
-from bitension import biharmonic, chart, cli
+from bitension import biharmonic, chart, cli, expr
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
 
@@ -441,6 +441,22 @@ def test_document_numbers_beyond_the_float_range_exit_two(capsys, tmp_path):
         assert code == 2, field
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, field
         assert f'"{field}"' in err and "finite" in err, field
+
+
+def test_deep_or_long_expression_exit_two(capsys, tmp_path):
+    # 200 nested parentheses, and a sum of 1000 terms (a left-deep tree),
+    # are refused by the parser's depth bound instead of ending in a
+    # RecursionError traceback (in parsing, or in walking the tree)
+    good = {"name": "circle", "m": 1, "n": 2, "expressions": ["cos(u1)", "sin(u1)", "0"],
+            "domain": [[0.0, 6.28]]}
+    for label, source in (("nested", "(" * 200 + "u1" + ")" * 200),
+                          ("long", " + ".join(["u1"] * 1000))):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({**good, "expressions": ["cos(u1)", "sin(u1)", source]}))
+        code, out, err = run(capsys, "verify", "--chart", str(path), "--points", "4")
+        assert code == 2, label
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, label
+        assert f"nested deeper than {expr.MAX_DEPTH} levels" in err, label
 
 
 def test_points_beyond_the_budget_exit_two(capsys, monkeypatch):

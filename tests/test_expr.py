@@ -80,6 +80,48 @@ def test_trailing_tokens():
         parse("u1 + 1 )")
 
 
+def test_depth_bound():
+    # each node and each parenthesized group is one level; a source deeper
+    # than MAX_DEPTH is refused at the token that crosses the bound, before
+    # parsing or any tree walk recurses that deep
+    bound = expr.MAX_DEPTH
+    fits = ["(" * (bound - 1) + "u1" + ")" * (bound - 1),
+            " + ".join(["u1"] * bound),
+            "u1 * " * (bound - 1) + "u1",
+            "-" * (bound - 1) + "u1",
+            "sin(" * (bound - 1) + "u1" + ")" * (bound - 1),
+            "(" * (bound - 2) + "u1^2" + ")" * (bound - 2)]
+    for source in fits:
+        e = expr.parse(source)
+        assert expr.facts(source) == (expr.max_var_index(e), frozenset())
+    crossing = [("(" * bound + "u1" + ")" * bound, bound),
+                ("(" * 2 * bound + "u1" + ")" * 2 * bound, bound),
+                (" + ".join(["u1"] * (bound + 1)), 5 * bound - 1),
+                (" + ".join(["u1"] * 10 * bound), 5 * bound - 1),
+                ("u1 * " * bound + "u1", 5 * bound - 1),
+                ("- " * bound + "u1", 2 * bound - 1),
+                ("sin(" * bound + "u1" + ")" * bound, 4 * bound - 3),
+                ("(" * (bound - 1) + "u1^2" + ")" * (bound - 1), bound + 2)]
+    for source, column in crossing:
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {bound} levels") as info:
+            expr.parse(source)
+        assert (info.value.line, info.value.column) == (1, column), source
+
+
+def test_facts_cached_by_source(monkeypatch):
+    # a source string's facts are computed once and kept by the string; a
+    # tree passed in is walked on every call
+    source = "r * sin(u3) + c / u2"
+    assert expr.facts(source) == (2, frozenset({"r", "c"}))
+    walks = []
+    monkeypatch.setattr(expr, "free_params", lambda e: walks.append(e) or set())
+    assert expr.facts(source) == (2, frozenset({"r", "c"}))
+    assert walks == []
+    tree = expr.parse(source)
+    expr.facts(tree)
+    assert walks == [tree]
+
+
 def test_integer_exponent_required():
     with pytest.raises(ExprSyntaxError):
         parse("u1^u2")

@@ -292,26 +292,80 @@ def test_mul_independent_of_operand_layout(d, monkeypatch):
     assert all(contiguous)
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("m", range(1, jets.MAX_VARS + 1))
+def test_dot_independent_of_operand_layout(m):
+    # dot gathers c-first into fresh C-contiguous arrays and adds their
+    # slices in one fixed order, so no operand layout moves a bit: not a
+    # transposed view (axis -2 apart from the coefficients in memory), a
+    # Fortran-ordered copy, a strided coefficient axis or a stride-0
+    # broadcast; a reduction over x[..., I] gathers summed such operands
+    # sequentially from c = 8 on
+    sp = jets.JetSpace(m)
+    rng = np.random.default_rng(950 + m)
+
+    def layouts(x, full):
+        yield np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -2, 0)), 0, -2)
+        yield np.asfortranarray(x)
+        wide = np.zeros(x.shape[:-1] + (2 * sp.size,))
+        wide[..., ::2] = x
+        yield wide[..., ::2]
+        yield np.broadcast_to(x, full)
+
+    for c in range(1, 10):
+        for order in range(1, jets.ORDER + 1):
+            for sa, sb in (((8, 3, 1), (8, 1, 4)), ((1, 6, 1), (1, 1, 5))):
+                a = rng.standard_normal(sa + (c, sp.size))
+                b = rng.standard_normal(sb + (c, sp.size))
+                full = np.broadcast_shapes(sa, sb) + (c, sp.size)
+                ref = sp.dot(a, b, order)
+                for u in layouts(a, full):
+                    assert np.array_equal(sp.dot(u, b, order), ref)
+                for v in layouts(b, full):
+                    assert np.array_equal(sp.dot(a, v, order), ref)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_dot_sums_over_its_gathered_axis(n):
-    # dot sums the products of x[..., I] gathers over axis -2, which is
-    # innermost in memory there: numpy sums it pairwise from 8 entries on
-    # (n + 1 = 8 ambient components at m = 6), and a C-contiguous product
-    # sums it sequentially, in another order
+    # dot adds its n product slices (n + 1 = 9 ambient components at most)
+    # in the order numpy's pairwise summation takes over an axis innermost
+    # in memory, as in (a[..., I] * b[..., J]).sum(axis=-2): left to right
+    # below 8 entries, eight interleaved accumulators from 8 on; a
+    # sequential sum differs there
     sp = jets.space(6)
     rng = np.random.default_rng(900 + n)
     a = rng.standard_normal((5, n, sp.size))
     b = rng.standard_normal((5, n, sp.size))
+
+    def scatter(sums, K):
+        return np.array([np.bincount(K, weights=w, minlength=sp.size) for w in sums])
+
     for order in range(1, jets.ORDER + 1):
         I, J, K = sp.mul_table(order)
-        ref = np.array([np.bincount(K, weights=w, minlength=sp.size)
-                        for w in (a[..., I] * b[..., J]).sum(axis=-2)])
+        p = [a[:, c, I] * b[:, c, J] for c in range(n)]
+        sequential = p[0]
+        for x in p[1:]:
+            sequential = sequential + x
+        if n < 8:
+            pairwise = sequential
+        else:
+            pairwise = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+            for x in p[8:]:
+                pairwise = pairwise + x
+        ref = scatter(pairwise, K)
         assert np.array_equal(sp.dot(a, b, order), ref)
-        products = np.take(a, I, axis=-1) * np.take(b, J, axis=-1)
-        assert products.flags.c_contiguous
-        sequential = np.array([np.bincount(K, weights=w, minlength=sp.size)
-                               for w in products.sum(axis=-2)])
-        assert not np.array_equal(sequential, ref)
+        assert np.array_equal(scatter((a[..., I] * b[..., J]).sum(axis=-2), K), ref)
+        if n >= 8:
+            assert not np.array_equal(scatter(sequential, K), ref)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 128])
+def test_pairwise_sum_is_numpys_order(n):
+    # the helper reproduces numpy's pairwise summation of a run of up to
+    # 128 entries (left to right, accumulators over blocks, remainder)
+    rng = np.random.default_rng(970 + n)
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, (n, 3))
+    expect = [x[:, k].sum() for k in range(3)]
+    assert jets._pairwise_sum(x.copy()).tolist() == expect
 
 
 @pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))

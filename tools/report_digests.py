@@ -18,8 +18,7 @@ the writeable flag) and ``scalar_curvature`` of each sample, from a
 ``geometry_block`` calls, in the one normal orientation the program computes
 (eta along H), with each failure's message.  It guards the fields a report
 does not print, and uses only API that every tree since the point blocks
-has.  The ``RETIRED`` fields, which the geometry no longer computes, are
-skipped on every tree, so both sides of a diff hash the same field set.
+has.
 """
 
 from __future__ import annotations
@@ -50,6 +49,14 @@ S2_S2 = {
                     "0.5 * sin(u3) * cos(u4)", "0.5 * sin(u3) * sin(u4)", "0.5 * cos(u3)", R],
     "domain": [[0.0, math.pi], [0.0, 2.0 * math.pi]] * 2,
 }
+# the same product at the point (1/2, 1/2, 0) in S^8: n = 8, the widest
+# ambient dimension, so jet contractions over the ambient axis sum 9 terms
+S2_S2_S8_DOC = "s2-s2-s8.json"
+S2_S2_S8 = {
+    "name": "S2(1/2) x S2(1/2) x (1/2, 1/2, 0)", "m": 4, "n": 8,
+    "expressions": S2_S2["expressions"][:6] + ["0.5", "0.5", "0"],
+    "domain": S2_S2["domain"],
+}
 # scan --chart: an expression family that reads a declared r, and a catalog
 # reference whose r1 = r, r2 = sqrt(1 - r^2) the sweep links
 SPHERE_FAMILY_DOC = "sphere-family.json"
@@ -77,6 +84,7 @@ COMMANDS = [
     ["verify", "--catalog", "small-hypersphere", "--param", "m=6", "--param", f"r={R}"],
     ["verify", "--chart", CHART_DOC],
     ["verify", "--chart", S2_S2_DOC],
+    ["verify", "--chart", S2_S2_S8_DOC],
 ]
 COMMANDS = [c + ["--points", "16", "--seed", SEED, "--format", "json"] for c in COMMANDS]
 # sample counts that leave a partial point block at m <= 3 (13 and 21 with
@@ -151,7 +159,7 @@ def chart_doc(chart, expr, base) -> dict:
     }
 
 
-# the --fields charts: m = 1..6, codimension 1..3, catalog, perturbed and
+# the --fields charts: m = 1..6, codimension 1..4, catalog, perturbed and
 # document charts; a sphere chart crossing its pole adds a rank-deficient
 # point and a chart-stage failure to a block
 POLE_DOC = {
@@ -162,10 +170,6 @@ POLE_DOC = {
     "params": {"c": 1.0},
     "normalize": True,
 }
-# PointGeometry fields deleted from the geometry (no report read the cubic
-# form grad A); remove with the next change that moves the digests' base
-# past that deletion
-RETIRED = ("nabla_A", "trace_nabla_A")
 
 
 def field_charts(chart, expr) -> list:
@@ -186,7 +190,7 @@ def field_charts(chart, expr) -> list:
         chart.catalog_chart("generalized-clifford",
                             {"m1": 2, "m2": 4, "r1": 0.6, "r2": 0.8}),
         chart.perturbed_chart(71), chart.perturbed_chart(72, base="torus"),
-        chart.parse_chart(S2_S2), chart.parse_chart(POLE_DOC),
+        chart.parse_chart(S2_S2), chart.parse_chart(S2_S2_S8), chart.parse_chart(POLE_DOC),
     ]
 
 
@@ -223,8 +227,7 @@ def field_digests(chart, expr, extrinsic) -> None:
             if isinstance(g, ValueError):
                 h.update(f"{type(g).__name__}: {g}".encode())
                 continue
-            values = [getattr(g, f.name) for f in dataclasses.fields(g)
-                      if f.name not in RETIRED]
+            values = [getattr(g, f.name) for f in dataclasses.fields(g)]
             if scalar is not None:
                 values.append(scalar)
             for v in values:
@@ -260,6 +263,7 @@ def main() -> int:
         os.chdir(work)
         for name, doc in ((CHART_DOC, chart_doc(chart, expr, "sphere")),
                           (TORUS_DOC, chart_doc(chart, expr, "torus")), (S2_S2_DOC, S2_S2),
+                          (S2_S2_S8_DOC, S2_S2_S8),
                           (SPHERE_FAMILY_DOC, SPHERE_FAMILY), (PRODUCT_REF_DOC, PRODUCT_REF),
                           (POLE_DOC_FILE, POLE_DOC)):
             with open(name, "w", encoding="utf-8") as fh:
