@@ -159,7 +159,7 @@ def _is_finite(v) -> bool:
 
 
 def _params(holder: dict, overrides: dict | None) -> dict:
-    params = holder.get("params") or {}
+    params = holder.get("params", {})
     if not (isinstance(params, dict) and all(map(_is_number, params.values()))):
         raise ChartError('"params" must be an object of numbers')
     params = {**params, **(overrides or {})}

@@ -93,11 +93,14 @@ below and the PMC check per block, blocks of 8 instead of 1 took 64-sample
 small-hypersphere m = 4, 151 to 259 at m = 5 and 198 to 239 on
 product-spheres 1+4; at m = 6 blocks of 2, 4 and 8 ran 71-74 samples/s
 against 66, too little for their memory.
-``sample_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
+``chart_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
 (64) points, a multiple of every block size, and hands each block its rows
 and errors; one pass gives each point the jets of its one-point block, and
 cut the chart-jet time of 64 points 1.25-3.2x against one pass per point
 (generalized-clifford 2+4, product-spheres 1+4, small-hypersphere m = 6).
+It is the one pass and block loop: ``sample_blocks`` runs the full package
+on its blocks, and ``scan`` the tau2 stage on the blocks of a family's
+stacked members, whose parameters it passes as one value per point.
 No check raises: a failed check
 records the point's error (``jets.fail``; a point keeps its first), and every
 row goes on, as rows never mix, so one pass gives each point the outcome of
@@ -307,20 +310,29 @@ def block_size(m: int) -> int:
     return 64 if m <= 2 else 32 if m == 3 else 8 if m <= 5 else 1
 
 
-def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[GeometryBlock]:
-    """Yield ``geometry_block`` of each run of ``block_size(spec.m)``
-    consecutive points, evaluated when the caller asks for it.  The chart
-    jets come from one ``chart.eval_jet_stack`` pass per ``CHART_RUN``
-    points, whose rows and errors each block reads."""
+def chart_blocks(spec: chart_mod.ChartSpec, points, params: dict | None = None) -> Iterator[tuple]:
+    """Yield (points, chart_jets) for each run of ``block_size(spec.m)``
+    consecutive points: the block's rows and errors of one
+    ``chart.eval_jet_stack`` pass per ``CHART_RUN`` points, as
+    ``tau2_block`` reads them.  ``params``, if given, holds each parameter
+    as an array of one value per point, and each pass reads its rows."""
     size = block_size(spec.m)
     for start in range(0, len(points), CHART_RUN):
-        run = points[start:start + CHART_RUN]
+        stop = start + CHART_RUN
+        run = points[start:stop]
+        cut = None if params is None else {k: v[start:stop] for k, v in params.items()}
         with np.errstate(all="ignore"):     # a decorator would not cover a generator's body
-            Phi, sp, errors = chart_mod.eval_jet_stack(spec, run)
+            Phi, sp, errors = chart_mod.eval_jet_stack(spec, run, cut)
         for b in range(0, len(run), size):
             rows = slice(b, b + size)
-            yield _geometry_rest(spec, _tau2_stage(spec, run[rows],
-                                                   (Phi[rows], sp, errors[rows])))
+            yield run[rows], (Phi[rows], sp, errors[rows])
+
+
+def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[GeometryBlock]:
+    """Yield ``geometry_block`` of each block of ``chart_blocks``,
+    evaluated when the caller asks for it."""
+    for block, chart_jets in chart_blocks(spec, points):
+        yield _geometry_rest(spec, _tau2_stage(spec, block, chart_jets))
 
 
 def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
@@ -358,8 +370,8 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     ``geometry_block`` reads all but BJ, whose values are ``B_coord``), each
     point's error, and a dict of the ``PointGeometry`` fields computed here.
     ``chart_jets`` is the block's rows of an ``eval_jet_stack`` pass over
-    more points (``sample_blocks``), or over several members of a family
-    (``scan._profiles``); by default the stage makes its own."""
+    more points (``chart_blocks``), for one chart or for several members of
+    a family (``scan._profiles``); by default the stage makes its own."""
     Phi, sp, errors = chart_jets or chart_mod.eval_jet_stack(spec, points)  # (P, n+1, L)
     points = np.asarray(points, dtype=np.float64)
     if not np.isfinite(Phi).all():

@@ -28,18 +28,19 @@ stage, reported with the error of the first failing sample point.  The
 tangent and normal frame checks, and the finiteness of the fields a scan
 never reads, guard only the full package (``extrinsic.geometry_block``).
 
-The grid's values are evaluated stacked (``_profiles``): the sample points
-of consecutive values ("members") are rows of one point axis, member after
-member.  One ``chart.eval_jet_stack`` pass covers up to
-``extrinsic.CHART_RUN`` rows of consecutive members whose charts differ
-only in their parameter values (the catalog builders and chart documents
-give every member of a family the same parsed trees), reading each
-parameter as one value per row, and one tau2 stage covers
-``extrinsic.block_size(m)`` rows of a pass, across member boundaries (at
-m <= 2 the whole pass).  Rows never mix, so each member's Profile, or its
-error, cut back out of the rows is bit for bit what the member alone gives.
-Refinement evaluates one value at a time through the same code, and the
-errors are memoized with the profiles (``_profile``).
+The grid's values are evaluated stacked (``_profiles``): every value's
+chart ("member") is built first, and consecutive members whose charts
+differ only in their parameter values (the catalog builders and chart
+documents give every member of a family the same parsed trees) form one
+group.  A group's sample points are rows of one point axis, member after
+member, with each parameter one value per row, and its tau2 blocks read
+the passes of ``extrinsic.chart_blocks``, the loop verify reads too: one
+``chart.eval_jet_stack`` pass per ``extrinsic.CHART_RUN`` rows and one tau2
+stage per ``extrinsic.block_size(m)`` rows of a pass, across member
+boundaries (at m <= 2 the whole pass).  Rows never mix, so each member's
+Profile, or its error, cut back out of the rows is bit for bit what the
+member alone gives.  Refinement evaluates one value at a time through the
+same code, and the errors are memoized with the profiles (``_profile``).
 
 Grid endpoints are never reported as interior roots; an endpoint where the
 profile is still falling is labeled separately as boundary behavior (the
@@ -107,6 +108,12 @@ class FamilySpec:
                 raise ScanError(
                     f"parameter value {t} outside the admissible domain: {e}"
                 ) from e
+        mid = 0.5 * (self.lo + self.hi)
+        try:
+            self.chart_at(mid)
+        except chart_mod.ChartError as e:
+            raise ScanError(f"the sample points are drawn at the range midpoint {mid}, "
+                            f"where no chart builds: {e}") from e
 
     def chart_at(self, t: float) -> chart_mod.ChartSpec:
         doc = self.doc if self.tag is None else chart_mod.chart_document(self.tag)
@@ -209,100 +216,63 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
     """The Profile at each parameter value of ``ts``, or the error of its
     first failing sample point (a ``ChartError`` or ``GeometryError``).
 
-    The values' members are evaluated stacked: member after member, each
-    member's sample points in order, as rows of one point axis.  Each chart
-    pass (``_chart_passes``) covers at most ``extrinsic.CHART_RUN`` rows,
-    and each tau2 stage (``extrinsic.tau2_block``) ``extrinsic.block_size``
-    rows of one pass, across member boundaries; every row gets the bits of
-    its point's one-point block.  A pass that raises as a whole (sample
-    points with the wrong number of coordinates) fails its members.
+    Every value's chart is built first.  Consecutive members whose charts
+    differ only in their parameter values (``_chart_shape``) form a group,
+    whose members' sample points are stacked, member after member, as rows
+    of one point axis, each parameter one value per row; the group's tau2
+    blocks read the passes of ``extrinsic.chart_blocks`` over those rows,
+    across member boundaries, and every row gets the bits of its point's
+    one-point block.  A pass that raises (sample points with the wrong
+    number of coordinates) fails every member of its group.
     """
-    outcomes: list = [None] * len(ts)
-    rows: dict = {}         # per member with a chart: tau2 vectors, H vectors, |H|
-
-    def members():          # built as the passes reach them
-        for i, t in enumerate(ts):
-            try:
-                spec = family.chart_at(t)
-            except chart_mod.ChartError as e:
-                outcomes[i] = e
-                continue
-            rows[i] = ([], [], [])
-            yield i, spec
-
-    for spec, params, owners, pts in _chart_passes(members(), points):
+    outcomes: list = []
+    for t in ts:
         try:
-            with np.errstate(all="ignore"):
-                Phi, sp, errors = chart_mod.eval_jet_stack(spec, pts, params)
+            outcomes.append(family.chart_at(t))
         except chart_mod.ChartError as e:
-            for i in set(owners):
-                outcomes[i] = outcomes[i] or e
+            outcomes.append(e)
+    members = [(i, s) for i, s in enumerate(outcomes) if isinstance(s, chart_mod.ChartSpec)]
+    P = len(points)
+    for _, group in itertools.groupby(members, key=lambda member: _chart_shape(member[1])):
+        group = list(group)
+        spec = group[0][1]
+        params = {k: np.repeat([s.params[k] for _, s in group], P) for k in spec.params}
+        # copied out per block: a view of out.H would keep the block's jets alive
+        tau2, H = np.empty((2, len(group) * P, spec.n + 1))
+        hs: list = []
+        errors: list = []
+        try:
+            for block, chart_jets in extrinsic.chart_blocks(
+                    spec, np.tile(points, (len(group), 1)), params):
+                out = extrinsic.tau2_block(spec, block, chart_jets)
+                rows = slice(len(hs), len(hs) + len(block))
+                tau2[rows] = biharmonic.tau2_direct(out)
+                H[rows] = out.H
+                hs += out.H_norm
+                errors += out.errors
+        except chart_mod.ChartError as e:
+            for i, _ in group:
+                outcomes[i] = e
             continue
-        size = extrinsic.block_size(spec.m)
-        for b in range(0, len(pts), size):
-            block = slice(b, b + size)
-            out = extrinsic.tau2_block(spec, pts[block], (Phi[block], sp, errors[block]))
-            # H copied: a row view would keep the block's H jets alive
-            for i, error, tau2, H, h in zip(owners[block], out.errors, biharmonic.tau2_direct(out),
-                                            np.array(out.H), out.H_norm):
-                if outcomes[i] is not None:
-                    continue                # the member failed at an earlier point
-                if error is not None:
-                    outcomes[i] = error
-                    continue
-                vecs, H_vecs, hs = rows[i]
-                vecs.append(tau2)
-                H_vecs.append(H)
-                hs.append(h)
-    for i, (vecs, H_vecs, hs) in rows.items():
-        if outcomes[i] is None:
-            taus = [float(np.linalg.norm(v)) for v in vecs]
-            verdict = biharmonic._verdict(max(taus), max(hs), min(hs),
+        norms = biharmonic._norms(tau2).tolist()
+        for j, (i, _) in enumerate(group):
+            rows = slice(j * P, (j + 1) * P)
+            error = next(filter(None, errors[rows]), None)
+            if error is not None:
+                outcomes[i] = error
+                continue
+            taus, h = norms[rows], hs[rows]
+            verdict = biharmonic._verdict(max(taus), max(h), min(h),
                                           family.pass_tol, family.fail_tol)
-            outcomes[i] = Profile(max(taus), float(np.mean(taus)), max(hs), verdict,
-                                  np.concatenate(vecs), np.concatenate(H_vecs))
+            outcomes[i] = Profile(max(taus), float(np.mean(taus)), max(h), verdict,
+                                  tau2[rows].ravel(), H[rows].ravel())
     return outcomes
 
 
-def _chart_passes(members, points):
-    """Yield (spec, params, owners, points) for each chart pass over the
-    stacked rows of ``members``, pairs (index, ChartSpec): the rows are cut
-    into runs of ``extrinsic.CHART_RUN``, and each run into groups of
-    consecutive members whose charts are equal but for their parameter
-    values, one pass each (``_run_passes``).  ``owners`` names the member of
-    each row, ``spec`` is the group's first chart, and ``params`` holds each
-    parameter as one value per row."""
-    run: list = []      # (index, spec, lo, hi): points[lo:hi] of one member
-    used = 0
-    for i, spec in members:
-        lo = 0
-        while lo < len(points):
-            if used == extrinsic.CHART_RUN:
-                yield from _run_passes(run, points)
-                run, used = [], 0
-            hi = min(len(points), lo + extrinsic.CHART_RUN - used)
-            run.append((i, spec, lo, hi))
-            used += hi - lo
-            lo = hi
-    if run:
-        yield from _run_passes(run, points)
-
-
-def _run_passes(run: list, points: np.ndarray):
-    """The passes of one run of ``_chart_passes``."""
-    def shape(entry):
-        spec = entry[1]
-        return (spec.m, spec.n, spec.domain, spec.normalize, spec.components,
-                tuple(spec.params))
-
-    for _, group in itertools.groupby(run, key=shape):
-        group = list(group)
-        spec = group[0][1]
-        counts = [hi - lo for *_, lo, hi in group]
-        params = {k: np.repeat([s.params[k] for _, s, _, _ in group], counts)
-                  for k in spec.params}
-        yield (spec, params, [i for i, _, lo, hi in group for _ in range(lo, hi)],
-               np.concatenate([points[lo:hi] for *_, lo, hi in group]))
+def _chart_shape(spec: chart_mod.ChartSpec) -> tuple:
+    """Equal for two charts that differ only in their parameter values."""
+    return (spec.m, spec.n, spec.domain, spec.normalize, spec.components,
+            tuple(spec.params))
 
 
 def _refine(profile_at, a: float, x: float, b: float):

@@ -1,8 +1,10 @@
 """Charts: catalog construction, sphere/immersion invariants, documents,
 sampling, and the perturbation harness."""
 
+import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,17 +452,36 @@ def test_catalog_entries_listing():
 # stacked family members: one chart pass over several members' points
 
 
-def member_jets(members, points):
-    """Each row's chart jets and error from the passes ``scan`` makes over
-    ``members``, (index, ChartSpec) pairs, each on all of ``points``: per
-    member, a list of (jets, error) in point order."""
-    rows = {i: [] for i, _ in members}
-    for spec, params, owners, pts in scan._chart_passes(members, points):
-        assert len(pts) <= extrinsic.CHART_RUN
-        Phi, _, errors = eval_jet_stack(spec, pts, params)
-        for i, jet, error in zip(owners, Phi, errors):
-            rows[i].append((jet, error))
-    return rows
+def member_jets(specs, points):
+    """Each row's chart jets and error from the chart passes ``scan`` makes
+    over the members ``specs``, each on all of ``points``: consecutive
+    members that differ only in their parameter values form a group, whose
+    stacked rows (each parameter one value per row) go to
+    ``extrinsic.chart_blocks``.  Returns, per member, a list of (jets,
+    error) in point order, and (row count, params) of each pass."""
+    rows = {i: [] for i in range(len(specs))}
+    passes = []
+    real = chart.eval_jet_stack
+
+    def counted(spec, pts, params=None):
+        passes.append((len(pts), params))
+        return real(spec, pts, params)
+
+    groups = itertools.groupby(enumerate(specs), key=lambda member: scan._chart_shape(member[1]))
+    with mock.patch.object(chart, "eval_jet_stack", counted):
+        for _, group in groups:
+            group = list(group)
+            spec = group[0][1]
+            assert all(s.components == spec.components for _, s in group)
+            params = {k: np.repeat([s.params[k] for _, s in group], len(points))
+                      for k in spec.params}
+            owners = iter([i for i, _ in group for _ in points])
+            for pts, (Phi, _, errors) in extrinsic.chart_blocks(
+                    spec, np.tile(points, (len(group), 1)), params):
+                assert len(pts) == len(Phi) <= extrinsic.block_size(spec.m)
+                for jet, error in zip(Phi, errors):
+                    rows[next(owners)].append((jet, error))
+    return rows, passes
 
 
 def bits(jet: np.ndarray) -> bytes:
@@ -481,8 +502,8 @@ READS_C = ["c * ({})", "({}) + c", "({}) / c", "sqrt(c) * ({})", "({})^2 - c^3"]
 def test_stacked_members_equal_their_own_passes(doc, data):
     # members of a one-parameter family of random charts, with signed zeros
     # and huge values of c, and possibly one member of a family of the same
-    # shape with other trees: a pass starts at each run of CHART_RUN rows and
-    # where the chart changes, and every row of the stacked passes has the
+    # shape with other trees, in its own group: a pass starts where a group
+    # starts and then every CHART_RUN rows, and every row of the passes has the
     # bytes (signed zeros included) and the error message of its member's
     # own pass
     exprs = list(doc["expressions"])
@@ -498,15 +519,16 @@ def test_stacked_members_equal_their_own_passes(doc, data):
     points = sample_points(specs[0], data.draw(st.integers(1, 24)), data.draw(st.integers(0, 99)))
     points[data.draw(st.integers(0, len(points) - 1))] = np.nan
     owners = [i for i in range(len(specs)) for _ in points]
-    starts = [k for k, i in enumerate(owners) if k % extrinsic.CHART_RUN == 0
-              or (i == odd) != (owners[k - 1] == odd)]
-    passes = list(scan._chart_passes(list(enumerate(specs)), points))
-    assert [len(pts) for *_, pts in passes] == list(np.diff(starts + [len(owners)]))
-    for spec, _, pass_owners, _ in passes:
-        assert all(specs[i].components == spec.components for i in pass_owners)
+    starts = []
+    for k, i in enumerate(owners):
+        if k == 0 or (i == odd) != (owners[k - 1] == odd):
+            group_start = k
+        if (k - group_start) % extrinsic.CHART_RUN == 0:
+            starts.append(k)
 
     with np.errstate(all="ignore"):
-        rows = member_jets(list(enumerate(specs)), points)
+        rows, passes = member_jets(specs, points)
+        assert [count for count, _ in passes] == list(np.diff(starts + [len(owners)]))
         for i, spec in enumerate(specs):
             Phi, _, errors = eval_jet_stack(spec, points)
             assert len(rows[i]) == len(points)
@@ -531,10 +553,10 @@ def test_members_with_zeros_of_both_signs_merge():
     assert not np.signbit(zero).any() and not zero.any()
     specs = [chart.ChartSpec("zeros", 1, 3, ["cos(u1)", "sin(u1)", "c", "-0.0"],
                              [(0.0, 3.0)], params={"c": c}) for c in (0.0, -0.0)]
-    [(_, params, owners, _)] = scan._chart_passes(list(enumerate(specs)), points)
-    assert owners == [0] * 4 + [1] * 4
+    assert scan._chart_shape(specs[0]) == scan._chart_shape(specs[1])
+    rows, [(count, params)] = member_jets(specs, points)
+    assert count == 8
     assert list(np.signbit(params["c"])) == [False] * 4 + [True] * 4
-    rows = member_jets(list(enumerate(specs)), points)
     for i, one in enumerate(specs):
         ref = eval_jet_stack(one, points)[0]
         assert [jet.tobytes() for jet, _ in rows[i]] == [r.tobytes() for r in ref]

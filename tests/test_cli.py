@@ -429,6 +429,23 @@ def test_non_finite_param_exit_two(capsys, tmp_path):
         assert name in err and "finite number" in err, argv
 
 
+@pytest.mark.parametrize("kind", ["expressions", "catalog"])
+@pytest.mark.parametrize("params", [[], 0, False, "", None, [0.5], "r"])
+def test_params_not_an_object_exit_two(capsys, tmp_path, kind, params):
+    # a "params" that is not an object is refused as such, also where it is
+    # falsy: not read as no parameters (exit 0), nor reported as a missing one
+    if kind == "catalog":
+        doc = {"catalog": {"tag": "veronese", "params": params}}
+    else:
+        doc = {"name": "circle", "m": 1, "n": 2, "expressions": ["cos(u1)", "sin(u1)", "0"],
+               "domain": [[0.0, 6.28]], "params": params}
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--chart", str(path), "--points", "4")
+    assert code == 2
+    assert out == "" and err == 'error: "params" must be an object of numbers\n'
+
+
 def test_document_numbers_beyond_the_float_range_exit_two(capsys, tmp_path):
     # json.load reads integers beyond the float range: an m, n or domain end
     # that large is refused by name, not ended in an OverflowError traceback
@@ -486,6 +503,17 @@ def test_scan_fixed_param_set_by_the_sweep_exit_two(capsys):
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
         assert f"fixed parameter {name} is never read" in err, argv
+
+
+def test_scan_midpoint_without_a_chart_exit_two(capsys):
+    # the sample points are drawn at (lo + hi) / 2: a range whose ends build
+    # charts but whose midpoint does not is refused, naming the midpoint
+    code, out, err = run(capsys, "scan", "--family", "small-hypersphere", "--param", "m",
+                         "--param", "r=0.7", "--range", "1:4", "--steps", "8")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "sample points are drawn at the range midpoint 2.5" in err
+    assert "parameter 'm' must be an integer, got 2.5" in err
 
 
 def test_scan_csv_root_row(capsys):

@@ -1486,7 +1486,8 @@ def test_chart_pass_sees_at_most_64_points(monkeypatch, tmp_path):
     seen = []
     eval_jet_stack = chart.eval_jet_stack
     monkeypatch.setattr(chart, "eval_jet_stack",
-                        lambda spec, pts: seen.append(len(pts)) or eval_jet_stack(spec, pts))
+                        lambda spec, pts, params=None: seen.append(len(pts))
+                        or eval_jet_stack(spec, pts, params))
     code = cli.main(["verify", "--catalog", "small-hypersphere", "--param", "m=2",
                      "--param", f"r={ROOT2INV!r}", "--points", "150",
                      "--output", str(tmp_path / "report.txt")])

@@ -494,3 +494,32 @@ def test_stacked_profiles_equal_one_value_profiles(name, samples):
     if name == "pole-crossing":
         assert any(isinstance(r, Exception) for r in refs)
         assert any(isinstance(r, scan.Profile) for r in refs)
+
+
+@pytest.mark.parametrize("samples", [5, 33])
+@pytest.mark.parametrize("odd", [0, 6, 13])
+def test_profiles_group_around_a_chart_with_other_trees(odd, samples, monkeypatch):
+    # one value's chart has the same m and n but other trees: it is a group
+    # of its own, the values on either side of it stack in their own groups,
+    # and every value's profile is still the one it gives alone
+    family = FamilySpec(doc=SPHERE_FAMILY, param_name="r", lo=0.3, hi=0.95, steps=14,
+                        samples_per_point=samples, seed=3)
+    ts = [float(t) for t in np.linspace(family.lo, family.hi, family.steps)]
+    points = chart.sample_points(family.chart_at(0.5 * (family.lo + family.hi)), samples,
+                                 family.seed)
+    same = profile_one_value(family, points, ts[odd])
+    exprs = SPHERE_FAMILY["expressions"]
+    other = dict(SPHERE_FAMILY, expressions=[f"-({exprs[0]})", *exprs[1:]])
+    chart_at = family.chart_at
+    family.chart_at = lambda t: (chart.family_chart(other, "r", t, {}) if t == ts[odd]
+                                 else chart_at(t))
+    assert family.chart_at(ts[odd]).m == chart_at(ts[odd]).m
+    refs = [profile_one_value(family, points, t) for t in ts]
+    assert refs[odd].tau2.tobytes() != same.tau2.tobytes()
+    groups = []
+    chart_blocks = extrinsic.chart_blocks
+    monkeypatch.setattr(extrinsic, "chart_blocks", lambda spec, pts, params=None: (
+        groups.append(len(pts)) or chart_blocks(spec, pts, params)))
+    for got, ref in zip(scan._profiles(family, points, ts), refs):
+        assert_same_profile(got, ref)
+    assert groups == [samples * k for k in (odd, 1, 13 - odd) if k]
