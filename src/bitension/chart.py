@@ -117,6 +117,8 @@ def _validate(spec: ChartSpec, facts):
     for lo, hi in spec.domain:
         if not lo < hi:
             raise ChartError(f"empty domain interval [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ChartError(f"domain interval [{lo}, {hi}] is wider than the largest float")
         if hi - lo <= 2 * SINGULAR_MARGIN:
             raise ChartError(
                 f"domain interval [{lo}, {hi}] narrower than twice the "
@@ -544,6 +546,8 @@ def sample_points(spec: ChartSpec, count: int, seed: int) -> np.ndarray:
     """
     if count <= 0:
         raise ChartError(f"sample count must be positive, got {count}")
+    if seed < 0:
+        raise ChartError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     offset = rng.random(spec.m)
     k = np.arange(count, dtype=np.float64)[:, None]

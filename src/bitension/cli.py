@@ -87,6 +87,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict
@@ -352,10 +353,22 @@ def _run_scan(args) -> int:
     return 0
 
 
+def _join_range(argv: list[str]) -> list[str]:
+    """``argv`` with ``--range -LO:HI`` as ``--range=-LO:HI``: argparse takes
+    a token such as ``-0.5:0.5``, not a plain negative number, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -23,10 +23,10 @@ The catalog builders rely on it: each passes one template per component,
 with named ``Param`` leaves where the numbers go, and its values as the
 chart's ``params``, so all members of a family hold the same trees.
 
-``eval_jet`` reads a ``Param`` leaf's value from ``params``.  A scalar is a
-constant jet, the one the number as a literal gives.  A 1-d array of
-values is a (P, L) constant jet, one value on each row of a stacked block:
-``scan`` stacks the members of a family that way.
+``eval_jet`` reads a ``Param`` leaf's value from ``params`` as the constant
+jet ``jets.JetSpace.constant`` gives: (L,) for a scalar, as for the number
+as a literal, and (P, L) for a 1-d array of values, one on each row of a
+stacked block (``scan`` stacks the members of a family that way).
 """
 
 from __future__ import annotations
@@ -430,11 +430,7 @@ def eval_jet(e: Expr, sp: jets.JetSpace, var_jets, params: dict, errors: list,
             value = params[e.name]
         except KeyError:
             raise ExprEvalError(f"unknown parameter {e.name!r}") from None
-        if np.ndim(value) > 0:              # one value per row
-            out = np.zeros((len(value), sp.size))
-            out[:, 0] = value
-        else:
-            out = sp.constant(value)
+        out = sp.constant(value)
     elif isinstance(e, Unary):
         x = eval_jet(e.arg, sp, var_jets, params, errors, memo)
         if e.op == "sqrt":

@@ -161,8 +161,7 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
     value part (dropping it moves report bytes).
     """
     m = gJ.shape[-2]
-    X = sp.zeros(*gJ.shape[:-1])
-    X[..., 0] = g0inv
+    X = sp.constant(g0inv)
     eye2 = 2.0 * np.eye(m)
     for _ in range(3):
         T = -_jet_matmul(sp, gJ, X, order)

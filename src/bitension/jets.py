@@ -28,7 +28,6 @@ of a block gets the bits it would get alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -105,10 +104,19 @@ class JetSpace:
     """Shared tables for all jets in a fixed number of variables.
 
     Holds the monomial enumeration, the sparse multiplication tables (one per
-    truncation order, built lazily) and the differentiation index maps.  The
-    ndarray kernels accept stacked operands with arbitrary leading axes that
-    broadcast against each other, so the geometry layer makes one call per
-    tensor expression (over ambient components and tensor indices alike)
+    truncation order, built lazily) and the differentiation index maps.
+
+    All of them are read off one integer array, ``exponents`` (L, m).  A
+    monomial's code is its exponents as base-(ORDER + 1) digits, u1's
+    highest, and ``_pos`` maps a code to its position.  The codes of two
+    monomials whose degrees sum to at most ORDER add without a carry, to the
+    code of their product, so ``mul_table`` caps its order at ORDER and
+    looks each pair (i, j), in C order, up by that sum; ``deriv_table``
+    subtracts u_var's unit code, and ``var_pos`` looks the unit codes up.
+
+    The ndarray kernels accept stacked operands with arbitrary leading axes
+    that broadcast against each other, so the geometry layer makes one call
+    per tensor expression (over ambient components and tensor indices alike)
     instead of one per slice.  Every leading row is convolved independently
     and each output coefficient sums its pair products in table order, so a
     stacked call is bit-identical to the per-slice calls it replaces.
@@ -139,22 +147,20 @@ class JetSpace:
         if not 1 <= num_vars <= MAX_VARS:
             raise JetError(f"num_vars must be in 1..{MAX_VARS}, got {num_vars}")
         self.num_vars = num_vars
-        monos = [
-            a
-            for a in itertools.product(range(ORDER + 1), repeat=num_vars)
-            if sum(a) <= ORDER
-        ]
-        monos.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
-        self.monomials: tuple[tuple[int, ...], ...] = tuple(monos)
-        self.size = len(monos)
-        self.index = {a: i for i, a in enumerate(monos)}
-        self.degree = np.array([sum(a) for a in monos], dtype=np.int64)
+        base = ORDER + 1
+        # a code is its tuple's position in the full grid of exponents 0..ORDER
+        self._unit = base ** np.arange(num_vars - 1, -1, -1)
+        grid = np.indices((base,) * num_vars, dtype=np.int64).reshape(num_vars, -1).T
+        degree = grid.sum(axis=1)
+        code = np.flatnonzero(degree <= ORDER)
+        self._code = code = code[np.lexsort((-code, degree[code]))]    # graded, descending lex
+        self.exponents, self.degree, self.size = grid[code], degree[code], len(code)
+        self.monomials: tuple[tuple[int, ...], ...] = tuple(map(tuple, self.exponents.tolist()))
+        self.index = {a: i for i, a in enumerate(self.monomials)}
+        self._pos = np.full(len(grid), -1, dtype=np.int64)
+        self._pos[code] = np.arange(self.size)
         # position of the degree-1 monomial e_i, i.e. where first partials sit
-        self.var_pos = np.array(
-            [self.index[tuple(int(j == i) for j in range(num_vars))]
-             for i in range(num_vars)],
-            dtype=np.int64,
-        )
+        self.var_pos = self._pos[self._unit]
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._scatter_index: dict[int, np.ndarray] = {}
@@ -165,42 +171,17 @@ class JetSpace:
         order = min(order, ORDER)
         tab = self._mul_tables.get(order)
         if tab is None:
-            I, J, K = [], [], []
-            for i, a in enumerate(self.monomials):
-                da = sum(a)
-                if da > order:
-                    continue
-                for j, b in enumerate(self.monomials):
-                    if da + sum(b) > order:
-                        continue
-                    I.append(i)
-                    J.append(j)
-                    K.append(self.index[tuple(x + y for x, y in zip(a, b))])
-            tab = (
-                np.array(I, dtype=np.int64),
-                np.array(J, dtype=np.int64),
-                np.array(K, dtype=np.int64),
-            )
-            self._mul_tables[order] = tab
+            I, J = np.nonzero(self.degree[:, None] + self.degree <= order)
+            tab = self._mul_tables[order] = (I, J, self._pos[self._code[I] + self._code[J]])
         return tab
 
     def deriv_table(self, var: int):
         tab = self._deriv_tables.get(var)
         if tab is None:
-            src, dst, fac = [], [], []
-            for i, a in enumerate(self.monomials):
-                if a[var] == 0:
-                    continue
-                b = tuple(x - int(j == var) for j, x in enumerate(a))
-                src.append(i)
-                dst.append(self.index[b])
-                fac.append(a[var])
-            tab = (
-                np.array(src, dtype=np.int64),
-                np.array(dst, dtype=np.int64),
-                np.array(fac, dtype=np.float64),
-            )
-            self._deriv_tables[var] = tab
+            e = self.exponents[:, var]
+            src = np.flatnonzero(e)
+            tab = self._deriv_tables[var] = (
+                src, self._pos[self._code[src] - self._unit[var]], e[src].astype(np.float64))
         return tab
 
     # -- ndarray kernels (leading batch axes allowed) ---------------------
@@ -208,9 +189,11 @@ class JetSpace:
     def zeros(self, *lead: int) -> np.ndarray:
         return np.zeros(lead + (self.size,))
 
-    def constant(self, value: float) -> np.ndarray:
-        c = np.zeros(self.size)
-        c[0] = value
+    def constant(self, value) -> np.ndarray:
+        """The constant jet of ``value``: (L,) for one value, (P, L) for an
+        array of P values, one per row."""
+        c = self.zeros(*np.shape(value))
+        c[..., 0] = value
         return c
 
     def _scatter(self, w: np.ndarray, K: np.ndarray, order: int) -> np.ndarray:
@@ -308,13 +291,13 @@ def _power(u: float, k: int) -> float:
 
 
 def seed_variable(index: int, value, num_vars: int) -> np.ndarray:
-    """Jet of the coordinate function u_index at a point with u_index = value;
-    an array of values (one per point of a block) gives a (P, L) jet."""
+    """Jet of the coordinate function u_index at a point with u_index = value:
+    ``JetSpace.constant(value)`` with a unit first partial in u_index, so an
+    array of values (one per point of a block) gives a (P, L) jet."""
     sp = space(num_vars)
     if not 0 <= index < num_vars:
         raise JetError(f"variable index {index} out of range for {num_vars} vars")
-    c = sp.zeros(*np.shape(value))
-    c[..., 0] = value
+    c = sp.constant(value)
     c[..., sp.var_pos[index]] = 1.0
     return c
 

@@ -23,8 +23,8 @@ minimal member found there (``_minimal_member``).
 The profile reads only tau2 and |H| (``extrinsic.tau2_block``), never the
 full geometry package, so a parameter value fails only on the checks those
 two depend on: a chart or domain error, non-finite chart jets, a point off
-the sphere, a rank-deficient metric, or a non-finite field of the tau2
-stage, reported with the error of the first failing sample point.  The
+the sphere, a rank-deficient metric, a non-finite field of the tau2 stage or
+tau2 norm, reported with the error of the first failing sample point.  The
 tangent and normal frame checks, and the finiteness of the fields a scan
 never reads, guard only the full package (``extrinsic.geometry_block``).
 
@@ -89,6 +89,8 @@ class FamilySpec:
             raise ScanError(f"steps must be >= 8, got {self.steps}")
         if not self.lo < self.hi:
             raise ScanError(f"empty parameter range [{self.lo}, {self.hi}]")
+        if math.isinf(self.hi - self.lo) and math.isfinite(self.lo) and math.isfinite(self.hi):
+            raise ScanError(f"parameter range [{self.lo}, {self.hi}] is wider than the largest float")
         if self.samples_per_point < 1:
             raise ScanError("samples_per_point must be positive")
         if not 0 < self.pass_tol < self.fail_tol:
@@ -254,14 +256,15 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
             for i, _ in group:
                 outcomes[i] = e
             continue
-        norms = biharmonic._norms(tau2).tolist()
+        norms = biharmonic._norms(tau2)
+        extrinsic._fail(errors, ~np.isfinite(norms), "non-finite tau2 norm at the sample point")
         for j, (i, _) in enumerate(group):
             rows = slice(j * P, (j + 1) * P)
             error = next(filter(None, errors[rows]), None)
             if error is not None:
                 outcomes[i] = error
                 continue
-            taus, h = norms[rows], hs[rows]
+            taus, h = norms[rows].tolist(), hs[rows]
             verdict = biharmonic._verdict(max(taus), max(h), min(h),
                                           family.pass_tol, family.fail_tol)
             outcomes[i] = Profile(max(taus), float(np.mean(taus)), max(h), verdict,
@@ -349,8 +352,12 @@ _ROOT_CLASS = {biharmonic.VERDICT_PROPER: "proper-biharmonic",
                biharmonic.VERDICT_MINIMAL: "minimal"}
 
 
+@np.errstate(all="ignore")
 def sweep(family: FamilySpec) -> ScanResult:
-    """Residual profile over the uniform grid plus the refined roots it passes."""
+    """Residual profile over the uniform grid plus the refined roots it passes.
+    Overflow does not warn: a failed row's values mean nothing, a row whose
+    tau2 norm is not finite fails, and ``_refine`` takes a golden-section
+    step where a secant step is not finite."""
     ts = np.linspace(family.lo, family.hi, family.steps)
     mid_chart = family.chart_at(0.5 * (family.lo + family.hi))
     points = chart_mod.sample_points(mid_chart, family.samples_per_point,

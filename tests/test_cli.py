@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chart_docs
 from bitension import biharmonic, chart, cli, expr
@@ -694,3 +695,151 @@ def test_bad_input_never_ends_in_a_traceback(tmp_path_factory, doc):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert err.getvalue().startswith("error: ")
+
+
+TILTED_CIRCLE = {"name": "tilted", "m": 1, "n": 2,
+                 "expressions": ["cos(u1)*sqrt(1 - a^2)", "sin(u1)*sqrt(1 - a^2)", "a"],
+                 "domain": [[0, 6.283185307179586]], "params": {"a": 0.1}}
+
+
+def test_scan_range_with_a_negative_lower_bound(capsys, tmp_path):
+    # argparse reads "-0.5:0.5" as an option; the value after --range is
+    # taken as it is, and both spellings give the same bytes
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(TILTED_CIRCLE))
+    base = ("scan", "--chart", str(path), "--param", "a", "--steps", "8", "--samples", "2")
+    outs = []
+    for spelling in (("--range", "-0.5:0.5"), ("--range=-0.5:0.5",)):
+        code, out, err = run(capsys, *base, *spelling, "--format", "json")
+        assert code == 0 and err == "", spelling
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["family"]["range"] == [-0.5, 0.5]
+    for argv in (base + ("--range",), base[:-4] + ("--range", "--steps", "8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "argument --range: expected one argument" in err, argv
+
+
+def test_scan_range_or_domain_wider_than_the_float_range_exit_two(capsys, tmp_path):
+    # a width that overflows is refused by name, not swept over inf and NaN
+    # grid values or drawn as inf sample points
+    doc = {"name": "sc", "m": 1, "n": 2, "expressions": ["cos(u1)*a", "sin(u1)*a", "sqrt(1-a^2)"],
+           "domain": [[0, 6.283185307179586]], "params": {"a": 0.5}}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**doc, "domain": [[-1e308, 1e308]]}))
+    cases = [
+        (("scan", "--chart", str(path), "--param", "a", "--range=-1e308:1e308", "--steps", "8",
+          "--samples", "1", "--format", fmt),
+         "parameter range [-1e+308, 1e+308] is wider than the largest float")
+        for fmt in ("csv", "json")
+    ] + [
+        (("verify", "--chart", str(wide), "--param", "a=0.5", "--points", "4"),
+         "domain interval [-1e+308, 1e+308] is wider than the largest float"),
+        # infinite or NaN ends keep their own messages
+        (("scan", "--chart", str(path), "--param", "a", "--range=-inf:1e308", "--steps", "8"),
+         "parameter value -inf outside the admissible domain"),
+        (("scan", "--chart", str(path), "--param", "a", "--range=nan:1", "--steps", "8"),
+         "empty parameter range [nan, 1.0]"),
+    ]
+    for argv, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, argv
+    with pytest.raises(chart.ChartError, match="wider than the largest float"):
+        chart.ChartSpec("wide", 1, 2, ["cos(u1)", "sin(u1)", "0"], [(-1e308, 1e308)])
+
+
+@pytest.mark.parametrize("expressions,domain,message", [
+    # every row fails (the curve is off the sphere) and some overflow: their
+    # tau2 is arithmetic on values that mean nothing
+    (["c * ((u1)^5)", "(u1)^5", "-((u1 * u1))"], [3.9999999999999996, 7.06445286303217],
+     "chart does not land on the unit sphere"),
+    # tau2 is finite at every row, but its norm is beyond the float range
+    (["c * (((u1 + u1))^27)", "(-(pi) / -(u1))", "(u1 - 0.3e75)", "-(-(-(u1)))"],
+     [-1.7447294303539898, 0.6411530618130672], "non-finite tau2 norm at the sample point"),
+], ids=["off-sphere", "huge-tau2"])
+def test_scan_overflowing_rows_fail_without_a_warning(capsys, tmp_path, expressions, domain,
+                                                        message):
+    doc = {"name": "fuzz", "m": 1, "n": len(expressions) - 1, "expressions": expressions,
+           "domain": [domain], "params": {"c": 1.0}, "normalize": len(expressions) == 4}
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("csv", "json"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "scan", "--chart", str(path), "--param", "c",
+                                 "--range", "0:1e300", "--steps", "8", "--samples", "2",
+                                 "--format", fmt)
+        assert code == 0 and err == "", fmt
+        if fmt == "csv":
+            assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["error"] * 8
+        else:
+            grid = json.loads(out, parse_constant=_reject_constant)["grid"]
+            assert any(message in r["error"] for r in grid), [r["error"] for r in grid]
+
+
+def test_negative_seed_exit_two_names_the_seed(capsys, tmp_path):
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(TILTED_CIRCLE))
+    for argv in (("verify", "--chart", str(path), "--points", "4"),
+                 ("scan", "--chart", str(path), "--param", "a", "--range", "0:0.5",
+                  "--steps", "8", "--samples", "2")):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2, argv
+        assert out == "" and err == "error: seed must be a non-negative integer, got -1\n", argv
+    spec = chart.parse_chart(TILTED_CIRCLE)
+    with pytest.raises(chart.ChartError, match="seed must be a non-negative integer, got -3"):
+        chart.sample_points(spec, 4, -3)
+
+
+@st.composite
+def _scan_ranges(draw):
+    """(lo, hi): ordinary ranges, ranges with a negative lower bound, and
+    ranges whose width is near or past the largest float."""
+    kind = draw(st.sampled_from(["small", "negative", "wide"]))
+    if kind == "small":
+        lo = draw(st.floats(0.0, 2.0))
+        return lo, lo + draw(st.floats(1e-3, 3.0))
+    if kind == "negative":
+        return -draw(st.floats(1e-3, 5.0)), draw(st.floats(0.0, 5.0))
+    lo = -draw(st.floats(1e307, 1.7e308))
+    return lo, draw(st.floats(1e307, 1.7e308))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=chart_docs.chart_documents(), bounds=_scan_ranges(),
+       fmt=st.sampled_from(["json", "csv"]), joined=st.booleans())
+def test_scan_fuzz_never_prints_nan_inf_or_a_warning(tmp_path_factory, doc, bounds, fmt, joined):
+    # a declared parameter c multiplied into one component, swept over a
+    # drawn range (a negative lower bound as its own token, or joined with
+    # "="): exit 0 with strict JSON or finite CSV cells, or exit 2 with one
+    # error line, and no warning
+    doc["expressions"][0] = f"c * ({doc['expressions'][0]})"
+    doc["params"] = {"c": 1.0}
+    path = tmp_path_factory.mktemp("scanfuzz") / "chart.json"
+    path.write_text(json.dumps(doc))
+    value = f"{bounds[0]!r}:{bounds[1]!r}"
+    spelled = [f"--range={value}"] if joined else ["--range", value]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["scan", "--chart", str(path), "--param", "c", *spelled,
+                         "--steps", "8", "--samples", "2", "--format", fmt])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        if fmt == "json":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            cells = [c for line in out.getvalue().splitlines() for c in line.split(",")]
+            assert not {"nan", "inf", "-inf"} & set(cells)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

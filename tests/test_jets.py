@@ -74,6 +74,14 @@ def test_seed_variable_basic():
     assert j[SP2.index[(2, 0)]] == 0.0
 
 
+def test_constant_per_row():
+    # one value per row gives the rows the scalar constants give
+    rows = SP2.constant(np.array([2.0, -0.0, 3.5]))
+    assert rows.shape == (3, SP2.size)
+    for row, v in zip(rows, (2.0, -0.0, 3.5)):
+        assert row.tobytes() == SP2.constant(v).tobytes()
+
+
 def test_seed_product_leibniz():
     u = seed_variable(0, 2.0, 2)
     v = seed_variable(1, 3.0, 2)
@@ -135,6 +143,32 @@ def test_graded_lex_enumeration():
     assert monos[:6] == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     degs = [sum(a) for a in monos]
     assert degs == sorted(degs)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tables_match_their_definition(d):
+    # the tables read off the exponent codes are the ones their definitions
+    # give, read here off the public monomial tuples
+    sp = jets.space(d)
+    E, L = np.array(sp.monomials), sp.size
+    assert np.array_equal(E.sum(axis=1), sp.degree)
+    assert np.array_equal(E[sp.var_pos], np.eye(d, dtype=int))
+    for order in range(5):
+        I, J, K = sp.mul_table(order)
+        assert I.dtype == J.dtype == K.dtype == np.int64
+        # every pair with degree sum <= order, once each, in C order: pairs of
+        # d-variable monomials are monomials in 2d variables
+        assert (np.diff(I * L + J) > 0).all()
+        assert (sp.degree[I] + sp.degree[J] <= order).all()
+        assert len(I) == math.comb(2 * d + order, order)
+        assert np.array_equal(E[I] + E[J], E[K])
+    assert all(a is b for a, b in zip(sp.mul_table(9), sp.mul_table(4)))
+    for var in range(d):
+        src, dst, fac = sp.deriv_table(var)
+        assert src.dtype == dst.dtype == np.int64 and fac.dtype == np.float64
+        assert np.array_equal(src, np.flatnonzero(E[:, var]))
+        assert np.array_equal(E[dst], E[src] - np.eye(d, dtype=int)[var])
+        assert np.array_equal(fac, E[src, var])
 
 
 def test_num_vars_bounds():
