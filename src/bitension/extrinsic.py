@@ -20,8 +20,10 @@ an ambient vector automatically orthogonal to phi and to the tangent space;
 H = (1/m) g^ij B_ij.
 
 Truncation orders.  The chart jets are order 4, and each jet stage runs only
-to the Taylor degree its readers use (the orders are literals at the call
-sites).  The stages marked * form the tau2 stage (``_tau2_stage``): with
+to the Taylor degree its readers use and stores only the coefficients of
+that order (the orders are literals at the call sites; ``JetSpace.cut``
+trims a deeper operand, so every ``mul`` and ``dot`` gets two operands of
+the call's order).  The stages marked * form the tau2 stage (``_tau2_stage``): with
 the chart, sphere and rank checks they give H, |H| and Delta H, all that
 tau2 reads, and ``geometry_block`` runs the others after them.
 
@@ -38,11 +40,11 @@ tau2 reads, and ``geometry_block`` runs the others after them.
     UJ                             1      Delta-perp H (degree <= 1)
 
 Jets of B and H to order 2 support the two extra covariant derivatives
-needed for Delta H, Delta-perp H and Delta f.  Trimming a stage keeps every
-coefficient it returns of degree <= its order bit-identical to a deeper run
-(and leaves the higher ones zero): the order-k multiplication table is the
-order-4 table filtered in the same (i, j) order, and ``np.bincount`` adds
-each coefficient's pair products in table order.
+needed for Delta H, Delta-perp H and Delta f.  A trimmed stage stores the
+coefficients of degree <= its order, the graded prefix of a deeper run's,
+each bit-identical to it: the order-k multiplication table is the order-4
+table filtered in the same (i, j) order, and ``np.bincount`` adds each
+coefficient's pair products in table order.
 
 Each tensor expression is one stacked ``JetSpace`` call over all its
 indices; the terms of an index sum are then added one at a time in a fixed
@@ -70,7 +72,7 @@ tested once per block.  Only the two full reductions of Delta f stay per
 point: their ``einsum`` with a point axis sums in another order (it moved
 the last bit of 12 of 640 probed values).
 ``block_size`` fixes P from m alone: 64 for m <= 2 and 32 for m = 3, where
-a point's cost is mostly per-call dispatch, 8 for m = 4, 5, and 1 for
+a point's cost is mostly per-call dispatch, 8 for m = 4, 5, and 4 for
 m = 6, where the kernels' own arithmetic takes over.  On a 2-core Xeon VM,
 before the order trim above, one block of 8 cost 0.30-0.47 of eight
 one-point calls at m = 2, 3.  At m <= 3, blocks of 32 instead of 8 (and the
@@ -92,7 +94,11 @@ below and the PMC check per block, blocks of 8 instead of 1 took 64-sample
 ``evaluate_chart`` calls (median of five) from 310 to 623 samples/s on
 small-hypersphere m = 4, 151 to 259 at m = 5 and 198 to 239 on
 product-spheres 1+4; at m = 6 blocks of 2, 4 and 8 ran 71-74 samples/s
-against 66, too little for their memory.
+against 66, too little for their memory.  Once each stage stored only the
+coefficients of its order, the verify-highdim benchmark (m = 5, 6 charts,
+seed 2, medians of three 30 s runs) read 259 samples/s at a peak of 60 MB
+with m = 6 blocks of 1, 288 at 66 MB with blocks of 4 and 302 at 79 MB
+with blocks of 8; eight gain too little for 13 MB more.
 ``chart_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
 (64) points, a multiple of every block size, and hands each block its rows
 and errors; one pass gives each point the jets of its one-point block, and
@@ -116,10 +122,10 @@ rule: each contraction keeps the kernel a lone point calls (a matrix-vector
 ``@`` stays one ``gemv`` per point, a row norm ``sqrt(<v, v>)``, an
 ``einsum`` gains a ``p`` index, and the frame entries accumulate along the
 last axis), so no residual has to stay per point.  The rows are one
-geometry block, so at m = 6 the curvature temporaries stay one point wide
+geometry block, so at m = 6 the curvature temporaries stay four points wide
 (64 points would take about 24 MB), and ``biharmonic.evaluate_chart``
 drops each ``GeometryBlock``, whose value views pin the block's jet arrays
-(about 1 MB a point at m = 6), before it computes the next block.  A lone
+(about 0.2 MB a point at m = 6), before it computes the next block.  A lone
 point's residuals are those of the ``rows`` of its one-point block.
 """
 
@@ -147,7 +153,9 @@ class GeometryError(ValueError):
 
 
 def _jet_matmul(sp: jets.JetSpace, A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
-    """(..., m, m, L) jet-ring matrix product over any leading point axes."""
+    """(..., m, m, L) jet-ring matrix product over any leading point axes,
+    of order ``order``."""
+    A, B = sp.cut(A, order), sp.cut(B, order)
     return sp.dot(A[..., :, None, :, :], B.swapaxes(-3, -2)[..., None, :, :, :], order)
 
 
@@ -161,7 +169,7 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
     value part (dropping it moves report bytes).
     """
     m = gJ.shape[-2]
-    X = sp.constant(g0inv)
+    X = sp.constant(g0inv, order)
     eye2 = 2.0 * np.eye(m)
     for _ in range(3):
         T = -_jet_matmul(sp, gJ, X, order)
@@ -285,10 +293,11 @@ def _project_normal_jets(sp: jets.JetSpace, Phi: np.ndarray, dPhi: np.ndarray,
 
     Phi (P, n+1, L), dPhi (P, m, n+1, L) and ginvJ (P, m, m, L) share the
     point axis; V is (P, F.., n+1, L) with any field axes F.. after it, and
-    so is the result."""
+    so is the result, of order ``order``."""
     lift = (1,) * (V.ndim - Phi.ndim)               # unit field axes after the point axis
-    Phi, dPhi, ginvJ = (x.reshape(x.shape[:1] + lift + x.shape[1:])
+    Phi, dPhi, ginvJ = (sp.cut(x.reshape(x.shape[:1] + lift + x.shape[1:]), order)
                         for x in (Phi, dPhi, ginvJ))
+    V = sp.cut(V, order)
     m = dPhi.shape[-3]
     out = V - sp.mul(sp.dot(V, Phi, order)[..., None, :], Phi, order)
     c = sp.dot(V[..., None, :, :], dPhi, order)                    # [..., k]
@@ -306,7 +315,7 @@ CHART_RUN = 64      # sample points per chart-jet pass: a multiple of every bloc
 def block_size(m: int) -> int:
     """Sample points per ``geometry_block`` call for an m-dimensional chart
     (the rule and its measurements are in the module docstring)."""
-    return 64 if m <= 2 else 32 if m == 3 else 8 if m <= 5 else 1
+    return 64 if m <= 2 else 32 if m == 3 else 8 if m <= 5 else 4
 
 
 def chart_blocks(spec: chart_mod.ChartSpec, points, params: dict | None = None) -> Iterator[tuple]:
@@ -388,7 +397,7 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     jac = dPhi[..., 0]
 
     iu, ju = np.triu_indices(m)                                    # pairs i <= j
-    gJ = sp.zeros(P, m, m)                                         # order 3: dgJ at 2
+    gJ = sp.zeros(P, m, m, order=3)                                # dgJ at 2
     gJ[:, iu, ju] = gJ[:, ju, iu] = sp.dot(dPhi[:, iu], dPhi[:, ju], 3)
     g0 = gJ[..., 0]
 
@@ -405,34 +414,35 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     dgJ = np.stack([sp.deriv(gJ, a) for a in range(m)], axis=1)   # dg[p, a, b, c]
     C = ((dgJ[:, iu, :, ju] + dgJ[:, ju, :, iu]).swapaxes(0, 1)
          - dgJ[:, :, iu, ju].swapaxes(1, 2))                       # [p, pair, l]
-    GamJ = sp.zeros(P, m, m, m)
+    GamJ = sp.zeros(P, m, m, m, order=2)
     GamJ[:, :, iu, ju] = GamJ[:, :, ju, iu] = 0.5 * sp.dot(ginvJ[:, :, None], C[:, None], 2)
     Gam0 = GamJ[..., 0]
 
     # second fundamental form, ambient-valued, jets to order 2
     d2 = np.stack([sp.deriv(dPhi, j) for j in range(m)], axis=1)  # [p, j, i]
-    val = d2[:, ju, iu] + sp.mul(gJ[:, iu, ju, None], Phi[:, None], 2)
-    T = sp.mul(GamJ[:, :, iu, ju, None], dPhi[:, :, None], 2)      # [p, k, pair]
+    val = d2[:, ju, iu] + sp.mul(sp.cut(gJ, 2)[:, iu, ju, None], sp.cut(Phi, 2)[:, None], 2)
+    T = sp.mul(GamJ[:, :, iu, ju, None], sp.cut(dPhi, 2)[:, :, None], 2)  # [p, k, pair]
     for k in range(m):
         val = val - T[:, k]
-    BJ = sp.zeros(P, m, m, n + 1)
+    BJ = sp.zeros(P, m, m, n + 1, order=2)
     BJ[:, iu, ju] = BJ[:, ju, iu] = val
 
     T = sp.mul(ginvJ[..., None, :], BJ, 2)
-    HJ = sp.zeros(P, n + 1)                                        # order 2
+    HJ = sp.zeros(P, n + 1, order=2)
     for i in range(m):
         for j in range(m):
             HJ += T[:, i, j]
     HJ /= m
     H0 = HJ[..., 0]
-    H2J = sp.mul(HJ, HJ, 1).sum(axis=-2)
+    H1 = sp.cut(HJ, 1)
+    H2J = sp.mul(H1, H1, 1).sum(axis=-2)
 
     # the rough Laplacian of H from W_j = nabla_j H = d_j H + <H, dphi_j> phi
     # and nabla_i W_j = d_i W_j + <W_j, dphi_i> phi; second derivatives
     # [p, i, j, c] in C order like a lone point's (``_lap``)
     dHJ = np.stack([sp.deriv(HJ, j) for j in range(m)], axis=1)   # order 1
-    hdp = sp.dot(HJ[:, None], dPhi, 1)                             # <H, dphi_j>
-    WJ = dHJ + sp.mul(hdp[..., None, :], Phi[:, None], 1)
+    hdp = sp.dot(H1[:, None], sp.cut(dPhi, 1), 1)                  # <H, dphi_j>
+    WJ = dHJ + sp.mul(hdp[..., None, :], sp.cut(Phi, 1)[:, None], 1)
     W0 = WJ[..., 0]
     phi = phi0[:, None, None]
     ddH = np.ascontiguousarray(_first_partials(sp, WJ)
@@ -643,14 +653,14 @@ def _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, errors):
     (the test suite asserts this).
     """
     P, n1 = Phi.shape[:2]
-    E_c = sp.zeros(P, n1)
+    E_c = sp.zeros(P, n1, order=2)
     E_c[np.arange(P), c_star, 0] = 1.0
     NJ = _project_normal_jets(sp, Phi, dPhi, ginvJ, E_c, 2)
     nn = sp.mul(NJ, NJ, 2).sum(axis=-2)
     small = nn[:, 0] < 1e-16
     if small.any():                 # a failed point composes the constant 1
         _fail(errors, small, "normal frame construction failed (degenerate complement)")
-        nn = np.where(small[:, None], sp.constant(1.0), nn)
+        nn = np.where(small[:, None], sp.constant(1.0, 2), nn)
     scale = jets.elementary(sp, "recip", jets.elementary(sp, "sqrt", nn, 2), 2)
     etaJ = sp.mul(NJ, scale[:, None], 2)
     fJ = sp.mul(HJ, etaJ, 2).sum(axis=-2)                          # order 2

@@ -14,16 +14,20 @@ products in this order, so changing it would move result bits.
 Storing d^a f / a! instead of raw partials keeps the composition formulas
 free of factorial blow-up: multiplication is plain coefficient convolution.
 
-A jet is a plain float64 array whose last axis holds those L coefficients;
+A jet is a plain float64 array whose last axis holds its coefficients;
 leading axes stack jets (ambient components, tensor indices, the sample
-points of a block; a lone point is a block of one), and a constant is an
-(L,) jet that broadcasts against them.  The ``JetSpace`` kernels and
-``elementary`` take the truncation order as an argument instead of tracking
-it per jet: a coefficient of degree <= order is exact, and differentiating a
-jet valid through degree k leaves one valid through degree k - 1 (the caller
-passes the lower order on).  Every leading row is computed independently,
-and ``elementary`` takes the series of each row separately, so every point
-of a block gets the bits it would get alone.
+points of a block; a lone point is a block of one), and a constant is a
+one-row jet that broadcasts against them.  An order-k jet stores
+C(m+k, m) coefficients (``JetSpace.sizes[k]``), its graded prefix: the
+basis ascends in degree, so the prefix is exactly the degree <= k part, and
+``JetSpace.cut`` trims a deeper jet to it as a view.  The ``JetSpace``
+kernels and ``elementary`` take the truncation order as an argument and
+return an order-``order`` jet; ``mul`` and ``dot`` read only the first
+``sizes[order]`` coefficients of their operands, and ``deriv`` of an
+order-k jet is an order k - 1 jet.  Each returned coefficient is the one a
+full order-4 call computes, bit for bit.  Every leading row is computed
+independently, and ``elementary`` takes the series of each row separately,
+so every point of a block gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -105,6 +109,12 @@ class JetSpace:
 
     Holds the monomial enumeration, the sparse multiplication tables (one per
     truncation order, built lazily) and the differentiation index maps.
+    ``sizes[k]`` = C(m+k, m) is the number of coefficients an order-k jet
+    stores, and ``cut(x, k)`` is the view of the jets ``x`` trimmed to order
+    k; ``zeros`` and ``constant`` build jets of a given order, and ``mul``,
+    ``dot``, ``compose`` and ``elementary`` return jets of their ``order``.
+    Every table index of order k is below ``sizes[k]``, so ``mul`` and
+    ``dot`` read the same coefficients of an operand of any deeper order.
 
     All of them are read off one integer array, ``exponents`` (L, m).  A
     monomial's code is its exponents as base-(ORDER + 1) digits, u1's
@@ -159,10 +169,12 @@ class JetSpace:
         self.index = {a: i for i, a in enumerate(self.monomials)}
         self._pos = np.full(len(grid), -1, dtype=np.int64)
         self._pos[code] = np.arange(self.size)
+        self.sizes = tuple(math.comb(num_vars + k, k) for k in range(ORDER + 1))
         # position of the degree-1 monomial e_i, i.e. where first partials sit
         self.var_pos = self._pos[self._unit]
         self._mul_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._deriv_gathers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._scatter_index: dict[int, np.ndarray] = {}
 
     # -- tables ----------------------------------------------------------
@@ -186,21 +198,26 @@ class JetSpace:
 
     # -- ndarray kernels (leading batch axes allowed) ---------------------
 
-    def zeros(self, *lead: int) -> np.ndarray:
-        return np.zeros(lead + (self.size,))
+    def zeros(self, *lead: int, order: int = ORDER) -> np.ndarray:
+        return np.zeros(lead + (self.sizes[order],))
 
-    def constant(self, value) -> np.ndarray:
-        """The constant jet of ``value``: (L,) for one value, (P, L) for an
-        array of P values, one per row."""
-        c = self.zeros(*np.shape(value))
+    def constant(self, value, order: int = ORDER) -> np.ndarray:
+        """The order-``order`` constant jet of ``value``: one row for one
+        value, (P, sizes[order]) for an array of P values, one per row."""
+        c = self.zeros(*np.shape(value), order=order)
         c[..., 0] = value
         return c
 
+    def cut(self, x: np.ndarray, order: int) -> np.ndarray:
+        """The jets ``x`` trimmed to order ``order``: a view of their first
+        ``sizes[order]`` coefficients."""
+        return x[..., :self.sizes[order]]
+
     def _scatter(self, w: np.ndarray, K: np.ndarray, order: int) -> np.ndarray:
-        """Sum pair products ``w`` (..., pairs) into jet coefficients (..., L)
-        at the table's result positions ``K``, in ``w``'s C order; both
-        kernels hand it a C-contiguous ``w``, which ravels as a view."""
-        L = self.size
+        """Sum pair products ``w`` (..., pairs) into order-``order`` jets at
+        the table's result positions ``K``, in ``w``'s C order; both kernels
+        hand it a C-contiguous ``w``, which ravels as a view."""
+        L = self.sizes[min(order, ORDER)]
         lead = w.shape[:-1]
         rows = math.prod(lead)
         pairs = rows * len(K)
@@ -231,9 +248,19 @@ class JetSpace:
         return self._scatter(_pairwise_sum(ta * tb), K, order)
 
     def deriv(self, a: np.ndarray, var: int) -> np.ndarray:
-        src, dst, fac = self.deriv_table(var)
-        out = np.zeros(a.shape)
-        out[..., dst] = a[..., src] * fac
+        """d/du_var of the order-k jets ``a``: order k - 1 jets.  Taking u_var
+        off a monomial keeps the graded order, so the table's sources of
+        degree <= k give the result's coefficients in order, and ``deriv``
+        gathers them (cached per (var, k)) and scales each by its exponent."""
+        key = (var, a.shape[-1])
+        tab = self._deriv_gathers.get(key)
+        if tab is None:
+            src, _, fac = self.deriv_table(var)
+            keep = src < a.shape[-1]
+            tab = self._deriv_gathers[key] = (src[keep], fac[keep])
+        src, fac = tab
+        out = np.take(a, src, axis=-1)
+        out *= fac
         return out
 
     def compose(self, series, h: np.ndarray, order: int = ORDER) -> np.ndarray:
@@ -241,7 +268,8 @@ class JetSpace:
         Each ``series[k]`` is a number or has h's leading axes (one per row).
         A term past degree ``order`` has no coefficient of degree <= order, so
         Horner starts at ``series[order]``: one ``mul`` per degree kept."""
-        out = self.zeros(*h.shape[:-1])
+        h = self.cut(h, order)
+        out = self.zeros(*h.shape[:-1], order=order)
         out[..., 0] = series[order]
         for k in range(order - 1, -1, -1):
             out = self.mul(out, h, order)
@@ -310,8 +338,9 @@ _AT_ONE = {"sqrt": (1.0, 0.5, -0.125, 0.0625, -0.0390625),
 
 def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
                exponent: int | None = None) -> np.ndarray:
-    """Apply an elementary function to the jets ``x`` (..., L) by truncated
-    Taylor composition, valid through degree ``order``."""
+    """Apply an elementary function to the jets ``x`` by truncated Taylor
+    composition: order-``order`` jets."""
+    x = sp.cut(x, order)
     if fn == "neg":
         return -x
     if fn == "pow_int":
@@ -321,7 +350,7 @@ def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
         if p < 0:
             return elementary(sp, "pow_int", elementary(sp, "recip", x, order),
                               order, -p)
-        result = sp.constant(1.0)
+        result = sp.constant(1.0, order)
         base = x
         while p > 0:
             if p & 1:
@@ -330,8 +359,8 @@ def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
             if p:
                 base = sp.mul(base, base, order)
         return result
-    lead = x.shape[:-1]
-    x = x.reshape(-1, sp.size)
+    lead, size = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, size)
     c0 = x[:, 0]
     series = np.array([_series_coefficients(fn, v) for v in c0.tolist()]).T  # [k, row]
     h = x.copy()
@@ -349,4 +378,4 @@ def elementary(sp: JetSpace, fn: str, x: np.ndarray, order: int = ORDER,
         out[rows] *= scale
     else:
         out = sp.compose(series, h, order)
-    return out.reshape(lead + (sp.size,))
+    return out.reshape(lead + (size,))

@@ -110,12 +110,18 @@ class FamilySpec:
                 raise ScanError(
                     f"parameter value {t} outside the admissible domain: {e}"
                 ) from e
-        mid = 0.5 * (self.lo + self.hi)
+        mid = self.midpoint
         try:
             self.chart_at(mid)
         except chart_mod.ChartError as e:
             raise ScanError(f"the sample points are drawn at the range midpoint {mid}, "
                             f"where no chart builds: {e}") from e
+
+    @property
+    def midpoint(self) -> float:
+        """The parameter value the sample points are drawn at.  The halves
+        are added, so ends whose sum overflows have a finite midpoint."""
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def chart_at(self, t: float) -> chart_mod.ChartSpec:
         doc = self.doc if self.tag is None else chart_mod.chart_document(self.tag)
@@ -359,7 +365,7 @@ def sweep(family: FamilySpec) -> ScanResult:
     tau2 norm is not finite fails, and ``_refine`` takes a golden-section
     step where a secant step is not finite."""
     ts = np.linspace(family.lo, family.hi, family.steps)
-    mid_chart = family.chart_at(0.5 * (family.lo + family.hi))
+    mid_chart = family.chart_at(family.midpoint)
     points = chart_mod.sample_points(mid_chart, family.samples_per_point,
                                      family.seed)
     cache: dict = {}

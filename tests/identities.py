@@ -64,9 +64,10 @@ def nabla_A(spec, points) -> tuple[np.ndarray, np.ndarray]:
         if error is not None:
             raise error
 
-    p = sp.mul(BJ, etaJ[:, None, None], 1).sum(axis=-2)            # [p, l, j]
-    T = sp.mul(ginvJ[..., None, :], p[:, None], 1)                 # [p, k, l, j]
-    AJ = sp.zeros(len(phi_unit), m, m)                             # order 1
+    B1, eta1, ginv1 = (sp.cut(x, 1) for x in (BJ, etaJ, ginvJ))
+    p = sp.mul(B1, eta1[:, None, None], 1).sum(axis=-2)            # [p, l, j]
+    T = sp.mul(ginv1[..., None, :], p[:, None], 1)                 # [p, k, l, j]
+    AJ = sp.zeros(len(phi_unit), m, m, order=1)
     for l in range(m):
         AJ += T[:, :, l]
     # C order: the einsums below sum in a layout-dependent order

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chart_docs
-from bitension import biharmonic, chart, cli, expr
+from bitension import biharmonic, chart, cli, expr, scan
 
 ROOT2INV = 1.0 / math.sqrt(2.0)
 
@@ -752,6 +752,30 @@ def test_scan_range_or_domain_wider_than_the_float_range_exit_two(capsys, tmp_pa
         assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, argv
     with pytest.raises(chart.ChartError, match="wider than the largest float"):
         chart.ChartSpec("wide", 1, 2, ["cos(u1)", "sin(u1)", "0"], [(-1e308, 1e308)])
+
+
+def test_scan_midpoint_of_ends_whose_sum_overflows(capsys, tmp_path):
+    # 1e308 + 1.5e308 overflows, but the midpoint and every grid value are
+    # finite: the scan runs, and each row fails on its own (off the sphere)
+    doc = {"name": "sc", "m": 1, "n": 2, "expressions": ["cos(u1)*a", "sin(u1)*a", "sqrt(1-a^2)"],
+           "domain": [[0, 6.283185307179586]], "params": {"a": 0.5}}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "scan", "--chart", str(path), "--param", "a",
+                             "--range=1e308:1.5e308", "--steps", "8", "--samples", "1",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == 8 and all(r.endswith(",,,,error") for r in rows)
+    assert float(rows[0].split(",")[0]) == 1e308 and float(rows[-1].split(",")[0]) == 1.5e308
+    fam = scan.FamilySpec(doc=doc, param_name="a", lo=1e308, hi=1.5e308, steps=8)
+    assert fam.midpoint == 1.25e308
+    # halving is exact, so a range whose ends sum finitely keeps its bits
+    for lo, hi in ((0.3, 0.99), (-0.5, 0.5), (0.1, 0.7), (1e-300, 3e-300)):
+        fam = scan.FamilySpec(doc=doc, param_name="a", lo=lo, hi=hi, steps=8)
+        assert fam.midpoint == 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("expressions,domain,message", [

@@ -371,10 +371,11 @@ def test_dot_sums_over_its_gathered_axis(n):
     b = rng.standard_normal((5, n, sp.size))
 
     def scatter(sums, K):
-        return np.array([np.bincount(K, weights=w, minlength=sp.size) for w in sums])
+        return np.array([np.bincount(K, weights=w, minlength=L) for w in sums])
 
     for order in range(1, jets.ORDER + 1):
         I, J, K = sp.mul_table(order)
+        L = sp.sizes[order]
         p = [a[:, c, I] * b[:, c, J] for c in range(n)]
         sequential = p[0]
         for x in p[1:]:
@@ -406,18 +407,17 @@ def test_pairwise_sum_is_numpys_order(n):
 def test_trimmed_mul_dot_equal_order4_through_their_degree(d):
     # the order-k table is the order-4 table filtered in the same (i, j)
     # order, so each coefficient of degree <= k is the same sum, bit for bit
-    # (the geometry stages rely on this); the higher ones are left zero
+    # (the geometry stages rely on this); an order-k result stores just those
     sp = jets.space(d)
     rng = np.random.default_rng(500 + d)
     a = rng.standard_normal((2, 1, 3, sp.size))
     b = rng.standard_normal((1, 4, 3, sp.size))
     full_mul, full_dot = sp.mul(a, b, jets.ORDER), sp.dot(a, b, jets.ORDER)
     for k in (1, 2, 3):
-        low, high = sp.degree <= k, sp.degree > k
+        low = sp.degree <= k
         for got, full in ((sp.mul(a, b, k), full_mul), (sp.dot(a, b, k), full_dot)):
-            assert got.shape == full.shape
-            assert np.array_equal(got[..., low], full[..., low])
-            assert not got[..., high].any()
+            assert got.shape == full.shape[:-1] + (np.count_nonzero(low),)
+            assert np.array_equal(got, full[..., low])
 
 
 @pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
@@ -435,8 +435,55 @@ def test_trimmed_elementary_equals_order4_through_its_degree(d, fn):
     assert np.isfinite(full).all()
     for k in (1, 2, 3):
         got = elementary(sp, fn, x, k)
-        assert np.array_equal(got[..., sp.degree <= k], full[..., sp.degree <= k])
-        assert not got[..., sp.degree > k].any()
+        assert np.array_equal(got, full[..., sp.degree <= k])
+
+
+@pytest.mark.parametrize("d", range(1, jets.MAX_VARS + 1))
+def test_order_k_jets_are_graded_prefixes(d):
+    # an order-k jet stores the sizes[k] = C(d+k, d) coefficients of degree
+    # <= k, a prefix of the basis; each kernel at order k returns them, from
+    # operands of order k or deeper, bit for bit the prefix of the order-4
+    # call on full-length operands, and deriv of an order-k jet is the
+    # prefix of the full deriv
+    sp = jets.space(d)
+    rng = np.random.default_rng(1000 + d)
+    a = rng.standard_normal((2, 1, 3, sp.size))
+    b = rng.standard_normal((1, 4, 3, sp.size))
+    x = rng.standard_normal((2, 3, sp.size))
+    x[..., 0] = rng.uniform(0.5, 2.0, (2, 3))
+    h = x.copy()
+    h[..., 0] = 0.0
+    series = rng.standard_normal((jets.ORDER + 1, 2, 3))
+
+    def calls(k, a, b, x, h):
+        return [sp.mul(a, b, k), sp.dot(a, b, k), sp.compose(series, h, k),
+                elementary(sp, "sqrt", x, k), elementary(sp, "recip", x, k),
+                elementary(sp, "pow_int", x, k, exponent=3),
+                elementary(sp, "pow_int", x, k, exponent=-2)]
+
+    assert sp.sizes == tuple(math.comb(d + k, d) for k in range(jets.ORDER + 1))
+    assert sp.sizes[jets.ORDER] == sp.size
+    refs = calls(jets.ORDER, a, b, x, h)
+    for k in range(1, jets.ORDER + 1):
+        n = sp.sizes[k]
+        assert (sp.degree[:n] <= k).all() and (sp.degree[n:] > k).all()
+        assert sp.zeros(2, 3, order=k).shape == (2, 3, n)
+        assert sp.constant(2.0, k).tolist() == [2.0] + [0.0] * (n - 1)
+        cut = [sp.cut(y, k) for y in (a, b, x, h)]
+        assert all(np.shares_memory(c, y) for c, y in zip(cut, (a, b, x, h)))
+        for operands in ((a, b, x, h), cut):
+            for got, ref in zip(calls(k, *operands), refs):
+                assert got.shape == ref.shape[:-1] + (n,)
+                assert np.array_equal(got, ref[..., :n])
+        for var in range(d):
+            assert np.array_equal(sp.deriv(cut[0], var), sp.deriv(a, var)[..., :sp.sizes[k - 1]])
+    # the full deriv is the table's scatter, whose degree-4 part is zero
+    for var in range(d):
+        src, dst, fac = sp.deriv_table(var)
+        out = np.zeros(a.shape)
+        out[..., dst] = a[..., src] * fac
+        n = sp.sizes[jets.ORDER - 1]
+        assert np.array_equal(sp.deriv(a, var), out[..., :n]) and not out[..., n:].any()
 
 
 def full_horner(sp, series, h, order):

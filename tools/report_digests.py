@@ -12,13 +12,15 @@ in-process through ``cli.main`` inside a temporary directory, so the chart
 document path echoed in a report is the same relative name on every run.
 
 ``--fields`` prints one line per chart instead: a sha256 over every
-``PointGeometry`` field (bytes, dtype, shape, the strides of its long axes,
-the writeable flag) and ``scalar_curvature`` of each sample, from a
-``geometry_block`` call, the blocks of ``sample_blocks`` and one-point
-``geometry_block`` calls, in the one normal orientation the program computes
-(eta along H), with each failure's message.  It guards the fields a report
-does not print, and uses only API that every tree since the point blocks
-has.
+``PointGeometry`` field (bytes, dtype, shape, the writeable flag) and
+``scalar_curvature`` of each sample, from a ``geometry_block`` call, the
+blocks of ``sample_blocks`` and one-point ``geometry_block`` calls, in the
+one normal orientation the program computes (eta along H), with each
+failure's message.  It guards the fields a report does not print, and
+uses only API that every tree since the point blocks has.  Strides are
+left out: a field is a view into its block's jets, and its strides follow
+how many coefficients those jets store, not its value (the tests check the
+layouts a block and its points must share).
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ COMMANDS += [
      "--points", "37", "--seed", SEED, "--format", "json"],
     ["verify", "--catalog", "small-hypersphere", "--param", "m=3", "--param", f"r={R}",
      "--points", "37", "--seed", SEED, "--format", "json"],
+    # m = 6: two blocks of 4 and a partial block of 2
+    ["verify", "--catalog", "small-hypersphere", "--param", "m=6", "--param", f"r={R}",
+     "--points", "10", "--seed", SEED, "--format", "json"],
 ]
 SCANS = [
     ["--family", "small-hypersphere", "--param", "r", "--range", "0.3:0.99"],
@@ -109,7 +114,7 @@ SCANS = [
     ["--family", "veronese", "--param", "r", "--range", "0.5:1.0"],
     ["--chart", SPHERE_FAMILY_DOC, "--param", "r", "--range", "0.3:0.95"],
     ["--chart", PRODUCT_REF_DOC, "--param", "r", "--range", "0.3:0.95"],
-    # m = 4, one point per block: a minimal root at r = 1/2, a proper one at 1/sqrt(2)
+    # m = 4: a minimal root at r = 1/2, a proper one at 1/sqrt(2)
     ["--family", "product-spheres", "--param", "r", "--param", "m1=1", "--param", "m2=3",
      "--range", "0.3:0.95"],
     ["--chart", POLE_DOC_FILE, "--param", "c", "--range", "0.0:3.0"],
@@ -211,7 +216,7 @@ def field_digests(chart, expr, extrinsic) -> None:
                 for p in range(len(block))]
 
     for spec in field_charts(chart, expr):
-        count = 37 if spec.m <= 3 else 11    # a full and a partial block at m <= 5
+        count = 37 if spec.m <= 3 else 11    # full blocks and a partial one at m >= 3
         if spec.name == POLE_DOC["name"]:
             pts = np.column_stack([np.linspace(1.5, 6.0, count), np.linspace(-1.2, 1.3, count)])
             pts[2], pts[5] = (3.0, 0.0), (0.5, 0.7)
@@ -232,9 +237,7 @@ def field_digests(chart, expr, extrinsic) -> None:
                 values.append(scalar)
             for v in values:
                 if isinstance(v, np.ndarray):
-                    long_axes = [(s, k) for s, k in zip(v.strides, v.shape) if k > 1]
-                    h.update(repr((v.dtype.str, v.shape, long_axes,
-                                   v.flags.writeable)).encode())
+                    h.update(repr((v.dtype.str, v.shape, v.flags.writeable)).encode())
                     h.update(v.tobytes())
                 else:
                     h.update(repr(v).encode())
