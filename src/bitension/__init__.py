@@ -25,7 +25,6 @@ from .extrinsic import (
     GeometryBlock,
     GeometryError,
     IntrinsicCurvature,
-    PointGeometry,
     compute_geometry,
     geometry_block,
     intrinsic_curvature,
@@ -53,7 +52,7 @@ __all__ = [
     "parse", "to_string", "ExprSyntaxError",
     "ChartSpec", "ChartError", "parse_chart", "catalog_chart",
     "catalog_entries", "eval_jet_stack", "sample_points", "perturbed_chart",
-    "PointGeometry", "GeometryBlock", "IntrinsicCurvature", "GeometryError",
+    "GeometryBlock", "IntrinsicCurvature", "GeometryError",
     "compute_geometry", "geometry_block", "sample_blocks", "tau2_block",
     "intrinsic_curvature", "scalar_curvature",
     "ResidualReport", "PMCBlock", "AllSamplesFailed", "evaluate_chart",

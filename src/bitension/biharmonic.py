@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from . import extrinsic
-from .extrinsic import GeometryBlock, GeometryError, PointGeometry
+from .extrinsic import GeometryBlock, GeometryError
 
 PASS_TOL = 1e-6
 FAIL_TOL = 1e-3
@@ -50,13 +50,13 @@ class AllSamplesFailed(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def tau2_direct(geom: PointGeometry | GeometryBlock) -> np.ndarray:
-    """Bitension field at the point, as an ambient vector; on an
-    ``extrinsic.GeometryBlock`` the same formula gives one row per point."""
+def tau2_direct(geom: GeometryBlock) -> np.ndarray:
+    """Bitension field as an ambient vector, one row per point of a
+    ``GeometryBlock``."""
     return -geom.m * (geom.delta_H - geom.m * geom.H)
 
 
-def split_residuals(geom: PointGeometry | GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
+def split_residuals(geom: GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
     """Normal and tangent residual vectors of the split characterization
     (one row per point of a ``GeometryBlock``)."""
     normal = geom.delta_perp_H + geom.trace_B_AH - geom.m * geom.H
@@ -359,9 +359,9 @@ def evaluate_chart(
     read in one residual pass over the point axis (``sample_records``) and
     one ``pmc_check``, whose results ``_merge_pmc`` then combines.  So the
     residual stage never holds more points than ``extrinsic.block_size``,
-    no ``GeometryBlock`` outlives the reading of its records, and no
-    ``PointGeometry`` is built.  Only the ``SampleRecord`` objects and the
-    maxima over samples are per point, in sample order.
+    and no ``GeometryBlock`` outlives the reading of its records.  Only the
+    ``SampleRecord`` objects and the maxima over samples are per point, in
+    sample order.
     Results and messages are those of one-point evaluation, to the bit.
     Only a proper verdict is audited (``quantity_audit``).
     """

@@ -60,7 +60,7 @@ array carries exactly one leading point axis, from the chart jets
 (P, n+1, L) through the Christoffel, B and H jets to each value-level field,
 so each kernel call and each contraction serves all P points (Taylor
 arithmetic in vector mode).  The result is one ``GeometryBlock``: every
-``PointGeometry`` field as one value over the point axis, and each point's
+field of ``FIELDS`` as one value over the point axis, and each point's
 error.  Each point's values stay bit-identical to those of its one-point
 block, because every value step is the numpy primitive a lone point would
 call, on the same strided views: an ``einsum`` gains a ``p`` index,
@@ -69,50 +69,24 @@ copy would sum in another order) and ``np.sum`` a per-row sum.  The
 pivoted Gram-Schmidt frames run over the point axis too, each point with
 its own pivots (``_block_frames``), and the finiteness of every field is
 tested once per block.  Only the two full reductions of Delta f stay per
-point: their ``einsum`` with a point axis sums in another order (it moved
-the last bit of 12 of 640 probed values).
-``block_size`` fixes P from m alone: 64 for m <= 2 and 32 for m = 3, where
-a point's cost is mostly per-call dispatch, 8 for m = 4, 5, and 4 for
-m = 6, where the kernels' own arithmetic takes over.  On a 2-core Xeon VM,
-before the order trim above, one block of 8 cost 0.30-0.47 of eight
-one-point calls at m = 2, 3.  At m <= 3, blocks of 32 instead of 8 (and the
-block frames) took 64-sample verify calls from 920 to 1550 samples/s at a
-peak of 55 MB instead of 50 (16 points: 51 MB, 64: 63 MB).  At m <= 2,
-blocks of 64, one per chart pass below, instead of 32 took 64-sample
-``evaluate_chart`` calls 0.76-1.10x the time (median of five, three probes
-each; torus 0.76, small hypersphere 0.91, perturbed charts 0.85 and 1.0,
-Veronese 1.10), and the verify-lowdim benchmark from 2719 to 3246
-samples/s (median call 0.0210 to 0.0161 s) at a peak of 51.0 MB instead of
-50.6 (medians of ten pairs of 30 s runs, seed 1).  At m = 3, blocks of 64 ran 0.91-1.09x the rate of 32 in
-four probes (small hypersphere, product-spheres 2+1), too little for the
-63 MB.  With the trim, on the same VM (small hypersphere, best of three, a
-noisy host), one block of 8 ran 2.5x the rate of eight one-point calls at
-m = 4, 1.0-2.2x at m = 5 and 0.8x at m = 6, and raised the peak memory above
-the interpreter's from 2 to 8 MB at m = 4, 4 to 24 MB at m = 5 and 9 to
-65 MB at m = 6 (stacked temporaries grow with P).  With the chart pass
-below and the PMC check per block, blocks of 8 instead of 1 took 64-sample
-``evaluate_chart`` calls (median of five) from 310 to 623 samples/s on
-small-hypersphere m = 4, 151 to 259 at m = 5 and 198 to 239 on
-product-spheres 1+4; at m = 6 blocks of 2, 4 and 8 ran 71-74 samples/s
-against 66, too little for their memory.  Once each stage stored only the
-coefficients of its order, the verify-highdim benchmark (m = 5, 6 charts,
-seed 2, medians of three 30 s runs) read 259 samples/s at a peak of 60 MB
-with m = 6 blocks of 1, 288 at 66 MB with blocks of 4 and 302 at 79 MB
-with blocks of 8; eight gain too little for 13 MB more.
-``chart_blocks`` evaluates the chart jets once per run of ``CHART_RUN``
-(64) points, a multiple of every block size, and hands each block its rows
-and errors; one pass gives each point the jets of its one-point block, and
-cut the chart-jet time of 64 points 1.25-3.2x against one pass per point
-(generalized-clifford 2+4, product-spheres 1+4, small-hypersphere m = 6).
-It is the one pass and block loop: ``sample_blocks`` runs the full package
-on its blocks, and ``scan`` the tau2 stage on the blocks of a family's
-stacked members, whose parameters it passes as one value per point.
-No check raises: a failed check
-records the point's error (``jets.fail``; a point keeps its first), and every
-row goes on, as rows never mix, so one pass gives each point the outcome of
-its one-point block.  A failed point passes neutral rows (the identity, the
-constant-1 jet) to the calls that raise for a whole stack: LAPACK's
-``eigvalsh`` and ``cholesky``, and the jet ``sqrt`` and ``recip``.
+point: their ``einsum`` with a point axis sums in another order, which
+moves last bits.
+``block_size`` fixes P from m alone: 64 for m <= 2, 32 for m = 3, 8 for
+m = 4, 5 and 4 for m = 6.  A larger block shares the per-call dispatch that
+dominates at small m, but its stacked temporaries grow with P and cost more
+memory than they save time once the kernels' arithmetic dominates (the
+measurements are in CHANGES.md).
+``chart_blocks`` is the one chart pass and block loop: one
+``eval_jet_stack`` pass per ``CHART_RUN`` points, a multiple of every block
+size, gives each point the jets of its one-point block; ``sample_blocks``
+runs the full package on its blocks, and ``scan`` the tau2 stage on the
+blocks of a family's stacked members, one parameter value per point.
+No check raises: a failed check records the point's error (``jets.fail``;
+a point keeps its first), and every row goes on, as rows never mix, so one
+pass gives each point the outcome of its one-point block.  A failed point
+passes neutral rows (the identity, the constant-1 jet) to the calls that
+raise for a whole stack: LAPACK's ``eigvalsh`` and ``cholesky``, and the
+jet ``sqrt`` and ``recip``.
 
 The residuals read the good points of a block as its ``rows`` (one
 contiguous copy per field), and the scalar curvature (``_coord_riemann``,
@@ -122,18 +96,17 @@ rule: each contraction keeps the kernel a lone point calls (a matrix-vector
 ``@`` stays one ``gemv`` per point, a row norm ``sqrt(<v, v>)``, an
 ``einsum`` gains a ``p`` index, and the frame entries accumulate along the
 last axis), so no residual has to stay per point.  The rows are one
-geometry block, so at m = 6 the curvature temporaries stay four points wide
-(64 points would take about 24 MB), and ``biharmonic.evaluate_chart``
-drops each ``GeometryBlock``, whose value views pin the block's jet arrays
-(about 0.2 MB a point at m = 6), before it computes the next block.  A lone
-point's residuals are those of the ``rows`` of its one-point block.
+geometry block, so at m = 6 the curvature temporaries stay four points
+wide, and ``biharmonic.evaluate_chart`` drops each ``GeometryBlock``, whose
+value views pin the block's jet arrays, before it computes the next block.
+A lone point's residuals are those of the ``rows`` of its one-point block.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,94 +156,57 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """All extrinsic data of one chart at one sample point.
-
-    Immutable value: every field is computed once by ``geometry_block``,
-    its only constructor, and is finite: a point with a non-finite field
-    gets a ``GeometryError`` naming the first one in field order instead.
-    """
-
-    point: np.ndarray
-    m: int
-    n: int
-    phi: np.ndarray                 # (n+1,)
-    jac: np.ndarray                 # (m, n+1) rows dphi_i
-    metric: np.ndarray              # (m, m)
-    metric_inv: np.ndarray
-    christoffel: np.ndarray         # (m, m, m): [k, i, j] = Gamma^k_ij
-    christoffel_grad: np.ndarray    # (m, m, m, m): [a, k, i, j] = d_a Gamma^k_ij
-    tangent_frame: np.ndarray       # (m, n+1) orthonormal rows
-    frame_coeff: np.ndarray         # (m, m): e_a = sum_i frame_coeff[a, i] dphi_i
-    normal_frame: np.ndarray        # (n - m, n+1) orthonormal rows
-    B_coord: np.ndarray             # (m, m, n+1) ambient-valued B(d_i, d_j)
-    B_frame: np.ndarray             # (n - m, m, m) <B(e_a, e_b), xi_x>, read-only
-    A_H: np.ndarray                 # (m, m) <B(e_a, e_b), H>
-    H: np.ndarray                   # (n+1,)
-    H_norm: float
-    H2: float
-    B2: float
-    AH2: float
-    delta_H: np.ndarray             # (n+1,)
-    delta_perp_H: np.ndarray        # (n+1,)
-    nabla_perp_H: np.ndarray        # (m, n+1): P_N(d_j H)
-    nabla_perp_H_norm: float
-    grad_H2: np.ndarray             # (n+1,)
-    trace_B_AH: np.ndarray          # (n+1,)
-    trace_A_nablaH: np.ndarray      # (n+1,)
-    # hypersurface-only fields (None when codimension > 1)
-    f: float | None = None
-    eta: np.ndarray | None = None   # normal_frame[0]
-    A: np.ndarray | None = None     # (m, m) shape operator, B_frame[0]
-    A2: float | None = None
-    grad_f: np.ndarray | None = None          # (n+1,)
-    delta_f: float | None = None
-
-    @property
-    def codim(self) -> int:
-        return self.n - self.m
-
-    @property
-    def hypersurface(self) -> bool:
-        return self.codim == 1
+# The fields of a full geometry block, in the order ``_check_finite`` tests
+# them.  Each holds one value per point along a leading point axis: an
+# array, or a list of floats.  Per point, with n1 = n + 1 and k = n - m:
+#   point (m,); phi, H, delta_H, delta_perp_H, grad_H2, trace_B_AH,
+#     trace_A_nablaH (n1,)
+#   jac (m, n1): rows dphi_i; nabla_perp_H (m, n1): rows P_N(d_i H)
+#   metric, metric_inv (m, m)
+#   christoffel (m, m, m): [k, i, j] = Gamma^k_ij
+#   christoffel_grad (m, m, m, m): [a, k, i, j] = d_a Gamma^k_ij
+#   tangent_frame (m, n1), normal_frame (k, n1): orthonormal rows
+#   frame_coeff (m, m): e_a = sum_i frame_coeff[a, i] dphi_i
+#   B_coord (m, m, n1): the ambient-valued B(d_i, d_j)
+#   B_frame (k, m, m): <B(e_a, e_b), xi_x>, read-only
+#   A_H (m, m): <B(e_a, e_b), H>
+#   H_norm, H2, B2, AH2, nabla_perp_H_norm: floats
+#   hypersurfaces (k = 1) only: f, A2, delta_f (floats), eta = normal_frame[0]
+#     and grad_f (n1,), and the shape operator A = B_frame[0] (m, m)
+FIELDS = (
+    "point", "phi", "jac", "metric", "metric_inv", "christoffel", "christoffel_grad",
+    "tangent_frame", "frame_coeff", "normal_frame", "B_coord", "B_frame", "A_H", "H",
+    "H_norm", "H2", "B2", "AH2", "delta_H", "delta_perp_H", "nabla_perp_H",
+    "nabla_perp_H_norm", "grad_H2", "trace_B_AH", "trace_A_nablaH",
+    "f", "eta", "A", "A2", "grad_f", "delta_f",
+)
 
 
 class GeometryBlock:
-    """The ``PointGeometry`` fields of a block of sample points of one chart,
-    each read as an attribute holding one value per point along a leading
-    point axis (an array, or a list of floats for a float field), and
-    ``errors``: None for a good point, else the error of its one-point block.
-    A failed point's values mean nothing.  Per-point formulas such as
-    ``biharmonic.tau2_direct`` apply to a block unchanged, row by row.
+    """The geometry of a block of sample points of one chart: each field of
+    ``FIELDS`` it computed, read as an attribute holding one value per point
+    along a leading point axis, and ``errors``: None for a good point, else
+    the error of its one-point block.  A failed point's values mean nothing.
 
-    ``block[p]`` is point p's error, or its ``PointGeometry`` of the row
-    views ``v[p]``.  ``block.rows(index)`` is the block of those points with
-    every field an ``np.take`` copy along the point axis: C-contiguous, as
-    the residuals need, since their einsums sum in a layout-dependent order.
+    ``block.rows(index)`` is the block of those points with every field an
+    ``np.take`` copy along the point axis: C-contiguous, as the residuals
+    need, since their einsums sum in a layout-dependent order.
     """
 
     def __init__(self, m: int, n: int, values: dict, errors: list):
         self.m, self.n, self.errors = m, n, errors
+        self.codim = n - m
+        self.hypersurface = self.codim == 1
         self._values = values
         self.__dict__.update(values)
 
     def __len__(self) -> int:
         return len(self.errors)
 
-    def __getitem__(self, p: int) -> PointGeometry | ValueError:
-        error = self.errors[p]
-        if error is not None:
-            return error
-        return PointGeometry(m=self.m, n=self.n, **{k: v[p] for k, v in self._values.items()})
-
     def rows(self, index) -> GeometryBlock:
         return GeometryBlock(self.m, self.n,
                              {k: np.take(v, index, axis=0) for k, v in self._values.items()},
                              [self.errors[p] for p in index])
-
-    codim = PointGeometry.codim
-    hypersurface = PointGeometry.hypersurface
 
 
 @dataclass
@@ -314,7 +250,7 @@ CHART_RUN = 64      # sample points per chart-jet pass: a multiple of every bloc
 
 def block_size(m: int) -> int:
     """Sample points per ``geometry_block`` call for an m-dimensional chart
-    (the rule and its measurements are in the module docstring)."""
+    (the rule and why are in the module docstring)."""
     return 64 if m <= 2 else 32 if m == 3 else 8 if m <= 5 else 4
 
 
@@ -343,27 +279,28 @@ def sample_blocks(spec: chart_mod.ChartSpec, points) -> Iterator[GeometryBlock]:
         yield _geometry_rest(spec, _tau2_stage(spec, block, chart_jets))
 
 
-def compute_geometry(spec: chart_mod.ChartSpec, point) -> PointGeometry:
+def compute_geometry(spec: chart_mod.ChartSpec, point) -> GeometryBlock:
     """Full extrinsic package at one point (m,): ``geometry_block`` of the
     one-point block, whose error it raises.  Floating-point overflow does
     not warn: a sample whose jets or outputs are not finite raises
     ``GeometryError``.
     """
-    out = geometry_block(spec, [point])[0]
-    if isinstance(out, PointGeometry):
-        return out
-    raise out
+    block = geometry_block(spec, [point])
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return block
 
 
 def tau2_block(spec: chart_mod.ChartSpec, points, chart_jets=None) -> GeometryBlock:
     """H, |H| and Delta H at each point of a (P, m) block, as a
-    ``GeometryBlock`` of these three fields (so without ``block[p]``): the
-    tau2 stage of ``geometry_block`` alone, each value bit-identical to that
-    field of the full package.  A point fails only the checks these values depend on:
+    ``GeometryBlock`` of these three fields: the tau2 stage of
+    ``geometry_block`` alone, each value bit-identical to that field of the
+    full package.  A point fails only the checks these values depend on:
     the chart and its jets, the sphere, the rank, and the finiteness of the
-    fields the stage computes (in field order); the frame checks and the
-    finiteness of the other fields are ``geometry_block``'s alone.  A failed
-    point's values mean nothing.  ``chart_jets`` is as for ``_tau2_stage``.
+    fields the stage computes (in ``FIELDS`` order); the frame checks and
+    the finiteness of the other fields are ``geometry_block``'s alone.  A
+    failed point's values mean nothing.  ``chart_jets`` is as for
+    ``_tau2_stage``.
     """
     *_, errors, values = _tau2_stage(spec, points, chart_jets)
     _check_finite(values, errors)
@@ -376,7 +313,7 @@ def _tau2_stage(spec: chart_mod.ChartSpec, points, chart_jets=None):
     """The jet stages through H and Delta H over a (P, m) block, with the
     chart, sphere and rank checks: the jets it builds (the rest of
     ``geometry_block`` reads all but BJ, whose values are ``B_coord``), each
-    point's error, and a dict of the ``PointGeometry`` fields computed here.
+    point's error, and a dict of the ``FIELDS`` computed here.
     ``chart_jets`` is the block's rows of an ``eval_jet_stack`` pass over
     more points (``chart_blocks``), for one chart or for several members of
     a family (``scan._profiles``); by default the stage makes its own."""
@@ -465,8 +402,8 @@ def geometry_block(spec: chart_mod.ChartSpec, points) -> GeometryBlock:
     Every jet stage is one kernel call, and every value-level field one
     array operation, over the whole block; only the Delta f reductions run
     per point.  Each point's error is the ``GeometryError``/``ChartError``
-    of its one-point block (its first failed check), and ``block[p]`` of a
-    good point equals the ``PointGeometry`` of its one-point block.
+    of its one-point block (its first failed check), and each field's row
+    of a good point equals that of its one-point block.
     """
     return _geometry_rest(spec, _tau2_stage(spec, points))
 
@@ -556,12 +493,12 @@ def _neutral(errors: list, x: np.ndarray, row) -> np.ndarray:
 
 def _check_finite(values: dict, errors: list) -> None:
     """Fail each point at its first non-finite field of ``values``, in
-    ``PointGeometry`` field order; absent or None fields are skipped."""
-    for f in fields(PointGeometry):
-        v = values.get(f.name)
+    ``FIELDS`` order; absent fields are skipped."""
+    for name in FIELDS:
+        v = values.get(name)
         if v is not None and not np.isfinite(v).all():
             bad = ~np.isfinite(np.reshape(v, (len(errors), -1))).all(axis=1)
-            _fail(errors, bad, f"non-finite {f.name} at the sample point")
+            _fail(errors, bad, f"non-finite {name} at the sample point")
 
 
 def _first_partials(sp: jets.JetSpace, X: np.ndarray) -> np.ndarray:

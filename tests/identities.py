@@ -1,6 +1,6 @@
 """Identities that hold for every immersion, as residuals over the ``rows``
 of a geometry block: independent checks of the jet pipeline, used by the
-tests only.
+tests only; and the tests' ways to read a block (``rows_of``, ``point_of``).
 
 * Gauss equation for a hypersurface: ricci(X,Y) = (m-1)<X,Y>
   + <A(X),Y> trace A - <A(X), A(Y)>;
@@ -12,6 +12,8 @@ No report reads the cubic form grad A, so the program does not compute it:
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +29,22 @@ def rows_of(spec, points) -> extrinsic.GeometryBlock:
         if error is not None:
             raise error
     return block.rows(range(len(block)))
+
+
+def point_of(block: extrinsic.GeometryBlock, p: int = 0):
+    """Point p of a geometry block: its error, or a namespace of m, n,
+    ``hypersurface`` and each of ``extrinsic.FIELDS`` as the row view
+    ``v[p]`` of the block's field (None where the block lacks it), on which
+    the per-point references of the tests read one point's values."""
+    if block.errors[p] is not None:
+        return block.errors[p]
+    return SimpleNamespace(m=block.m, n=block.n, hypersurface=block.hypersurface, **{
+        k: getattr(block, k)[p] if hasattr(block, k) else None for k in extrinsic.FIELDS})
+
+
+def points_of(block: extrinsic.GeometryBlock) -> list:
+    """``point_of`` each point of a geometry block, in order."""
+    return [point_of(block, p) for p in range(len(block))]
 
 
 def gauss_ricci_check(g: extrinsic.GeometryBlock) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_criterion_8_pmc_suite(catalog_reports):
             {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV})
         ref = np.array([-1, -1, 1, 1, 1, 1]) / 3.0   # (m1-m2)/m with mult m1, m2
         for p in chart.sample_points(spec, 8, 42):
-            g = extrinsic.compute_geometry(spec, p)
+            g = identities.point_of(extrinsic.compute_geometry(spec, p))
             eig = np.sort(np.linalg.eigvalsh(g.A_H))
             assert np.max(np.abs(eig - ref)) < 1e-7
 
@@ -150,7 +150,7 @@ def test_criterion_9_oracle_agreement():
             spec = (chart.perturbed_chart(101) if entry is None
                     else chart.catalog_chart(*entry))
             for p in chart.sample_points(spec, 8, 3):
-                g = extrinsic.compute_geometry(spec, p)
+                g = identities.point_of(extrinsic.compute_geometry(spec, p))
                 assert np.max(np.abs(
                     oracle.fd_mean_curvature(spec, p) - g.H)) < 1e-5, spec.name
                 assert np.max(np.abs(

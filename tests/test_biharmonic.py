@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from identities import rows_of
+from identities import point_of, rows_of
 from bitension import biharmonic, chart, extrinsic
 from bitension.biharmonic import (
     VERDICT_INCONCLUSIVE, VERDICT_MINIMAL, VERDICT_NOT, VERDICT_PROPER,
@@ -41,7 +41,7 @@ def test_tau2_matches_family_oracle(m, r):
     spec = catalog_chart("small-hypersphere", {"m": m, "r": r})
     ref = sphere_tau2_norm(m, r)
     for p in sample_points(spec, 3, 17):
-        tau = tau2_direct(extrinsic.compute_geometry(spec, p))
+        [tau] = tau2_direct(extrinsic.compute_geometry(spec, p))
         assert abs(np.linalg.norm(tau) - ref) < 1e-9 * (1.0 + ref)
 
 
@@ -63,7 +63,7 @@ def test_sphere_curvature_contraction_identity():
                  catalog_chart("veronese", {"r": 0.8}),
                  perturbed_chart(71)):
         for p in sample_points(spec, 3, 23):
-            g = extrinsic.compute_geometry(spec, p)
+            g = point_of(extrinsic.compute_geometry(spec, p))
             np.testing.assert_allclose(
                 sphere_curvature_contraction(g), -g.m * g.H, atol=1e-11
             )
@@ -120,7 +120,7 @@ def test_split_residuals_minimal_product():
     spec = catalog_chart("product-spheres",
                          {"m1": 1, "m2": 1, "r1": ROOT2INV, "r2": ROOT2INV})
     for p in sample_points(spec, 3, 31):
-        g = extrinsic.compute_geometry(spec, p)
+        g = point_of(extrinsic.compute_geometry(spec, p))
         normal, tangent = split_residuals(g)
         assert np.linalg.norm(normal) < 1e-12
         assert np.linalg.norm(tangent) < 1e-12

@@ -196,7 +196,7 @@ def test_nan_coordinate_is_outside_the_safe_region(block):
     # every comparison with NaN is false, so the check asks "not inside":
     # each NaN point is named, alone and in a block
     spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.8})
-    for got in (eval_jet_stack(spec, block)[2], extrinsic.geometry_block(spec, block)):
+    for got in (eval_jet_stack(spec, block)[2], extrinsic.geometry_block(spec, block).errors):
         for p, out in zip(block, got):
             if any(map(math.isnan, p)):
                 assert isinstance(out, ChartEvalError) and "safe region" in str(out)

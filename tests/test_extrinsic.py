@@ -14,8 +14,10 @@ Closed-form references, derived by hand once and frozen here:
 import copy
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import math
+import pathlib
 import re
 import warnings
 import weakref
@@ -27,7 +29,9 @@ from hypothesis import strategies as st
 
 import chart_docs
 import oracle
-from identities import gauss_ricci_check, nabla_A, nabla_A_symmetry_check, rows_of
+from identities import (
+    gauss_ricci_check, nabla_A, nabla_A_symmetry_check, point_of, points_of, rows_of,
+)
 from bitension import biharmonic, chart, cli, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
 from bitension.extrinsic import (
@@ -47,7 +51,7 @@ def sphere_A2(m, r):
 
 def geoms_of(tag, params, count=4, seed=11):
     spec = catalog_chart(tag, params)
-    return spec, [compute_geometry(spec, p)
+    return spec, [point_of(compute_geometry(spec, p))
                   for p in sample_points(spec, count, seed)]
 
 
@@ -163,7 +167,7 @@ def test_veronese_metric_and_curvature():
 
 
 # ---------------------------------------------------------------------------
-# PointGeometry invariants on every catalog chart
+# per-point invariants on every catalog chart
 # ---------------------------------------------------------------------------
 
 INVARIANT_CHARTS = [
@@ -210,31 +214,46 @@ def test_point_geometry_invariants(tag, params):
 
 
 def test_point_geometry_is_frozen():
-    _, (g,) = geoms_of("small-hypersphere", {"m": 2, "r": 0.75}, count=1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.H_norm = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.B_frame = np.zeros_like(g.B_frame)
-    with pytest.raises(ValueError):
-        g.B_frame[0, 0, 0] = 0.0
-    with pytest.raises(ValueError):
-        g.A[0, 0] = 0.0
+    # B_frame, and A, the hypersurface's B_frame[:, 0], are read-only in a
+    # block and in each point's row views (``--fields`` digests the flag)
+    spec = catalog_chart("small-hypersphere", {"m": 2, "r": 0.75})
+    block = extrinsic.geometry_block(spec, sample_points(spec, 2, 11))
+    g = point_of(block, 1)
+    for v in (block.B_frame, block.A, g.B_frame, g.A):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[(0,) * v.ndim] = 0.0
 
 
-def point_fields(g):
-    """The names of the fields a ``PointGeometry`` holds: all but m, n and
-    the hypersurface fields it leaves None."""
-    return [f.name for f in dataclasses.fields(extrinsic.PointGeometry)
-            if f.name not in ("m", "n") and getattr(g, f.name) is not None]
+def point_fields(block):
+    """The names of the fields a geometry block holds, in ``FIELDS`` order."""
+    return [k for k in extrinsic.FIELDS if hasattr(block, k)]
 
 
 def stacked_block(block, index):
-    """A ``GeometryBlock`` rebuilt field by field from the ``PointGeometry``
-    of each point of ``index``: every field ``np.array`` of their values."""
-    names = point_fields(block[index[0]])
+    """A ``GeometryBlock`` rebuilt field by field from the row views of the
+    points of ``index``: every field ``np.array`` of their values."""
     return extrinsic.GeometryBlock(
-        block.m, block.n, {k: np.array([getattr(block[p], k) for p in index]) for k in names},
+        block.m, block.n,
+        {k: np.array([getattr(block, k)[p] for p in index]) for k in point_fields(block)},
         [None] * len(index))
+
+
+def test_block_fields_are_the_declared_fields():
+    # FIELDS names every field the geometry computes, in the order its
+    # finiteness is checked, and the --fields digest hashes the same order
+    hyper = catalog_chart("small-hypersphere", {"m": 2, "r": 0.75})
+    block = extrinsic.geometry_block(hyper, sample_points(hyper, 2, 11))
+    assert sorted(block._values) == sorted(extrinsic.FIELDS)
+    assert len(extrinsic.FIELDS) == len(set(extrinsic.FIELDS))
+    block = extrinsic.geometry_block(TORUS, sample_points(TORUS, 2, 11))
+    hyper_only = ("f", "eta", "A", "A2", "grad_f", "delta_f")
+    assert sorted(block._values) == sorted(k for k in extrinsic.FIELDS if k not in hyper_only)
+    tool = importlib.util.spec_from_file_location(
+        "report_digests", pathlib.Path(__file__).parents[1] / "tools" / "report_digests.py")
+    digests = importlib.util.module_from_spec(tool)
+    tool.loader.exec_module(digests)
+    assert digests.FIELDS == ("point", "m", "n") + extrinsic.FIELDS[1:]
 
 
 def test_intrinsic_curvature_reads_only_declared_fields():
@@ -244,7 +263,7 @@ def test_intrinsic_curvature_reads_only_declared_fields():
                          {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV})
     block = extrinsic.geometry_block(spec, sample_points(spec, 2, 11))
     g = block.rows([0, 1])
-    assert not [f.name for f in dataclasses.fields(block[0]) if f.name.startswith("_")]
+    assert not [k for k in block._values if k not in extrinsic.FIELDS]
     ref = intrinsic_curvature(g)
     for other in (copy.deepcopy(g), stacked_block(block, [0, 1])):
         curv = intrinsic_curvature(other)
@@ -303,7 +322,7 @@ def test_nabla_A_symmetry_perturbed_with_fd_cross_check():
     sym, trace = nabla_A_symmetry_check(rows, grad_A)
     assert np.all(sym < 1e-5) and np.all(trace < 1e-5)
     assert np.all(np.linalg.norm(rows.grad_f, axis=-1) > 1e-4)     # genuinely non-CMC
-    g = compute_geometry(spec, pts[0])
+    g = point_of(compute_geometry(spec, pts[0]))
     s_fd = oracle.fd_nabla_A(spec, pts[0], eta_ref=g.eta, frame=g.tangent_frame)
     assert np.max(np.abs(s_fd - grad_A[0][0])) < 1e-8
 
@@ -388,7 +407,7 @@ def test_lemma_4_1_inequality_and_equality_cases():
     charts += [perturbed_chart(s, base="torus") for s in (53,)]
     for spec in charts:
         for p in sample_points(spec, 4, 9):
-            g = compute_geometry(spec, p)
+            g = point_of(compute_geometry(spec, p))
             slack = g.H2 * g.B2 - g.AH2
             assert slack >= -1e-10
             if g.hypersurface:
@@ -408,13 +427,13 @@ def test_lemma_4_1_equality_for_spanned_first_normal():
     }
     spec = chart.parse_chart(doc)
     for p in sample_points(spec, 4, 9):
-        g = compute_geometry(spec, p)
+        g = point_of(compute_geometry(spec, p))
         assert not g.hypersurface
         assert abs(g.H2 * g.B2 - g.AH2) < 1e-10
     # the flat torus is pseudo-umbilical but its first normal is not spanned
     # by H: strict inequality
     spec = catalog_chart("clifford-torus-b3", {"a": 0.5, "b": 0.5})
-    g = compute_geometry(spec, sample_points(spec, 1, 0)[0])
+    g = point_of(compute_geometry(spec, sample_points(spec, 1, 0)[0]))
     assert g.H2 * g.B2 - g.AH2 > 1.0
 
 
@@ -447,7 +466,7 @@ def test_fd_oracle_agreement():
     for spec in (catalog_chart("small-hypersphere", {"m": 2, "r": 0.8}),
                  perturbed_chart(61)):
         for p in sample_points(spec, 2, 13):
-            g = compute_geometry(spec, p)
+            g = point_of(compute_geometry(spec, p))
             assert np.max(np.abs(oracle.fd_mean_curvature(spec, p) - g.H)) < 1e-5
             assert np.max(np.abs(
                 oracle.fd_second_fundamental_form(spec, p) - g.B_coord)) < 1e-5
@@ -461,7 +480,7 @@ def test_fd_oracle_agreement_high_dimension(tag, params):
     # m = 6 and m = 5: the oracle's generic metric inverse covers every m
     spec = catalog_chart(tag, params)
     for p in sample_points(spec, 3, 3):
-        g = compute_geometry(spec, p)
+        g = point_of(compute_geometry(spec, p))
         assert np.max(np.abs(oracle.fd_mean_curvature(spec, p) - g.H)) < 1e-6
         assert np.max(np.abs(
             oracle.fd_second_fundamental_form(spec, p) - g.B_coord)) < 1e-6
@@ -470,14 +489,14 @@ def test_fd_oracle_agreement_high_dimension(tag, params):
 def test_fd_delta_f_agreement():
     spec = perturbed_chart(62)
     p = sample_points(spec, 1, 3)[0]
-    g = compute_geometry(spec, p)
+    g = point_of(compute_geometry(spec, p))
     assert abs(oracle.fd_delta_f(spec, p, eta_ref=g.eta) - g.delta_f) < 1e-8
 
 
 def test_delta_perp_consistency_codim1():
     # in codimension one the normal Laplacian reduces to (Delta f) eta
     spec = perturbed_chart(63)
-    g = compute_geometry(spec, sample_points(spec, 1, 5)[0])
+    g = point_of(compute_geometry(spec, sample_points(spec, 1, 5)[0]))
     np.testing.assert_allclose(g.delta_perp_H, g.delta_f * g.eta, atol=1e-9)
 
 
@@ -499,7 +518,7 @@ def test_orientation_covariance():
     assert g1.f[0] > 0.0
     g2 = extrinsic.GeometryBlock(g1.m, g1.n, {
         k: -getattr(g1, k) if k in ORIENTATION_ODD else getattr(g1, k)
-        for k in point_fields(g1[0])}, g1.errors)
+        for k in point_fields(g1)}, g1.errors)
     assert abs(g1.f[0] + g2.f[0]) < 1e-13               # f flips sign
     np.testing.assert_allclose(g1.eta, -g2.eta, atol=1e-13)
     r1 = biharmonic.hypersurface_residuals(g1)
@@ -602,8 +621,8 @@ def test_tiny_sqrt_component_finite_in_block_and_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         block = extrinsic.geometry_block(spec, pts)
-        for p, g in zip(pts, block):
-            alone = compute_geometry(spec, p)
+        for p, g in zip(pts, points_of(block)):
+            alone = point_of(compute_geometry(spec, p))
             assert np.array_equal(alone.H, g.H)
             assert g.H_norm < 1e-12 and np.max(np.abs(g.B_coord)) < 1e-12
     report = biharmonic.evaluate_chart(spec, samples=8, seed=3)
@@ -672,18 +691,20 @@ BLOCK_CHARTS = (
 
 
 def assert_same_geometry(g, ref):
-    """Every field equal to the bit, arrays also in the same memory layout
-    (per-point einsums over a field sum in a layout-dependent order)."""
-    for f in dataclasses.fields(ref):
-        a, b = getattr(g, f.name), getattr(ref, f.name)
+    """Every field of two ``point_of`` views equal to the bit, arrays also in
+    the same memory layout (per-point einsums over a field sum in a
+    layout-dependent order)."""
+    assert vars(g).keys() == vars(ref).keys()
+    for name, b in vars(ref).items():
+        a = getattr(g, name)
         if isinstance(b, np.ndarray):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             long_axes = [(s, n) for s, n in zip(b.strides, b.shape) if n > 1]
-            assert [(s, n) for s, n in zip(a.strides, a.shape) if n > 1] == long_axes, f.name
+            assert [(s, n) for s, n in zip(a.strides, a.shape) if n > 1] == long_axes, name
         elif b is None:
-            assert a is None, f.name
+            assert a is None, name
         else:
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 def assert_same_scalar_curvature(block, ref):
@@ -696,8 +717,9 @@ def assert_same_scalar_curvature(block, ref):
 
 
 def sampled(spec, pts):
-    """Each point's entry of the blocks of ``sample_blocks``, in order."""
-    return [g for block in extrinsic.sample_blocks(spec, pts) for g in block]
+    """Each point's entry (``point_of``) of the blocks of ``sample_blocks``,
+    in order."""
+    return [g for block in extrinsic.sample_blocks(spec, pts) for g in points_of(block)]
 
 
 def antipodal(spec):
@@ -717,11 +739,11 @@ def test_geometry_block_equals_point_by_point(spec, mirror):
         spec = antipodal(spec)
     pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
     ones = [extrinsic.geometry_block(spec, [p]) for p in pts]
-    ref = [one[0] for one in ones]
+    ref = [point_of(one) for one in ones]
     ref_scalar = [scalar_curvature(one.rows([0]))[0] if spec.m >= 2 else None for one in ones]
     whole = extrinsic.geometry_block(spec, pts)
     parts = list(extrinsic.sample_blocks(spec, pts))
-    for got in (whole, [g for block in parts for g in block]):
+    for got in (points_of(whole), [g for block in parts for g in points_of(block)]):
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_same_geometry(g, r)
@@ -739,8 +761,8 @@ def test_blocks_of_64_equal_point_by_point(spec):
     pts = sample_points(spec, 69, 5)
     parts = list(extrinsic.sample_blocks(spec, pts))
     assert [len(block) for block in parts] == [64, 5]
-    for g, p in zip([g for block in parts for g in block], pts):
-        assert_same_geometry(g, extrinsic.geometry_block(spec, [p])[0])
+    for g, p in zip([g for block in parts for g in points_of(block)], pts):
+        assert_same_geometry(g, point_of(extrinsic.geometry_block(spec, [p])))
 
 
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
@@ -756,7 +778,7 @@ def test_block_rows_equal_stacked_points(spec):
         rows, stacked = block.rows(index), stacked_block(block, index)
         assert len(rows) == len(index) and rows.errors == [None] * len(index)
         assert (rows.m, rows.n) == (spec.m, spec.n)
-        for name in point_fields(block[good[0]]):
+        for name in point_fields(block):
             got, ref = getattr(rows, name), getattr(stacked, name)
             assert (got.dtype, got.shape, got.strides) == (ref.dtype, ref.shape, ref.strides), name
             assert got.tobytes() == ref.tobytes(), name
@@ -991,7 +1013,7 @@ def test_block_frames_degenerate_point_fails():
 def test_degenerate_frame_in_block_fails_that_point_alone(monkeypatch):
     spec = TORUS
     pts = sample_points(spec, 10, 4)
-    refs = [compute_geometry(spec, p) for p in pts]
+    refs = [point_of(compute_geometry(spec, p)) for p in pts]
     bad_phi = refs[3].phi
     block_frames = extrinsic._block_frames
 
@@ -1001,7 +1023,7 @@ def test_degenerate_frame_in_block_fails_that_point_alone(monkeypatch):
                             errors)
 
     monkeypatch.setattr(extrinsic, "_block_frames", collapse_point_3)
-    for got in (extrinsic.geometry_block(spec, pts), sampled(spec, pts)):
+    for got in (points_of(extrinsic.geometry_block(spec, pts)), sampled(spec, pts)):
         assert isinstance(got[3], GeometryError)
         assert str(got[3]) == "tangent frame construction failed"
         for p in (0, 1, 2, 4, 5, 6, 7, 8, 9):
@@ -1013,7 +1035,7 @@ def test_non_finite_field_checked_once_per_block(monkeypatch):
     # its first non-finite field in field order, and the others are healthy
     spec = TORUS
     pts = sample_points(spec, 10, 6)
-    refs = [compute_geometry(spec, p) for p in pts]
+    refs = [point_of(compute_geometry(spec, p)) for p in pts]
     bad_phi = refs[6].phi
     project = extrinsic._project_normal_jets
 
@@ -1025,16 +1047,17 @@ def test_non_finite_field_checked_once_per_block(monkeypatch):
 
     monkeypatch.setattr(extrinsic, "_project_normal_jets", poison_point_6)
     block = extrinsic.geometry_block(spec, pts)
-    assert isinstance(block[6], GeometryError) and re.search("^non-finite", str(block[6]))
+    error = block.errors[6]
+    assert isinstance(error, GeometryError) and re.search("^non-finite", str(error))
     with pytest.raises(GeometryError) as err:
         compute_geometry(spec, pts[6])
     # delta_perp_H, nabla_perp_H, nabla_perp_H_norm and trace_A_nablaH all
     # carry the NaN; delta_perp_H comes first among the fields
     assert str(err.value) == "non-finite delta_perp_H at the sample point"
-    names = [f.name for f in dataclasses.fields(extrinsic.PointGeometry)]
+    names = extrinsic.FIELDS
     assert names.index("delta_perp_H") < min(
         names.index(k) for k in ("nabla_perp_H", "nabla_perp_H_norm", "trace_A_nablaH"))
-    for got in (block, sampled(spec, pts)):
+    for got in (points_of(block), sampled(spec, pts)):
         assert str(got[6]) == str(err.value)
         for p in (0, 1, 2, 3, 4, 5, 7, 8, 9):
             assert_same_geometry(got[p], refs[p])
@@ -1072,12 +1095,12 @@ def test_failing_points_in_block_keep_their_errors(monkeypatch):
         expected.append(str(err.value))
     assert "rank-deficient" in expected[0] and "sqrt" in expected[1]
 
-    for got in (extrinsic.geometry_block(spec, pts[:8]), sampled(spec, pts)):
+    for got in (points_of(extrinsic.geometry_block(spec, pts[:8])), sampled(spec, pts)):
         assert [str(g) for g in got if isinstance(g, Exception)] == expected
         assert [i for i, g in enumerate(got) if isinstance(g, Exception)] == [2, 5]
         for g, p in zip(got, pts):
             if not isinstance(g, Exception):
-                assert_same_geometry(g, compute_geometry(spec, p))
+                assert_same_geometry(g, point_of(compute_geometry(spec, p)))
 
     # a report from blocks equals the point-by-point report, failures included
     monkeypatch.setattr(chart, "sample_points", lambda spec, count, seed: pole_points(count))
@@ -1089,9 +1112,10 @@ def test_failing_points_in_block_keep_their_errors(monkeypatch):
 
 
 def one_point_outcome(spec, point):
-    """``compute_geometry`` at one point, or the error it raises."""
+    """``point_of`` ``compute_geometry`` at one point, or the error it
+    raises."""
     try:
-        return compute_geometry(spec, point)
+        return point_of(compute_geometry(spec, point))
     except (GeometryError, chart.ChartError) as e:
         return e
 
@@ -1117,7 +1141,7 @@ def test_block_outcomes_name_their_own_points():
     assert [i for i, r in enumerate(refs) if isinstance(r, Exception)] == [2, 5]
     block = extrinsic.geometry_block(spec, pts)
     assert len(block) == len(pts)
-    for got, ref in zip(block, refs):
+    for got, ref in zip(points_of(block), refs):
         assert_same_outcome(got, ref)
     _, _, errors = chart.eval_jet_stack(spec, pts)
     for got, ref in zip(errors, refs):
@@ -1157,7 +1181,7 @@ def test_block_equals_its_points_one_by_one(doc, seed):
     pts = _planted_points(spec, 6, seed)
     with np.errstate(all="ignore"):     # huge healthy fields overflow the curvature
         block = extrinsic.geometry_block(spec, pts)
-        for got, p in zip(block, pts):
+        for got, p in zip(points_of(block), pts):
             assert_same_outcome(got, one_point_outcome(spec, p))
         if spec.m >= 2:
             assert_same_scalar_curvature(block, [
@@ -1254,7 +1278,7 @@ def test_tau2_block_equals_geometry_block(spec):
     # m = 1..6, codimension 1..3, catalog, perturbed and document charts
     pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
     got = extrinsic.tau2_block(spec, pts)
-    ref = extrinsic.geometry_block(spec, pts)
+    ref = points_of(extrinsic.geometry_block(spec, pts))
     assert got.m == spec.m
     assert np.array_equal(got.H, [g.H for g in ref])
     assert np.array_equal(got.delta_H, [g.delta_H for g in ref])
@@ -1278,7 +1302,7 @@ def test_tau2_block_checks_its_fields(monkeypatch):
     monkeypatch.setattr(extrinsic, "_lap", poison_last_point)
     pts = sample_points(TORUS, 4, 6)
     for errors in (extrinsic.tau2_block(TORUS, pts).errors,
-                   extrinsic.geometry_block(TORUS, pts)):
+                   extrinsic.geometry_block(TORUS, pts).errors):
         assert isinstance(errors[-1], GeometryError)
         assert re.search("^non-finite delta_H at the sample point$", str(errors[-1]))
         assert not any(isinstance(e, Exception) for e in errors[:-1])
@@ -1291,8 +1315,8 @@ def test_tau2_block_checks_its_fields(monkeypatch):
 
 
 def scalar_curvature_one_point(g):
-    """The scalar curvature of one ``PointGeometry``, each contraction on
-    the point's own field views."""
+    """The scalar curvature of one point (``point_of``), each contraction
+    on the point's own field views."""
     Gam0 = g.christoffel
     dGam = g.christoffel_grad.transpose(0, 2, 3, 1)
     GG = np.einsum("sjk,lis->ijkl", Gam0, Gam0)
@@ -1310,7 +1334,8 @@ def scalar_curvature_one_point(g):
 
 
 def records_one_by_one(geoms):
-    """The ``SampleRecord`` of each point from its own ``PointGeometry``."""
+    """The ``SampleRecord`` of each point from its own field views
+    (``point_of``)."""
     records = []
     for g in geoms:
         tau = biharmonic.tau2_direct(g)
@@ -1395,7 +1420,7 @@ def test_block_residuals_equal_point_by_point(spec, full):
     count = size if full else size + 5
     rep = biharmonic.evaluate_chart(spec, samples=count, seed=5)
     pts = sample_points(spec, count, 5)
-    geoms = [compute_geometry(spec, p) for p in pts]
+    geoms = [point_of(compute_geometry(spec, p)) for p in pts]
     assert len(rep.per_sample) == count
     for got, ref in zip(rep.per_sample, records_one_by_one(geoms)):
         assert_same_bits(got, ref)
@@ -1418,11 +1443,11 @@ def test_pmc_block_drops_steps_past_each_points_stop():
     pts = sample_points(spec, 9, 3)
     pmc = biharmonic.pmc_check(rows_of(spec, pts))
     assert pmc.samples_with_H == 9 and pmc.eq5a > 0.0
-    assert_same_bits(pmc, pmc_one_by_one([compute_geometry(spec, p) for p in pts]))
+    assert_same_bits(pmc, pmc_one_by_one([point_of(compute_geometry(spec, p)) for p in pts]))
     equator = catalog_chart("small-hypersphere", {"m": 2, "r": 1.0})
     pts = sample_points(equator, 5, 3)
     assert_same_bits(biharmonic.pmc_check(rows_of(equator, pts)),
-                     pmc_one_by_one([compute_geometry(equator, p) for p in pts]))
+                     pmc_one_by_one([point_of(compute_geometry(equator, p)) for p in pts]))
     # rows of rank 1, 2 and 3 in one block: each point keeps the steps of
     # its own one-point pass, up to its first norm below 1e-13
     rows = np.array([[[1.0, 2.0, 0.0, 0.5], [2.0, 4.0, 0.0, 1.0], [-1.0, -2.0, 0.0, -0.5]],
@@ -1485,11 +1510,11 @@ def test_no_point_geometry_outlives_its_block(m, samples, monkeypatch):
 
 
 def test_verify_builds_no_point_geometry(monkeypatch):
-    # the residuals read each block's rows, never one point's PointGeometry
-    def refuse(self, p):
-        raise AssertionError("evaluate_chart read a geometry block point by point")
+    # the residuals read each block's rows, never a one-point geometry
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_chart called compute_geometry")
 
-    monkeypatch.setattr(extrinsic.GeometryBlock, "__getitem__", refuse)
+    monkeypatch.setattr(extrinsic, "compute_geometry", refuse)
     for spec, count in ((bumped_hypersphere(4), 11), (chart.parse_chart(S2_S2_DOC), 3)):
         assert biharmonic.evaluate_chart(spec, samples=count, seed=5).samples_used == count
     # failed points among the good ones of a block
@@ -1522,7 +1547,7 @@ def test_block_residuals_equal_point_by_point_random_charts(doc, seed):
         good = [p for p, e in enumerate(block.errors) if e is None]
         if not good:
             return
-        rows, geoms = block.rows(good), [block[p] for p in good]
+        rows, geoms = block.rows(good), [point_of(block, p) for p in good]
         for got, ref in zip(biharmonic.sample_records(rows), records_one_by_one(geoms)):
             assert_same_bits(got, ref)
         assert_same_bits(biharmonic.pmc_check(rows), pmc_one_by_one(geoms))

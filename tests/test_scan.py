@@ -259,12 +259,12 @@ def test_sweep_makes_no_full_evaluation(monkeypatch):
 
 def test_sweep_builds_no_point_geometry(monkeypatch):
     # the profile reads the tau2 stage alone (extrinsic.tau2_block), as
-    # attributes of its block
+    # attributes of its block, never the full package of a block or a point
     def refuse(*args, **kwargs):
-        raise AssertionError("sweep called geometry_block or read a block point by point")
+        raise AssertionError("sweep called geometry_block or compute_geometry")
 
     monkeypatch.setattr(extrinsic, "geometry_block", refuse)
-    monkeypatch.setattr(extrinsic.GeometryBlock, "__getitem__", refuse)
+    monkeypatch.setattr(extrinsic, "compute_geometry", refuse)
     res = sweep(FamilySpec(steps=40, seed=3, **ROOT_FAMILIES["product-2+1"]))
     assert [r.classification for r in res.roots] == ["proper-biharmonic", "minimal"]
     assert all(row.verdict != "error" for row in res.grid)

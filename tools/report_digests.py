@@ -12,21 +12,23 @@ in-process through ``cli.main`` inside a temporary directory, so the chart
 document path echoed in a report is the same relative name on every run.
 
 ``--fields`` prints one line per chart instead: a sha256 over every
-``PointGeometry`` field (bytes, dtype, shape, the writeable flag) and
-``scalar_curvature`` of each sample, from a ``geometry_block`` call, the
-blocks of ``sample_blocks`` and one-point ``geometry_block`` calls, in the
-one normal orientation the program computes (eta along H), with each
-failure's message.  It guards the fields a report does not print, and
-uses only API that every tree since the point blocks has.  Strides are
-left out: a field is a view into its block's jets, and its strides follow
-how many coefficients those jets store, not its value (the tests check the
-layouts a block and its points must share).
+geometry field of each sample (bytes, dtype, shape, the writeable flag; a
+field the block lacks as None) in the order of ``FIELDS``, and its
+``scalar_curvature``, from a ``geometry_block`` call, the blocks of
+``sample_blocks`` and one-point ``geometry_block`` calls, in the one normal
+orientation the program computes (eta along H), with each failure's
+message.  It guards the fields a report does not print.  It reads each
+point's values by name as the row views ``getattr(block, name)[p]`` and its
+error as ``block.errors[p]``, API that every tree since the point blocks
+has, so it gives the same lines on older trees.  Strides are left out: a
+field is a view into its block's jets, and its strides follow how many
+coefficients those jets store, not its value (the tests check the layouts
+a block and its points must share).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -37,6 +39,15 @@ import tempfile
 
 import numpy as np
 
+# the geometry fields --fields hashes per point, in the order of the frozen
+# per-point record older trees built; m and n are the block's
+FIELDS = (
+    "point", "m", "n", "phi", "jac", "metric", "metric_inv", "christoffel",
+    "christoffel_grad", "tangent_frame", "frame_coeff", "normal_frame", "B_coord", "B_frame",
+    "A_H", "H", "H_norm", "H2", "B2", "AH2", "delta_H", "delta_perp_H", "nabla_perp_H",
+    "nabla_perp_H_norm", "grad_H2", "trace_B_AH", "trace_A_nablaH",
+    "f", "eta", "A", "A2", "grad_f", "delta_f",
+)
 R = repr(1.0 / math.sqrt(2.0))
 SEED = "3"
 CHART_DOC = "perturbed-sphere-5.json"
@@ -207,13 +218,20 @@ def field_digests(chart, expr, extrinsic) -> None:
             return e
 
     def entries(block):
-        """(PointGeometry or error, scalar curvature) of each point of a
+        """(error or field values, scalar curvature) of each point of a
         geometry block, or the error the whole call raised."""
         if isinstance(block, ValueError):
             return [(block, None)]
-        return [(block[p], float(extrinsic.scalar_curvature(block.rows([p]))[0])
-                 if block.errors[p] is None and block.m >= 2 else None)
-                for p in range(len(block))]
+        out = []
+        for p, error in enumerate(block.errors):
+            if error is not None:
+                out.append((error, None))
+                continue
+            values = [block.point[p], block.m, block.n] + [
+                getattr(block, k)[p] if hasattr(block, k) else None for k in FIELDS[3:]]
+            out.append((values, float(extrinsic.scalar_curvature(block.rows([p]))[0])
+                        if block.m >= 2 else None))
+        return out
 
     for spec in field_charts(chart, expr):
         count = 37 if spec.m <= 3 else 11    # full blocks and a partial one at m >= 3
@@ -228,11 +246,10 @@ def field_digests(chart, expr, extrinsic) -> None:
             [outcome(extrinsic.geometry_block, spec, pts)],
             extrinsic.sample_blocks(spec, pts),
             [outcome(extrinsic.geometry_block, spec, [p]) for p in pts])
-        for g, scalar in itertools.chain.from_iterable(map(entries, blocks)):
-            if isinstance(g, ValueError):
-                h.update(f"{type(g).__name__}: {g}".encode())
+        for values, scalar in itertools.chain.from_iterable(map(entries, blocks)):
+            if isinstance(values, ValueError):
+                h.update(f"{type(values).__name__}: {values}".encode())
                 continue
-            values = [getattr(g, f.name) for f in dataclasses.fields(g)]
             if scalar is not None:
                 values.append(scalar)
             for v in values:
