@@ -23,7 +23,6 @@ nonzero, ``inconclusive`` in the gap between the two thresholds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def split_residuals(geom: GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
 
 def hypersurface_residuals(geom: GeometryBlock) -> tuple[np.ndarray, np.ndarray]:
     """(|Delta f - (m - |A|^2) f|, ||A(grad f) + (m/2) f grad f||) at each
-    point of a block's ``rows``: two arrays of one value per point."""
+    point of a block: two arrays of one value per point."""
     if not geom.hypersurface:
         raise GeometryError("hypersurface residuals require n = m + 1")
     res_i = np.abs(geom.delta_f - (geom.m - geom.A2) * geom.f)
@@ -99,46 +98,43 @@ class PMCBlock:
     samples_with_H: int
 
 
-def pmc_check(block: GeometryBlock, pass_tol: float = PASS_TOL) -> PMCBlock:
-    """Evaluate the parallel-mean-curvature characterization over the samples
-    of a block's ``rows``.
+@np.errstate(all="ignore")      # the failed points and the dropped steps
+def pmc_check(g: GeometryBlock, pass_tol: float = PASS_TOL) -> PMCBlock:
+    """Evaluate the parallel-mean-curvature characterization over the good
+    points of a block.
 
     Samples where H vanishes contribute only to the minimality side: the
     normal-frame completion of H/|H| is undefined there.
 
-    One block pass over the samples with H (their ``rows``): each point
+    One pass over the whole block, failed points included: each point
     completes H/|H| to its normal frame with the pivoted block Gram-Schmidt
     of the tangent frames (``extrinsic._block_mgs``), and a point's xi from
     its first step below 1e-13 on are dropped, where a lone point's pass
     stops.  Each value is the one that point's own pass gives.
-    Only the maxima stay per point: Python's ``max`` over the values in
+    Only the good points' maxima stay: Python's ``max`` over the values in
     sample order, which keeps the first of equal values and passes over NaN
     as a sample-by-sample loop does, so the block is that loop to the bit.
     ``evaluate_chart`` checks each geometry block on its own and merges the
     blocks (``_merge_pmc``).
     """
-    if not block:
-        raise GeometryError("pmc_check needs at least one sample")
-    parallel = max([0.0] + block.nabla_perp_H_norm.tolist())
-    eq4 = eq5a = eq5b = 0.0
-    with_h = np.flatnonzero(block.H_norm > pass_tol)
-    if len(with_h):
-        # a block whose every point has H is already its own C-contiguous rows
-        g = block if len(with_h) == len(block) else block.rows(with_h)
-        eq4 = max([0.0] + _norms(g.trace_B_AH - g.m * g.H).tolist())
-        eq5b = max([0.0] + np.abs(g.AH2 - g.m * g.H2).tolist())
-        # complete H/|H| to an orthonormal normal frame and test the spanning set
-        u0 = g.H / g.H_norm[:, None]
-        N = g.normal_frame                                          # [p, x, c]
-        rest = N - (N @ u0[..., None]) * u0[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):       # the dropped steps
-            xi, tops = extrinsic._block_mgs(rest)                   # [p, y, c]
-        kept = np.logical_and.accumulate(~(tops < 1e-13), axis=-1)
-        coeffs = (N[:, None] @ xi[..., None])[..., 0]               # [p, y, x]
-        a_xi = np.einsum("pyx,pxab->pyab", coeffs, g.B_frame)
-        dots = (g.A_H[:, None] * a_xi).reshape(kept.shape + (-1,)).sum(axis=-1)
-        eq5a = max([0.0] + np.abs(dots[kept]).tolist())
-    return _pmc_block(parallel, eq4, eq5a, eq5b, len(with_h), pass_tol)
+    good = np.array([e is None for e in g.errors], dtype=bool)
+    if not good.any():
+        raise GeometryError("pmc_check needs at least one good sample")
+    with_h = good & (g.H_norm > pass_tol)
+    # complete H/|H| to an orthonormal normal frame and test the spanning set
+    u0 = g.H / g.H_norm[:, None]
+    N = g.normal_frame                                              # [p, x, c]
+    rest = N - (N @ u0[..., None]) * u0[:, None]
+    xi, tops = extrinsic._block_mgs(rest)                           # [p, y, c]
+    kept = np.logical_and.accumulate(~(tops < 1e-13), axis=-1) & with_h[:, None]
+    coeffs = (N[:, None] @ xi[..., None])[..., 0]                   # [p, y, x]
+    a_xi = np.einsum("pyx,pxab->pyab", coeffs, g.B_frame)
+    dots = (g.A_H[:, None] * a_xi).reshape(kept.shape + (-1,)).sum(axis=-1)
+    return _pmc_block(max([0.0] + g.nabla_perp_H_norm[good].tolist()),
+                      max([0.0] + _norms(g.trace_B_AH - g.m * g.H)[with_h].tolist()),
+                      max([0.0] + np.abs(dots[kept]).tolist()),
+                      max([0.0] + np.abs(g.AH2 - g.m * g.H2)[with_h].tolist()),
+                      int(with_h.sum()), pass_tol)
 
 
 def _merge_pmc(blocks: list[PMCBlock], pass_tol: float) -> PMCBlock:
@@ -299,37 +295,28 @@ class ResidualReport:
         }
 
 
+@np.errstate(all="ignore")      # the failed points' values mean nothing
 def sample_records(g: GeometryBlock) -> list[SampleRecord]:
-    """The ``SampleRecord`` of each point of a block's ``rows``: every
-    residual norm, the scalar curvature and the hypersurface residuals in one
-    pass over the point axis, each value the one that point alone gives."""
+    """The ``SampleRecord`` of each good point of a block: every residual
+    norm, the scalar curvature and the hypersurface residuals in one pass
+    over the whole block, each value the one that point alone gives."""
     tau = tau2_direct(g)
     normal, tangent = split_residuals(g)
     columns = dict(
-        point=[tuple(p) for p in g.point.tolist()],
+        point=g.point,
         tau2_norm=_norms(tau),
         split_normal_norm=_norms(normal),
         split_tangent_norm=_norms(tangent),
         split_gap=_norms(tau + g.m * (normal + tangent)),
         H_norm=g.H_norm, B2=g.B2, nabla_perp_H_norm=g.nabla_perp_H_norm,
-        scalar_curvature=extrinsic.scalar_curvature(g) if g.m >= 2 else [None] * len(g),
+        scalar_curvature=extrinsic.scalar_curvature(g) if g.m >= 2 else np.full(len(g), None),
     )
     if g.hypersurface:
         columns["hyper_i"], columns["hyper_ii"] = hypersurface_residuals(g)
         columns["A2"], columns["f"] = g.A2, g.f
-    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
-    return [SampleRecord(**dict(zip(columns, row))) for row in zip(*values)]
-
-
-def _read_block(block: GeometryBlock, pass_tol: float):
-    """The records, failure messages and ``pmc_check`` (None without a good
-    point) of one geometry block, read from the ``rows`` of its good points."""
-    good = [p for p, e in enumerate(block.errors) if e is None]
-    failures = [str(e) for e in block.errors if e is not None]
-    if not good:
-        return [], failures, None
-    rows = block.rows(good)
-    return sample_records(rows), failures, pmc_check(rows, pass_tol)
+    good = np.array([e is None for e in g.errors], dtype=bool)
+    rows = zip(*(v[good].tolist() for v in columns.values()))
+    return [SampleRecord(**dict(zip(columns, row), point=tuple(row[0]))) for row in rows]
 
 
 def _verdict(tau_max: float, h_max: float, h_min: float,
@@ -355,13 +342,12 @@ def evaluate_chart(
     A sample point whose geometry fails (off the sphere, rank-deficient
     (metric condition >= 1e8), outside the domain, non-finite) is skipped and its
     message kept in ``failures``.  The samples are evaluated in geometry
-    blocks (``extrinsic.sample_blocks``), and each block's good points are
-    read in one residual pass over the point axis (``sample_records``) and
-    one ``pmc_check``, whose results ``_merge_pmc`` then combines.  So the
+    blocks (``extrinsic.sample_blocks``), each read in one residual pass
+    over the point axis (``sample_records``) and one ``pmc_check``, which
+    keep its good points; ``_merge_pmc`` combines the PMC results.  So the
     residual stage never holds more points than ``extrinsic.block_size``,
-    and no ``GeometryBlock`` outlives the reading of its records.  Only the
-    ``SampleRecord`` objects and the maxima over samples are per point, in
-    sample order.
+    and a block holds only its own fields, no jets.  Only the
+    ``SampleRecord`` objects and the maxima over samples are per point.
     Results and messages are those of one-point evaluation, to the bit.
     Only a proper verdict is audited (``quantity_audit``).
     """
@@ -373,14 +359,11 @@ def evaluate_chart(
     records: list[SampleRecord] = []
     pmc_blocks: list[PMCBlock] = []
     points = chart_mod.sample_points(spec, samples, seed)
-    # map, unlike a for loop over the blocks, holds no block while the next
-    # one is computed
-    for block_records, block_failures, block_pmc in map(
-            partial(_read_block, pass_tol=pass_tol), extrinsic.sample_blocks(spec, points)):
-        records += block_records
-        failures += block_failures
-        if block_pmc is not None:
-            pmc_blocks.append(block_pmc)
+    for block in extrinsic.sample_blocks(spec, points):
+        failures += [str(e) for e in block.errors if e is not None]
+        records += sample_records(block)
+        if None in block.errors:
+            pmc_blocks.append(pmc_check(block, pass_tol))
     if not records:
         raise AllSamplesFailed(
             f"all {samples} samples failed; first failure: {failures[0]}"

@@ -88,18 +88,15 @@ passes neutral rows (the identity, the constant-1 jet) to the calls that
 raise for a whole stack: LAPACK's ``eigvalsh`` and ``cholesky``, and the
 jet ``sqrt`` and ``recip``.
 
-The residuals read the good points of a block as its ``rows`` (one
-contiguous copy per field), and the scalar curvature (``_coord_riemann``,
-``_frame_riemann``), the hypersurface residuals, the record norms and the
-PMC frame completion (``_block_mgs``) run once per block, with the same
-rule: each contraction keeps the kernel a lone point calls (a matrix-vector
-``@`` stays one ``gemv`` per point, a row norm ``sqrt(<v, v>)``, an
-``einsum`` gains a ``p`` index, and the frame entries accumulate along the
-last axis), so no residual has to stay per point.  The rows are one
-geometry block, so at m = 6 the curvature temporaries stay four points
-wide, and ``biharmonic.evaluate_chart`` drops each ``GeometryBlock``, whose
-value views pin the block's jet arrays, before it computes the next block.
-A lone point's residuals are those of the ``rows`` of its one-point block.
+A ``GeometryBlock`` copies each field once, into a C-contiguous array of
+its own, so it pins none of the jets.  The residuals read whole blocks,
+failed points included, and keep the good points' values: the scalar
+curvature (``_coord_riemann``, ``_frame_riemann``), the hypersurface
+residuals, the record norms and the PMC frame completion (``_block_mgs``)
+run once per block with the same rule: each contraction keeps the kernel a
+lone point calls (a matrix-vector ``@`` stays one ``gemv`` per point, a row
+norm ``sqrt(<v, v>)``, an ``einsum`` gains a ``p`` index, and the frame
+entries accumulate along the last axis), so no residual stays per point.
 """
 
 from __future__ import annotations
@@ -157,8 +154,8 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
 
 
 # The fields of a full geometry block, in the order ``_check_finite`` tests
-# them.  Each holds one value per point along a leading point axis: an
-# array, or a list of floats.  Per point, with n1 = n + 1 and k = n - m:
+# them.  Each holds one value per point along a leading point axis.  Per
+# point, with n1 = n + 1 and k = n - m:
 #   point (m,); phi, H, delta_H, delta_perp_H, grad_H2, trace_B_AH,
 #     trace_A_nablaH (n1,)
 #   jac (m, n1): rows dphi_i; nabla_perp_H (m, n1): rows P_N(d_i H)
@@ -168,7 +165,7 @@ def _jet_mat_inv(sp: jets.JetSpace, gJ: np.ndarray, g0inv: np.ndarray, order: in
 #   tangent_frame (m, n1), normal_frame (k, n1): orthonormal rows
 #   frame_coeff (m, m): e_a = sum_i frame_coeff[a, i] dphi_i
 #   B_coord (m, m, n1): the ambient-valued B(d_i, d_j)
-#   B_frame (k, m, m): <B(e_a, e_b), xi_x>, read-only
+#   B_frame (k, m, m): <B(e_a, e_b), xi_x>
 #   A_H (m, m): <B(e_a, e_b), H>
 #   H_norm, H2, B2, AH2, nabla_perp_H_norm: floats
 #   hypersurfaces (k = 1) only: f, A2, delta_f (floats), eta = normal_frame[0]
@@ -188,25 +185,21 @@ class GeometryBlock:
     along a leading point axis, and ``errors``: None for a good point, else
     the error of its one-point block.  A failed point's values mean nothing.
 
-    ``block.rows(index)`` is the block of those points with every field an
-    ``np.take`` copy along the point axis: C-contiguous, as the residuals
-    need, since their einsums sum in a layout-dependent order.
+    Each field is the block's own C-contiguous float64 copy: a view would
+    keep the jets alive, and the residuals' einsums sum in a layout-dependent
+    order.  ``B_frame`` and ``A`` are read-only.
     """
 
     def __init__(self, m: int, n: int, values: dict, errors: list):
         self.m, self.n, self.errors = m, n, errors
         self.codim = n - m
         self.hypersurface = self.codim == 1
-        self._values = values
-        self.__dict__.update(values)
+        for k, v in values.items():
+            v = self.__dict__[k] = np.array(v, dtype=np.float64, order="C")
+            v.flags.writeable = k not in ("B_frame", "A")
 
     def __len__(self) -> int:
         return len(self.errors)
-
-    def rows(self, index) -> GeometryBlock:
-        return GeometryBlock(self.m, self.n,
-                             {k: np.take(v, index, axis=0) for k, v in self._values.items()},
-                             [self.errors[p] for p in index])
 
 
 @dataclass
@@ -446,7 +439,6 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
         etaJ, fJ = _hypersurface_jets(sp, Phi, dPhi, ginvJ, HJ, c_star, errors)
         normal = etaJ[:, None, :, 0].copy()
         B_frame = np.einsum("pai,pbj,pijc,pxc->pxab", E, E, B0, normal)
-    B_frame.setflags(write=False)
     hyper: dict = {}
     if codim == 1:
         # f, grad f and Delta f from the jets of f; C order: the einsums
@@ -454,8 +446,7 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
         hess = np.stack([sp.deriv(fJ, i)[:, sp.var_pos] for i in range(m)], axis=1).copy()
         df = fJ[:, sp.var_pos]
         hyper = dict(
-            f=fJ[:, 0].tolist(), eta=normal[:, 0], A=B_frame[:, 0],
-            A2=_sumsq(B_frame[:, 0]).tolist(),
+            f=fJ[:, 0], eta=normal[:, 0], A=B_frame[:, 0], A2=_sumsq(B_frame[:, 0]),
             grad_f=((ginv0 @ df[..., None]).swapaxes(-1, -2) @ jac)[:, 0],
             # full reductions: with a point axis they sum in another order
             delta_f=[float(-np.einsum("ij,ij->", ginv0[p], hess[p])
@@ -467,8 +458,8 @@ def _geometry_rest(spec: chart_mod.ChartSpec, stage) -> GeometryBlock:
     perp2 = np.einsum("pij,pic,pjc->p", ginv0, U0, U0).tolist()
     out = dict(
         values, christoffel_grad=dGam0, tangent_frame=tangent, frame_coeff=E,
-        normal_frame=normal, B_frame=B_frame, A_H=A_H, B2=B2.tolist(),
-        AH2=_sumsq(A_H).tolist(), delta_perp_H=_lap(ginv0, Gam0, ddU, U0), nabla_perp_H=U0,
+        normal_frame=normal, B_frame=B_frame, A_H=A_H, B2=B2, AH2=_sumsq(A_H),
+        delta_perp_H=_lap(ginv0, Gam0, ddU, U0), nabla_perp_H=U0,
         nabla_perp_H_norm=[math.sqrt(max(x, 0.0)) for x in perp2],
         grad_H2=np.einsum("pij,pi,pjc->pc", ginv0, H2J[:, sp.var_pos], jac),
         trace_B_AH=np.einsum("pij,pkl,pil,pjkc->pc", ginv0, ginv0, BH, B0),
@@ -646,8 +637,8 @@ def _frame_riemann(g: GeometryBlock, a, b, c, d) -> np.ndarray:
 
 
 def scalar_curvature(geom: GeometryBlock) -> np.ndarray:
-    """Scalar curvature at each point of a block's ``rows``, from the m^2
-    frame entries R4f[c,a,a,c] only.
+    """Scalar curvature at each point of a block, from the m^2 frame
+    entries R4f[c,a,a,c] only; a failed point's value means nothing.
 
     Bit-identical to ``intrinsic_curvature(geom).scalar``: the Ricci
     diagonal is summed over c from zero, then its trace is taken.
@@ -662,7 +653,8 @@ def scalar_curvature(geom: GeometryBlock) -> np.ndarray:
 
 def intrinsic_curvature(geom: GeometryBlock) -> IntrinsicCurvature:
     """Riemann, Ricci, scalar and sectional curvature in the tangent frame at
-    each point of a block's ``rows``, each with a leading point axis."""
+    each point of a block, each with a leading point axis; a failed point's
+    values mean nothing."""
     R4f = _frame_riemann(geom, *np.indices((geom.m,) * 4))
     riemann = R4f.transpose(0, 1, 2, 4, 3)                         # R[p,a,b,a,b] = K_ab
     ricci = np.einsum("pcabc->pab", R4f)

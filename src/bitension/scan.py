@@ -245,7 +245,6 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
         group = list(group)
         spec = group[0][1]
         params = {k: np.repeat([s.params[k] for _, s in group], P) for k in spec.params}
-        # copied out per block: a view of out.H would keep the block's jets alive
         tau2, H = np.empty((2, len(group) * P, spec.n + 1))
         hs: list = []
         errors: list = []
@@ -256,7 +255,7 @@ def _profiles(family: FamilySpec, points: np.ndarray, ts) -> list:
                 rows = slice(len(hs), len(hs) + len(block))
                 tau2[rows] = biharmonic.tau2_direct(out)
                 H[rows] = out.H
-                hs += out.H_norm
+                hs += out.H_norm.tolist()
                 errors += out.errors
         except chart_mod.ChartError as e:
             for i, _ in group:

@@ -1,6 +1,7 @@
-"""Identities that hold for every immersion, as residuals over the ``rows``
+"""Identities that hold for every immersion, as residuals over the points
 of a geometry block: independent checks of the jet pipeline, used by the
-tests only; and the tests' ways to read a block (``rows_of``, ``point_of``).
+tests only; and the tests' ways to read a block (``rows_of``, ``take``,
+``point_of``).
 
 * Gauss equation for a hypersurface: ricci(X,Y) = (m-1)<X,Y>
   + <A(X),Y> trace A - <A(X), A(Y)>;
@@ -22,24 +23,35 @@ from bitension.extrinsic import GeometryError
 
 
 def rows_of(spec, points) -> extrinsic.GeometryBlock:
-    """The ``rows`` of every point of ``geometry_block(spec, points)``;
-    raises the error of the first point that fails."""
+    """``geometry_block(spec, points)``; raises the error of the first point
+    that fails."""
     block = extrinsic.geometry_block(spec, points)
     for error in block.errors:
         if error is not None:
             raise error
-    return block.rows(range(len(block)))
+    return block
+
+
+def take(block: extrinsic.GeometryBlock, index) -> extrinsic.GeometryBlock:
+    """The block of the points of ``index``: every field ``np.take`` along
+    the point axis, and their errors."""
+    return extrinsic.GeometryBlock(
+        block.m, block.n, {k: np.take(getattr(block, k), index, axis=0)
+                           for k in extrinsic.FIELDS if hasattr(block, k)},
+        [block.errors[p] for p in index])
 
 
 def point_of(block: extrinsic.GeometryBlock, p: int = 0):
     """Point p of a geometry block: its error, or a namespace of m, n,
     ``hypersurface`` and each of ``extrinsic.FIELDS`` as the row view
-    ``v[p]`` of the block's field (None where the block lacks it), on which
-    the per-point references of the tests read one point's values."""
+    ``v[p]`` of the block's field, a Python float for a scalar field (None
+    where the block lacks it), on which the per-point references of the
+    tests read one point's values."""
     if block.errors[p] is not None:
         return block.errors[p]
+    values = {k: getattr(block, k)[p] if hasattr(block, k) else None for k in extrinsic.FIELDS}
     return SimpleNamespace(m=block.m, n=block.n, hypersurface=block.hypersurface, **{
-        k: getattr(block, k)[p] if hasattr(block, k) else None for k in extrinsic.FIELDS})
+        k: v.item() if isinstance(v, np.generic) else v for k, v in values.items()})
 
 
 def points_of(block: extrinsic.GeometryBlock) -> list:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import chart_docs
 import oracle
 from identities import (
-    gauss_ricci_check, nabla_A, nabla_A_symmetry_check, point_of, points_of, rows_of,
+    gauss_ricci_check, nabla_A, nabla_A_symmetry_check, point_of, points_of, rows_of, take,
 )
 from bitension import biharmonic, chart, cli, expr, extrinsic, jets, scan
 from bitension.chart import catalog_chart, perturbed_chart, sample_points
@@ -127,9 +127,8 @@ def test_catalog_closed_forms_m1_to_6(tag, params, m, H, A2, s):
     spec = catalog_chart(tag, params)
     pts = sample_points(spec, 64 if m <= 3 else 8, 13)
     bounds = {"H": 1e-13, "A2": 1e-13, "s": 1e-9, "normal": 1e-8, "tangent": 1e-10}
-    for block in extrinsic.sample_blocks(spec, pts):
-        assert block.errors == [None] * len(block)
-        g = block.rows(range(len(block)))
+    for g in extrinsic.sample_blocks(spec, pts):
+        assert g.errors == [None] * len(g)
         normal, tangent = biharmonic.split_residuals(g)
         got = {"H": (g.H_norm, H), "A2": (g.A2, A2),
                "normal": (np.linalg.norm(normal, axis=-1), H * abs(A2 - m)),
@@ -230,6 +229,11 @@ def point_fields(block):
     return [k for k in extrinsic.FIELDS if hasattr(block, k)]
 
 
+def block_attributes(block):
+    """The names of a geometry block's fields, read off ``vars(block)``."""
+    return sorted(vars(block).keys() - {"m", "n", "codim", "hypersurface", "errors"})
+
+
 def stacked_block(block, index):
     """A ``GeometryBlock`` rebuilt field by field from the row views of the
     points of ``index``: every field ``np.array`` of their values."""
@@ -244,11 +248,11 @@ def test_block_fields_are_the_declared_fields():
     # finiteness is checked, and the --fields digest hashes the same order
     hyper = catalog_chart("small-hypersphere", {"m": 2, "r": 0.75})
     block = extrinsic.geometry_block(hyper, sample_points(hyper, 2, 11))
-    assert sorted(block._values) == sorted(extrinsic.FIELDS)
+    assert block_attributes(block) == sorted(extrinsic.FIELDS)
     assert len(extrinsic.FIELDS) == len(set(extrinsic.FIELDS))
     block = extrinsic.geometry_block(TORUS, sample_points(TORUS, 2, 11))
     hyper_only = ("f", "eta", "A", "A2", "grad_f", "delta_f")
-    assert sorted(block._values) == sorted(k for k in extrinsic.FIELDS if k not in hyper_only)
+    assert block_attributes(block) == sorted(k for k in extrinsic.FIELDS if k not in hyper_only)
     tool = importlib.util.spec_from_file_location(
         "report_digests", pathlib.Path(__file__).parents[1] / "tools" / "report_digests.py")
     digests = importlib.util.module_from_spec(tool)
@@ -262,10 +266,10 @@ def test_intrinsic_curvature_reads_only_declared_fields():
     spec = catalog_chart("generalized-clifford",
                          {"m1": 2, "m2": 4, "r1": ROOT2INV, "r2": ROOT2INV})
     block = extrinsic.geometry_block(spec, sample_points(spec, 2, 11))
-    g = block.rows([0, 1])
-    assert not [k for k in block._values if k not in extrinsic.FIELDS]
+    g = take(block, [1, 0])
+    assert not [k for k in block_attributes(block) if k not in extrinsic.FIELDS]
     ref = intrinsic_curvature(g)
-    for other in (copy.deepcopy(g), stacked_block(block, [0, 1])):
+    for other in (copy.deepcopy(g), stacked_block(block, [1, 0])):
         curv = intrinsic_curvature(other)
         assert curv.scalar.tobytes() == ref.scalar.tobytes()
         assert scalar_curvature(other).tobytes() == ref.scalar.tobytes()
@@ -708,11 +712,12 @@ def assert_same_geometry(g, ref):
 
 
 def assert_same_scalar_curvature(block, ref):
-    """The scalar curvature of the rows of ``block``'s good points, bit for
-    bit ``ref``, that of each point's one-point block."""
+    """The scalar curvature of ``block`` at its good points, bit for bit
+    ``ref``, that of each point's one-point block."""
     good = [p for p, e in enumerate(block.errors) if e is None]
     if block.m >= 2 and good:
-        got = scalar_curvature(block.rows(good))
+        with np.errstate(all="ignore"):     # the failed points' values mean nothing
+            got = scalar_curvature(block)[good]
         assert got.tobytes() == np.array([ref[p] for p in good]).tobytes()
 
 
@@ -740,7 +745,7 @@ def test_geometry_block_equals_point_by_point(spec, mirror):
     pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
     ones = [extrinsic.geometry_block(spec, [p]) for p in pts]
     ref = [point_of(one) for one in ones]
-    ref_scalar = [scalar_curvature(one.rows([0]))[0] if spec.m >= 2 else None for one in ones]
+    ref_scalar = [scalar_curvature(one)[0] if spec.m >= 2 else None for one in ones]
     whole = extrinsic.geometry_block(spec, pts)
     parts = list(extrinsic.sample_blocks(spec, pts))
     for got in (points_of(whole), [g for block in parts for g in points_of(block)]):
@@ -767,20 +772,23 @@ def test_blocks_of_64_equal_point_by_point(spec):
 
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_rows_equal_stacked_points(spec):
-    # rows(idx) holds each field as its points' values stacked: the bytes,
-    # dtype, shape and strides of np.array of their list, for all the good
-    # points and for a subset of them
+    # every field of a block is its own C-contiguous float64 array, its
+    # points' row views stacked: the bytes, shape and strides of np.array of
+    # their list, for geometry_block, the blocks of sample_blocks, tau2_block
+    # and one-point blocks
     pts = sample_points(spec, 37 if spec.m <= 3 else 3, 5)
-    block = extrinsic.geometry_block(spec, pts)
-    good = [p for p, e in enumerate(block.errors) if e is None]
-    assert good == list(range(len(pts)))
-    for index in (good, good[1::2]):
-        rows, stacked = block.rows(index), stacked_block(block, index)
-        assert len(rows) == len(index) and rows.errors == [None] * len(index)
-        assert (rows.m, rows.n) == (spec.m, spec.n)
+    blocks = [extrinsic.geometry_block(spec, pts), *extrinsic.sample_blocks(spec, pts),
+              extrinsic.tau2_block(spec, pts), extrinsic.geometry_block(spec, pts[:1]),
+              extrinsic.tau2_block(spec, pts[:1])]
+    for block in blocks:
+        assert block.errors == [None] * len(block)
+        assert point_fields(block)
         for name in point_fields(block):
-            got, ref = getattr(rows, name), getattr(stacked, name)
-            assert (got.dtype, got.shape, got.strides) == (ref.dtype, ref.shape, ref.strides), name
+            got = getattr(block, name)
+            ref = np.array([got[p] for p in range(len(block))])
+            assert type(got) is np.ndarray and got.dtype == np.float64, name
+            assert got.flags.c_contiguous and got.flags.owndata, name
+            assert (got.shape, got.strides) == (ref.shape, ref.strides), name
             assert got.tobytes() == ref.tobytes(), name
 
 
@@ -1284,8 +1292,7 @@ def test_tau2_block_equals_geometry_block(spec):
     assert np.array_equal(got.delta_H, [g.delta_H for g in ref])
     assert got.H.tobytes() == np.array([g.H for g in ref]).tobytes()
     assert got.delta_H.tobytes() == np.array([g.delta_H for g in ref]).tobytes()
-    assert got.H_norm == [g.H_norm for g in ref]
-    assert all(type(h) is float for h in got.H_norm)
+    assert got.H_norm.tobytes() == np.array([g.H_norm for g in ref]).tobytes()
 
 
 def test_tau2_block_checks_its_fields(monkeypatch):
@@ -1396,21 +1403,6 @@ def assert_same_bits(got, ref):
             assert a == b, f.name
 
 
-@pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
-def test_pmc_check_reads_rows_with_h_everywhere_as_they_are(spec, monkeypatch):
-    # rows whose every point has H are their own np.take copy: pmc_check
-    # reads them without copying, and gives the PMCBlock of the copy
-    rows = rows_of(spec, sample_points(spec, extrinsic.block_size(spec.m), 5))
-    assert all(h > biharmonic.PASS_TOL for h in rows.H_norm)
-    ref = biharmonic.pmc_check(rows.rows(range(len(rows))))
-    copies = []
-    take = extrinsic.GeometryBlock.rows
-    monkeypatch.setattr(extrinsic.GeometryBlock, "rows",
-                        lambda block, index: copies.append(len(index)) or take(block, index))
-    assert_same_bits(biharmonic.pmc_check(rows), ref)
-    assert copies == []
-
-
 @pytest.mark.parametrize("full", [True, False])
 @pytest.mark.parametrize("spec", BLOCK_CHARTS, ids=lambda s: s.name)
 def test_block_residuals_equal_point_by_point(spec, full):
@@ -1484,29 +1476,24 @@ def test_residual_stage_sees_at_most_one_block(monkeypatch):
 
 @pytest.mark.parametrize("m,samples", [(2, 37), (6, 6)])
 def test_no_point_geometry_outlives_its_block(m, samples, monkeypatch):
-    # the memory bound of evaluate_chart: a GeometryBlock pins its jet
-    # arrays through its value views, so each block must be gone when the
-    # next block starts
-    earlier = []
-    stage, rest = extrinsic._tau2_stage, extrinsic._geometry_rest
+    # the memory bound of evaluate_chart: a built block pins no jet array,
+    # its fields are its own copies, so the tau2 stage's jets are gone while
+    # the block is still alive
+    blocks, stage_jets = [], []
+    rest = extrinsic._geometry_rest
 
-    def starting(*args):
-        gc.collect()
-        assert all(ref() is None for ref in earlier)
-        return stage(*args)
+    def finished(spec, stage):
+        blocks.append(rest(spec, stage))
+        stage_jets.append([weakref.ref(x) for x in stage if isinstance(x, np.ndarray)])
+        return blocks[-1]
 
-    def finished(*args):
-        block = rest(*args)
-        earlier.append(weakref.ref(block))
-        return block
-
-    monkeypatch.setattr(extrinsic, "_tau2_stage", starting)
     monkeypatch.setattr(extrinsic, "_geometry_rest", finished)
     report = biharmonic.evaluate_chart(bumped_hypersphere(m), samples=samples, seed=5)
     assert report.samples_used == samples
-    assert len(earlier) == -(-samples // extrinsic.block_size(m))
+    assert len(blocks) == -(-samples // extrinsic.block_size(m))
+    assert all(len(refs) == 9 for refs in stage_jets)
     gc.collect()
-    assert all(ref() is None for ref in earlier)
+    assert all(ref() is None for refs in stage_jets for ref in refs)
 
 
 def test_verify_builds_no_point_geometry(monkeypatch):
@@ -1547,7 +1534,29 @@ def test_block_residuals_equal_point_by_point_random_charts(doc, seed):
         good = [p for p, e in enumerate(block.errors) if e is None]
         if not good:
             return
-        rows, geoms = block.rows(good), [point_of(block, p) for p in good]
-        for got, ref in zip(biharmonic.sample_records(rows), records_one_by_one(geoms)):
+        geoms = [point_of(block, p) for p in good]
+        records = biharmonic.sample_records(block)
+        assert len(records) == len(good)
+        for got, ref in zip(records, records_one_by_one(geoms)):
             assert_same_bits(got, ref)
-        assert_same_bits(biharmonic.pmc_check(rows), pmc_one_by_one(geoms))
+        assert_same_bits(biharmonic.pmc_check(block), pmc_one_by_one(geoms))
+
+
+@pytest.mark.parametrize("spec,pts", [(chart.parse_chart(POLE_DOC), pole_points()),
+                                      (TORUS, _planted_points(TORUS, 6, 3))],
+                         ids=["pole-crossing", "clifford-torus"])
+def test_block_residuals_keep_the_good_points(spec, pts):
+    # failed points inside a block: sample_records and pmc_check read the
+    # whole block without a warning or a floating-point error, and give the
+    # references of its good points
+    block = extrinsic.geometry_block(spec, pts)
+    good = [p for p, e in enumerate(block.errors) if e is None]
+    assert 0 < len(good) < len(block)
+    geoms = [point_of(block, p) for p in good]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        records, pmc = biharmonic.sample_records(block), biharmonic.pmc_check(block)
+    assert len(records) == len(good)
+    for got, ref in zip(records, records_one_by_one(geoms)):
+        assert_same_bits(got, ref)
+    assert_same_bits(pmc, pmc_one_by_one(geoms))

@@ -18,12 +18,15 @@ field the block lacks as None) in the order of ``FIELDS``, and its
 ``sample_blocks`` and one-point ``geometry_block`` calls, in the one normal
 orientation the program computes (eta along H), with each failure's
 message.  It guards the fields a report does not print.  It reads each
-point's values by name as the row views ``getattr(block, name)[p]`` and its
-error as ``block.errors[p]``, API that every tree since the point blocks
-has, so it gives the same lines on older trees.  Strides are left out: a
-field is a view into its block's jets, and its strides follow how many
-coefficients those jets store, not its value (the tests check the layouts
-a block and its points must share).
+point's values by name as the row views ``getattr(block, name)[p]``
+(a numpy scalar hashed as its Python float) and its error as
+``block.errors[p]``, and takes the scalar curvature of the one-point
+``GeometryBlock`` it builds from ``np.take`` of each field at p.  So it
+reads no method of a block, and a tree whose fields are lists of floats
+or views into the jets gives the same lines as one whose fields are
+C-contiguous arrays.  Strides are left out for the same reason: a view's
+strides follow how many coefficients its jets store, not its value (the
+tests check the layouts).
 """
 
 from __future__ import annotations
@@ -229,7 +232,10 @@ def field_digests(chart, expr, extrinsic) -> None:
                 continue
             values = [block.point[p], block.m, block.n] + [
                 getattr(block, k)[p] if hasattr(block, k) else None for k in FIELDS[3:]]
-            out.append((values, float(extrinsic.scalar_curvature(block.rows([p]))[0])
+            one = extrinsic.GeometryBlock(block.m, block.n, {
+                k: np.take(getattr(block, k), [p], axis=0)
+                for k in ("point",) + FIELDS[3:] if hasattr(block, k)}, [None])
+            out.append((values, float(extrinsic.scalar_curvature(one)[0])
                         if block.m >= 2 else None))
         return out
 
@@ -253,6 +259,8 @@ def field_digests(chart, expr, extrinsic) -> None:
             if scalar is not None:
                 values.append(scalar)
             for v in values:
+                if isinstance(v, np.generic):
+                    v = v.item()
                 if isinstance(v, np.ndarray):
                     h.update(repr((v.dtype.str, v.shape, v.flags.writeable)).encode())
                     h.update(v.tobytes())
